@@ -53,6 +53,7 @@ from .metrics import (
     write_tasks_csv,
 )
 from .report import ReportError, render
+from .wire import ProtoError
 
 EXIT_OK = 0
 EXIT_RUNTIME = 1
@@ -66,6 +67,7 @@ _RUNTIME_ERRORS = (
     EngineError,
     TransportError,
     FormatError,
+    ProtoError,
     OSError,
 )
 

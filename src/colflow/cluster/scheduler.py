@@ -43,8 +43,8 @@ from ..proto import (
     Shutdown,
     Submit,
     Task,
+    encode,
     recv_message,
-    send_message,
 )
 from .planner import plan_partitions
 
@@ -177,7 +177,17 @@ class Scheduler:
         if sock is None:
             return
         try:
-            send_message(sock, msg)
+            frame = encode(msg)
+        except ProtoError as e:
+            # an unframeable message (e.g. a RunDone over MAX_FRAME) fails the
+            # run; it must never end the state loop
+            if isinstance(msg, RunFail):
+                self._events.put(("gone", conn_id, None))
+            else:
+                self._fail_run(f"cannot send {type(msg).__name__}: {e}")
+            return
+        try:
+            sock.sendall(frame)
         except OSError:
             self._events.put(("gone", conn_id, None))
 
@@ -294,8 +304,8 @@ class Scheduler:
         try:
             for uri in spec.dataset:
                 handles.append(open_dataset(uri))
-            nworkers = max(1, len(self._workers))
-            planned = plan_partitions(handles, nworkers, run.factor)
+            nslots = max(1, sum(w.slots for w in self._workers.values()))
+            planned = plan_partitions(handles, nslots, run.factor)
             run.planning_bytes = sum(h.account.bytes_read for h in handles)
         except Exception as e:
             self._fail_run(f"planning failed: {e}")
@@ -313,7 +323,7 @@ class Scheduler:
         run = self._run
         if run is None or run.tasks is None:
             return
-        while run.pending:
+        while run.pending and self._run is run:  # a failed send may end the run
             worker = self._pick_worker()
             if worker is None:
                 return

@@ -42,9 +42,12 @@ from ..proto import (
     Result,
     Shutdown,
     Task,
+    pack_partial,
     recv_message,
     send_message,
+    unpack_partial,
 )
+from ..wire import Reader, pack_str
 from .scheduler import HEARTBEAT_INTERVAL
 
 _DOWNLOAD_CHUNK = 256 * 1024
@@ -210,23 +213,17 @@ class Worker:
 
 
 def write_result_file(path: str, graph_id: str, partial) -> None:
-    """Job output file: u8 id length + graph id + serialized PartialResult."""
-    raw = graph_id.encode("utf-8")
+    """Job output file: the graph id as a wire string, then the partial."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as f:
-        f.write(bytes([len(raw)]) + raw + partial.to_bytes())
+        f.write(pack_str(graph_id) + pack_partial(partial))
 
 
 def read_result_file(path: str):
     """Returns (graph_id, PartialResult)."""
-    from ..engine import PartialResult
-
     with open(path, "rb") as f:
-        raw = f.read()
-    n = raw[0]
-    graph_id = raw[1 : 1 + n].decode("utf-8")
-    partial, _ = PartialResult.from_bytes(raw, 1 + n)
-    return graph_id, partial
+        r = Reader(f.read())
+    return r.string(), unpack_partial(r)
 
 
 def worker_main(

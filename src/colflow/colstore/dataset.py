@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import wire
 from . import server as srv
 from .format import (
     FOOTER_MAGIC,
@@ -68,32 +69,45 @@ class LocalTransport:
         self._f.close()
 
 
-class RemoteTransport:
-    """Client side of the data-server protocol; one session per instance."""
+def _connect(host: str, port: int) -> socket.socket:
+    try:
+        return socket.create_connection((host, port), timeout=30)
+    except OSError as e:
+        raise TransportError(f"cannot connect to data server {host}:{port}: {e}") from None
 
-    def __init__(self, host: str, port: int, path: str):
-        try:
-            self._sock = socket.create_connection((host, port), timeout=30)
-        except OSError as e:
-            raise TransportError(f"cannot connect to data server {host}:{port}: {e}") from None
-        self._fid, self._size = struct.unpack("<QQ", self._request(srv.OP_OPEN, srv.pack_str(path)))
 
-    def _request(self, opcode: int, payload: bytes) -> bytes:
-        try:
-            srv.send_frame(self._sock, opcode, payload)
-            frame = srv.recv_frame(self._sock)
-        except (ConnectionError, OSError) as e:
-            raise TransportError(f"data server connection failed: {e}") from None
+def _exchange(sock: socket.socket, opcode: int, payload: bytes) -> bytes:
+    """One request and its reply's payload; every failure is a TransportError."""
+    try:
+        wire.send_frame(sock, opcode, payload)
+        frame = wire.recv_frame(sock)
         if frame is None:
             raise TransportError("data server closed the connection")
         reply_op, reply = frame
         if reply_op == srv.OP_ERROR:
-            (code,) = struct.unpack_from("<H", reply, 0)
-            message, _ = srv.unpack_str(reply, 2)
-            raise TransportError(f"data server error {code}: {message}")
-        if reply_op != opcode:
-            raise TransportError(f"unexpected reply opcode {reply_op} to request {opcode}")
-        return reply
+            r = wire.Reader(reply)
+            (code,) = r.unpack("<H")
+            raise TransportError(f"data server error {code}: {r.string()}")
+    except (wire.ProtoError, OSError) as e:
+        raise TransportError(f"data server connection failed: {e}") from None
+    if reply_op != opcode:
+        raise TransportError(f"unexpected reply opcode {reply_op} to request {opcode}")
+    return reply
+
+
+class RemoteTransport:
+    """Client side of the data-server protocol; one session per instance."""
+
+    def __init__(self, host: str, port: int, path: str):
+        self._sock = _connect(host, port)
+        try:
+            self._fid, self._size = struct.unpack("<QQ", self._request(srv.OP_OPEN, wire.pack_str(path)))
+        except TransportError:
+            self._sock.close()
+            raise
+
+    def _request(self, opcode: int, payload: bytes) -> bytes:
+        return _exchange(self._sock, opcode, payload)
 
     def size(self) -> int:
         return self._size
@@ -133,16 +147,8 @@ def server_totals(address: str) -> tuple[int, int]:
     counters it reports.
     """
     host, _, port = address.rpartition(":")
-    with socket.create_connection((host, int(port))) as sock:
-        srv.send_frame(sock, srv.OP_METRICS, bytes([srv.METRICS_GLOBAL]))
-        frame = srv.recv_frame(sock)
-        if frame is None:
-            raise TransportError(f"data server {address} closed during metrics query")
-        opcode, payload = frame
-        if opcode != srv.OP_METRICS:
-            raise TransportError(f"unexpected reply opcode {opcode} to metrics query")
-        served, calls = struct.unpack("<QQ", payload)
-        return served, calls
+    with _connect(host, int(port)) as sock:
+        return struct.unpack("<QQ", _exchange(sock, srv.OP_METRICS, bytes([srv.METRICS_GLOBAL])))
 
 
 @dataclass

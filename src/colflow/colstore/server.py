@@ -1,10 +1,16 @@
 """TCP data server for remote columnar file access.
 
-Framing: u32 length + u16 opcode + payload, length covering opcode and
-payload. Opcodes: 1=OPEN(path)->(u64 id, u64 size), 2=READ(id, off, len)
-->bytes (short at EOF), 3=STAT(path)->u64 size, 4=METRICS(scope byte,
-0=session 1=server totals)->(u64 bytes_served, u64 read_calls), 5=CLOSE(id).
-Errors come back as opcode 0xFFFF with u16 code + u16-length message.
+Requests and replies are ``wire`` frames whose kind is the opcode; a
+reply echoes its request's opcode. Opcodes: 1=OPEN(path)->(u64 id, u64
+size), 2=READ(u64 id, u64 off, u32 len)->bytes (short at EOF), 3=STAT(path)
+->u64 size, 4=METRICS(scope byte, 0=session 1=server totals)->(u64
+bytes_served, u64 read_calls), 5=CLOSE(u64 id). Paths are wire strings.
+Errors come back as opcode 0xFFFF with a u16 code and a wire string.
+
+A request payload may be at most MAX_REQUEST bytes and a READ at most
+``wire.MAX_FRAME``: a READ past that is answered with ERR_BAD_REQUEST,
+and a connection that sends an oversized header or a wrong protocol
+version is dropped.
 
 Byte counters only grow on READ replies, so a client session's bytes_read
 matches the server's served bytes for that session exactly.
@@ -12,11 +18,12 @@ matches the server's served bytes for that session exactly.
 
 from __future__ import annotations
 
-import socket
 import socketserver
 import struct
 import threading
 from pathlib import Path
+
+from .. import wire
 
 OP_OPEN = 1
 OP_READ = 2
@@ -34,6 +41,8 @@ ERR_INTERNAL = 5
 METRICS_SESSION = 0
 METRICS_GLOBAL = 1
 
+MAX_REQUEST = 4 + 4096  # the largest request: a wire string holding a PATH_MAX path
+
 
 class ServerError(Exception):
     def __init__(self, code: int, message: str):
@@ -41,49 +50,8 @@ class ServerError(Exception):
         self.code = code
 
 
-def send_frame(sock: socket.socket, opcode: int, payload: bytes) -> None:
-    sock.sendall(struct.pack("<IH", len(payload) + 2, opcode) + payload)
-
-
-def recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("connection closed mid-frame")
-        buf += chunk
-    return bytes(buf)
-
-
-def recv_frame(sock: socket.socket) -> tuple[int, bytes] | None:
-    """Read one frame; None on clean EOF before a new frame."""
-    try:
-        head = sock.recv(4)
-    except ConnectionResetError:
-        return None
-    if not head:
-        return None
-    while len(head) < 4:
-        more = sock.recv(4 - len(head))
-        if not more:
-            raise ConnectionError("connection closed mid-frame")
-        head += more
-    (length,) = struct.unpack("<I", head)
-    if length < 2:
-        raise ConnectionError(f"bad frame length {length}")
-    body = recv_exact(sock, length)
-    return struct.unpack("<H", body[:2])[0], body[2:]
-
-
-def pack_str(s: str) -> bytes:
-    raw = s.encode()
-    return struct.pack("<H", len(raw)) + raw
-
-
-def unpack_str(payload: bytes, pos: int) -> tuple[str, int]:
-    (n,) = struct.unpack_from("<H", payload, pos)
-    pos += 2
-    return payload[pos : pos + n].decode(), pos + n
+def _error_reply(code: int, message: str) -> bytes:
+    return struct.pack("<H", code) + wire.pack_str(message)
 
 
 class _Session:
@@ -125,20 +93,20 @@ class DataServer:
                 session = _Session(outer.root)
                 try:
                     while True:
-                        frame = recv_frame(self.request)
+                        frame = wire.recv_frame(self.request, MAX_REQUEST)
                         if frame is None:
                             return
                         opcode, payload = frame
                         try:
                             reply_op, reply = outer._dispatch(session, opcode, payload)
                         except ServerError as e:
-                            reply_op = OP_ERROR
-                            reply = struct.pack("<H", e.code) + pack_str(str(e))
+                            reply_op, reply = OP_ERROR, _error_reply(e.code, str(e))
+                        except wire.ProtoError as e:  # a malformed path string
+                            reply_op, reply = OP_ERROR, _error_reply(ERR_BAD_REQUEST, str(e))
                         except Exception as e:  # defensive: never kill the session silently
-                            reply_op = OP_ERROR
-                            reply = struct.pack("<H", ERR_INTERNAL) + pack_str(repr(e))
-                        send_frame(self.request, reply_op, reply)
-                except (ConnectionError, BrokenPipeError):
+                            reply_op, reply = OP_ERROR, _error_reply(ERR_INTERNAL, repr(e))
+                        wire.send_frame(self.request, reply_op, reply)
+                except (wire.ProtoError, OSError):  # bad header, or the peer is gone
                     return
                 finally:
                     session.close_all()
@@ -157,7 +125,7 @@ class DataServer:
 
     def _dispatch(self, session: _Session, opcode: int, payload: bytes) -> tuple[int, bytes]:
         if opcode == OP_OPEN:
-            path, _ = unpack_str(payload, 0)
+            path = wire.Reader(payload).string()
             target = session.resolve(path)
             if not target.is_file():
                 raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")
@@ -171,6 +139,10 @@ class DataServer:
             if len(payload) != 20:
                 raise ServerError(ERR_BAD_REQUEST, "READ payload must be id+off+len")
             fid, off, length = struct.unpack("<QQI", payload)
+            if length > wire.MAX_FRAME:
+                raise ServerError(
+                    ERR_BAD_REQUEST, f"READ of {length} bytes exceeds MAX_FRAME ({wire.MAX_FRAME} bytes)"
+                )
             f = session.files.get(fid)
             if f is None:
                 raise ServerError(ERR_BAD_ID, f"unknown file id {fid}")
@@ -183,7 +155,7 @@ class DataServer:
                 self.total_read_calls += 1
             return OP_READ, data
         if opcode == OP_STAT:
-            path, _ = unpack_str(payload, 0)
+            path = wire.Reader(payload).string()
             target = session.resolve(path)
             if not target.is_file():
                 raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")

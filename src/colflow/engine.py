@@ -26,7 +26,6 @@ t_total).
 from __future__ import annotations
 
 import os
-import struct
 import time
 from dataclasses import dataclass, field as dataclass_field
 
@@ -117,76 +116,6 @@ class PartialResult:
             mine = self.universes[u]
             for name, r in results.items():
                 mine[name].add(r)
-
-    def to_bytes(self) -> bytes:
-        out = bytearray()
-        out += struct.pack("<QdQQQ", self.events, self.t_loop, self.bytes_read, self.chunk_bytes, self.mem_peak)
-        out += struct.pack("<H", len(self.snapshots))
-        for s in self.snapshots:
-            raw = s.encode("utf-8")
-            out += struct.pack("<H", len(raw)) + raw
-        out += struct.pack("<H", len(self.universes))
-        for u, results in self.universes.items():
-            raw = u.encode("utf-8")
-            out += struct.pack("<H", len(raw)) + raw
-            out += struct.pack("<H", len(results))
-            for name, r in results.items():
-                nraw = name.encode("utf-8")
-                out += struct.pack("<H", len(nraw)) + nraw
-                if isinstance(r, Histo1D):
-                    out += b"\x01" + r.to_bytes()
-                elif r.kind is AccumKind.COUNT:
-                    out += b"\x02" + struct.pack("<d", r.value)
-                else:
-                    out += b"\x03" + struct.pack("<d", r.value)
-        return bytes(out)
-
-    @classmethod
-    def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["PartialResult", int]:
-        events, t_loop, bytes_read, chunk_bytes, mem_peak = struct.unpack_from("<QdQQQ", buf, offset)
-        offset += 40
-
-        def take_str(off: int) -> tuple[str, int]:
-            (n,) = struct.unpack_from("<H", buf, off)
-            off += 2
-            return buf[off : off + n].decode("utf-8"), off + n
-
-        (n_snaps,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        snapshots = []
-        for _ in range(n_snaps):
-            s, offset = take_str(offset)
-            snapshots.append(s)
-        (n_universes,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        universes: dict[str, ResultMap] = {}
-        for _ in range(n_universes):
-            label, offset = take_str(offset)
-            (n_results,) = struct.unpack_from("<H", buf, offset)
-            offset += 2
-            results: ResultMap = {}
-            for _ in range(n_results):
-                name, offset = take_str(offset)
-                kind = buf[offset]
-                offset += 1
-                if kind == 1:
-                    h, offset = Histo1D.from_bytes(buf, offset)
-                    if h.name != name:
-                        raise EngineError(f"result name mismatch: {name!r} vs {h.name!r}")
-                    results[name] = h
-                elif kind in (2, 3):
-                    (value,) = struct.unpack_from("<d", buf, offset)
-                    offset += 8
-                    results[name] = ScalarAccumulator(
-                        AccumKind.COUNT if kind == 2 else AccumKind.SUM, value
-                    )
-                else:
-                    raise EngineError(f"unknown result kind byte {kind}")
-            universes[label] = results
-        return (
-            cls(events, t_loop, bytes_read, chunk_bytes, mem_peak, snapshots, universes),
-            offset,
-        )
 
 
 def _fresh_slots(graph: ComputationGraph) -> ResultMap:

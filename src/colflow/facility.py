@@ -17,11 +17,14 @@ import time
 from .cluster.client import shutdown_cluster
 
 
+_LOG_TAIL_LINES = 10
+
+
 class FacilityError(Exception):
     pass
 
 
-def _await_line(proc: subprocess.Popen, timeout: float, what: str) -> str:
+def _await_line(proc: subprocess.Popen, timeout: float, what: str, log_path: str) -> str:
     """First stdout line of a child, or FacilityError on timeout/exit."""
     box: dict[str, str] = {}
 
@@ -32,10 +35,22 @@ def _await_line(proc: subprocess.Popen, timeout: float, what: str) -> str:
     t.start()
     t.join(timeout)
     line = box.get("line", "")
-    if not line:
+    if line:
+        return line.strip()
+    if t.is_alive():
         proc.kill()
+        proc.wait()
         raise FacilityError(f"{what} did not announce itself within {timeout}s")
-    return line.strip()
+    try:  # stdout closed without a line: the child is exiting
+        code = proc.wait(timeout=5.0)
+    except subprocess.TimeoutExpired:
+        proc.kill()
+        code = proc.wait()
+    with open(log_path, errors="replace") as f:
+        tail = "".join(f.readlines()[-_LOG_TAIL_LINES:])
+    raise FacilityError(
+        f"{what} exited with code {code} before announcing itself; {log_path} ends with:\n{tail}"
+    )
 
 
 def _drain(proc: subprocess.Popen) -> None:
@@ -80,16 +95,21 @@ class MiniFacility:
         self.worker_procs: list[subprocess.Popen] = []
         self._logs: list = []
 
-    def _spawn(self, args: list[str], log_name: str) -> subprocess.Popen:
+    def _launch(self, args: list[str], log_name: str, what: str) -> tuple[subprocess.Popen, str]:
+        """Start a child and wait for its announcement line."""
         os.makedirs(self.log_dir, exist_ok=True)
-        log = open(os.path.join(self.log_dir, log_name), "w")
+        log_path = os.path.join(self.log_dir, log_name)
+        log = open(log_path, "w")
         self._logs.append(log)
-        return subprocess.Popen(
+        proc = subprocess.Popen(
             [sys.executable, "-m", "colflow.cli", *args],
             stdout=subprocess.PIPE,
             stderr=log,
             text=True,
         )
+        line = _await_line(proc, self.startup_timeout, what, log_path)
+        _drain(proc)
+        return proc, line
 
     def start(self) -> "MiniFacility":
         try:
@@ -100,23 +120,20 @@ class MiniFacility:
         return self
 
     def _start(self) -> None:
-        self.data_proc = self._spawn(
+        self.data_proc, line = self._launch(
             ["serve-data", "--root", self.data_root, "--listen", "127.0.0.1:0"],
             "data-server.log",
+            "data server",
         )
-        line = _await_line(self.data_proc, self.startup_timeout, "data server")
         self.data_address = _address_of(line, "data server")
-        _drain(self.data_proc)
 
-        self.scheduler_proc = self._spawn(
-            ["scheduler", "--listen", "127.0.0.1:0"], "scheduler.log"
+        self.scheduler_proc, line = self._launch(
+            ["scheduler", "--listen", "127.0.0.1:0"], "scheduler.log", "scheduler"
         )
-        line = _await_line(self.scheduler_proc, self.startup_timeout, "scheduler")
         self.scheduler_address = _address_of(line, "scheduler")
-        _drain(self.scheduler_proc)
 
         for k in range(self.n_workers):
-            proc = self._spawn(
+            proc, _ = self._launch(
                 [
                     "worker",
                     "--scheduler",
@@ -129,9 +146,8 @@ class MiniFacility:
                     f"w{k}",
                 ],
                 f"worker-{k}.log",
+                f"worker w{k}",
             )
-            _await_line(proc, self.startup_timeout, f"worker w{k}")
-            _drain(proc)
             self.worker_procs.append(proc)
         # registrations are already in flight once every worker has printed;
         # the scheduler additionally grants submits a startup grace period

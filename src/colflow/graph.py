@@ -312,7 +312,7 @@ class ComputationGraph:
         self.spec = spec
         self.base_schema = dict(base_schema)
         self.stages = spec.stages
-        self.graph_id = hashlib.sha256(spec.document.encode()).hexdigest()[:16]
+        self.graph_id = spec_graph_id(spec)
 
         working = dict(base_schema)
         self.defines: dict[str, ValueType] = {}

@@ -11,7 +11,6 @@ statistical errors stay exact.
 from __future__ import annotations
 
 import math
-import struct
 from enum import Enum
 
 
@@ -93,42 +92,6 @@ class Histo1D:
             f"Histo1D({self.name!r}, nbins={self.nbins}, range=[{self.xmin}, {self.xmax}), "
             f"entries={self.entries}, sumw={self.total_sumw():g})"
         )
-
-    def to_bytes(self) -> bytes:
-        raw = self.name.encode("utf-8")
-        parts = [
-            struct.pack("<H", len(raw)),
-            raw,
-            struct.pack("<Idd", self.nbins, self.xmin, self.xmax),
-            struct.pack("<Q", self.entries),
-            struct.pack(f"<{self.nbins + 2}d", *self.sumw),
-            struct.pack(f"<{self.nbins + 2}d", *self.sumw2),
-        ]
-        return b"".join(parts)
-
-    @classmethod
-    def from_bytes(cls, buf: bytes, offset: int = 0) -> tuple["Histo1D", int]:
-        (nlen,) = struct.unpack_from("<H", buf, offset)
-        offset += 2
-        name = buf[offset : offset + nlen].decode("utf-8")
-        offset += nlen
-        nbins, xmin, xmax = struct.unpack_from("<Idd", buf, offset)
-        offset += 20
-        (entries,) = struct.unpack_from("<Q", buf, offset)
-        offset += 8
-        h = cls(name, nbins, xmin, xmax)
-        h.entries = entries
-        h.sumw = list(struct.unpack_from(f"<{nbins + 2}d", buf, offset))
-        offset += 8 * (nbins + 2)
-        h.sumw2 = list(struct.unpack_from(f"<{nbins + 2}d", buf, offset))
-        offset += 8 * (nbins + 2)
-        return h, offset
-
-
-def merge(a: Histo1D, b: Histo1D) -> Histo1D:
-    out = a.copy()
-    out.add(b)
-    return out
 
 
 class AccumKind(Enum):

@@ -1,16 +1,12 @@
-"""Scheduler/worker wire protocol.
+"""Scheduler/worker/client messages and the result payloads they carry.
 
-Frame layout, little-endian throughout:
-
-    u32 length   == payload size + 4
-    u16 kind
-    u16 version  == 1
-    payload
-
-Strings are u16-length-prefixed UTF-8 (cap 64 KiB). Version mismatches and
-unknown kinds are hard errors; the connection must be dropped. Frames are
-self-delimiting, so a FrameReader fed arbitrary chunk boundaries yields the
-same message sequence.
+Every message travels as one ``wire`` frame (u32 length, u16 kind, u16
+version, payload); this module owns the payload layouts on top of it,
+including those of PartialResult, Histo1D, ScalarAccumulator and
+JobRecord, which also make up the legacy jobs' result files. Version
+mismatches, unknown kinds and malformed payloads are ProtoErrors; the
+connection must be dropped. Messages are self-delimiting, so a stream cut
+at arbitrary boundaries reads back as the same message sequence.
 
 Kinds 1..7 form the worker channel (REGISTER, GRAPH, TASK, RESULT, FAIL,
 HEARTBEAT, SHUTDOWN). Kinds 8..10 form the client channel (SUBMIT,
@@ -22,12 +18,13 @@ from __future__ import annotations
 
 import socket
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .engine import EntryRange, Mode, PartialResult
-from .metrics import JobRecord
-
-PROTO_VERSION = 1
+from .hist import AccumKind, Histo1D, ScalarAccumulator
+from .metrics import JobRecord, MetricsError
+# PROTO_VERSION and ProtoError are re-exported for the cluster side
+from .wire import PROTO_VERSION, ProtoError, Reader, pack_frame, pack_str, parse_header, recv_frame
 
 MSG_REGISTER = 1
 MSG_GRAPH = 2
@@ -39,10 +36,6 @@ MSG_SHUTDOWN = 7
 MSG_SUBMIT = 8
 MSG_RUN_DONE = 9
 MSG_RUN_FAIL = 10
-
-
-class ProtoError(Exception):
-    """Malformed frame or message; the connection is no longer trustworthy."""
 
 
 @dataclass(frozen=True)
@@ -73,16 +66,7 @@ class Task:
 class Result:
     task_id: int
     t_total: float
-    partial: PartialResult = field(compare=False)
-
-    def __eq__(self, other):
-        if not isinstance(other, Result):
-            return NotImplemented
-        return (
-            self.task_id == other.task_id
-            and self.t_total == other.t_total
-            and self.partial == other.partial
-        )
+    partial: PartialResult
 
 
 @dataclass(frozen=True)
@@ -106,7 +90,7 @@ class Submit:
     """A run request.
 
     Two flavors: tasks empty means the scheduler partitions the document's
-    dataset itself (factor x live workers); a non-empty task list is
+    dataset itself (factor x the live workers' slots); a non-empty task list is
     dispatched exactly as given (the baseline's one-job-per-file runs).
     """
 
@@ -121,20 +105,9 @@ class Submit:
 class RunDone:
     run_id: str
     wall_time: float
-    partial: PartialResult = field(compare=False)
+    partial: PartialResult
     records: tuple[JobRecord, ...] = ()
     scheduler_bytes: int = 0  # metadata reads done while planning
-
-    def __eq__(self, other):
-        if not isinstance(other, RunDone):
-            return NotImplemented
-        return (
-            self.run_id == other.run_id
-            and self.wall_time == other.wall_time
-            and self.partial == other.partial
-            and self.records == other.records
-            and self.scheduler_bytes == other.scheduler_bytes
-        )
 
 
 @dataclass(frozen=True)
@@ -161,228 +134,208 @@ _KIND_OF = {
 }
 
 
-def _pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    if len(raw) > 0xFFFF:
-        raise ProtoError(f"string too long for wire format: {len(raw)} bytes")
-    return struct.pack("<H", len(raw)) + raw
+# --- result payloads ----------------------------------------------------------
+
+_HISTO_TAG = 1
+_ACCUM_TAG = {AccumKind.COUNT: 2, AccumKind.SUM: 3}
+_ACCUM_OF_TAG = {tag: kind for kind, tag in _ACCUM_TAG.items()}
 
 
-def _unpack_str(buf: bytes, off: int) -> tuple[str, int]:
-    if off + 2 > len(buf):
-        raise ProtoError("truncated string length")
-    (n,) = struct.unpack_from("<H", buf, off)
-    off += 2
-    if off + n > len(buf):
-        raise ProtoError("truncated string body")
-    return buf[off : off + n].decode("utf-8"), off + n
+def pack_histo(h: Histo1D) -> bytes:
+    """Axis and contents; the name travels with the result map entry."""
+    n = h.nbins + 2
+    return struct.pack(f"<IddQ{n}d{n}d", h.nbins, h.xmin, h.xmax, h.entries, *h.sumw, *h.sumw2)
+
+
+def unpack_histo(r: Reader, name: str) -> Histo1D:
+    nbins, xmin, xmax, entries = r.unpack("<IddQ")
+    sumw = r.unpack(f"<{nbins + 2}d")  # bounds nbins by the payload before allocating
+    sumw2 = r.unpack(f"<{nbins + 2}d")
+    h = Histo1D(name, nbins, xmin, xmax)
+    h.entries = entries
+    h.sumw = list(sumw)
+    h.sumw2 = list(sumw2)
+    return h
+
+
+def pack_partial(p: PartialResult) -> bytes:
+    out = [
+        struct.pack("<QdQQQI", p.events, p.t_loop, p.bytes_read, p.chunk_bytes, p.mem_peak, len(p.snapshots)),
+        *map(pack_str, p.snapshots),
+        struct.pack("<I", len(p.universes)),
+    ]
+    for label, results in p.universes.items():
+        out.append(pack_str(label) + struct.pack("<I", len(results)))
+        for name, res in results.items():
+            out.append(pack_str(name))
+            if isinstance(res, Histo1D):
+                out.append(struct.pack("<B", _HISTO_TAG) + pack_histo(res))
+            else:
+                out.append(struct.pack("<Bd", _ACCUM_TAG[res.kind], res.value))
+    return b"".join(out)
+
+
+def unpack_partial(r: Reader) -> PartialResult:
+    events, t_loop, bytes_read, chunk_bytes, mem_peak, n_snaps = r.unpack("<QdQQQI")
+    snapshots = [r.string() for _ in range(n_snaps)]
+    universes = {}
+    for _ in range(r.u32()):
+        label = r.string()
+        results = {}
+        for _ in range(r.u32()):
+            name = r.string()
+            (tag,) = r.unpack("<B")
+            if tag == _HISTO_TAG:
+                results[name] = unpack_histo(r, name)
+            elif tag in _ACCUM_OF_TAG:
+                results[name] = ScalarAccumulator(_ACCUM_OF_TAG[tag], r.unpack("<d")[0])
+            else:
+                raise ProtoError(f"unknown result kind byte {tag}")
+        universes[label] = results
+    return PartialResult(events, t_loop, bytes_read, chunk_bytes, mem_peak, snapshots, universes)
+
+
+def _pack_record(rec: JobRecord) -> bytes:
+    return b"".join(
+        (
+            struct.pack("<I", rec.task_id),
+            pack_str(rec.worker),
+            struct.pack("<QddQQI", rec.events, rec.t_total, rec.t_loop, rec.bytes_read, rec.chunk_bytes, rec.attempt),
+            pack_str(rec.phase),
+            struct.pack("<IQ", rec.passes, rec.mem_peak),
+        )
+    )
+
+
+def _unpack_record(r: Reader) -> JobRecord:
+    task_id = r.u32()
+    worker = r.string()
+    events, t_total, t_loop, bytes_read, chunk_bytes, attempt = r.unpack("<QddQQI")
+    phase = r.string()
+    passes, mem_peak = r.unpack("<IQ")
+    return JobRecord(task_id, worker, events, t_total, t_loop, bytes_read, chunk_bytes, attempt, phase, passes, mem_peak)
+
+
+# --- messages ---------------------------------------------------------------
 
 
 def _pack_task(t: Task) -> bytes:
     return b"".join(
         (
             struct.pack("<I", t.task_id),
-            _pack_str(t.graph_id),
-            _pack_str(t.entry_range.file),
-            struct.pack("<QQ", t.entry_range.begin, t.entry_range.end),
-            struct.pack("<B", t.mode.kind),
-            _pack_str(t.mode.universe),
-            struct.pack("<B", t.attempt),
-            _pack_str(t.payload_uri),
+            pack_str(t.graph_id),
+            pack_str(t.entry_range.file),
+            struct.pack("<QQB", t.entry_range.begin, t.entry_range.end, t.mode.kind),
+            pack_str(t.mode.universe),
+            struct.pack("<I", t.attempt),
+            pack_str(t.payload_uri),
             struct.pack("<Q", t.payload_bytes),
-            _pack_str(t.result_file),
+            pack_str(t.result_file),
         )
     )
 
 
-def _unpack_task(buf: bytes, off: int) -> tuple[Task, int]:
-    (task_id,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    graph_id, off = _unpack_str(buf, off)
-    file, off = _unpack_str(buf, off)
-    begin, end = struct.unpack_from("<QQ", buf, off)
-    off += 16
-    mode_kind = buf[off]
-    off += 1
-    universe, off = _unpack_str(buf, off)
-    attempt = buf[off]
-    off += 1
-    payload_uri, off = _unpack_str(buf, off)
-    (payload_bytes,) = struct.unpack_from("<Q", buf, off)
-    off += 8
-    result_file, off = _unpack_str(buf, off)
-    return (
-        Task(
-            task_id,
-            graph_id,
-            EntryRange(file, begin, end),
-            Mode(mode_kind, universe),
-            attempt,
-            payload_uri,
-            payload_bytes,
-            result_file,
-        ),
-        off,
-    )
-
-
-def _pack_record(r: JobRecord) -> bytes:
-    return b"".join(
-        (
-            struct.pack("<I", r.task_id),
-            _pack_str(r.worker),
-            struct.pack("<QddQQB", r.events, r.t_total, r.t_loop, r.bytes_read, r.chunk_bytes, r.attempt),
-            _pack_str(r.phase),
-            struct.pack("<BQ", r.passes, r.mem_peak),
-        )
-    )
-
-
-def _unpack_record(buf: bytes, off: int) -> tuple[JobRecord, int]:
-    (task_id,) = struct.unpack_from("<I", buf, off)
-    off += 4
-    worker, off = _unpack_str(buf, off)
-    events, t_total, t_loop, bytes_read, chunk_bytes, attempt = struct.unpack_from("<QddQQB", buf, off)
-    off += 41
-    phase, off = _unpack_str(buf, off)
-    passes, mem_peak = struct.unpack_from("<BQ", buf, off)
-    off += 9
-    return (
-        JobRecord(task_id, worker, events, t_total, t_loop, bytes_read, chunk_bytes, attempt, phase, passes, mem_peak),
-        off,
+def _unpack_task(r: Reader) -> Task:
+    task_id = r.u32()
+    graph_id = r.string()
+    file = r.string()
+    begin, end, mode_kind = r.unpack("<QQB")
+    universe = r.string()
+    attempt = r.u32()
+    payload_uri = r.string()
+    (payload_bytes,) = r.unpack("<Q")
+    result_file = r.string()
+    return Task(
+        task_id,
+        graph_id,
+        EntryRange(file, begin, end),
+        Mode(mode_kind, universe),
+        attempt,
+        payload_uri,
+        payload_bytes,
+        result_file,
     )
 
 
 def _encode_payload(msg: Message) -> bytes:
     if isinstance(msg, Register):
-        return _pack_str(msg.name) + struct.pack("<H", msg.slots)
+        return pack_str(msg.name) + struct.pack("<I", msg.slots)
     if isinstance(msg, Graph):
-        return _pack_str(msg.graph_id) + _pack_str(msg.document)
+        return pack_str(msg.graph_id) + pack_str(msg.document)
     if isinstance(msg, Task):
         return _pack_task(msg)
     if isinstance(msg, Result):
-        return struct.pack("<Id", msg.task_id, msg.t_total) + msg.partial.to_bytes()
+        return struct.pack("<Id", msg.task_id, msg.t_total) + pack_partial(msg.partial)
     if isinstance(msg, Fail):
-        return struct.pack("<I", msg.task_id) + _pack_str(msg.error)
+        return struct.pack("<I", msg.task_id) + pack_str(msg.error)
     if isinstance(msg, Heartbeat):
-        return _pack_str(msg.name)
+        return pack_str(msg.name)
     if isinstance(msg, Shutdown):
         return b""
     if isinstance(msg, Submit):
-        out = _pack_str(msg.run_id) + _pack_str(msg.document)
-        out += struct.pack("<HHI", msg.max_retries, msg.factor, len(msg.tasks))
-        for t in msg.tasks:
-            out += _pack_task(t)
-        return out
+        head = pack_str(msg.run_id) + pack_str(msg.document)
+        head += struct.pack("<III", msg.max_retries, msg.factor, len(msg.tasks))
+        return head + b"".join(map(_pack_task, msg.tasks))
     if isinstance(msg, RunDone):
-        out = _pack_str(msg.run_id) + struct.pack("<dQ", msg.wall_time, msg.scheduler_bytes)
-        out += msg.partial.to_bytes()
-        out += struct.pack("<I", len(msg.records))
-        for r in msg.records:
-            out += _pack_record(r)
-        return out
+        head = pack_str(msg.run_id) + struct.pack("<dQ", msg.wall_time, msg.scheduler_bytes)
+        head += pack_partial(msg.partial) + struct.pack("<I", len(msg.records))
+        return head + b"".join(map(_pack_record, msg.records))
     if isinstance(msg, RunFail):
-        return _pack_str(msg.run_id) + _pack_str(msg.error)
+        return pack_str(msg.run_id) + pack_str(msg.error)
     raise ProtoError(f"cannot encode {type(msg).__name__}")
 
 
 def encode(msg: Message) -> bytes:
     """Message to one self-delimiting frame."""
-    payload = _encode_payload(msg)
-    return struct.pack("<IHH", len(payload) + 4, _KIND_OF[type(msg)], PROTO_VERSION) + payload
+    try:
+        payload = _encode_payload(msg)
+    except struct.error as e:
+        raise ProtoError(f"cannot encode {type(msg).__name__}: {e}") from None
+    return pack_frame(_KIND_OF[type(msg)], payload)
 
 
 def _decode_payload(kind: int, payload: bytes) -> Message:
+    r = Reader(payload)
     try:
         if kind == MSG_REGISTER:
-            name, off = _unpack_str(payload, 0)
-            (slots,) = struct.unpack_from("<H", payload, off)
-            return Register(name, slots)
+            return Register(r.string(), r.u32())
         if kind == MSG_GRAPH:
-            graph_id, off = _unpack_str(payload, 0)
-            document, _ = _unpack_str(payload, off)
-            return Graph(graph_id, document)
+            return Graph(r.string(), r.string())
         if kind == MSG_TASK:
-            return _unpack_task(payload, 0)[0]
+            return _unpack_task(r)
         if kind == MSG_RESULT:
-            task_id, t_total = struct.unpack_from("<Id", payload, 0)
-            partial, _ = PartialResult.from_bytes(payload, 12)
-            return Result(task_id, t_total, partial)
+            task_id, t_total = r.unpack("<Id")
+            return Result(task_id, t_total, unpack_partial(r))
         if kind == MSG_FAIL:
-            (task_id,) = struct.unpack_from("<I", payload, 0)
-            error, _ = _unpack_str(payload, 4)
-            return Fail(task_id, error)
+            return Fail(r.u32(), r.string())
         if kind == MSG_HEARTBEAT:
-            return Heartbeat(_unpack_str(payload, 0)[0])
+            return Heartbeat(r.string())
         if kind == MSG_SHUTDOWN:
             return Shutdown()
         if kind == MSG_SUBMIT:
-            run_id, off = _unpack_str(payload, 0)
-            document, off = _unpack_str(payload, off)
-            max_retries, factor, n_tasks = struct.unpack_from("<HHI", payload, off)
-            off += 8
-            tasks = []
-            for _ in range(n_tasks):
-                t, off = _unpack_task(payload, off)
-                tasks.append(t)
-            return Submit(run_id, document, max_retries, factor, tuple(tasks))
+            run_id, document = r.string(), r.string()
+            max_retries, factor, n_tasks = r.unpack("<III")
+            tasks = tuple(_unpack_task(r) for _ in range(n_tasks))
+            return Submit(run_id, document, max_retries, factor, tasks)
         if kind == MSG_RUN_DONE:
-            run_id, off = _unpack_str(payload, 0)
-            wall_time, scheduler_bytes = struct.unpack_from("<dQ", payload, off)
-            off += 16
-            partial, off = PartialResult.from_bytes(payload, off)
-            (n_records,) = struct.unpack_from("<I", payload, off)
-            off += 4
-            records = []
-            for _ in range(n_records):
-                r, off = _unpack_record(payload, off)
-                records.append(r)
-            return RunDone(run_id, wall_time, partial, tuple(records), scheduler_bytes)
+            run_id = r.string()
+            wall_time, scheduler_bytes = r.unpack("<dQ")
+            partial = unpack_partial(r)
+            records = tuple(_unpack_record(r) for _ in range(r.u32()))
+            return RunDone(run_id, wall_time, partial, records, scheduler_bytes)
         if kind == MSG_RUN_FAIL:
-            run_id, off = _unpack_str(payload, 0)
-            error, _ = _unpack_str(payload, off)
-            return RunFail(run_id, error)
-    except ProtoError:
-        raise
-    except (struct.error, IndexError, UnicodeDecodeError) as e:
+            return RunFail(r.string(), r.string())
+    except (ValueError, MetricsError) as e:  # field values a constructor rejects
         raise ProtoError(f"malformed payload for kind {kind}: {e}") from None
     raise ProtoError(f"unknown message kind {kind}")
 
 
 def decode(frame: bytes) -> Message:
     """One complete frame (length word included) to a message."""
-    if len(frame) < 8:
-        raise ProtoError(f"frame too short: {len(frame)} bytes")
-    length, kind, version = struct.unpack_from("<IHH", frame, 0)
-    if length < 4:
-        raise ProtoError(f"frame length {length} < 4")
-    if length != len(frame) - 4:
-        raise ProtoError(f"frame length {length} does not match body {len(frame) - 4}")
-    if version != PROTO_VERSION:
-        raise ProtoError(f"protocol version {version}, expected {PROTO_VERSION}")
+    size, kind = parse_header(frame)
+    if size != len(frame) - 8:
+        raise ProtoError(f"frame length {size + 4} does not match body {len(frame) - 4}")
     return _decode_payload(kind, frame[8:])
-
-
-class FrameReader:
-    """Incremental frame assembly from an arbitrary chunked byte stream."""
-
-    def __init__(self):
-        self._buf = bytearray()
-
-    def feed(self, data: bytes) -> list[Message]:
-        self._buf += data
-        out = []
-        while True:
-            if len(self._buf) < 4:
-                return out
-            (length,) = struct.unpack_from("<I", self._buf, 0)
-            if length < 4:
-                raise ProtoError(f"frame length {length} < 4")
-            if len(self._buf) < 4 + length:
-                return out
-            frame = bytes(self._buf[: 4 + length])
-            del self._buf[: 4 + length]
-            out.append(decode(frame))
 
 
 def send_message(sock: socket.socket, msg: Message) -> None:
@@ -391,25 +344,5 @@ def send_message(sock: socket.socket, msg: Message) -> None:
 
 def recv_message(sock: socket.socket) -> Message | None:
     """One message off a socket; None on clean EOF at a frame boundary."""
-    head = _recv_exact(sock, 4)
-    if head is None:
-        return None
-    (length,) = struct.unpack("<I", head)
-    if length < 4:
-        raise ProtoError(f"frame length {length} < 4")
-    body = _recv_exact(sock, length)
-    if body is None:
-        raise ProtoError("connection closed mid-frame")
-    return decode(head + body)
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = bytearray()
-    while len(buf) < n:
-        part = sock.recv(n - len(buf))
-        if not part:
-            if buf:
-                raise ProtoError("connection closed mid-frame")
-            return None
-        buf += part
-    return bytes(buf)
+    frame = recv_frame(sock)
+    return None if frame is None else _decode_payload(*frame)

@@ -36,7 +36,8 @@ class Estimate:
         if not values:
             raise ReportError("no values to estimate")
         lo, hi = min(values), max(values)
-        return cls(mean=sum(values) / len(values), err=(hi - lo) / 2.0)
+        # clamped: sum/len of equal values can round one ulp past them
+        return cls(mean=min(max(sum(values) / len(values), lo), hi), err=(hi - lo) / 2.0)
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -14,7 +15,7 @@ from colflow.cluster.client import submit_run
 from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
 from colflow.engine import SINGLE_PASS, EntryRange
-from colflow.facility import MiniFacility
+from colflow.facility import FacilityError, MiniFacility
 from colflow.graph import load_spec, spec_graph_id
 from colflow.metrics import RunMetrics, metrics_row, write_metrics_csv
 from colflow.proto import Task
@@ -328,6 +329,15 @@ class TestFacilityRuns:
 
 
 class TestFacilityLifecycle:
+    def test_child_exit_before_announcing_is_reported(self, tmp_path):
+        not_a_dir = tmp_path / "data.col"
+        not_a_dir.write_bytes(b"")
+        t0 = time.monotonic()
+        with pytest.raises(FacilityError, match="data server exited with code 2") as info:
+            MiniFacility(str(not_a_dir), str(tmp_path / "logs"), n_workers=1).start()
+        assert time.monotonic() - t0 < 10
+        assert "is not a readable directory" in str(info.value)
+
     def test_clean_shutdown_exit_codes(self, tmp_path):
         data_dir = str(tmp_path / "data")
         generate(GenConfig(n_files=1, events_per_file=200, cluster_size=100, seed=1), data_dir)

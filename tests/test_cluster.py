@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from colflow import wire
 from colflow.cluster import (
     ClusterError,
     Scheduler,
@@ -28,7 +29,7 @@ from colflow.engine import (
     run_range,
 )
 from colflow.graph import build, load_spec, schema_types
-from colflow.proto import Task
+from colflow.proto import Graph, Result, RunDone, Submit, Task, encode
 from conftest import STANDARD_SCHEMA, standard_columns
 
 
@@ -127,6 +128,18 @@ class TestDistributedRuns:
                 results.append(run_distributed(doc, sched.address, factor=factor))
         for other in results[1:]:
             assert other.partial.universes == results[0].partial.universes
+
+    def test_plan_sized_by_slots(self, dataset_files):
+        doc = make_doc(dataset_files[:2], integer_weights=True)  # 4 clusters per file
+        results = []
+        for slots in (1, 4):
+            with Scheduler() as sched:
+                spawn_worker(sched.address, slots=slots, name="w0")
+                wait_for_workers(sched, 1)
+                results.append(run_distributed(doc, sched.address, factor=1))
+        assert len(results[0].records) == 2
+        assert len(results[1].records) >= 4  # one worker, but four slots to fill
+        assert results[1].partial.universes == results[0].partial.universes
 
     def test_records_cover_every_task_once(self, dataset_files):
         doc = make_doc(dataset_files)
@@ -335,6 +348,60 @@ class TestFaultTolerance:
             # the same worker then completes a good run
             result = run_distributed(doc, sched.address)
             assert result.total_events == 750
+
+
+def payload_size(msg) -> int:
+    return len(encode(msg)) - wire.HEADER.size
+
+
+class TestWireLimits:
+    def test_1500_uri_document_runs(self, dataset_files):
+        f = dataset_files[0]
+        doc = make_doc([f] * 1500)
+        assert len(doc.encode()) > 0xFFFF  # past the old u16 string length
+        with open_dataset(f) as h:
+            n = h.total_entries
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            result = submit_run(
+                sched.address, doc, tasks=(Task(0, "", EntryRange(f, 0, n), SINGLE_PASS),), timeout=30
+            )
+        assert result.total_events == n
+
+    def test_unsendable_run_done_fails_the_run(self, dataset_files, monkeypatch):
+        doc = make_doc(dataset_files)
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            ok = submit_run(sched.address, doc, run_id="run-0", timeout=30)
+            run_done = payload_size(RunDone("run-0", 0.0, ok.partial, ok.records))
+            limit = max(
+                payload_size(m) for m in (Submit("run-0", doc), Graph("0" * 16, doc), Result(0, 0.0, ok.partial))
+            )
+            assert run_done > limit  # every other frame of the run fits
+            monkeypatch.setattr(wire, "MAX_FRAME", limit)
+            t0 = time.monotonic()
+            with pytest.raises(ClusterError, match=f"cannot send RunDone: frame payload of {run_done} bytes"):
+                submit_run(sched.address, doc, run_id="run-0", timeout=30)
+            assert time.monotonic() - t0 < 10
+            monkeypatch.undo()
+            again = submit_run(sched.address, doc, run_id="run-0", timeout=30)  # state loop alive
+        assert again.partial.universes == ok.partial.universes
+
+    def test_oversized_result_fails_the_task(self, dataset_files, monkeypatch):
+        doc = make_doc(dataset_files)
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            ok = submit_run(sched.address, doc, timeout=30)
+            result = payload_size(Result(0, 0.0, ok.partial))
+            monkeypatch.setattr(wire, "MAX_FRAME", result - 1)
+            with pytest.raises(ClusterError, match=f"ProtoError: frame payload of {result} bytes exceeds"):
+                submit_run(sched.address, doc, max_retries=0, timeout=30)
+            monkeypatch.undo()
+            again = submit_run(sched.address, doc, timeout=30)  # the worker survived
+        assert again.total_events == ok.total_events
 
 
 class TestPayloadAndResultFiles:

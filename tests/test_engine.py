@@ -34,6 +34,8 @@ from colflow.graph import (
     load_spec,
     schema_types,
 )
+from colflow.proto import pack_partial, unpack_partial
+from colflow.wire import Reader
 
 RICH_DOC = {
     "dataset": ["unused.col"],
@@ -313,9 +315,10 @@ class TestSerialization:
             rich_graph, EntryRange(rich_file, 0, 300), SINGLE_PASS, range_id="7"
         )
         partial.snapshots.append("somewhere.part7.col")
-        raw = partial.to_bytes()
-        back, consumed = PartialResult.from_bytes(raw)
-        assert consumed == len(raw)
+        raw = pack_partial(partial)
+        r = Reader(raw)
+        back = unpack_partial(r)
+        assert r.off == len(raw)
         assert back.events == partial.events
         assert back.t_loop == partial.t_loop
         assert back.bytes_read == partial.bytes_read
@@ -326,7 +329,7 @@ class TestSerialization:
 
     def test_empty_round_trip(self, rich_graph):
         empty = PartialResult.empty(rich_graph)
-        back, _ = PartialResult.from_bytes(empty.to_bytes())
+        back = unpack_partial(Reader(pack_partial(empty)))
         assert back == empty
 
 

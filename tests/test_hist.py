@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colflow.hist import AccumKind, Histo1D, ScalarAccumulator, merge
+from colflow.hist import AccumKind, Histo1D, ScalarAccumulator
+from colflow.proto import pack_histo, unpack_histo
+from colflow.wire import Reader
+
+
+def merge(a, b):
+    out = a.copy()
+    out.add(b)
+    return out
 
 
 def test_uniform_bin_placement():
@@ -116,9 +124,10 @@ def test_serialization_roundtrip():
     rng = random.Random(11)
     for _ in range(1000):
         h.fill(rng.uniform(-50, 300), rng.uniform(0, 2))
-    raw = h.to_bytes()
-    back, offset = Histo1D.from_bytes(raw)
-    assert offset == len(raw)
+    raw = pack_histo(h)
+    r = Reader(raw)
+    back = unpack_histo(r, h.name)
+    assert r.off == len(raw)
     assert back == h  # bit-exact
 
 

@@ -1,11 +1,15 @@
-"""Wire protocol round-trips, framing rules, and stream reassembly."""
+"""Wire protocol round-trips, framing rules, stream reassembly and limits."""
 
+import json
+import socket
 import struct
+import threading
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from colflow import wire
 from colflow.engine import (
     MODE_ONLY_UNIVERSE,
     SINGLE_PASS,
@@ -19,7 +23,6 @@ from colflow.metrics import JobRecord
 from colflow.proto import (
     PROTO_VERSION,
     Fail,
-    FrameReader,
     Graph,
     Heartbeat,
     ProtoError,
@@ -32,6 +35,7 @@ from colflow.proto import (
     Task,
     decode,
     encode,
+    recv_message,
 )
 
 
@@ -123,7 +127,7 @@ class TestFramingRules:
         with pytest.raises(ProtoError, match="< 4"):
             decode(bad + b"\x00")
         with pytest.raises(ProtoError, match="< 4"):
-            FrameReader().feed(bad)
+            read_messages([bad + b"\x00"])
 
     def test_truncated_frame_rejected(self):
         raw = encode(Register("w", 1))
@@ -143,39 +147,116 @@ class TestFramingRules:
             decode(bytes(raw))
 
     def test_garbage_payload_rejected(self):
-        frame = struct.pack("<IHH", 4 + 3, 1, 1) + b"\xff\xff\xff"
+        frame = struct.pack("<IHH", 4 + 3, 1, PROTO_VERSION) + b"\xff\xff\xff"
         with pytest.raises(ProtoError):
             decode(frame)
 
-    def test_oversized_string_rejected(self):
-        with pytest.raises(ProtoError, match="too long"):
-            encode(Heartbeat("x" * 70000))
+    @pytest.mark.parametrize("msg", [m for m in MESSAGES if encode(m)[8:]], ids=lambda m: type(m).__name__)
+    def test_every_truncated_payload_rejected(self, msg):
+        payload = encode(msg)[8:]
+        kind = encode(msg)[4]
+        for cut in range(len(payload)):
+            frame = struct.pack("<IHH", cut + 4, kind, PROTO_VERSION) + payload[:cut]
+            with pytest.raises(ProtoError):
+                decode(frame)
 
 
-class TestFrameReader:
+def read_messages(pieces):
+    """recv_message over a socketpair whose far end sends the given pieces."""
+    a, b = socket.socketpair()
+    b.settimeout(10)
+
+    def feed():
+        with a:
+            for piece in pieces:
+                a.sendall(piece)
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    got = []
+    try:
+        while (msg := recv_message(b)) is not None:
+            got.append(msg)
+    finally:
+        b.close()
+        writer.join(10)
+    assert not writer.is_alive()
+    return got
+
+
+class TestStreamReassembly:
     def test_chunking_invariance(self):
         stream = b"".join(encode(m) for m in MESSAGES)
-        whole = FrameReader().feed(stream)
-        assert whole == MESSAGES
-
-        byte_at_a_time = []
-        reader = FrameReader()
-        for i in range(len(stream)):
-            byte_at_a_time.extend(reader.feed(stream[i : i + 1]))
-        assert byte_at_a_time == MESSAGES
+        assert read_messages([stream]) == MESSAGES
+        assert read_messages([stream[i : i + 1] for i in range(len(stream))]) == MESSAGES
 
     @given(st.data())
     @settings(max_examples=30, deadline=None)
     def test_random_chunk_boundaries(self, data):
         stream = b"".join(encode(m) for m in MESSAGES[:6])
-        reader = FrameReader()
-        got = []
+        pieces = []
         pos = 0
         while pos < len(stream):
             step = data.draw(st.integers(min_value=1, max_value=97))
-            got.extend(reader.feed(stream[pos : pos + step]))
+            pieces.append(stream[pos : pos + step])
             pos += step
-        assert got == MESSAGES[:6]
+        assert read_messages(pieces) == MESSAGES[:6]
+
+    def test_eof_mid_frame_rejected(self):
+        raw = encode(Heartbeat("w"))
+        for cut in (3, 8, len(raw) - 1):
+            with pytest.raises(ProtoError, match="mid-frame"):
+                read_messages([raw[:cut]])
+
+
+class TestLimits:
+    """Each former silent limit at its edge and just past it."""
+
+    def test_1500_uri_document_round_trips(self):
+        uris = [f"colsrv://127.0.0.1:9000/data/events_{i:04d}.col" for i in range(1500)]
+        document = json.dumps({"dataset": uris, "stages": [{"op": "count", "name": "n"}]})
+        assert len(document.encode()) > 0xFFFF  # past the old u16 string length
+        for msg in (Submit("run-big", document, 2, 3, ()), Graph("g", document)):
+            assert decode(encode(msg)) == msg
+
+    @pytest.mark.parametrize("value", [255, 256, 65535, 65536, 2**32 - 1])
+    def test_count_fields_round_trip(self, value):
+        """attempt and passes were u8, slots and the Submit counts u16."""
+        record = JobRecord(0, "w0", 10, 1.0, 0.5, 100, 80, attempt=value, passes=value)
+        for msg in (
+            Task(0, "g", EntryRange("f.col", 0, 10), SINGLE_PASS, attempt=value),
+            Register("w0", value),
+            Submit("r", "{}", value, value, ()),
+            RunDone("r", 1.0, sample_partial(1), (record,)),
+        ):
+            assert decode(encode(msg)) == msg
+
+    def test_count_field_past_u32_names_the_message(self):
+        with pytest.raises(ProtoError, match="cannot encode Task"):
+            encode(Task(0, "g", EntryRange("f.col", 0, 10), SINGLE_PASS, attempt=2**32))
+
+    def test_oversized_header_rejected_before_body(self):
+        a, b = socket.socketpair()
+        with a, b:
+            b.settimeout(5)  # reading the absent body would time out instead
+            a.sendall(wire.HEADER.pack(wire.MAX_FRAME + 1 + 4, 6, PROTO_VERSION))
+            with pytest.raises(ProtoError, match=f"{wire.MAX_FRAME + 1} bytes exceeds"):
+                recv_message(b)
+
+    def test_max_frame_edge(self, monkeypatch):
+        monkeypatch.setattr(wire, "MAX_FRAME", 64)
+        a, b = socket.socketpair()
+        with a, b:
+            a.sendall(wire.pack_frame(6, b"x" * 64) + wire.HEADER.pack(65 + 4, 6, PROTO_VERSION))
+            assert wire.recv_frame(b) == (6, b"x" * 64)
+            with pytest.raises(ProtoError, match="65 bytes exceeds"):
+                wire.recv_frame(b)
+        with pytest.raises(ProtoError, match="payload of 65 bytes exceeds MAX_FRAME"):
+            wire.pack_frame(6, b"x" * 65)
+        heartbeat = Heartbeat("x" * 60)  # 4 + 60 bytes: exactly at the limit
+        assert decode(encode(heartbeat)) == heartbeat
+        with pytest.raises(ProtoError, match="exceeds MAX_FRAME"):
+            encode(Heartbeat("x" * 61))
 
 
 @st.composite
@@ -185,7 +266,7 @@ def random_message(draw):
     )
     choice = draw(st.integers(0, 5))
     if choice == 0:
-        return Register(draw(names), draw(st.integers(0, 0xFFFF)))
+        return Register(draw(names), draw(st.integers(0, 2**32 - 1)))
     if choice == 1:
         return Heartbeat(draw(names))
     if choice == 2:
@@ -198,7 +279,7 @@ def random_message(draw):
             draw(names),
             EntryRange(draw(names), draw(st.integers(0, 2**40)), draw(st.integers(0, 2**40))),
             Mode(draw(st.integers(1, 4)), draw(names)),
-            draw(st.integers(1, 255)),
+            draw(st.integers(1, 2**32 - 1)),
             draw(names),
             draw(st.integers(0, 2**40)),
             draw(names),

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from colflow import wire
 from colflow.colstore import (
     ColumnSchema,
     Dtype,
@@ -32,11 +33,26 @@ def served_dir(tmp_path):
     server.stop()
 
 
-def raw_request(address: str, opcode: int, payload: bytes):
+def raw_exchange(address: str, data: bytes):
+    """Send raw bytes; the reply frame, or None if the server hung up."""
     host, _, port = address.partition(":")
-    with socket.create_connection((host, int(port))) as sock:
-        srv.send_frame(sock, opcode, payload)
-        return srv.recv_frame(sock)
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        sock.sendall(data)
+        try:
+            return wire.recv_frame(sock)
+        except ConnectionResetError:  # hung up with some of our bytes unread
+            return None
+
+
+def raw_request(address: str, opcode: int, payload: bytes):
+    return raw_exchange(address, wire.pack_frame(opcode, payload))
+
+
+def assert_still_serving(server):
+    host, port = server.address.split(":")
+    t = RemoteTransport(host, int(port), "blob.bin")
+    assert t.read(0, 4) == bytes([0, 1, 2, 3])
+    t.close()
 
 
 def test_open_read_stat_close(served_dir):
@@ -143,3 +159,38 @@ def test_stale_file_id_rejected(served_dir):
     with pytest.raises(TransportError):
         t2._request(srv.OP_READ, struct.pack("<QQI", fid + 100, 0, 10))
     t2.close()
+
+
+def test_request_bound_edge(served_dir):
+    root, server = served_dir
+    path = "p" * (srv.MAX_REQUEST - 4)  # a wire string exactly MAX_REQUEST bytes long
+    at_limit = wire.pack_frame(srv.OP_STAT, wire.pack_str(path))
+    reply = raw_exchange(server.address, at_limit)
+    assert reply is not None and reply[0] == srv.OP_ERROR  # answered, not dropped
+    past = wire.pack_frame(srv.OP_STAT, wire.pack_str(path + "p"))
+    assert raw_exchange(server.address, past) is None  # dropped, nothing buffered
+    assert_still_serving(server)
+
+
+def test_forged_request_header_dropped(served_dir):
+    root, server = served_dir
+    huge = wire.HEADER.pack(2**32 - 1, srv.OP_STAT, wire.PROTO_VERSION)
+    assert raw_exchange(server.address, huge) is None
+    bad_version = wire.HEADER.pack(4 + 1, srv.OP_METRICS, wire.PROTO_VERSION + 1) + b"\x00"
+    assert raw_exchange(server.address, bad_version) is None
+    assert_still_serving(server)
+
+
+def test_read_over_max_frame_rejected(served_dir, monkeypatch):
+    root, server = served_dir
+    host, port = server.address.split(":")
+    t = RemoteTransport(host, int(port), "blob.bin")
+    with pytest.raises(TransportError, match=f"error {srv.ERR_BAD_REQUEST}: READ of {2**32 - 1} bytes"):
+        t.read(0, 2**32 - 1)
+    monkeypatch.setattr(wire, "MAX_FRAME", 100)
+    assert t.read(0, 100) == bytes(range(100))
+    with pytest.raises(TransportError, match="READ of 101 bytes exceeds MAX_FRAME"):
+        t.read(0, 101)
+    assert t.session_metrics() == (100, 1)
+    t.close()
+    assert_still_serving(server)
