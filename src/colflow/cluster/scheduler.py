@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from ..colstore import open_dataset
 from ..engine import MODE_MULTI_PASS, PartialResult
-from ..graph import PipelineError, VaryStage, load_spec, spec_graph_id
+from ..graph import PipelineError, load_spec, spec_graph_id
 from ..metrics import JobRecord
 from ..proto import (
     Fail,
@@ -269,9 +269,6 @@ class Scheduler:
         except PipelineError as e:
             self._send(conn_id, RunFail(msg.run_id, f"bad pipeline document: {e}"))
             return
-        n_topology = sum(
-            len(s.tags) for s in spec.stages if isinstance(s, VaryStage) and s.kind.value == "topology"
-        )
         graph_id = spec_graph_id(spec)
         now = time.monotonic()
         run = _Run(
@@ -282,7 +279,7 @@ class Scheduler:
             max_retries=msg.max_retries,
             factor=max(1, msg.factor),
             tasks=None,
-            multi_passes=1 + n_topology,
+            multi_passes=1 + len(spec.topology_tags()),
             t0=now,
             deadline=now + self._startup_timeout,
         )
@@ -303,16 +300,14 @@ class Scheduler:
         handles = []
         try:
             for uri in spec.dataset:
-                handles.append(open_dataset(uri))
+                with open_dataset(uri) as h:  # planning reads only h.uri and h.clusters
+                    handles.append(h)
             nslots = max(1, sum(w.slots for w in self._workers.values()))
             planned = plan_partitions(handles, nslots, run.factor)
-            run.planning_bytes = sum(h.account.bytes_read for h in handles)
         except Exception as e:
             self._fail_run(f"planning failed: {e}")
             return
-        finally:
-            for h in handles:
-                h.close()
+        run.planning_bytes = sum(h.account.bytes_read for h in handles)
         run.tasks = {
             t.task_id: Task(t.task_id, run.graph_id, t.entry_range, t.mode) for t in planned
         }

@@ -135,7 +135,7 @@ def parse_remote_uri(uri: str) -> tuple[str, int, str]:
     rest = uri[len(REMOTE_SCHEME) :]
     hostport, _, path = rest.partition("/")
     host, _, port = hostport.partition(":")
-    if not host or not port or not path:
+    if not host or not path or not (port.isdecimal() and port.isascii() and 0 < int(port) < 65536):
         raise TransportError(f"malformed remote URI: {uri}")
     return host, int(port), path
 

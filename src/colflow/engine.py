@@ -197,7 +197,7 @@ class CompiledPipeline:
 
     def __init__(self, graph: ComputationGraph):
         self.graph = graph
-        working = dict(graph.base_schema)
+        types = graph.column_types  # complete: build rejects forward references
         self.define_fns: dict[str, object] = {}
         self.filter_fns: list = []  # by filter ordinal
         self.vary_fns: dict[str, object] = {}  # tag -> compiled expr
@@ -205,19 +205,16 @@ class CompiledPipeline:
 
         for i, stage in enumerate(graph.stages):
             if isinstance(stage, DefineStage):
-                fn = compile_expr(stage.expr, working)
-                working[stage.name] = fn.type
-                self.define_fns[stage.name] = fn
+                self.define_fns[stage.name] = compile_expr(stage.expr, types)
             elif isinstance(stage, FilterStage):
                 ordinal = len(self.filter_fns)
-                self.filter_fns.append(compile_expr(stage.expr, working))
+                self.filter_fns.append(compile_expr(stage.expr, types))
                 steps.append((i, _OP_FILTER, ordinal))
             elif isinstance(stage, VaryStage):
                 for tag, expr in zip(stage.tags, stage.exprs):
-                    self.vary_fns[tag] = compile_expr(expr, working)
+                    self.vary_fns[tag] = compile_expr(expr, types)
             elif isinstance(stage, HistoStage):
-                vec = working[stage.column].is_vector
-                op = _OP_HIST_VECTOR if vec else _OP_HIST_SCALAR
+                op = _OP_HIST_VECTOR if types[stage.column].is_vector else _OP_HIST_SCALAR
                 steps.append((i, op, stage.name, stage.column, stage.weight))
             elif isinstance(stage, SumStage):
                 steps.append((i, _OP_SUM, stage.name, stage.column))
@@ -238,8 +235,7 @@ class CompiledPipeline:
             affected_defines = frozenset(
                 graph.stages[i].name for i in affected if isinstance(graph.stages[i], DefineStage)
             )
-            affected_stages = affected
-            self.overlays[tag] = (vs.target, self.vary_fns[tag], affected_defines, affected_stages)
+            self.overlays[tag] = (vs.target, self.vary_fns[tag], affected_defines, affected)
 
 
 def _resolve_universes(graph: ComputationGraph, mode: Mode) -> list[str]:
@@ -392,8 +388,7 @@ def _write_snapshot(
     buffers: dict[str, list],
     range_id: str,
 ) -> str:
-    types = dict(compiled.graph.base_schema)
-    types.update(compiled.graph.defines)
+    types = compiled.graph.column_types
     schema = [ColumnSchema(c, storable_dtype(types[c])) for c in stage.columns]
     path = f"{stage.out}.part{range_id}.col"
     parent = os.path.dirname(path)
@@ -420,22 +415,11 @@ def run_multi_pass(
     if compiled is None:
         compiled = CompiledPipeline(graph)
     modes = [NOMINAL_WEIGHTS] + [only_universe(t) for t in graph.topology_tags()]
-    combined: PartialResult | None = None
-    for mode in modes:
+    combined = run_range(graph, entry_range, modes[0], range_id=range_id, compiled=compiled)
+    for mode in modes[1:]:
         p = run_range(graph, entry_range, mode, range_id=range_id, compiled=compiled)
-        if combined is None:
-            combined = p
-            continue
-        combined.t_loop += p.t_loop
-        combined.bytes_read += p.bytes_read
-        combined.chunk_bytes += p.chunk_bytes
-        combined.mem_peak = max(combined.mem_peak, p.mem_peak)
-        combined.snapshots.extend(p.snapshots)
-        for u, results in p.universes.items():
-            mine = combined.universes[u]
-            for name, r in results.items():
-                mine[name].add(r)
-    assert combined is not None
+        p.events = 0  # every pass visits the same events
+        combined.merge_in(p)
     return combined
 
 
@@ -456,12 +440,11 @@ def run_local(
     if not dataset:
         return PartialResult.empty(graph)
 
-    handles = [open_dataset(u) for u in dataset]
-    try:
-        tasks = plan_partitions(handles, nthreads, factor=factor)
-    finally:
-        for h in handles:
-            h.close()
+    handles = []
+    for u in dataset:
+        with open_dataset(u) as h:  # planning reads only h.uri and h.clusters
+            handles.append(h)
+    tasks = plan_partitions(handles, nthreads, factor=factor)
 
     compiled = CompiledPipeline(graph)
     merged = PartialResult.empty(graph)

@@ -10,10 +10,16 @@ transiently (vector comparisons feeding `where` or boolean algebra) and is
 never a stored column type. Precedence, tightest first: unary, `* / %`,
 `+ -`, comparisons (non-associative), `&&`, `||`, `?:`.
 
-The public surface is parse / typecheck / compile_expr / eval_expr plus
-`to_text` for canonical printing. Compiled expressions are immutable and
-reentrant; evaluation is a pure function of the expression and the row
-context. Reductions run left to right so results are bit-reproducible.
+The public surface is `parse`, `typecheck`, `compile_expr`, `to_text`
+(canonical printing) and `columns_used`. Past the parser the module has two
+halves. The type pass (`typecheck`) walks the tree, builds no closures, and
+holds every type and promotion rule and every ExprTypeError. The closure
+half (`compile_expr`) runs the type pass, then builds per-event closures
+shaped by the types it recorded per node; it checks and promotes nothing on
+its own. The vectorised batch backend planned in ROADMAP.md (item 2)
+replaces the closure half. Compiled closures are immutable and reentrant;
+evaluation is a pure function of the expression and the row context.
+Reductions run left to right so results are bit-reproducible.
 
 Semantics chosen once and kept fixed:
   - mixed I64/F64 arithmetic promotes to F64; I64/I64 division is floor
@@ -364,11 +370,122 @@ def columns_used(expr: Expr) -> set[str]:
 
 
 # ---------------------------------------------------------------------------
-# Compiler: typecheck and closure construction in one pass
+# Type pass: the only place that knows type rules, promotion and ExprTypeError
 
 
 def _num_promote(a: ValueType, b: ValueType) -> ValueType:
     return ValueType.I64 if a.element is ValueType.I64 and b.element is ValueType.I64 else ValueType.F64
+
+
+def _infer(node: Expr, schema: dict[str, ValueType], types: dict[int, ValueType]) -> ValueType:
+    """Type of node under schema; records it, and every subexpression's, in types."""
+    t = _infer_node(node, schema, types)
+    types[id(node)] = t
+    return t
+
+
+def _infer_node(node: Expr, schema: dict[str, ValueType], types: dict[int, ValueType]) -> ValueType:
+    if isinstance(node, Literal):
+        return node.type
+
+    if isinstance(node, ColumnRef):
+        t = schema.get(node.name)
+        if t is None:
+            raise ExprTypeError(node.span, f"unknown column {node.name!r}")
+        return t
+
+    if isinstance(node, Unary):
+        t = _infer(node.operand, schema, types)
+        if node.op == "!":
+            if t in (ValueType.BOOL, ValueType.VEC_BOOL):
+                return t
+            raise ExprTypeError(node.span, f"'!' needs BOOL, got {t.name}")
+        if not t.is_numeric:
+            raise ExprTypeError(node.span, f"unary '-' needs a numeric value, got {t.name}")
+        return t
+
+    if isinstance(node, Binary):
+        lt = _infer(node.left, schema, types)
+        rt = _infer(node.right, schema, types)
+        op = node.op
+        if op in ("&&", "||"):
+            if lt is rt and lt in (ValueType.BOOL, ValueType.VEC_BOOL):
+                return lt
+            raise ExprTypeError(node.span, f"'{op}' needs BOOL or VEC_BOOL on both sides, got {lt.name} and {rt.name}")
+        if not (lt.is_numeric and rt.is_numeric):
+            raise ExprTypeError(node.span, f"'{op}' needs numeric operands, got {lt.name} and {rt.name}")
+        out = ValueType.BOOL if op in _CMP_OPS else _num_promote(lt, rt)
+        return out.vector if lt.is_vector or rt.is_vector else out
+
+    if isinstance(node, Ternary):
+        ct = _infer(node.cond, schema, types)
+        if ct is not ValueType.BOOL:
+            raise ExprTypeError(node.span, f"ternary condition must be scalar BOOL, got {ct.name}")
+        tt = _infer(node.then, schema, types)
+        et = _infer(node.other, schema, types)
+        if tt is et:
+            return tt
+        if tt.is_numeric and et.is_numeric and tt.is_vector == et.is_vector:
+            out = _num_promote(tt, et)
+            return out.vector if tt.is_vector else out
+        raise ExprTypeError(node.span, f"ternary branches disagree: {tt.name} vs {et.name}")
+
+    if isinstance(node, Index):
+        bt = _infer(node.base, schema, types)
+        it = _infer(node.index, schema, types)
+        if not bt.is_vector:
+            raise ExprTypeError(node.span, f"indexing needs a vector, got {bt.name}")
+        if it is not ValueType.I64:
+            raise ExprTypeError(node.span, f"index must be I64, got {it.name}")
+        return bt.element
+
+    if isinstance(node, Call):
+        return _infer_call(node, schema, types)
+
+    raise TypeError(f"not an Expr node: {node!r}")
+
+
+def _infer_call(node: Call, schema: dict[str, ValueType], types: dict[int, ValueType]) -> ValueType:
+    span = node.span
+    name = node.func
+    if name not in FUNCTIONS:
+        raise ExprTypeError(span, f"unknown function {name!r}")
+    want = 2 if name == "where" else 1
+    if len(node.args) != want:
+        raise ExprTypeError(span, f"{name}() takes {want} argument{'s' if want > 1 else ''}, got {len(node.args)}")
+    at, *rest = [_infer(a, schema, types) for a in node.args]
+
+    if name == "len":
+        if not at.is_vector:
+            raise ExprTypeError(span, f"len() needs a vector, got {at.name}")
+        return ValueType.I64
+
+    if name in ("sum", "min", "max"):
+        if not (at.is_vector and at.is_numeric):
+            raise ExprTypeError(span, f"{name}() needs a numeric vector, got {at.name}")
+        return ValueType.F64 if name == "sum" else at.element
+
+    if name != "where":  # abs, sqrt, log, exp
+        if not at.is_numeric:
+            raise ExprTypeError(span, f"{name}() needs a numeric value, got {at.name}")
+        if name == "abs":
+            return at
+        return ValueType.VEC_F64 if at.is_vector else ValueType.F64
+
+    if not at.is_vector:
+        raise ExprTypeError(span, f"where() needs a vector first argument, got {at.name}")
+    if rest[0] is not ValueType.VEC_BOOL:
+        raise ExprTypeError(span, f"where() mask must be VEC_BOOL, got {rest[0].name}")
+    return at
+
+
+def typecheck(expr: Expr, schema: dict[str, ValueType]) -> ValueType:
+    """Result type of expr under schema; raises ExprTypeError. Builds no closures."""
+    return _infer(expr, schema, {})
+
+
+# ---------------------------------------------------------------------------
+# Closure half: per-event closures shaped by the types the type pass recorded
 
 
 def _fdiv(n: float, d: float) -> float:
@@ -404,70 +521,12 @@ def _exp(x: float) -> float:
 
 _Fn = Callable[[dict], object]
 
+_MATH_FUNCS = {"abs": abs, "sqrt": _sqrt, "log": _log, "exp": _exp}
 
-class CompiledExpr:
-    """A typechecked expression compiled to a closure over row contexts."""
-
-    __slots__ = ("type", "_fn", "source")
-
-    def __init__(self, type_: ValueType, fn: _Fn, source: str):
-        self.type = type_
-        self._fn = fn
-        self.source = source
-
-    def __call__(self, ctx: dict) -> object:
-        return self._fn(ctx)
-
-    def __repr__(self) -> str:
-        return f"CompiledExpr({self.source!r}: {self.type.name})"
-
-
-def _zip_pairs(lv: list, rv: list, span: Span) -> zip:
-    if len(lv) != len(rv):
-        raise EvalError(span, f"vector length mismatch: {len(lv)} vs {len(rv)}")
-    return zip(lv, rv)
-
-
-def _compile_arith(node: Binary, lt: ValueType, lf: _Fn, rt: ValueType, rf: _Fn):
-    span = node.span
-    out = _num_promote(lt, rt)
-    int_op = out is ValueType.I64
-    if node.op == "/":
-        if int_op:
-            def op(a, b):
-                if b == 0:
-                    raise EvalError(span, "integer division by zero")
-                return a // b
-        else:
-            op = _fdiv
-    elif node.op == "%":
-        if int_op:
-            def op(a, b):
-                if b == 0:
-                    raise EvalError(span, "integer modulo by zero")
-                return a % b
-        else:
-            op = _fmod
-    elif node.op == "+":
-        op = lambda a, b: a + b
-    elif node.op == "-":
-        op = lambda a, b: a - b
-    else:
-        op = lambda a, b: a * b
-
-    if lt.is_vector and rt.is_vector:
-        fn = lambda ctx: [op(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)]
-        return out.vector, fn
-    if lt.is_vector:
-        return out.vector, lambda ctx: (lambda v, s: [op(a, s) for a in v])(lf(ctx), rf(ctx))
-    if rt.is_vector:
-        return out.vector, lambda ctx: (lambda s, v: [op(s, b) for b in v])(lf(ctx), rf(ctx))
-    if not int_op and out is ValueType.F64:
-        return out, lambda ctx: float(op(lf(ctx), rf(ctx)))
-    return out, lambda ctx: op(lf(ctx), rf(ctx))
-
-
-_CMP_FUNCS = {
+_OP_FUNCS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
     "<": lambda a, b: a < b,
     "<=": lambda a, b: a <= b,
     ">": lambda a, b: a > b,
@@ -477,97 +536,102 @@ _CMP_FUNCS = {
 }
 
 
-def _compile(node: Expr, schema: dict[str, ValueType]) -> tuple[ValueType, _Fn]:
+def _zip_pairs(lv: list, rv: list, span: Span) -> zip:
+    if len(lv) != len(rv):
+        raise EvalError(span, f"vector length mismatch: {len(lv)} vs {len(rv)}")
+    return zip(lv, rv)
+
+
+def _int_op(op: str, span: Span):
+    """I64 `/` or `%`: floor semantics, and a zero divisor is an eval error."""
+    if op == "/":
+        def div(a, b):
+            if b == 0:
+                raise EvalError(span, "integer division by zero")
+            return a // b
+
+        return div
+
+    def mod(a, b):
+        if b == 0:
+            raise EvalError(span, "integer modulo by zero")
+        return a % b
+
+    return mod
+
+
+def _as_type(node: Expr, want: ValueType, types: dict[int, ValueType]) -> _Fn:
+    """node's closure, its values made floats where the type pass widened I64 to F64."""
+    fn = _compile(node, types)
+    if types[id(node)] is want:
+        return fn
+    if want.is_vector:
+        return lambda ctx: [float(x) for x in fn(ctx)]
+    return lambda ctx: float(fn(ctx))
+
+
+def _compile(node: Expr, types: dict[int, ValueType]) -> _Fn:
+    t = types[id(node)]
+
     if isinstance(node, Literal):
         v = node.value
-        return node.type, lambda ctx: v
+        return lambda ctx: v
 
     if isinstance(node, ColumnRef):
-        t = schema.get(node.name)
-        if t is None:
-            raise ExprTypeError(node.span, f"unknown column {node.name!r}")
         name = node.name
-        return t, lambda ctx: ctx[name]
+        return lambda ctx: ctx[name]
 
     if isinstance(node, Unary):
-        t, f = _compile(node.operand, schema)
+        f = _compile(node.operand, types)
         if node.op == "!":
-            if t is ValueType.BOOL:
-                return t, lambda ctx: not f(ctx)
-            if t is ValueType.VEC_BOOL:
-                return t, lambda ctx: [not b for b in f(ctx)]
-            raise ExprTypeError(node.span, f"'!' needs BOOL, got {t.name}")
-        if not t.is_numeric:
-            raise ExprTypeError(node.span, f"unary '-' needs a numeric value, got {t.name}")
+            if t.is_vector:
+                return lambda ctx: [not b for b in f(ctx)]
+            return lambda ctx: not f(ctx)
         if t.is_vector:
-            return t, lambda ctx: [-x for x in f(ctx)]
-        return t, lambda ctx: -f(ctx)
+            return lambda ctx: [-x for x in f(ctx)]
+        return lambda ctx: -f(ctx)
 
     if isinstance(node, Binary):
-        lt, lf = _compile(node.left, schema)
-        rt, rf = _compile(node.right, schema)
+        lf = _compile(node.left, types)
+        rf = _compile(node.right, types)
         op = node.op
         span = node.span
-
         if op in ("&&", "||"):
-            if lt is ValueType.BOOL and rt is ValueType.BOOL:
+            if t is ValueType.BOOL:
                 if op == "&&":
-                    return ValueType.BOOL, lambda ctx: rf(ctx) if lf(ctx) else False
-                return ValueType.BOOL, lambda ctx: True if lf(ctx) else rf(ctx)
-            if lt is ValueType.VEC_BOOL and rt is ValueType.VEC_BOOL:
-                combine = (lambda a, b: a and b) if op == "&&" else (lambda a, b: a or b)
-                return ValueType.VEC_BOOL, lambda ctx: [
-                    combine(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)
-                ]
-            raise ExprTypeError(span, f"'{op}' needs BOOL or VEC_BOOL on both sides, got {lt.name} and {rt.name}")
+                    return lambda ctx: rf(ctx) if lf(ctx) else False
+                return lambda ctx: True if lf(ctx) else rf(ctx)
+            combine = (lambda a, b: a and b) if op == "&&" else (lambda a, b: a or b)
+            return lambda ctx: [combine(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)]
 
-        if op in _CMP_FUNCS:
-            if not (lt.is_numeric and rt.is_numeric):
-                raise ExprTypeError(span, f"'{op}' needs numeric operands, got {lt.name} and {rt.name}")
-            cmp = _CMP_FUNCS[op]
-            if lt.is_vector and rt.is_vector:
-                return ValueType.VEC_BOOL, lambda ctx: [
-                    cmp(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)
-                ]
-            if lt.is_vector:
-                return ValueType.VEC_BOOL, lambda ctx: (lambda v, s: [cmp(a, s) for a in v])(lf(ctx), rf(ctx))
-            if rt.is_vector:
-                return ValueType.VEC_BOOL, lambda ctx: (lambda s, v: [cmp(s, b) for b in v])(lf(ctx), rf(ctx))
-            return ValueType.BOOL, lambda ctx: cmp(lf(ctx), rf(ctx))
-
-        # arithmetic
-        if not (lt.is_numeric and rt.is_numeric):
-            raise ExprTypeError(span, f"'{op}' needs numeric operands, got {lt.name} and {rt.name}")
-        return _compile_arith(node, lt, lf, rt, rf)
+        if op == "/" or op == "%":
+            if t.element is ValueType.I64:
+                f = _int_op(op, span)
+            else:
+                f = _fdiv if op == "/" else _fmod
+        else:
+            f = _OP_FUNCS[op]
+        lvec = types[id(node.left)].is_vector
+        rvec = types[id(node.right)].is_vector
+        if lvec and rvec:
+            return lambda ctx: [f(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)]
+        if lvec:
+            return lambda ctx: (lambda v, s: [f(a, s) for a in v])(lf(ctx), rf(ctx))
+        if rvec:
+            return lambda ctx: (lambda s, v: [f(s, b) for b in v])(lf(ctx), rf(ctx))
+        if t is ValueType.F64:
+            return lambda ctx: float(f(lf(ctx), rf(ctx)))
+        return lambda ctx: f(lf(ctx), rf(ctx))
 
     if isinstance(node, Ternary):
-        ct, cf = _compile(node.cond, schema)
-        if ct is not ValueType.BOOL:
-            raise ExprTypeError(node.span, f"ternary condition must be scalar BOOL, got {ct.name}")
-        tt, tf = _compile(node.then, schema)
-        et, ef = _compile(node.other, schema)
-        if tt is et:
-            out = tt
-        elif tt.is_numeric and et.is_numeric and tt.is_vector == et.is_vector:
-            out = _num_promote(tt, et).vector if tt.is_vector else _num_promote(tt, et)
-            if out.element is ValueType.F64:
-                if tt.element is ValueType.I64:
-                    inner_t = tf
-                    tf = (lambda ctx: [float(x) for x in inner_t(ctx)]) if tt.is_vector else (lambda ctx: float(inner_t(ctx)))
-                if et.element is ValueType.I64:
-                    inner_e = ef
-                    ef = (lambda ctx: [float(x) for x in inner_e(ctx)]) if et.is_vector else (lambda ctx: float(inner_e(ctx)))
-        else:
-            raise ExprTypeError(node.span, f"ternary branches disagree: {tt.name} vs {et.name}")
-        return out, lambda ctx: tf(ctx) if cf(ctx) else ef(ctx)
+        cf = _compile(node.cond, types)
+        tf = _as_type(node.then, t, types)
+        ef = _as_type(node.other, t, types)
+        return lambda ctx: tf(ctx) if cf(ctx) else ef(ctx)
 
     if isinstance(node, Index):
-        bt, bf = _compile(node.base, schema)
-        it, if_ = _compile(node.index, schema)
-        if not bt.is_vector:
-            raise ExprTypeError(node.span, f"indexing needs a vector, got {bt.name}")
-        if it is not ValueType.I64:
-            raise ExprTypeError(node.span, f"index must be I64, got {it.name}")
+        bf = _compile(node.base, types)
+        if_ = _compile(node.index, types)
         span = node.span
 
         def index_fn(ctx):
@@ -577,38 +641,26 @@ def _compile(node: Expr, schema: dict[str, ValueType]) -> tuple[ValueType, _Fn]:
                 raise EvalError(span, f"index {i} out of range for length {len(v)}")
             return v[i]
 
-        return bt.element, index_fn
+        return index_fn
 
     if isinstance(node, Call):
-        return _compile_call(node, schema)
+        return _compile_call(node, t, types)
 
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _compile_call(node: Call, schema: dict[str, ValueType]) -> tuple[ValueType, _Fn]:
+def _compile_call(node: Call, t: ValueType, types: dict[int, ValueType]) -> _Fn:
     span = node.span
     name = node.func
-    if name not in FUNCTIONS:
-        raise ExprTypeError(span, f"unknown function {name!r}")
-    want = 2 if name == "where" else 1
-    if len(node.args) != want:
-        raise ExprTypeError(span, f"{name}() takes {want} argument{'s' if want > 1 else ''}, got {len(node.args)}")
-    compiled = [_compile(a, schema) for a in node.args]
-    (at, af) = compiled[0]
+    af = _compile(node.args[0], types)
 
     if name == "len":
-        if not at.is_vector:
-            raise ExprTypeError(span, f"len() needs a vector, got {at.name}")
-        return ValueType.I64, lambda ctx: len(af(ctx))
+        return lambda ctx: len(af(ctx))
 
     if name == "sum":
-        if not (at.is_vector and at.is_numeric):
-            raise ExprTypeError(span, f"sum() needs a numeric vector, got {at.name}")
-        return ValueType.F64, lambda ctx: float(sum(af(ctx)))  # left-to-right
+        return lambda ctx: float(sum(af(ctx)))  # left-to-right
 
     if name in ("min", "max"):
-        if not (at.is_vector and at.is_numeric):
-            raise ExprTypeError(span, f"{name}() needs a numeric vector, got {at.name}")
         reduce = min if name == "min" else max
 
         def extremum(ctx):
@@ -617,74 +669,20 @@ def _compile_call(node: Call, schema: dict[str, ValueType]) -> tuple[ValueType, 
                 raise EvalError(span, f"{name}() of an empty vector")
             return reduce(v)
 
-        return at.element, extremum
+        return extremum
 
-    if name == "abs":
-        if not at.is_numeric:
-            raise ExprTypeError(span, f"abs() needs a numeric value, got {at.name}")
-        if at.is_vector:
-            return at, lambda ctx: [abs(x) for x in af(ctx)]
-        return at, lambda ctx: abs(af(ctx))
+    if name == "where":
+        mf = _compile(node.args[1], types)
+        return lambda ctx: [x for x, keep in _zip_pairs(af(ctx), mf(ctx), span) if keep]
 
-    if name in ("sqrt", "log", "exp"):
-        if not at.is_numeric:
-            raise ExprTypeError(span, f"{name}() needs a numeric value, got {at.name}")
-        f = {"sqrt": _sqrt, "log": _log, "exp": _exp}[name]
-        if at.is_vector:
-            return ValueType.VEC_F64, lambda ctx: [f(x) for x in af(ctx)]
-        return ValueType.F64, lambda ctx: f(af(ctx))
-
-    # where(v, mask)
-    (mt, mf) = compiled[1]
-    if not at.is_vector:
-        raise ExprTypeError(span, f"where() needs a vector first argument, got {at.name}")
-    if mt is not ValueType.VEC_BOOL:
-        raise ExprTypeError(span, f"where() mask must be VEC_BOOL, got {mt.name}")
-    return at, lambda ctx: [x for x, keep in _zip_pairs(af(ctx), mf(ctx), span) if keep]
+    f = _MATH_FUNCS[name]
+    if t.is_vector:
+        return lambda ctx: [f(x) for x in af(ctx)]
+    return lambda ctx: f(af(ctx))
 
 
-def typecheck(expr: Expr, schema: dict[str, ValueType]) -> ValueType:
-    """Result type of expr under schema; raises ExprTypeError."""
-    return _compile(expr, schema)[0]
-
-
-def compile_expr(expr: Expr | str, schema: dict[str, ValueType]) -> CompiledExpr:
-    """Typecheck and compile to a reusable closure over row contexts."""
-    if isinstance(expr, str):
-        source = expr
-        expr = parse(expr)
-    else:
-        source = to_text(expr)
-    t, fn = _compile(expr, schema)
-    return CompiledExpr(t, fn, source)
-
-
-def infer_schema(ctx: dict) -> dict[str, ValueType]:
-    """Guess a schema from concrete row values (empty vectors read as VEC_F64)."""
-    out: dict[str, ValueType] = {}
-    for name, v in ctx.items():
-        if isinstance(v, bool):
-            out[name] = ValueType.BOOL
-        elif isinstance(v, int):
-            out[name] = ValueType.I64
-        elif isinstance(v, float):
-            out[name] = ValueType.F64
-        elif isinstance(v, list):
-            if not v:
-                out[name] = ValueType.VEC_F64
-            elif isinstance(v[0], bool):
-                out[name] = ValueType.VEC_BOOL
-            elif isinstance(v[0], int):
-                out[name] = ValueType.VEC_I64
-            else:
-                out[name] = ValueType.VEC_F64
-        else:
-            raise TypeError(f"cannot infer a value type for {name}={v!r}")
-    return out
-
-
-def eval_expr(expr: Expr | str, ctx: dict, schema: dict[str, ValueType] | None = None):
-    """One-shot evaluation; prefer compile_expr when reusing an expression."""
-    if isinstance(expr, str):
-        expr = parse(expr)
-    return compile_expr(expr, schema if schema is not None else infer_schema(ctx))(ctx)
+def compile_expr(expr: Expr, schema: dict[str, ValueType]) -> _Fn:
+    """Typecheck expr, then compile it to a closure over row contexts."""
+    types: dict[int, ValueType] = {}
+    _infer(expr, schema, types)
+    return _compile(expr, types)

@@ -144,6 +144,12 @@ class PipelineSpec:
     stages: tuple[Stage, ...]
     document: str  # canonical JSON; identity for graph_id
 
+    def topology_tags(self) -> list[str]:
+        """Tags of every topology variation, in stage order."""
+        return [
+            t for s in self.stages if isinstance(s, VaryStage) and s.kind is VariationKind.TOPOLOGY for t in s.tags
+        ]
+
 
 def _err(i: int, message: str) -> PipelineError:
     return PipelineError(f"stage {i}: {message}")
@@ -439,7 +445,7 @@ class ComputationGraph:
         return [t for vs in self._variations if vs.kind is VariationKind.WEIGHT for t in vs.tags]
 
     def topology_tags(self) -> list[str]:
-        return [t for vs in self._variations if vs.kind is VariationKind.TOPOLOGY for t in vs.tags]
+        return self.spec.topology_tags()
 
     def variation_of(self, tag: str) -> tuple[VariationSet, int]:
         """The VariationSet declaring tag and the tag's index within it."""

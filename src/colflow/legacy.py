@@ -28,7 +28,7 @@ from .cluster.client import ClusterError, submit_run
 from .cluster.worker import read_result_file
 from .colstore import open_dataset
 from .engine import MULTI_PASS, EntryRange, PartialResult, only_universe
-from .graph import SnapshotStage, VariationKind, VaryStage, load_spec
+from .graph import SnapshotStage, load_spec
 from .metrics import JobRecord
 from .proto import Task
 
@@ -100,13 +100,7 @@ def plan_legacy_jobs(
             raise LegacyError("preselection pipeline must contain a snapshot stage")
         passes = ("nominal",)
     else:
-        topology = [
-            t
-            for s in spec.stages
-            if isinstance(s, VaryStage) and s.kind is VariationKind.TOPOLOGY
-            for t in s.tags
-        ]
-        passes = ("nominal", *topology)
+        passes = ("nominal", *spec.topology_tags())
         payload_bytes = 0  # sandboxes are a preselection cost only
     return [LegacyJobSpec(i, f, phase, passes, payload_bytes) for i, f in enumerate(files)]
 

@@ -5,6 +5,7 @@ framing, retry and merge paths are the production ones either way.
 """
 
 import json
+import os
 import threading
 import time
 
@@ -19,6 +20,8 @@ from colflow.cluster import (
     shutdown_cluster,
     submit_run,
 )
+from colflow.cluster import scheduler
+from colflow.cluster.planner import plan_partitions
 from colflow.cluster.worker import download_payload, read_result_file
 from colflow.colstore import open_dataset, serve, write_dataset
 from colflow.engine import (
@@ -355,7 +358,7 @@ def payload_size(msg) -> int:
 
 
 class TestWireLimits:
-    def test_1500_uri_document_runs(self, dataset_files):
+    def test_1500_uri_document_runs(self, dataset_files, monkeypatch):
         f = dataset_files[0]
         doc = make_doc([f] * 1500)
         assert len(doc.encode()) > 0xFFFF  # past the old u16 string length
@@ -367,7 +370,20 @@ class TestWireLimits:
             result = submit_run(
                 sched.address, doc, tasks=(Task(0, "", EntryRange(f, 0, n), SINGLE_PASS),), timeout=30
             )
-        assert result.total_events == n
+            assert result.total_events == n
+
+            # planning the same document holds a handle only while it reads it
+            fds_in_plan = []
+
+            def counting_plan(handles, *args):
+                fds_in_plan.append(len(os.listdir("/proc/self/fd")))
+                return plan_partitions(handles, *args)
+
+            monkeypatch.setattr(scheduler, "plan_partitions", counting_plan)
+            fds_before = len(os.listdir("/proc/self/fd"))
+            planned = submit_run(sched.address, doc, timeout=120)
+        assert len(fds_in_plan) == 1 and fds_in_plan[0] <= fds_before + 8
+        assert planned.total_events == 1500 * n
 
     def test_unsendable_run_done_fails_the_run(self, dataset_files, monkeypatch):
         doc = make_doc(dataset_files)

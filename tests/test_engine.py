@@ -23,7 +23,7 @@ from colflow.engine import (
     run_local,
     run_range,
 )
-from colflow.exprlang import ValueType, eval_expr
+from colflow.exprlang import ValueType, compile_expr
 from colflow.graph import (
     DefineStage,
     FilterStage,
@@ -143,13 +143,13 @@ def naive_run(rows, graph):
             for i, stage in enumerate(graph.stages):
                 if i in vary_at:
                     target, expr = vary_at[i]
-                    ctx[target] = eval_expr(expr, ctx, graph.column_types)
+                    ctx[target] = compile_expr(expr, graph.column_types)(ctx)
                 if isinstance(stage, VaryStage):
                     continue
                 if isinstance(stage, DefineStage):
-                    ctx[stage.name] = eval_expr(stage.expr, ctx, graph.column_types)
+                    ctx[stage.name] = compile_expr(stage.expr, graph.column_types)(ctx)
                 elif isinstance(stage, FilterStage):
-                    if not eval_expr(stage.expr, ctx, graph.column_types):
+                    if not compile_expr(stage.expr, graph.column_types)(ctx):
                         break
                 elif isinstance(stage, HistoStage):
                     w = 1.0 if stage.weight is None else ctx[stage.weight]

@@ -8,7 +8,6 @@ from colflow.exprlang import (
     Binary,
     Call,
     ColumnRef,
-    CompiledExpr,
     EvalError,
     ExprSyntaxError,
     ExprTypeError,
@@ -19,7 +18,6 @@ from colflow.exprlang import (
     ValueType,
     columns_used,
     compile_expr,
-    eval_expr,
     parse,
     to_text,
     typecheck,
@@ -46,8 +44,15 @@ ROW = {
 }
 
 
+VF = {"v": ValueType.VEC_F64}
+
+
 def ev(src: str, row=None):
-    return compile_expr(src, SCHEMA)(row if row is not None else dict(ROW))
+    return compile_expr(parse(src), SCHEMA)(row if row is not None else dict(ROW))
+
+
+def eval_expr(src: str, row: dict, schema: dict):
+    return compile_expr(parse(src), schema)(row)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -171,10 +176,10 @@ def test_index_typing():
 
 
 def test_sum_where_len_examples():
-    assert eval_expr("sum(v)", {"v": [10.0, 20.0, 30.0]}) == 60.0
-    assert eval_expr("where(v, v > 15)", {"v": [10.0, 20.0, 30.0]}) == [20.0, 30.0]
+    assert eval_expr("sum(v)", {"v": [10.0, 20.0, 30.0]}, VF) == 60.0
+    assert eval_expr("where(v, v > 15)", {"v": [10.0, 20.0, 30.0]}, VF) == [20.0, 30.0]
     row = {"Jet_pt": [50.0, 40.0], "Jet_eta": [1.0, 3.0]}
-    assert eval_expr("len(where(Jet_pt, Jet_eta < 2.4))", row) == 1
+    assert eval_expr("len(where(Jet_pt, Jet_eta < 2.4))", row, SCHEMA) == 1
 
 
 def test_short_circuit():
@@ -212,19 +217,20 @@ def test_index_out_of_range():
 
 def test_vector_length_mismatch():
     row = {"a": [1.0, 2.0], "b": [1.0, 2.0, 3.0]}
+    schema = {"a": ValueType.VEC_F64, "b": ValueType.VEC_F64}
     with pytest.raises(EvalError, match="length mismatch"):
-        eval_expr("a + b", row)
+        eval_expr("a + b", row, schema)
     with pytest.raises(EvalError, match="length mismatch"):
-        eval_expr("where(a, b > 1)", row)
+        eval_expr("where(a, b > 1)", row, schema)
 
 
 def test_empty_vector_reductions():
-    assert eval_expr("sum(v)", {"v": []}) == 0.0
-    assert eval_expr("len(v)", {"v": []}) == 0
+    assert eval_expr("sum(v)", {"v": []}, VF) == 0.0
+    assert eval_expr("len(v)", {"v": []}, VF) == 0
     with pytest.raises(EvalError, match="empty"):
-        eval_expr("min(v)", {"v": []})
+        eval_expr("min(v)", {"v": []}, VF)
     with pytest.raises(EvalError, match="empty"):
-        eval_expr("max(v)", {"v": []})
+        eval_expr("max(v)", {"v": []}, VF)
 
 
 def test_math_functions_edge_values():
@@ -254,12 +260,12 @@ def test_elementwise_vector_math():
 def test_sum_is_left_to_right():
     vals = [1e16, 1.0, -1e16, 1.0]
     expected = ((1e16 + 1.0) + -1e16) + 1.0
-    assert eval_expr("sum(v)", {"v": vals}) == expected
+    assert eval_expr("sum(v)", {"v": vals}, VF) == expected
 
 
 def test_determinism():
-    c = compile_expr("sum(where(Jet_pt, Jet_eta < 2.4)) + MET_pt * event_weight", SCHEMA)
-    assert isinstance(c, CompiledExpr)
+    c = compile_expr(parse("sum(where(Jet_pt, Jet_eta < 2.4)) + MET_pt * event_weight"), SCHEMA)
+    assert type(c(dict(ROW))) is float
     assert c(dict(ROW)) == c(dict(ROW))
 
 
@@ -342,3 +348,87 @@ def test_scalar_arithmetic_matches_reference(ast, p, q):
     row = {"p": p, "q": q}
     got = compile_expr(ast, {"p": ValueType.F64, "q": ValueType.F64})(row)
     assert got == _oracle(ast, row)
+
+
+# --- the type pass and the closure half agree ----------------------------------
+
+TYPED_SCHEMA = {"p": ValueType.F64, "q": ValueType.F64, "n": ValueType.I64,
+                "v": ValueType.VEC_F64, "h": ValueType.VEC_I64}
+_PY_TYPE = {ValueType.F64: float, ValueType.I64: int, ValueType.BOOL: bool}
+
+
+def _typed_asts():
+    """Well-typed numeric trees: mixed I64/F64 arithmetic, vector broadcast,
+    reductions, indexing and promoting ternaries. Every vector has length 3."""
+    leaves = st.one_of(
+        st.sampled_from([ColumnRef("h"), ColumnRef("n"), ColumnRef("v")]),
+        st.integers(-20, 20).map(lambda v: Literal(v, ValueType.I64)),
+        _arith_asts(),
+    )
+
+    def is_vector(ast):
+        return typecheck(ast, TYPED_SCHEMA).is_vector
+
+    def as_scalar(ast):
+        return Index(ast, Literal(1, ValueType.I64)) if is_vector(ast) else ast
+
+    def as_vector(ast):  # broadcast a scalar over h
+        return ast if is_vector(ast) else Binary("+", ColumnRef("h"), ast)
+
+    def ternary(cond, a, b):
+        if is_vector(a) != is_vector(b):
+            a, b = as_vector(a), as_vector(b)
+        return Ternary(Binary("<", as_scalar(cond), Literal(0.5, ValueType.F64)), a, b)
+
+    def extend(children):
+        return st.one_of(
+            st.tuples(st.sampled_from(["+", "-", "*", "/", "%"]), children, children).map(
+                lambda t: Binary(*t)
+            ),
+            st.tuples(children, children, children).map(lambda t: ternary(*t)),
+            children.map(lambda a: Unary("-", a)),
+            st.tuples(st.sampled_from(["abs", "sqrt", "exp"]), children).map(
+                lambda t: Call(t[0], (t[1],))
+            ),
+            st.tuples(st.sampled_from(["sum", "len", "min", "max"]), children).map(
+                lambda t: Call(t[0], (as_vector(t[1]),))
+            ),
+            children.map(as_scalar),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=12)
+
+
+_CHILDREN = {Unary: ("operand",), Binary: ("left", "right"), Ternary: ("cond", "then", "other"),
+             Index: ("base", "index")}
+
+
+def _subtrees(ast):
+    yield ast
+    children = ast.args if isinstance(ast, Call) else [getattr(ast, f) for f in _CHILDREN.get(type(ast), ())]
+    for child in children:
+        yield from _subtrees(child)
+
+
+@given(
+    _typed_asts(),
+    st.floats(-1e3, 1e3),
+    st.integers(-20, 20),
+    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+    st.lists(st.integers(-20, 20), min_size=3, max_size=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_value_has_typechecked_type(ast, p, n, v, h):
+    row = {"p": p, "q": -p, "n": n, "v": v, "h": h}
+    for node in _subtrees(ast):
+        t = typecheck(node, TYPED_SCHEMA)
+        try:
+            value = compile_expr(node, TYPED_SCHEMA)(row)
+        except EvalError as e:
+            assert "by zero" in e.message  # the only error these trees can raise
+            continue
+        if t.is_vector:
+            assert type(value) is list and len(value) == 3
+            assert all(type(x) is _PY_TYPE[t.element] for x in value)
+        else:
+            assert type(value) is _PY_TYPE[t]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from colflow import exprlang
 from colflow.exprlang import ValueType
 from colflow.graph import (
     ComputationGraph,
@@ -251,6 +252,7 @@ class TestBuild:
         assert g.universes() == ["nominal", "jesUp", "jesDown", "wUp"]
         assert g.weight_tags() == ["wUp"]
         assert g.topology_tags() == ["jesUp", "jesDown"]
+        assert load_spec(d).topology_tags() == ["jesUp", "jesDown"]
         vs, k = g.variation_of("jesDown")
         assert (vs.target, k) == ("Jet_pt", 1)
         with pytest.raises(PipelineError, match="unknown universe"):
@@ -375,3 +377,16 @@ class TestBuild:
         assert g1.universes() == g2.universes()
         assert g1.affected_nodes("a") == g2.affected_nodes("a")
         assert g1.columns_needed == g2.columns_needed
+
+    def test_build_compiles_no_closures(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("graph.build compiled a closure")
+
+        monkeypatch.setattr(exprlang, "_compile", refuse)
+        d = minimal()
+        d["stages"].insert(0, {"op": "vary", "column": "Jet_pt", "kind": "topology",
+                               "tags": ["up"], "exprs": ["Jet_pt * 1.1"]})
+        g = build(load_spec(d), SCHEMA)
+        assert g.defines == {"ht": ValueType.F64}
+        with pytest.raises(AssertionError, match="compiled a closure"):
+            exprlang.compile_expr(exprlang.parse("nJet + 1"), SCHEMA)

@@ -194,3 +194,9 @@ def test_read_over_max_frame_rejected(served_dir, monkeypatch):
     assert t.session_metrics() == (100, 1)
     t.close()
     assert_still_serving(server)
+
+
+@pytest.mark.parametrize("uri", ["colsrv://h:abc/p", "colsrv://h:99999/p", "colsrv://h:0/p", "colsrv://h:-1/p"])
+def test_bad_port_is_malformed_uri(uri):
+    with pytest.raises(TransportError, match="malformed remote URI"):
+        open_dataset(uri)
