@@ -76,10 +76,19 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _address(text: str) -> str:
+def _listen(text: str, lowest_port: int = 0) -> tuple[str, int]:
+    """HOST:PORT to bind; port 0 asks the OS for a free one."""
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or not lowest_port <= int(port) <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"expected HOST:PORT with a port in {lowest_port}-65535, got {text!r}"
+        )
+    return host, int(port)
+
+
+def _address(text: str) -> str:
+    """HOST:PORT to connect to."""
+    _listen(text, lowest_port=1)
     return text
 
 
@@ -340,13 +349,6 @@ def cmd_report(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 
-def _listen(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise argparse.ArgumentTypeError(f"expected HOST:PORT, got {text!r}")
-    return host, int(port)
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="colflow",
@@ -378,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument(
         "--data",
         type=_address,
-        default="",
+        default=None,
         help="data server for resolving relative task paths",
     )
     w.add_argument("--name", default=None)

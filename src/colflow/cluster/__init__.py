@@ -1,7 +1,7 @@
 from .client import ClusterError, RunResult, run_distributed, shutdown_cluster, submit_run
 from .planner import TaskSpec, plan_partitions
-from .scheduler import Scheduler, serve_scheduler
-from .worker import Worker, worker_main
+from .scheduler import Scheduler
+from .worker import Worker
 
 __all__ = [
     "ClusterError",
@@ -11,8 +11,6 @@ __all__ = [
     "Worker",
     "plan_partitions",
     "run_distributed",
-    "serve_scheduler",
     "shutdown_cluster",
     "submit_run",
-    "worker_main",
 ]

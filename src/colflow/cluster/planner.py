@@ -10,18 +10,15 @@ files than target slots every non-empty file still gets its own task
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from ..engine import SINGLE_PASS, EntryRange, Mode
+from ..engine import EntryRange
 
 
 @dataclass(frozen=True)
 class TaskSpec:
     task_id: int
     entry_range: EntryRange
-    graph_id: str = ""
-    mode: Mode = SINGLE_PASS
-    attempt: int = 1
 
 
 def plan_partitions(dataset: list, nworkers: int, factor: int = 3) -> list[TaskSpec]:

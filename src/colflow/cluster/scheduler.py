@@ -27,7 +27,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..colstore import open_dataset
-from ..engine import MODE_MULTI_PASS, PartialResult
+from ..engine import PartialResult
 from ..graph import PipelineError, load_spec, spec_graph_id
 from ..metrics import JobRecord
 from ..proto import (
@@ -76,7 +76,7 @@ class _Run:
     max_retries: int
     factor: int
     tasks: dict[int, Task] | None  # None until planned
-    multi_passes: int  # pass count a MULTI_PASS task performs
+    multi_passes: int  # traversals a multi_pass task makes: nominal + one per topology tag
     t0: float
     deadline: float
     planning_bytes: int = 0
@@ -309,7 +309,7 @@ class Scheduler:
             return
         run.planning_bytes = sum(h.account.bytes_read for h in handles)
         run.tasks = {
-            t.task_id: Task(t.task_id, run.graph_id, t.entry_range, t.mode) for t in planned
+            t.task_id: Task(t.task_id, run.graph_id, t.entry_range) for t in planned
         }
         run.pending = deque(sorted(run.tasks))
         run.merge_order = sorted(run.tasks)
@@ -357,7 +357,7 @@ class Scheduler:
                 other.inflight.discard(msg.task_id)
 
         task = run.tasks[msg.task_id]
-        passes = run.multi_passes if task.mode.kind == MODE_MULTI_PASS else 1
+        passes = run.multi_passes if task.multi_pass else 1
         partial = msg.partial
         run.records.append(
             JobRecord(
@@ -442,7 +442,3 @@ class Scheduler:
             except OSError:
                 pass
         self._workers.clear()
-
-
-def serve_scheduler(host: str = "127.0.0.1", port: int = 0, startup_timeout: float = 10.0) -> Scheduler:
-    return Scheduler(host, port, startup_timeout).start()

@@ -26,12 +26,7 @@ from ..colstore.dataset import (
     RemoteTransport,
     parse_remote_uri,
 )
-from ..engine import (
-    MODE_MULTI_PASS,
-    CompiledPipeline,
-    run_multi_pass,
-    run_range,
-)
+from ..engine import CompiledPipeline, run_multi_pass, run_range
 from ..graph import build, load_spec, schema_types
 from ..proto import (
     Fail,
@@ -155,14 +150,9 @@ class Worker:
             task = self._resolve(task)
             graph, compiled, meta_bytes = self._graph_for(task)
             payload_read = download_payload(task.payload_uri, task.payload_bytes) if task.payload_uri else 0
-            if task.mode.kind == MODE_MULTI_PASS:
-                partial = run_multi_pass(
-                    graph, task.entry_range, range_id=str(task.task_id), compiled=compiled
-                )
-            else:
-                partial = run_range(
-                    graph, task.entry_range, task.mode, range_id=str(task.task_id), compiled=compiled
-                )
+            partial = (run_multi_pass if task.multi_pass else run_range)(
+                graph, task.entry_range, range_id=str(task.task_id), compiled=compiled
+            )
             partial.bytes_read += payload_read + meta_bytes
             t_total = time.perf_counter() - t_start
             if task.result_file:
@@ -224,12 +214,3 @@ def read_result_file(path: str):
     with open(path, "rb") as f:
         r = Reader(f.read())
     return r.string(), unpack_partial(r)
-
-
-def worker_main(
-    scheduler_address: str,
-    slots: int = 1,
-    name: str | None = None,
-    data_base: str = "",
-) -> int:
-    return Worker(scheduler_address, slots, name, data_base).run()

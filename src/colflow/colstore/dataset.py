@@ -182,7 +182,6 @@ class DatasetHandle:
 
     def __init__(self, uri: str, transport, schema, total_entries, clusters, account: ReadAccount):
         self.uri = uri
-        self.transport = "remote" if isinstance(transport, RemoteTransport) else "local"
         self._transport = transport
         self.schema: tuple[ColumnSchema, ...] = schema
         self.total_entries: int = total_entries

@@ -1,14 +1,12 @@
 """Graph execution: the event loop over entry ranges.
 
 One run_range call traverses one entry range of one file exactly once and
-produces a PartialResult carrying every universe's result slots. Modes:
-
-    SINGLE_PASS       evaluate nominal plus every variation universe in the
-                      same traversal (bytes read do not depend on the
-                      universe count)
-    only_universe(u)  evaluate exactly one universe (baseline runs)
-    NOMINAL_WEIGHTS   nominal plus all WEIGHT-kind universes in one
-                      traversal (the baseline's first postselection pass)
+produces a PartialResult carrying every universe's result slots. It
+evaluates the universes it is given, by name; SINGLE_PASS (None) means
+nominal plus every variation universe, and the bytes read do not depend
+on how many are listed. run_multi_pass is the baseline's pass plan: one
+traversal for nominal plus the WEIGHT universes, then one per TOPOLOGY
+universe.
 
 Universe evaluation is memoized per event at node granularity: the nominal
 row computes each define at most once, and a variation universe recomputes
@@ -50,27 +48,7 @@ class EngineError(Exception):
     """Task execution failure (eval error, bad range, broken input)."""
 
 
-# --- execution modes ---------------------------------------------------------
-
-MODE_SINGLE_PASS = 1
-MODE_ONLY_UNIVERSE = 2
-MODE_NOMINAL_WEIGHTS = 3
-MODE_MULTI_PASS = 4  # executed above run_range: one pass per topology tag
-
-
-@dataclass(frozen=True)
-class Mode:
-    kind: int
-    universe: str = ""
-
-
-SINGLE_PASS = Mode(MODE_SINGLE_PASS)
-NOMINAL_WEIGHTS = Mode(MODE_NOMINAL_WEIGHTS)
-MULTI_PASS = Mode(MODE_MULTI_PASS)
-
-
-def only_universe(universe: str) -> Mode:
-    return Mode(MODE_ONLY_UNIVERSE, universe)
+SINGLE_PASS = None  # run_range's universe list meaning "every universe"
 
 
 @dataclass(frozen=True)
@@ -238,30 +216,22 @@ class CompiledPipeline:
             self.overlays[tag] = (vs.target, self.vary_fns[tag], affected_defines, affected)
 
 
-def _resolve_universes(graph: ComputationGraph, mode: Mode) -> list[str]:
-    if mode.kind == MODE_SINGLE_PASS:
-        return graph.universes()
-    if mode.kind == MODE_ONLY_UNIVERSE:
-        if mode.universe != "nominal":
-            graph.variation_of(mode.universe)  # raises on unknown
-        return [mode.universe]
-    if mode.kind == MODE_NOMINAL_WEIGHTS:
-        return ["nominal"] + graph.weight_tags()
-    raise EngineError(f"mode kind {mode.kind} is not a single-traversal mode")
-
-
 def run_range(
     graph: ComputationGraph,
     entry_range: EntryRange,
-    mode: Mode = SINGLE_PASS,
+    universes: list[str] | None = SINGLE_PASS,
     *,
     range_id: str = "0",
     compiled: CompiledPipeline | None = None,
 ) -> PartialResult:
-    """Execute the graph over one entry range in a single data traversal."""
+    """Evaluate the listed universes over one entry range in one data traversal."""
     if compiled is None:
         compiled = CompiledPipeline(graph)
-    universes = _resolve_universes(graph, mode)
+    if universes is SINGLE_PASS:
+        universes = graph.universes()
+    for u in universes:
+        if u != "nominal":
+            graph.variation_of(u)  # raises on unknown
     partial = PartialResult.empty(graph)
 
     handle = open_dataset(entry_range.file)
@@ -414,10 +384,10 @@ def run_multi_pass(
     """
     if compiled is None:
         compiled = CompiledPipeline(graph)
-    modes = [NOMINAL_WEIGHTS] + [only_universe(t) for t in graph.topology_tags()]
-    combined = run_range(graph, entry_range, modes[0], range_id=range_id, compiled=compiled)
-    for mode in modes[1:]:
-        p = run_range(graph, entry_range, mode, range_id=range_id, compiled=compiled)
+    first = ["nominal", *graph.weight_tags()]
+    combined = run_range(graph, entry_range, first, range_id=range_id, compiled=compiled)
+    for tag in graph.topology_tags():
+        p = run_range(graph, entry_range, [tag], range_id=range_id, compiled=compiled)
         p.events = 0  # every pass visits the same events
         combined.merge_in(p)
     return combined

@@ -5,12 +5,13 @@ input file becomes one batch job, executed on the same cluster workers the
 distributed mode uses, with no retries: a failed job fails the run.
 
 Preselection jobs download a payload blob first (the job sandbox, counted
-into bytes_read), run the nominal universe once over the whole file and
-write a skim. Postselection jobs traverse their file once for nominal plus
-once per topology variation; weight variations ride the nominal pass. Each
-postselection job writes a result file; a final local merge folds these
-together in file order and its duration is reported separately, since the
-distributed mode has no such step.
+into bytes_read), run their variation-free pipeline once over the whole
+file and write a skim. Postselection jobs run the engine's multi-pass
+plan: once for nominal plus once per topology variation; weight
+variations ride the nominal pass. Each postselection job writes a result
+file; a final local merge folds these together in file order and its
+duration is reported separately, since the distributed mode has no such
+step.
 
 Jobs are throttled client-side in waves of ``parallel_jobs``, mimicking a
 fixed-size batch queue. Job ids are global across waves, so skim part
@@ -27,8 +28,8 @@ from enum import Enum
 from .cluster.client import ClusterError, submit_run
 from .cluster.worker import read_result_file
 from .colstore import open_dataset
-from .engine import MULTI_PASS, EntryRange, PartialResult, only_universe
-from .graph import SnapshotStage, load_spec
+from .engine import EntryRange, PartialResult
+from .graph import SnapshotStage, VaryStage, load_spec
 from .metrics import JobRecord
 from .proto import Task
 
@@ -44,19 +45,14 @@ class Phase(Enum):
 
 @dataclass(frozen=True)
 class LegacyJobSpec:
-    """One batch job: a whole input file plus its sequential pass plan."""
+    """One batch job: a whole input file."""
 
     job_id: int
     file: str
     phase: Phase
-    passes: tuple[str, ...]
     payload_bytes: int = 0
 
     def __post_init__(self):
-        if self.phase is Phase.PRESELECTION and self.passes != ("nominal",):
-            raise LegacyError("preselection jobs run exactly one nominal pass")
-        if self.phase is Phase.POSTSELECTION and (not self.passes or self.passes[0] != "nominal"):
-            raise LegacyError("postselection pass list must start with nominal")
         if self.payload_bytes < 0:
             raise LegacyError("payload_bytes must be >= 0")
 
@@ -91,18 +87,22 @@ def plan_legacy_jobs(
     phase: Phase,
     payload_bytes: int = 0,
 ) -> list[LegacyJobSpec]:
-    """One job per file; pass plans derived from the pipeline's vary stages."""
+    """One job per file.
+
+    A preselection document must snapshot and may not vary: its jobs are
+    single loops, which evaluate every universe the document declares.
+    """
     if not files:
         raise LegacyError("no input files")
     spec = load_spec(document)
     if phase is Phase.PRESELECTION:
         if not any(isinstance(s, SnapshotStage) for s in spec.stages):
             raise LegacyError("preselection pipeline must contain a snapshot stage")
-        passes = ("nominal",)
+        if any(isinstance(s, VaryStage) for s in spec.stages):
+            raise LegacyError("preselection pipeline must not contain vary stages")
     else:
-        passes = ("nominal", *spec.topology_tags())
         payload_bytes = 0  # sandboxes are a preselection cost only
-    return [LegacyJobSpec(i, f, phase, passes, payload_bytes) for i, f in enumerate(files)]
+    return [LegacyJobSpec(i, f, phase, payload_bytes) for i, f in enumerate(files)]
 
 
 def _size_inputs(files: list[str]) -> tuple[list[int], int]:
@@ -159,7 +159,7 @@ def run_legacy_preselection(
     parallel_jobs: int = 4,
     timeout: float = 600.0,
 ) -> tuple[list[str], LegacyRunReport]:
-    """Skim every file through its own single-pass nominal job.
+    """Skim every file through its own single-loop job.
 
     Returns the skim files (one per job, in job order) and the run report.
     """
@@ -167,13 +167,11 @@ def run_legacy_preselection(
     if payload_bytes > 0 and not payload_uri:
         raise LegacyError("payload_bytes set but no payload_uri to fetch from")
     totals, meta = _size_inputs(files)
-    nominal = only_universe("nominal")
     tasks = [
         Task(
             j.job_id,
             "",
             EntryRange(j.file, 0, n),
-            nominal,
             payload_uri=payload_uri if j.payload_bytes else "",
             payload_bytes=j.payload_bytes,
         )
@@ -209,7 +207,7 @@ def run_legacy_postselection(
     os.makedirs(out_dir, exist_ok=True)
     result_files = [os.path.join(out_dir, f"job{j.job_id}.res") for j in jobs]
     tasks = [
-        Task(j.job_id, "", EntryRange(j.file, 0, n), MULTI_PASS, result_file=rf)
+        Task(j.job_id, "", EntryRange(j.file, 0, n), multi_pass=True, result_file=rf)
         for j, n, rf in zip(jobs, totals, result_files)
     ]
     records, _, wall = _run_jobs(

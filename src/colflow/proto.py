@@ -20,7 +20,7 @@ import socket
 import struct
 from dataclasses import dataclass
 
-from .engine import EntryRange, Mode, PartialResult
+from .engine import EntryRange, PartialResult
 from .hist import AccumKind, Histo1D, ScalarAccumulator
 from .metrics import JobRecord, MetricsError
 # PROTO_VERSION and ProtoError are re-exported for the cluster side
@@ -55,7 +55,7 @@ class Task:
     task_id: int
     graph_id: str
     entry_range: EntryRange
-    mode: Mode
+    multi_pass: bool = False  # the baseline's per-file job (run_multi_pass)
     attempt: int = 1
     payload_uri: str = ""  # junk blob fetched before work, "" for none
     payload_bytes: int = 0
@@ -225,8 +225,7 @@ def _pack_task(t: Task) -> bytes:
             struct.pack("<I", t.task_id),
             pack_str(t.graph_id),
             pack_str(t.entry_range.file),
-            struct.pack("<QQB", t.entry_range.begin, t.entry_range.end, t.mode.kind),
-            pack_str(t.mode.universe),
+            struct.pack("<QQB", t.entry_range.begin, t.entry_range.end, t.multi_pass),
             struct.pack("<I", t.attempt),
             pack_str(t.payload_uri),
             struct.pack("<Q", t.payload_bytes),
@@ -239,8 +238,9 @@ def _unpack_task(r: Reader) -> Task:
     task_id = r.u32()
     graph_id = r.string()
     file = r.string()
-    begin, end, mode_kind = r.unpack("<QQB")
-    universe = r.string()
+    begin, end, multi_pass = r.unpack("<QQB")
+    if multi_pass > 1:
+        raise ProtoError(f"bad multi_pass byte {multi_pass}")
     attempt = r.u32()
     payload_uri = r.string()
     (payload_bytes,) = r.unpack("<Q")
@@ -249,7 +249,7 @@ def _unpack_task(r: Reader) -> Task:
         task_id,
         graph_id,
         EntryRange(file, begin, end),
-        Mode(mode_kind, universe),
+        bool(multi_pass),
         attempt,
         payload_uri,
         payload_bytes,

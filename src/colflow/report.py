@@ -146,12 +146,12 @@ def _mode_time(scenarios: dict, mode: str) -> float | None:
 # --- rendering ---------------------------------------------------------------
 
 _PHASE_ORDER = {"pre": 0, "post": 1}
-_MODE_ORDER = {"legacy": 0, "new": 1}
+_WORKFLOW_ORDER = {"legacy": 0, "new": 1}
 
 
 def _scenario_sort_key(key: tuple[str, str]):
     mode, phase = key
-    return (_PHASE_ORDER.get(phase, 99), phase, _MODE_ORDER.get(mode, 99), mode)
+    return (_PHASE_ORDER.get(phase, 99), phase, _WORKFLOW_ORDER.get(mode, 99), mode)
 
 
 def _si(x: float, digits: int = 2) -> tuple[float, str]:

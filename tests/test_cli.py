@@ -11,10 +11,11 @@ import time
 import pytest
 
 from colflow.bench import check_equivalence, default_post_document, default_pre_document
+from colflow.cli import build_parser
 from colflow.cluster.client import submit_run
 from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
-from colflow.engine import SINGLE_PASS, EntryRange
+from colflow.engine import EntryRange
 from colflow.facility import FacilityError, MiniFacility
 from colflow.graph import load_spec, spec_graph_id
 from colflow.metrics import RunMetrics, metrics_row, write_metrics_csv
@@ -122,6 +123,36 @@ class TestValidationExits:
         r = colflow("worker", "--scheduler", "nonsense")
         assert r.returncode == 2
         assert "HOST:PORT" in r.stderr
+
+    def test_worker_without_data_server_tries_the_scheduler(self):
+        r = colflow("worker", "--scheduler", "127.0.0.1:1")
+        assert r.returncode == 1
+        assert "cannot reach scheduler" in r.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("scheduler", "--listen", "127.0.0.1:99999"),
+            ("serve-data", "--root", ".", "--listen", "127.0.0.1:70000"),
+            ("worker", "--scheduler", "127.0.0.1:0", "--data", "127.0.0.1:5000"),
+            ("worker", "--scheduler", "127.0.0.1:5000", "--data", "127.0.0.1:65536"),
+        ],
+        ids=["listen", "serve-listen", "connect-0", "connect-65536"],
+    )
+    def test_out_of_range_port_is_usage_error(self, argv):
+        r = colflow(*argv)
+        assert r.returncode == 2
+        assert "HOST:PORT" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    def test_port_range_edges_accepted(self):
+        parser = build_parser()
+        assert parser.parse_args(["scheduler", "--listen", "h:0"]).listen == ("h", 0)
+        serve = parser.parse_args(["serve-data", "--root", ".", "--listen", "h:65535"])
+        assert serve.listen == ("h", 65535)
+        worker = parser.parse_args(["worker", "--scheduler", "h:1", "--data", "d:65535"])
+        assert (worker.scheduler, worker.data) == ("h:1", "d:65535")
+        assert parser.parse_args(["worker", "--scheduler", "h:1"]).data is None
 
     def test_serve_data_rejects_missing_root(self, tmp_path):
         r = colflow("serve-data", "--root", str(tmp_path / "nope"))
@@ -305,7 +336,7 @@ class TestFacilityRuns:
         )
         names = [(e["name"], e["entries"]) for e in manifest["files"]]
         tasks = tuple(
-            Task(i, "", EntryRange(name, 0, entries), SINGLE_PASS)
+            Task(i, "", EntryRange(name, 0, entries))
             for i, (name, entries) in enumerate(names)
         )
         relative = submit_run(fac.scheduler_address, document, tasks=tasks)

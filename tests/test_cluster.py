@@ -24,13 +24,7 @@ from colflow.cluster import scheduler
 from colflow.cluster.planner import plan_partitions
 from colflow.cluster.worker import download_payload, read_result_file
 from colflow.colstore import open_dataset, serve, write_dataset
-from colflow.engine import (
-    MULTI_PASS,
-    SINGLE_PASS,
-    EntryRange,
-    run_local,
-    run_range,
-)
+from colflow.engine import EntryRange, run_local, run_range
 from colflow.graph import build, load_spec, schema_types
 from colflow.proto import Graph, Result, RunDone, Submit, Task, encode
 from conftest import STANDARD_SCHEMA, standard_columns
@@ -184,7 +178,7 @@ class TestDistributedRuns:
             with open_dataset(f) as h:
                 totals.append(h.total_entries)
         tasks = tuple(
-            Task(i, "", EntryRange(f, 0, n), SINGLE_PASS)
+            Task(i, "", EntryRange(f, 0, n))
             for i, (f, n) in enumerate(zip(dataset_files, totals))
         )
         with Scheduler() as sched:
@@ -201,9 +195,9 @@ class TestDistributedRuns:
         with open_dataset(f) as h:
             n = h.total_entries
         graph = _build_graph(doc, dataset_files)
-        single = run_range(graph, EntryRange(f, 0, n), SINGLE_PASS)
+        single = run_range(graph, EntryRange(f, 0, n))
 
-        tasks = (Task(0, "", EntryRange(f, 0, n), MULTI_PASS),)
+        tasks = (Task(0, "", EntryRange(f, 0, n), multi_pass=True),)
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
@@ -260,7 +254,7 @@ class TestDistributedRuns:
     def test_duplicate_task_ids_rejected(self, dataset_files):
         doc = make_doc(dataset_files)
         r = EntryRange(dataset_files[0], 0, 10)
-        tasks = (Task(3, "", r, SINGLE_PASS), Task(3, "", r, SINGLE_PASS))
+        tasks = (Task(3, "", r), Task(3, "", r))
         with Scheduler() as sched:
             with pytest.raises(ClusterError, match="task ids"):
                 submit_run(sched.address, doc, tasks=tasks, timeout=5.0)
@@ -274,7 +268,7 @@ class TestDistributedRuns:
             with open_dataset(f) as h:
                 totals.append(h.total_entries)
         tasks = tuple(
-            Task(10 + 2 * i, "", EntryRange(f, 0, n), SINGLE_PASS)
+            Task(10 + 2 * i, "", EntryRange(f, 0, n))
             for i, (f, n) in enumerate(zip(dataset_files, totals))
         )
         with Scheduler() as sched:
@@ -333,7 +327,7 @@ class TestFaultTolerance:
     def test_failing_task_exhausts_retries(self, dataset_files):
         # range beyond EOF: the engine raises on every attempt
         doc = make_doc(dataset_files)
-        tasks = (Task(0, "", EntryRange(dataset_files[0], 0, 10**9), SINGLE_PASS),)
+        tasks = (Task(0, "", EntryRange(dataset_files[0], 0, 10**9)),)
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
@@ -342,7 +336,7 @@ class TestFaultTolerance:
 
     def test_worker_survives_failing_task(self, dataset_files):
         doc = make_doc(dataset_files)
-        bad = Task(0, "", EntryRange(dataset_files[0], 0, 10**9), SINGLE_PASS)
+        bad = Task(0, "", EntryRange(dataset_files[0], 0, 10**9))
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
@@ -368,7 +362,7 @@ class TestWireLimits:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
             result = submit_run(
-                sched.address, doc, tasks=(Task(0, "", EntryRange(f, 0, n), SINGLE_PASS),), timeout=30
+                sched.address, doc, tasks=(Task(0, "", EntryRange(f, 0, n)),), timeout=30
             )
             assert result.total_events == n
 
@@ -441,10 +435,10 @@ class TestPayloadAndResultFiles:
         with serve(str(tmp_path)) as server:
             uri = f"colsrv://{server.address}/payload.bin"
             with_payload = (
-                Task(0, "", EntryRange(dataset_files[0], 0, n), SINGLE_PASS,
+                Task(0, "", EntryRange(dataset_files[0], 0, n),
                      payload_uri=uri, payload_bytes=n_payload),
             )
-            without = (Task(0, "", EntryRange(dataset_files[0], 0, n), SINGLE_PASS),)
+            without = (Task(0, "", EntryRange(dataset_files[0], 0, n)),)
             with Scheduler() as sched:
                 spawn_worker(sched.address, name="w0")
                 wait_for_workers(sched, 1)
@@ -461,7 +455,7 @@ class TestPayloadAndResultFiles:
         with open_dataset(dataset_files[0]) as h:
             n = h.total_entries
         tasks = (
-            Task(0, "", EntryRange(dataset_files[0], 0, n), SINGLE_PASS, result_file=out),
+            Task(0, "", EntryRange(dataset_files[0], 0, n), result_file=out),
         )
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")

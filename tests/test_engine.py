@@ -1,4 +1,4 @@
-"""Event-loop execution: modes, universes, counters, snapshots.
+"""Event-loop execution: universe lists, the multi-pass plan, counters, snapshots.
 
 The reference oracle here is a deliberately naive walk: for every universe
 it rebuilds the row context from scratch and re-evaluates every expression
@@ -13,14 +13,13 @@ import pytest
 
 from colflow.colstore import open_dataset
 from colflow.engine import (
-    NOMINAL_WEIGHTS,
     SINGLE_PASS,
     CompiledPipeline,
     EngineError,
     EntryRange,
     PartialResult,
-    only_universe,
     run_local,
+    run_multi_pass,
     run_range,
 )
 from colflow.exprlang import ValueType, compile_expr
@@ -207,7 +206,7 @@ class TestModes:
     def test_only_universe_equals_single_pass_slice(self, rich_file, rich_graph):
         full = run_range(rich_graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
         for u in rich_graph.universes():
-            alone = run_range(rich_graph, EntryRange(rich_file, 0, 300), only_universe(u))
+            alone = run_range(rich_graph, EntryRange(rich_file, 0, 300), [u])
             assert alone.universes[u] == full.universes[u], u
             # other slots stay zeroed
             for other, results in alone.universes.items():
@@ -221,11 +220,13 @@ class TestModes:
         from colflow.graph import PipelineError
 
         with pytest.raises(PipelineError, match="unknown universe"):
-            run_range(rich_graph, EntryRange(rich_file, 0, 10), only_universe("bogus"))
+            run_range(rich_graph, EntryRange(rich_file, 0, 10), ["bogus"])
 
     def test_nominal_weights_mode(self, rich_file, rich_graph):
         full = run_range(rich_graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
-        nw = run_range(rich_graph, EntryRange(rich_file, 0, 300), NOMINAL_WEIGHTS)
+        nw = run_range(
+            rich_graph, EntryRange(rich_file, 0, 300), ["nominal", *rich_graph.weight_tags()]
+        )
         for u in ["nominal"] + rich_graph.weight_tags():
             assert nw.universes[u] == full.universes[u], u
         for u in rich_graph.topology_tags():
@@ -233,9 +234,33 @@ class TestModes:
 
     def test_bytes_do_not_depend_on_universe_count(self, rich_file, rich_graph):
         full = run_range(rich_graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
-        one = run_range(rich_graph, EntryRange(rich_file, 0, 300), only_universe("nominal"))
+        one = run_range(rich_graph, EntryRange(rich_file, 0, 300), ["nominal"])
         assert full.bytes_read == one.bytes_read
         assert full.chunk_bytes == one.chunk_bytes
+
+
+class TestMultiPass:
+    def test_one_read_per_pass_and_single_loop_results(self, rich_file, rich_graph):
+        """The baseline's plan: nominal with the weight universes, then one
+        traversal per topology tag. With small-integer weights every bin is
+        a sum of integers, so each universe must equal the single loop's
+        bit for bit."""
+        stages = [dict(s) for s in RICH_DOC["stages"]]
+        stages[2] = {"op": "vary", "column": "w", "kind": "weight",
+                     "tags": ["w_up", "w_down"], "exprs": ["w * 2", "w * 3"]}
+        stages.insert(2, {"op": "define", "name": "w", "expr": "nJet + 1"})
+        for s in stages:
+            if s.get("weight") == "event_weight":
+                s["weight"] = "w"
+        graph = build(load_spec({**RICH_DOC, "stages": stages}), rich_graph.base_schema)
+        assert len(graph.topology_tags()) == 3 and len(graph.weight_tags()) == 2
+
+        single = run_range(graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
+        multi = run_multi_pass(graph, EntryRange(rich_file, 0, 300))
+        assert multi.chunk_bytes == (1 + len(graph.topology_tags())) * single.chunk_bytes
+        assert multi.events == single.events == 300
+        assert multi.universes == single.universes  # Histo1D eq is bit-exact
+        assert multi.universes["w_up"]["h_ht"] != multi.universes["nominal"]["h_ht"]
 
 
 class TestCounters:
@@ -397,7 +422,7 @@ class TestSnapshots:
         with open_dataset(rich_file) as h:
             schema = schema_types(h)
         graph = build(load_spec(doc), schema)
-        partial = run_range(graph, EntryRange(rich_file, 0, 50), only_universe("up"))
+        partial = run_range(graph, EntryRange(rich_file, 0, 50), ["up"])
         assert partial.snapshots == []
         assert not os.path.exists(f"{prefix}.part0.col")
 

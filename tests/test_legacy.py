@@ -109,23 +109,18 @@ class TestPlanning:
         jobs = plan_legacy_jobs(doc, files, Phase.PRESELECTION, payload_bytes=500)
         assert len(jobs) == len(files)
         assert [j.job_id for j in jobs] == [0, 1, 2]
-        assert all(j.passes == ("nominal",) for j in jobs)
         assert all(j.payload_bytes == 500 for j in jobs)
-
-    def test_post_passes_are_nominal_plus_topology(self, files):
-        jobs = plan_legacy_jobs(post_doc(files), files, Phase.POSTSELECTION)
-        assert all(j.passes == ("nominal", "jes_up", "jes_down") for j in jobs)
-        assert all(j.payload_bytes == 0 for j in jobs)
-        # weight tags never appear in the pass list
-        assert all("w_up" not in j.passes for j in jobs)
-
-    def test_post_without_topology_is_single_pass(self, files):
-        jobs = plan_legacy_jobs(post_doc(files, topology_tags=0), files, Phase.POSTSELECTION)
-        assert all(j.passes == ("nominal",) for j in jobs)
 
     def test_preselection_requires_snapshot(self, files):
         with pytest.raises(LegacyError, match="snapshot"):
             plan_legacy_jobs(post_doc(files), files, Phase.PRESELECTION)
+
+    def test_preselection_rejects_vary_stages(self, files, tmp_path):
+        doc = json.loads(pre_doc(files, str(tmp_path / "skim")))
+        doc["stages"].insert(0, {"op": "vary", "column": "MET_pt", "kind": "topology",
+                                 "tags": ["met_up"], "exprs": ["MET_pt + 5.0"]})
+        with pytest.raises(LegacyError, match="vary"):
+            plan_legacy_jobs(json.dumps(doc), files, Phase.PRESELECTION)
 
     def test_no_files(self, files, tmp_path):
         doc = pre_doc(files, str(tmp_path / "skim"))
@@ -133,12 +128,8 @@ class TestPlanning:
             plan_legacy_jobs(doc, [], Phase.PRESELECTION)
 
     def test_jobspec_invariants(self, files):
-        with pytest.raises(LegacyError, match="one nominal pass"):
-            LegacyJobSpec(0, files[0], Phase.PRESELECTION, ("nominal", "jes_up"))
-        with pytest.raises(LegacyError, match="start with nominal"):
-            LegacyJobSpec(0, files[0], Phase.POSTSELECTION, ("jes_up", "nominal"))
         with pytest.raises(LegacyError, match="payload_bytes"):
-            LegacyJobSpec(0, files[0], Phase.PRESELECTION, ("nominal",), payload_bytes=-1)
+            LegacyJobSpec(0, files[0], Phase.PRESELECTION, payload_bytes=-1)
 
 
 class TestPreselection:

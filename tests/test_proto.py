@@ -10,13 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colflow import wire
-from colflow.engine import (
-    MODE_ONLY_UNIVERSE,
-    SINGLE_PASS,
-    EntryRange,
-    Mode,
-    PartialResult,
-)
+from colflow.engine import EntryRange, PartialResult
 from colflow.graph import build, load_spec
 from colflow.hist import AccumKind, Histo1D, ScalarAccumulator
 from colflow.metrics import JobRecord
@@ -60,7 +54,7 @@ def sample_task(i=0):
         task_id=i,
         graph_id="abcd1234ef567890",
         entry_range=EntryRange("colsrv://127.0.0.1:9000/data/f0.col", 1000 * i, 1000 * i + 1000),
-        mode=Mode(MODE_ONLY_UNIVERSE, "jes_up"),
+        multi_pass=True,
         attempt=2,
         payload_uri="colsrv://127.0.0.1:9000/payload.bin",
         payload_bytes=1 << 20,
@@ -72,7 +66,7 @@ MESSAGES = [
     Register("worker-3", 4),
     Graph("abcd1234ef567890", '{"dataset":["a.col"],"stages":[{"op":"count","name":"n"}]}'),
     sample_task(5),
-    Task(0, "g", EntryRange("f.col", 0, 10), SINGLE_PASS),
+    Task(0, "g", EntryRange("f.col", 0, 10)),
     Result(7, 1.25, sample_partial()),
     Fail(3, "event 17 in f.col: 4:2: min() of an empty vector"),
     Heartbeat("worker-0"),
@@ -108,7 +102,7 @@ class TestRoundTrips:
             assert back.partial.universes[u]["h_met"].sumw == results["h_met"].sumw
 
     def test_empty_strings_and_zero_counts(self):
-        msg = Task(0, "", EntryRange("", 0, 0), Mode(1, ""))
+        msg = Task(0, "", EntryRange("", 0, 0))
         assert decode(encode(msg)) == msg
         done = RunDone("r", 0.0, PartialResult(), ())
         assert decode(encode(done)) == done
@@ -144,6 +138,15 @@ class TestFramingRules:
         raw = bytearray(encode(Shutdown()))
         raw[4] = 0xEE
         with pytest.raises(ProtoError, match="unknown message kind"):
+            decode(bytes(raw))
+
+    def test_task_multi_pass_byte_is_0_or_1(self):
+        raw = bytearray(encode(Task(0, "g", EntryRange("f.col", 0, 10), multi_pass=True)))
+        # header, task_id, graph_id "g", file "f.col", begin, end, then the flag
+        flag = 8 + 4 + (4 + 1) + (4 + 5) + 8 + 8
+        assert raw[flag] == 1
+        raw[flag] = 2
+        with pytest.raises(ProtoError, match="multi_pass"):
             decode(bytes(raw))
 
     def test_garbage_payload_rejected(self):
@@ -224,7 +227,7 @@ class TestLimits:
         """attempt and passes were u8, slots and the Submit counts u16."""
         record = JobRecord(0, "w0", 10, 1.0, 0.5, 100, 80, attempt=value, passes=value)
         for msg in (
-            Task(0, "g", EntryRange("f.col", 0, 10), SINGLE_PASS, attempt=value),
+            Task(0, "g", EntryRange("f.col", 0, 10), attempt=value),
             Register("w0", value),
             Submit("r", "{}", value, value, ()),
             RunDone("r", 1.0, sample_partial(1), (record,)),
@@ -233,7 +236,7 @@ class TestLimits:
 
     def test_count_field_past_u32_names_the_message(self):
         with pytest.raises(ProtoError, match="cannot encode Task"):
-            encode(Task(0, "g", EntryRange("f.col", 0, 10), SINGLE_PASS, attempt=2**32))
+            encode(Task(0, "g", EntryRange("f.col", 0, 10), attempt=2**32))
 
     def test_oversized_header_rejected_before_body(self):
         a, b = socket.socketpair()
@@ -278,7 +281,7 @@ def random_message(draw):
             draw(st.integers(0, 2**32 - 1)),
             draw(names),
             EntryRange(draw(names), draw(st.integers(0, 2**40)), draw(st.integers(0, 2**40))),
-            Mode(draw(st.integers(1, 4)), draw(names)),
+            draw(st.booleans()),
             draw(st.integers(1, 2**32 - 1)),
             draw(names),
             draw(st.integers(0, 2**40)),
