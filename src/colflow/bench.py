@@ -11,8 +11,8 @@ Each scenario repeats a configurable number of times; every repeat's
 byte accounting is checked for exact closure against the data server's
 own served-byte counter, and the postselection results of the two
 workflows are checked for per-universe agreement before the comparison
-table is rendered. metrics.csv and mem.csv are rewritten after every
-repeat, so an aborted benchmark still leaves the completed rows behind.
+table is rendered. metrics.csv is rewritten after every repeat, so an
+aborted benchmark still leaves the completed rows behind.
 """
 
 from __future__ import annotations
@@ -28,19 +28,14 @@ from .datagen import GenConfig, generate, load_manifest, manifest_files
 from .engine import PartialResult
 from .facility import MiniFacility
 from .hist import AccumKind, Histo1D, ScalarAccumulator
-from .legacy import (
-    LegacyRunReport,
-    run_legacy_postselection,
-    run_legacy_preselection,
-)
+from .legacy import run_legacy_postselection, run_legacy_preselection
 from .metrics import (
     JobRecord,
     RunMetrics,
     aggregate,
     metrics_row,
-    write_jobs_csv,
-    write_mem_csv,
     write_metrics_csv,
+    write_records_csv,
 )
 from .report import BenchReport, render_report, summarize
 
@@ -255,7 +250,6 @@ class BenchResult:
     table: str
     out_dir: str
     metrics_path: str
-    mem_path: str
     runs: list[ScenarioRun]
 
 
@@ -275,9 +269,7 @@ class _Harness:
         self.data_dir = os.path.abspath(config.data_dir or os.path.join(self.out_dir, "data"))
         self.records_dir = os.path.join(self.out_dir, "records")
         self.metrics_path = os.path.join(self.out_dir, "metrics.csv")
-        self.mem_path = os.path.join(self.out_dir, "mem.csv")
         self.rows: list[dict] = []
-        self.mem_rows: list[dict] = []
         self.runs: list[ScenarioRun] = []
         self.facility: MiniFacility | None = None
 
@@ -289,49 +281,27 @@ class _Harness:
             )
         self.runs.append(run)
         self.rows.append(metrics_row(run.run_id, run.mode, run.phase, run.metrics))
-        self.mem_rows.append(
-            {
-                "run_id": run.run_id,
-                "mode": run.mode,
-                "phase": run.phase,
-                "mem_peak_bytes": run.metrics.mem_peak,
-            }
-        )
         # rewrite after every repeat: an aborted run keeps completed rows
         write_metrics_csv(self.metrics_path, self.rows)
-        write_mem_csv(self.mem_path, self.mem_rows)
-        write_jobs_csv(
+        write_records_csv(
             os.path.join(self.records_dir, f"{run.run_id}.csv"), list(run.records)
         )
 
     def repeat(self, mode: str, phase: str, k: int, fn) -> ScenarioRun:
         before, _ = server_totals(self.facility.data_address)
-        run_id = f"{mode}-{phase}-r{k}"
-        metrics, records, partial = fn(run_id)
+        result: RunResult = fn()
         after, _ = server_totals(self.facility.data_address)
         run = ScenarioRun(
-            run_id=run_id,
+            run_id=f"{mode}-{phase}-r{k}",
             mode=mode,
             phase=phase,
-            metrics=metrics,
-            records=records,
-            partial=partial,
+            metrics=aggregate(list(result.records), result.total_time, result.network_read),
+            records=result.records,
+            partial=result.partial,
             served_delta=after - before,
         )
         self.record(run)
         return run
-
-
-def _legacy_metrics(report: LegacyRunReport) -> RunMetrics:
-    m = aggregate(list(report.records), report.total_time)
-    m.network_read = report.network_read  # includes payloads and client-side sizing
-    return m
-
-
-def _new_metrics(result: RunResult) -> RunMetrics:
-    m = aggregate(list(result.records), result.wall_time)
-    m.network_read = result.network_read  # includes scheduler planning reads
-    return m
 
 
 def run_bench(config: BenchConfig) -> BenchResult:
@@ -358,8 +328,8 @@ def run_bench(config: BenchConfig) -> BenchResult:
         # scenario 1: legacy preselection
         legacy_skims: list[str] = []
 
-        def legacy_pre(run_id: str):
-            skims, report = run_legacy_preselection(
+        def legacy_pre() -> RunResult:
+            skims, result = run_legacy_preselection(
                 legacy_pre_doc,
                 files,
                 scheduler_address=facility.scheduler_address,
@@ -369,7 +339,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                 timeout=config.timeout,
             )
             legacy_skims[:] = skims
-            return _legacy_metrics(report), report.records, report.partial
+            return result
 
         for k in range(config.repeats):
             legacy_pre_run = h.repeat("legacy", "pre", k, legacy_pre)
@@ -377,7 +347,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
         # scenario 2: new preselection
         new_skims: list[str] = []
 
-        def new_pre(run_id: str):
+        def new_pre() -> RunResult:
             result = run_distributed(
                 new_pre_doc,
                 facility.scheduler_address,
@@ -385,7 +355,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                 timeout=config.timeout,
             )
             new_skims[:] = list(result.partial.snapshots)
-            return _new_metrics(result), result.records, result.partial
+            return result
 
         for k in range(config.repeats):
             new_pre_run = h.repeat("new", "pre", k, new_pre)
@@ -403,29 +373,27 @@ def run_bench(config: BenchConfig) -> BenchResult:
         jobs_dir = os.path.join(h.out_dir, "legacy_jobs")
 
         # scenario 3: legacy postselection over the legacy skim
-        def legacy_post(run_id: str):
-            _, report = run_legacy_postselection(
+        def legacy_post() -> RunResult:
+            return run_legacy_postselection(
                 legacy_post_doc,
                 legacy_skim_uris,
                 scheduler_address=facility.scheduler_address,
                 out_dir=jobs_dir,
                 parallel_jobs=config.parallel_jobs,
                 timeout=config.timeout,
-            )
-            return _legacy_metrics(report), report.records, report.partial
+            )[1]
 
         for k in range(config.repeats):
             legacy_post_run = h.repeat("legacy", "post", k, legacy_post)
 
         # scenario 4: new postselection over the new skim
-        def new_post(run_id: str):
-            result = run_distributed(
+        def new_post() -> RunResult:
+            return run_distributed(
                 new_post_doc,
                 facility.scheduler_address,
                 factor=config.factor,
                 timeout=config.timeout,
             )
-            return _new_metrics(result), result.records, result.partial
 
         for k in range(config.repeats):
             new_post_run = h.repeat("new", "post", k, new_post)
@@ -433,7 +401,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
         check_equivalence(legacy_post_run.partial, new_post_run.partial)
 
     report = summarize(h.rows)
-    table = render_report(report, h.mem_rows)
+    table = render_report(report)
     with open(os.path.join(h.out_dir, "table.txt"), "w") as f:
         f.write(table)
     return BenchResult(
@@ -441,6 +409,5 @@ def run_bench(config: BenchConfig) -> BenchResult:
         table=table,
         out_dir=h.out_dir,
         metrics_path=h.metrics_path,
-        mem_path=h.mem_path,
         runs=h.runs,
     )

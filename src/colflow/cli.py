@@ -9,6 +9,10 @@
     colflow bench       four-scenario comparison on a local facility
     colflow report      comparison table from metrics.csv files
 
+`run` writes tasks.csv and `legacy` appends to jobs.csv, both one row per
+task in the same columns; metrics.csv rows carry every run-level figure,
+the memory proxy included.
+
 Exit codes: 0 success, 2 validation error (bad flags, bad documents,
 bad inputs), 1 runtime failure (lost cluster, failed run).
 
@@ -19,8 +23,8 @@ their bound address, so wrappers can parse it.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
+import math
 import os
 import sys
 import threading
@@ -46,11 +50,11 @@ from .legacy import (
 from .metrics import (
     MetricsError,
     aggregate,
-    append_jobs_csv,
+    append_records_csv,
     metrics_row,
     read_metrics_csv,
     write_metrics_csv,
-    write_tasks_csv,
+    write_records_csv,
 )
 from .report import ReportError, render
 from .wire import ProtoError
@@ -90,6 +94,22 @@ def _address(text: str) -> str:
     """HOST:PORT to connect to."""
     _listen(text, lowest_port=1)
     return text
+
+
+def _number(kind: type, lowest: float, strict: bool = False):
+    """A finite number of `kind` that is at least `lowest` (above it when strict)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and (value > lowest if strict else value >= lowest)):
+            bound = f"{'>' if strict else '>='} {lowest}"
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} {bound}, got {text!r}")
+        return value
+
+    return parse
 
 
 def _read_document(path: str) -> str | None:
@@ -197,12 +217,10 @@ def cmd_run(args) -> int:
         _err(str(e))
         return EXIT_RUNTIME
     os.makedirs(args.out, exist_ok=True)
-    tasks_path = os.path.join(args.out, "tasks.csv")
-    write_tasks_csv(tasks_path, list(result.records))
+    write_records_csv(os.path.join(args.out, "tasks.csv"), list(result.records))
     write_result_file(os.path.join(args.out, "result.res"), spec_graph_id(spec), result.partial)
     if result.records:
-        m = aggregate(list(result.records), result.wall_time)
-        m.network_read = result.network_read
+        m = aggregate(list(result.records), result.wall_time, result.network_read)
         write_metrics_csv(
             os.path.join(args.out, "metrics.csv"),
             [metrics_row(result.run_id, "new", "run", m)],
@@ -258,7 +276,7 @@ def cmd_legacy(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     try:
         if pre:
-            skims, report = run_legacy_preselection(
+            skims, result = run_legacy_preselection(
                 document,
                 files,
                 scheduler_address=args.scheduler,
@@ -268,7 +286,7 @@ def cmd_legacy(args) -> int:
                 timeout=args.timeout,
             )
         else:
-            _, report = run_legacy_postselection(
+            _, result = run_legacy_postselection(
                 document,
                 files,
                 scheduler_address=args.scheduler,
@@ -280,21 +298,21 @@ def cmd_legacy(args) -> int:
         _err(str(e))
         return EXIT_RUNTIME
 
-    append_jobs_csv(os.path.join(args.out, "jobs.csv"), list(report.records))
+    append_records_csv(os.path.join(args.out, "jobs.csv"), list(result.records))
     write_result_file(
         os.path.join(args.out, f"{args.phase}_result.res"),
         spec_graph_id(spec),
-        report.partial,
+        result.partial,
     )
     if pre:
         with open(os.path.join(args.out, "skims.json"), "w") as f:
             json.dump(skims, f, indent=2)
         print(f"skims: {len(skims)} files listed in {args.out}/skims.json")
     print(
-        f"legacy {args.phase}: {report.total_events} events over "
-        f"{len(report.records)} jobs in {report.total_time:.2f}s"
+        f"legacy {args.phase}: {result.total_events} events over "
+        f"{len(result.records)} jobs in {result.total_time:.2f}s"
     )
-    print(f"network read: {report.network_read} bytes")
+    print(f"network read: {result.network_read} bytes")
     return EXIT_OK
 
 
@@ -331,14 +349,10 @@ def cmd_bench(args) -> int:
 
 def cmd_report(args) -> int:
     rows: list[dict] = []
-    mem_rows: list[dict] = []
     try:
         for path in args.metrics:
             rows.extend(read_metrics_csv(path))
-        if args.mem:
-            with open(args.mem, newline="") as f:
-                mem_rows = list(csv.DictReader(f))
-        text = render(rows, mem_rows)
+        text = render(rows)
     except (MetricsError, ReportError, OSError) as e:
         _err(str(e))
         return EXIT_USAGE
@@ -371,12 +385,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("scheduler", help="start the run coordinator")
     c.add_argument("--listen", type=_listen, default=("127.0.0.1", 0))
-    c.add_argument("--startup-timeout", type=float, default=10.0)
+    c.add_argument("--startup-timeout", type=_number(float, 0, strict=True), default=10.0)
     c.set_defaults(func=cmd_scheduler)
 
     w = sub.add_parser("worker", help="start a task executor")
     w.add_argument("--scheduler", type=_address, required=True)
-    w.add_argument("--slots", type=int, default=1)
+    w.add_argument("--slots", type=_number(int, 1), default=1)
     w.add_argument(
         "--data",
         type=_address,
@@ -389,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("run", help="distributed single-loop pipeline execution")
     r.add_argument("--spec", required=True, help="pipeline document (JSON)")
     r.add_argument("--scheduler", type=_address, required=True)
-    r.add_argument("--partition-factor", type=int, default=3)
-    r.add_argument("--max-retries", type=int, default=2)
-    r.add_argument("--timeout", type=float, default=600.0)
+    r.add_argument("--partition-factor", type=_number(int, 1), default=3)
+    r.add_argument("--max-retries", type=_number(int, 0), default=2)
+    r.add_argument("--timeout", type=_number(float, 0, strict=True), default=600.0)
     r.add_argument("--out", required=True)
     r.set_defaults(func=cmd_run)
 
@@ -404,10 +418,10 @@ def build_parser() -> argparse.ArgumentParser:
         )
         lp.add_argument("--spec", required=True, help="pipeline document (JSON)")
         lp.add_argument("--scheduler", type=_address, required=True)
-        lp.add_argument("--payload-bytes", type=int, default=0)
+        lp.add_argument("--payload-bytes", type=_number(int, 0), default=0)
         lp.add_argument("--out", required=True)
-        lp.add_argument("--parallel-jobs", type=int, default=4)
-        lp.add_argument("--timeout", type=float, default=600.0)
+        lp.add_argument("--parallel-jobs", type=_number(int, 1), default=4)
+        lp.add_argument("--timeout", type=_number(float, 0, strict=True), default=600.0)
         if phase == "pre":
             lp.add_argument("--payload-uri", default="")
         else:
@@ -427,12 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--factor", type=int, default=3)
     b.add_argument("--payload-bytes", type=int, default=1_000_000)
     b.add_argument("--parallel-jobs", type=int, default=4)
-    b.add_argument("--timeout", type=float, default=600.0)
+    b.add_argument("--timeout", type=_number(float, 0, strict=True), default=600.0)
     b.set_defaults(func=cmd_bench)
 
     t = sub.add_parser("report", help="render a comparison table from metrics files")
     t.add_argument("metrics", nargs="+", help="metrics.csv files")
-    t.add_argument("--mem", default="", help="mem.csv file")
     t.set_defaults(func=cmd_report)
 
     return p

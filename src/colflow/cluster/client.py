@@ -26,11 +26,22 @@ class ClusterError(Exception):
 
 @dataclass
 class RunResult:
+    """The outcome of one run of either workflow.
+
+    ``wall_time`` is task execution end to end: the scheduler's clock for a
+    distributed run, the job waves (queue waits included) for the baseline.
+    ``planning_bytes`` are the metadata reads done outside any task: the
+    scheduler's planning, or the baseline client's sizing of its inputs.
+    ``merge_duration`` is the baseline's local merge of its result files;
+    a distributed run has no such step.
+    """
+
     run_id: str
     partial: PartialResult
     records: tuple[JobRecord, ...]
     wall_time: float
-    scheduler_bytes: int
+    planning_bytes: int
+    merge_duration: float = 0.0
 
     @property
     def total_events(self) -> int:
@@ -38,8 +49,12 @@ class RunResult:
 
     @property
     def network_read(self) -> int:
-        """Every byte read client-side: tasks plus scheduler planning."""
-        return sum(r.bytes_read for r in self.records) + self.scheduler_bytes
+        """Every byte this run pulled: task reads plus planning reads."""
+        return sum(r.bytes_read for r in self.records) + self.planning_bytes
+
+    @property
+    def total_time(self) -> float:
+        return self.wall_time + self.merge_duration
 
 
 def _connect(scheduler_address: str) -> socket.socket:
@@ -74,7 +89,7 @@ def submit_run(
                 raise ClusterError(f"scheduler closed the connection during run {run_id}")
             if isinstance(msg, RunDone) and msg.run_id == run_id:
                 return RunResult(
-                    run_id, msg.partial, msg.records, msg.wall_time, msg.scheduler_bytes
+                    run_id, msg.partial, msg.records, msg.wall_time, msg.planning_bytes
                 )
             if isinstance(msg, RunFail) and msg.run_id == run_id:
                 raise ClusterError(msg.error)

@@ -230,7 +230,7 @@ class Scheduler:
 
     def _on_message(self, conn_id: int, msg: Message) -> None:
         if isinstance(msg, Register):
-            self._workers[conn_id] = _Worker(conn_id, self._conns[conn_id], msg.name, max(1, msg.slots))
+            self._workers[conn_id] = _Worker(conn_id, self._conns[conn_id], msg.name, msg.slots)
         elif isinstance(msg, Heartbeat):
             worker = self._workers.get(conn_id)
             if worker is not None:
@@ -264,6 +264,9 @@ class Scheduler:
         if self._run is not None:
             self._send(conn_id, RunFail(msg.run_id, "another run is active"))
             return
+        if msg.factor < 1:
+            self._send(conn_id, RunFail(msg.run_id, f"partition factor must be >= 1, got {msg.factor}"))
+            return
         try:
             spec = load_spec(msg.document)
         except PipelineError as e:
@@ -277,7 +280,7 @@ class Scheduler:
             document=msg.document,
             graph_id=graph_id,
             max_retries=msg.max_retries,
-            factor=max(1, msg.factor),
+            factor=msg.factor,
             tasks=None,
             multi_passes=1 + len(spec.topology_tags()),
             t0=now,

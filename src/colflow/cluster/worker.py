@@ -86,11 +86,13 @@ class Worker:
         name: str | None = None,
         data_base: str = "",
     ):
+        if slots < 1:
+            raise ValueError(f"a worker needs at least 1 slot, got {slots}")
         host, _, port = scheduler_address.rpartition(":")
         self._sock = socket.create_connection((host, int(port)), timeout=None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.name = name or f"worker-{os.getpid()}"
-        self.slots = max(1, slots)
+        self.slots = slots
         self._data_base = data_base.strip()
         self._send_lock = threading.Lock()
         self._specs: dict[str, str] = {}  # graph_id -> document

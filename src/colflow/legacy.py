@@ -25,12 +25,11 @@ import time
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .cluster.client import ClusterError, submit_run
+from .cluster.client import ClusterError, RunResult, submit_run
 from .cluster.worker import read_result_file
 from .colstore import open_dataset
 from .engine import EntryRange, PartialResult
 from .graph import SnapshotStage, VaryStage, load_spec
-from .metrics import JobRecord
 from .proto import Task
 
 
@@ -55,30 +54,6 @@ class LegacyJobSpec:
     def __post_init__(self):
         if self.payload_bytes < 0:
             raise LegacyError("payload_bytes must be >= 0")
-
-
-@dataclass
-class LegacyRunReport:
-    """One record per job, plus the merged outcome of the whole run."""
-
-    records: tuple[JobRecord, ...]
-    merge_duration: float
-    partial: PartialResult
-    wall_time: float  # job execution end to end, queue waits included
-    client_bytes: int  # orchestrator metadata reads (sizing each input)
-
-    @property
-    def total_events(self) -> int:
-        return self.partial.events
-
-    @property
-    def network_read(self) -> int:
-        """Every byte this run pulled: job reads plus orchestrator reads."""
-        return sum(r.bytes_read for r in self.records) + self.client_bytes
-
-    @property
-    def total_time(self) -> float:
-        return self.wall_time + self.merge_duration
 
 
 def plan_legacy_jobs(
@@ -125,28 +100,31 @@ def _run_jobs(
     parallel_jobs: int,
     timeout: float,
     phase: Phase,
-) -> tuple[tuple[JobRecord, ...], PartialResult, float]:
+    planning_bytes: int,
+) -> RunResult:
+    """Submit the jobs in waves and fold the waves into one run outcome."""
     if parallel_jobs < 1:
         raise LegacyError("parallel_jobs must be >= 1")
-    records: list[JobRecord] = []
-    merged: PartialResult | None = None
+    result: RunResult | None = None
     t0 = time.perf_counter()
     for start in range(0, len(tasks), parallel_jobs):
         wave = tuple(tasks[start : start + parallel_jobs])
         try:
-            result = submit_run(
+            done = submit_run(
                 scheduler_address, document, max_retries=0, tasks=wave, timeout=timeout
             )
         except ClusterError as e:
             raise LegacyError(f"{phase.value} job failed: {e}") from e
-        records.extend(replace(r, phase=phase.value) for r in result.records)
-        if merged is None:
-            merged = result.partial
+        if result is None:
+            result = done
         else:
-            merged.merge_in(result.partial)
-    wall = time.perf_counter() - t0
-    assert merged is not None
-    return tuple(records), merged, wall
+            result.records += done.records
+            result.partial.merge_in(done.partial)
+    assert result is not None
+    result.wall_time = time.perf_counter() - t0
+    result.records = tuple(replace(r, phase=phase.value) for r in result.records)
+    result.planning_bytes = planning_bytes
+    return result
 
 
 def run_legacy_preselection(
@@ -158,10 +136,10 @@ def run_legacy_preselection(
     payload_uri: str = "",
     parallel_jobs: int = 4,
     timeout: float = 600.0,
-) -> tuple[list[str], LegacyRunReport]:
+) -> tuple[list[str], RunResult]:
     """Skim every file through its own single-loop job.
 
-    Returns the skim files (one per job, in job order) and the run report.
+    Returns the skim files (one per job, in job order) and the run outcome.
     """
     jobs = plan_legacy_jobs(document, files, Phase.PRESELECTION, payload_bytes)
     if payload_bytes > 0 and not payload_uri:
@@ -177,15 +155,13 @@ def run_legacy_preselection(
         )
         for j, n in zip(jobs, totals)
     ]
-    records, merged, wall = _run_jobs(
-        document, tasks, scheduler_address, parallel_jobs, timeout, Phase.PRESELECTION
+    result = _run_jobs(
+        document, tasks, scheduler_address, parallel_jobs, timeout, Phase.PRESELECTION, meta
     )
-    if len(merged.snapshots) != len(files):
-        raise LegacyError(
-            f"expected one skim per job, got {len(merged.snapshots)} for {len(files)} jobs"
-        )
-    report = LegacyRunReport(records, 0.0, merged, wall, meta)
-    return list(merged.snapshots), report
+    skims = list(result.partial.snapshots)
+    if len(skims) != len(files):
+        raise LegacyError(f"expected one skim per job, got {len(skims)} for {len(files)} jobs")
+    return skims, result
 
 
 def run_legacy_postselection(
@@ -196,10 +172,10 @@ def run_legacy_postselection(
     out_dir: str,
     parallel_jobs: int = 4,
     timeout: float = 600.0,
-) -> tuple[list[str], LegacyRunReport]:
+) -> tuple[list[str], RunResult]:
     """Multi-pass histogramming jobs over the skims, then a local merge.
 
-    Returns the per-job result files (in job order) and the run report,
+    Returns the per-job result files (in job order) and the run outcome,
     whose merged results come from those files, not from the wire.
     """
     jobs = plan_legacy_jobs(document, skim_files, Phase.POSTSELECTION)
@@ -210,12 +186,11 @@ def run_legacy_postselection(
         Task(j.job_id, "", EntryRange(j.file, 0, n), multi_pass=True, result_file=rf)
         for j, n, rf in zip(jobs, totals, result_files)
     ]
-    records, _, wall = _run_jobs(
-        document, tasks, scheduler_address, parallel_jobs, timeout, Phase.POSTSELECTION
+    result = _run_jobs(
+        document, tasks, scheduler_address, parallel_jobs, timeout, Phase.POSTSELECTION, meta
     )
-    merged, duration = merge_outputs(result_files)
-    report = LegacyRunReport(records, duration, merged, wall, meta)
-    return result_files, report
+    result.partial, result.merge_duration = merge_outputs(result_files)
+    return result_files, result
 
 
 def merge_outputs(result_files: list[str]) -> tuple[PartialResult, float]:

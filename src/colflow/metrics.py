@@ -7,9 +7,6 @@ Two rates, deliberately distinct:
 
 and the overall rate = total events / wall clock of the full run. Loop rate
 is never below job rate since t_loop <= t per record.
-
-Memory is reported as a proxy (peak engine column-buffer bytes per task),
-kept in a separate file because it is not comparable to process RSS.
 """
 
 from __future__ import annotations
@@ -74,14 +71,15 @@ class RunMetrics:
     mem_peak: int = 0
 
 
-def aggregate(records: list[JobRecord], wall_time: float) -> RunMetrics:
+def aggregate(records: list[JobRecord], wall_time: float, network_read: int) -> RunMetrics:
+    """Run-level figures; network_read is the run's own total, planning included."""
     total_events = sum(r.events for r in records)
     return RunMetrics(
         overall_time=wall_time,
         overall_rate=overall_rate(total_events, wall_time),
         job_rate=job_rate(records),
         job_loop_rate=job_rate(records, use_loop_time=True),
-        network_read=sum(r.bytes_read for r in records),
+        network_read=network_read,
         total_events=total_events,
         n_jobs=len(records),
         mem_peak=max((r.mem_peak for r in records), default=0),
@@ -90,8 +88,9 @@ def aggregate(records: list[JobRecord], wall_time: float) -> RunMetrics:
 
 # --- CSV outputs ------------------------------------------------------------
 
-TASKS_COLUMNS = ["task_id", "worker", "events", "t_total_s", "t_loop_s", "bytes_read", "attempt"]
-JOBS_COLUMNS = TASKS_COLUMNS + ["phase", "passes"]
+RECORD_COLUMNS = [
+    "task_id", "worker", "events", "t_total_s", "t_loop_s", "bytes_read", "attempt", "phase", "passes"
+]
 METRICS_COLUMNS = [
     "run_id",
     "mode",
@@ -103,8 +102,8 @@ METRICS_COLUMNS = [
     "network_read_bytes",
     "total_events",
     "n_jobs",
+    "mem_peak_bytes",  # a proxy: peak engine column-buffer bytes of one task, not RSS
 ]
-MEM_COLUMNS = ["run_id", "mode", "phase", "mem_peak_bytes"]
 
 
 def _record_row(r: JobRecord) -> dict:
@@ -121,19 +120,15 @@ def _record_row(r: JobRecord) -> dict:
     }
 
 
-def write_tasks_csv(path: str, records: list[JobRecord]) -> None:
-    _write(path, TASKS_COLUMNS, [_record_row(r) for r in records])
+def write_records_csv(path: str, records: list[JobRecord]) -> None:
+    _write(path, RECORD_COLUMNS, [_record_row(r) for r in records])
 
 
-def write_jobs_csv(path: str, records: list[JobRecord]) -> None:
-    _write(path, JOBS_COLUMNS, [_record_row(r) for r in records])
-
-
-def append_jobs_csv(path: str, records: list[JobRecord]) -> None:
-    """Append job rows, writing the header only when the file is new."""
+def append_records_csv(path: str, records: list[JobRecord]) -> None:
+    """Append record rows, writing the header only when the file is new."""
     new = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=JOBS_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(f, fieldnames=RECORD_COLUMNS, extrasaction="ignore")
         if new:
             writer.writeheader()
         writer.writerows(_record_row(r) for r in records)
@@ -151,15 +146,12 @@ def metrics_row(run_id: str, mode: str, phase: str, m: RunMetrics) -> dict:
         "network_read_bytes": m.network_read,
         "total_events": m.total_events,
         "n_jobs": m.n_jobs,
+        "mem_peak_bytes": m.mem_peak,
     }
 
 
 def write_metrics_csv(path: str, rows: list[dict]) -> None:
     _write(path, METRICS_COLUMNS, rows)
-
-
-def write_mem_csv(path: str, rows: list[dict]) -> None:
-    _write(path, MEM_COLUMNS, rows)
 
 
 def read_metrics_csv(path: str) -> list[dict]:
@@ -175,7 +167,7 @@ def read_metrics_csv(path: str) -> list[dict]:
             try:
                 for key in ("overall_time_s", "overall_rate_hz", "job_rate_hz", "job_loop_rate_hz"):
                     parsed[key] = float(row[key])
-                for key in ("network_read_bytes", "total_events", "n_jobs"):
+                for key in ("network_read_bytes", "total_events", "n_jobs", "mem_peak_bytes"):
                     parsed[key] = int(row[key])
             except ValueError as e:
                 raise MetricsError(f"{path}: bad numeric field: {e}") from None

@@ -107,7 +107,7 @@ class RunDone:
     wall_time: float
     partial: PartialResult
     records: tuple[JobRecord, ...] = ()
-    scheduler_bytes: int = 0  # metadata reads done while planning
+    planning_bytes: int = 0  # metadata reads done while planning
 
 
 @dataclass(frozen=True)
@@ -277,7 +277,7 @@ def _encode_payload(msg: Message) -> bytes:
         head += struct.pack("<III", msg.max_retries, msg.factor, len(msg.tasks))
         return head + b"".join(map(_pack_task, msg.tasks))
     if isinstance(msg, RunDone):
-        head = pack_str(msg.run_id) + struct.pack("<dQ", msg.wall_time, msg.scheduler_bytes)
+        head = pack_str(msg.run_id) + struct.pack("<dQ", msg.wall_time, msg.planning_bytes)
         head += pack_partial(msg.partial) + struct.pack("<I", len(msg.records))
         return head + b"".join(map(_pack_record, msg.records))
     if isinstance(msg, RunFail):
@@ -298,7 +298,10 @@ def _decode_payload(kind: int, payload: bytes) -> Message:
     r = Reader(payload)
     try:
         if kind == MSG_REGISTER:
-            return Register(r.string(), r.u32())
+            name, slots = r.string(), r.u32()
+            if slots < 1:
+                raise ProtoError(f"worker {name!r} registered with {slots} slots")
+            return Register(name, slots)
         if kind == MSG_GRAPH:
             return Graph(r.string(), r.string())
         if kind == MSG_TASK:
@@ -319,10 +322,10 @@ def _decode_payload(kind: int, payload: bytes) -> Message:
             return Submit(run_id, document, max_retries, factor, tasks)
         if kind == MSG_RUN_DONE:
             run_id = r.string()
-            wall_time, scheduler_bytes = r.unpack("<dQ")
+            wall_time, planning_bytes = r.unpack("<dQ")
             partial = unpack_partial(r)
             records = tuple(_unpack_record(r) for _ in range(r.u32()))
-            return RunDone(run_id, wall_time, partial, records, scheduler_bytes)
+            return RunDone(run_id, wall_time, partial, records, planning_bytes)
         if kind == MSG_RUN_FAIL:
             return RunFail(r.string(), r.string())
     except (ValueError, MetricsError) as e:  # field values a constructor rejects

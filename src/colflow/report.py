@@ -52,6 +52,7 @@ class ScenarioSummary:
     job_rate: Estimate
     job_loop_rate: Estimate
     network_read: Estimate
+    mem_peak: Estimate
     total_events: int
     n_jobs: int
 
@@ -105,6 +106,7 @@ def summarize(rows: list[dict]) -> BenchReport:
                 job_rate=Estimate.of([float(r["job_rate_hz"]) for r in rs]),
                 job_loop_rate=Estimate.of([float(r["job_loop_rate_hz"]) for r in rs]),
                 network_read=Estimate.of([float(r["network_read_bytes"]) for r in rs]),
+                mem_peak=Estimate.of([float(r["mem_peak_bytes"]) for r in rs]),
                 total_events=int(rs[0]["total_events"]),
                 n_jobs=int(rs[0]["n_jobs"]),
             )
@@ -186,12 +188,12 @@ _METRIC_ROWS = [
 ]
 
 
-def render(rows: list[dict], mem_rows: list[dict] = ()) -> str:
+def render(rows: list[dict]) -> str:
     """Format metrics rows as a fixed-width comparison table."""
-    return render_report(summarize(rows), mem_rows)
+    return render_report(summarize(rows))
 
 
-def render_report(report: BenchReport, mem_rows: list[dict] = ()) -> str:
+def render_report(report: BenchReport) -> str:
     keys = sorted(report.scenarios, key=_scenario_sort_key)
     headers = [f"{mode}/{phase}" for mode, phase in keys]
 
@@ -228,25 +230,9 @@ def render_report(report: BenchReport, mem_rows: list[dict] = ()) -> str:
         )
         lines.append(f"Network read ratio (new / legacy): {parts}")
 
-    mem = _summarize_mem(mem_rows)
-    if mem:
-        lines.append("")
-        lines.append(
-            "Memory proxy (peak engine column-buffer bytes; "
-            "not comparable to process RSS):"
-        )
-        for (mode, phase), est in sorted(mem.items(), key=lambda kv: _scenario_sort_key(kv[0])):
-            lines.append(f"  {mode}/{phase}: {_fmt_bytes(est)}")
+    lines.append("")
+    lines.append("Memory proxy (peak engine column-buffer bytes; not comparable to process RSS):")
+    for header, key in zip(headers, keys):
+        lines.append(f"  {header}: {_fmt_bytes(report.scenarios[key].mem_peak)}")
 
     return "\n".join(lines) + "\n"
-
-
-def _summarize_mem(mem_rows: list[dict]) -> dict[tuple[str, str], Estimate]:
-    groups: dict[tuple[str, str], list[float]] = {}
-    for row in mem_rows:
-        try:
-            key = (str(row["mode"]), str(row["phase"]))
-            groups.setdefault(key, []).append(float(row["mem_peak_bytes"]))
-        except (KeyError, ValueError, TypeError) as e:
-            raise ReportError(f"bad memory row: {e}") from None
-    return {key: Estimate.of(vals) for key, vals in groups.items()}

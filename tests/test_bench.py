@@ -23,7 +23,7 @@ from colflow.bench import (
 from colflow.cluster.client import ClusterError
 from colflow.graph import SnapshotStage, VariationKind, VaryStage, load_spec
 from colflow.hist import AccumKind, Histo1D, ScalarAccumulator
-from colflow.metrics import RunMetrics
+from colflow.metrics import RunMetrics, read_metrics_csv
 
 
 class TestDefaultDocuments:
@@ -154,7 +154,9 @@ class TestBenchRun:
     def test_outputs_exist(self, bench_result):
         out = bench_result.out_dir
         assert os.path.exists(bench_result.metrics_path)
-        assert os.path.exists(bench_result.mem_path)
+        assert not os.path.exists(os.path.join(out, "mem.csv"))  # memory is a metrics column
+        rows = read_metrics_csv(bench_result.metrics_path)
+        assert len(rows) == 8 and all(r["mem_peak_bytes"] > 0 for r in rows)
         assert os.path.exists(os.path.join(out, "table.txt"))
         names = sorted(os.listdir(os.path.join(out, "records")))
         assert len(names) == 8  # 4 scenarios x 2 repeats
@@ -254,7 +256,5 @@ class TestScenarioFailure:
         )
         with pytest.raises(ClusterError, match="injected"):
             run_bench(config)
-        from colflow.metrics import read_metrics_csv
-
         rows = read_metrics_csv(os.path.join(out, "metrics.csv"))
         assert [(r["mode"], r["phase"]) for r in rows] == [("legacy", "pre")]

@@ -4,6 +4,9 @@ The replay (benchmark/replay.py) imports and patches engine names
 (`run_range`, `run_multi_pass`, `open_dataset`, ...) and calls the planner
 and the legacy job plan directly; this runs it in process over a small
 local dataset, so a renamed or re-shaped entry point fails here first.
+The harness and the numpy reference are imported too (neither does work
+at import), so a name they import from colflow that is renamed or removed
+fails here as well.
 """
 
 from __future__ import annotations
@@ -14,6 +17,8 @@ import sys
 
 sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "benchmark"))
 
+import harness  # noqa: E402, F401
+import reference  # noqa: E402, F401
 import replay  # noqa: E402
 
 from colflow.colstore import open_dataset  # noqa: E402

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from colflow.bench import check_equivalence, default_post_document, default_pre_document
-from colflow.cli import build_parser
+from colflow.cli import build_parser, main
 from colflow.cluster.client import submit_run
 from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
@@ -154,6 +154,49 @@ class TestValidationExits:
         assert (worker.scheduler, worker.data) == ("h:1", "d:65535")
         assert parser.parse_args(["worker", "--scheduler", "h:1"]).data is None
 
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("run", "--partition-factor", "0"),
+            ("run", "--partition-factor", "-5"),
+            ("run", "--max-retries", "-1"),
+            ("run", "--max-retries", "two"),
+            ("run", "--timeout", "-1"),
+            ("run", "--timeout", "nan"),
+            ("worker", "--slots", "0"),
+            ("legacy pre", "--parallel-jobs", "0"),
+            ("legacy pre", "--payload-bytes", "-1"),
+            ("legacy post", "--timeout", "0"),
+            ("scheduler", "--startup-timeout", "0"),
+            ("bench", "--timeout", "-1"),
+        ],
+    )
+    def test_out_of_range_number_is_usage_error(self, command, flag, value, capsys):
+        required = {
+            "run": ["--spec", "d.json", "--scheduler", "h:1", "--out", "o"],
+            "worker": ["--scheduler", "h:1"],
+            "legacy": ["--spec", "d.json", "--scheduler", "h:1", "--out", "o"],
+            "scheduler": [],
+            "bench": ["--out", "o"],
+        }
+        argv = command.split() + required[command.split()[0]] + [flag, value]
+        assert main(argv) == 2
+        assert f"argument {flag}: expected" in capsys.readouterr().err
+
+    def test_number_edges_accepted(self):
+        parser = build_parser()
+        run = parser.parse_args(
+            ["run", "--spec", "d", "--scheduler", "h:1", "--out", "o",
+             "--partition-factor", "1", "--max-retries", "0", "--timeout", "0.5"]
+        )
+        assert (run.partition_factor, run.max_retries, run.timeout) == (1, 0, 0.5)
+        assert parser.parse_args(["worker", "--scheduler", "h:1", "--slots", "1"]).slots == 1
+        legacy = parser.parse_args(
+            ["legacy", "pre", "--spec", "d", "--scheduler", "h:1", "--out", "o",
+             "--payload-bytes", "0", "--parallel-jobs", "1"]
+        )
+        assert (legacy.payload_bytes, legacy.parallel_jobs) == (0, 1)
+
     def test_serve_data_rejects_missing_root(self, tmp_path):
         r = colflow("serve-data", "--root", str(tmp_path / "nope"))
         assert r.returncode == 2
@@ -195,6 +238,7 @@ class TestGenAndReport:
                 network_read=1000,
                 total_events=1000,
                 n_jobs=4,
+                mem_peak=2000 if mode == "legacy" else 1000,
             )
             rows.append(metrics_row(f"{mode}-{phase}", mode, phase, m))
         write_metrics_csv(path, rows)
@@ -209,15 +253,15 @@ class TestGenAndReport:
         assert "legacy/post" in r.stdout
 
     def test_report_with_memory_file(self, tmp_path):
+        # the memory proxy is a metrics.csv column; --mem and mem.csv are gone
         path = str(tmp_path / "metrics.csv")
         self.make_metrics(path)
-        mem = tmp_path / "mem.csv"
-        mem.write_text(
-            "run_id,mode,phase,mem_peak_bytes\nx,new,post,1000\nx,legacy,post,2000\n"
-        )
-        r = colflow("report", path, "--mem", str(mem))
+        r = colflow("report", path)
         assert r.returncode == 0, r.stderr
         assert "not comparable" in r.stdout
+        assert "legacy/post: 2.00 +- 0.00 kB" in r.stdout
+        assert "new/post: 1.00 +- 0.00 kB" in r.stdout
+        assert colflow("report", path, "--mem", "x").returncode == 2
 
     def test_report_rejects_malformed_csv(self, tmp_path):
         bad = tmp_path / "m.csv"

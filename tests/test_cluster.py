@@ -151,7 +151,7 @@ class TestDistributedRuns:
         assert sum(r.events for r in result.records) == result.total_events == 750
         assert all(r.attempt == 1 for r in result.records)
         assert result.wall_time > 0.0
-        assert result.scheduler_bytes > 0  # planner read headers and footers
+        assert result.planning_bytes > 0  # planner read headers and footers
         for r in result.records:
             assert 0.0 <= r.t_loop <= r.t_total
             assert r.bytes_read > 0
@@ -168,7 +168,7 @@ class TestDistributedRuns:
                 wait_for_workers(sched, 1)
                 result = run_distributed(doc, sched.address, factor=3)
             assert result.network_read == server.total_bytes_served
-            assert result.scheduler_bytes > 0
+            assert result.planning_bytes > 0
 
     def test_explicit_task_list(self, dataset_files):
         # one task per file, as the baseline submits them
@@ -187,7 +187,7 @@ class TestDistributedRuns:
             result = submit_run(sched.address, doc, tasks=tasks)
         assert len(result.records) == 3
         assert result.total_events == sum(totals)
-        assert result.scheduler_bytes == 0  # no planning needed
+        assert result.planning_bytes == 0  # no planning needed
 
     def test_multi_pass_task_matches_single_pass(self, dataset_files):
         doc = make_doc(dataset_files, integer_weights=True)
@@ -233,6 +233,16 @@ class TestDistributedRuns:
         with Scheduler() as sched:
             with pytest.raises(ClusterError, match="bad pipeline document"):
                 submit_run(sched.address, "{broken", timeout=5.0)
+
+    def test_zero_partition_factor_rejected(self, dataset_files):
+        with Scheduler() as sched:
+            with pytest.raises(ClusterError, match="partition factor"):
+                submit_run(sched.address, make_doc(dataset_files), factor=0, timeout=5.0)
+
+    def test_zero_slot_worker_rejected_before_connecting(self):
+        # port 1 refuses connections: reaching it would raise OSError instead
+        with pytest.raises(ValueError, match="at least 1 slot"):
+            Worker("127.0.0.1:1", slots=0)
 
     def test_missing_file_fails_run(self, tmp_path):
         doc = json.dumps(

@@ -6,6 +6,7 @@ import threading
 import pytest
 
 from colflow.cluster import Scheduler, Worker
+from colflow.cluster.client import RunResult
 from colflow.colstore import VectorData, open_dataset, read_range, serve, write_dataset
 from colflow.engine import SINGLE_PASS, EntryRange, run_local, run_range
 from colflow.graph import build, load_spec, schema_types
@@ -21,6 +22,13 @@ from colflow.legacy import (
 from conftest import STANDARD_SCHEMA, standard_columns
 
 SKIM_COLUMNS = ["event_weight", "MET_pt", "nJet", "Jet_pt"]
+
+
+def check_outcome(result):
+    """Both workflows report through one RunResult with the same identities."""
+    assert isinstance(result, RunResult)
+    assert result.total_time == result.wall_time + result.merge_duration
+    assert result.network_read == sum(r.bytes_read for r in result.records) + result.planning_bytes
 
 
 def pre_doc(files, out_prefix):
@@ -143,9 +151,9 @@ class TestPreselection:
         assert [r.task_id for r in report.records] == [0, 1, 2]
         assert all(r.phase == "pre" for r in report.records)
         assert all(r.passes == 1 for r in report.records)
-        assert report.client_bytes > 0
+        assert report.planning_bytes > 0  # sizing each input read its footer
         assert report.merge_duration == 0.0
-        assert report.total_time == report.wall_time
+        check_outcome(report)
 
         # every skim row passed the filter, and totals line up
         kept = 0
@@ -281,6 +289,8 @@ class TestPostselection:
         assert report.total_events == new.events
         assert report.total_time > report.wall_time  # merge step took time
         assert report.merge_duration > 0.0
+        assert report.planning_bytes > 0
+        check_outcome(report)
 
     def test_failed_job_fails_run(self, cluster, files, tmp_path):
         # references a column the inputs lack: every job fails, no retries

@@ -14,9 +14,8 @@ from colflow.metrics import (
     metrics_row,
     overall_rate,
     read_metrics_csv,
-    write_jobs_csv,
     write_metrics_csv,
-    write_tasks_csv,
+    write_records_csv,
 )
 
 
@@ -86,19 +85,19 @@ class TestRates:
 class TestAggregate:
     def test_single_job(self):
         r = rec(1000, 4.0, t_loop=3.0, bytes_read=8192)
-        m = aggregate([r], wall_time=5.0)
+        m = aggregate([r], wall_time=5.0, network_read=8192 + 300)
         assert m.total_events == 1000
         assert m.overall_time == 5.0
         assert m.overall_rate == 200.0
         assert m.job_rate == 250.0
         assert m.job_loop_rate == pytest.approx(1000 / 3.0)
-        assert m.network_read == 8192
+        assert m.network_read == 8192 + 300  # the run's total, planning reads included
         assert m.n_jobs == 1
 
     def test_order_invariant(self):
         records = [rec(i * 10, 1.0 + i, bytes_read=i, task_id=i) for i in range(1, 6)]
-        a = aggregate(records, 10.0)
-        b = aggregate(list(reversed(records)), 10.0)
+        a = aggregate(records, 10.0, 15)
+        b = aggregate(list(reversed(records)), 10.0, 15)
         assert a == b
 
 
@@ -106,7 +105,8 @@ class TestCsv:
     def test_metrics_round_trip(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
         records = [rec(100, 2.0, t_loop=1.5, bytes_read=4096), rec(300, 3.0, bytes_read=512)]
-        m = aggregate(records, 7.25)
+        m = aggregate(records, 7.25, 4608)
+        m.mem_peak = 123_456
         rows = [metrics_row("run-1", "new", "pre", m)]
         write_metrics_csv(path, rows)
         back = read_metrics_csv(path)
@@ -122,10 +122,11 @@ class TestCsv:
         assert row["network_read_bytes"] == 4608
         assert row["total_events"] == 400
         assert row["n_jobs"] == 2
+        assert row["mem_peak_bytes"] == 123_456
 
     def test_float_fields_survive_exactly(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        m = aggregate([rec(7, math.pi, t_loop=math.e)], math.tau)
+        m = aggregate([rec(7, math.pi, t_loop=math.e)], math.tau, 0)
         write_metrics_csv(path, [metrics_row("r", "m", "p", m)])
         row = read_metrics_csv(path)[0]
         assert row["overall_time_s"] == math.tau
@@ -134,17 +135,14 @@ class TestCsv:
     def test_tasks_and_jobs_columns(self, tmp_path):
         records = [
             JobRecord(3, "w1", 100, 2.0, 1.5, 4096, 4000, 2, "post", 9, 777),
+            JobRecord(4, "w0", 50, 1.0, 0.5, 2048),
         ]
-        tasks_path = str(tmp_path / "tasks.csv")
-        jobs_path = str(tmp_path / "jobs.csv")
-        write_tasks_csv(tasks_path, records)
-        write_jobs_csv(jobs_path, records)
-        tasks_header = open(tasks_path).readline().strip()
-        jobs_header = open(jobs_path).readline().strip()
-        assert tasks_header == "task_id,worker,events,t_total_s,t_loop_s,bytes_read,attempt"
-        assert jobs_header == tasks_header + ",phase,passes"
-        body = open(jobs_path).readlines()[1]
-        assert body.strip().endswith("post,9")
+        path = str(tmp_path / "tasks.csv")
+        write_records_csv(path, records)
+        header, post, task = open(path).read().splitlines()
+        assert header == "task_id,worker,events,t_total_s,t_loop_s,bytes_read,attempt,phase,passes"
+        assert post.endswith("post,9")
+        assert task.endswith("task,1")  # a distributed task's defaults
 
     def test_malformed_csv_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -81,7 +81,7 @@ MESSAGES = [
             JobRecord(0, "w0", 500, 1.5, 1.2, 4096, 4000, 1, "task", 1, 512),
             JobRecord(1, "w1", 500, 1.25, 1.0, 4096, 4000, 2, "post", 9, 256),
         ),
-        scheduler_bytes=1234,
+        planning_bytes=1234,
     ),
     RunFail("run-2", "task 3 exhausted retries: boom"),
 ]
@@ -147,6 +147,12 @@ class TestFramingRules:
         assert raw[flag] == 1
         raw[flag] = 2
         with pytest.raises(ProtoError, match="multi_pass"):
+            decode(bytes(raw))
+
+    def test_register_with_zero_slots_rejected(self):
+        raw = bytearray(encode(Register("w", 1)))
+        raw[-4:] = struct.pack("<I", 0)
+        with pytest.raises(ProtoError, match="0 slots"):
             decode(bytes(raw))
 
     def test_garbage_payload_rejected(self):
@@ -269,7 +275,7 @@ def random_message(draw):
     )
     choice = draw(st.integers(0, 5))
     if choice == 0:
-        return Register(draw(names), draw(st.integers(0, 2**32 - 1)))
+        return Register(draw(names), draw(st.integers(1, 2**32 - 1)))
     if choice == 1:
         return Heartbeat(draw(names))
     if choice == 2:

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from colflow.metrics import (
     JobRecord,
     RunMetrics,
-    append_jobs_csv,
+    append_records_csv,
     metrics_row,
     read_metrics_csv,
     write_metrics_csv,
@@ -23,7 +23,9 @@ from colflow.report import (
 )
 
 
-def run_row(mode, phase, time_s, *, rate=1000.0, net=10_000, events=100, jobs=4, run_id="r"):
+def run_row(
+    mode, phase, time_s, *, rate=1000.0, net=10_000, events=100, jobs=4, run_id="r", mem=0
+):
     m = RunMetrics(
         overall_time=time_s,
         overall_rate=events / time_s,
@@ -32,6 +34,7 @@ def run_row(mode, phase, time_s, *, rate=1000.0, net=10_000, events=100, jobs=4,
         network_read=net,
         total_events=events,
         n_jobs=jobs,
+        mem_peak=mem,
     )
     return metrics_row(run_id, mode, phase, m)
 
@@ -176,13 +179,13 @@ class TestRender:
         assert "Speedup" not in text
 
     def test_memory_block_flagged_separately(self):
-        mem = [
-            {"run_id": "r", "mode": "new", "phase": "post", "mem_peak_bytes": 1_500_000},
-            {"run_id": "r", "mode": "new", "phase": "post", "mem_peak_bytes": 1_700_000},
+        rows = self.full_rows()[:-1] + [
+            run_row("new", "post", 5.0, mem=1_500_000),
+            run_row("new", "post", 5.0, mem=1_700_000),
         ]
-        text = render(self.full_rows(), mem)
+        text = render(rows)
         assert "not comparable" in text
-        assert "1.60 +- 0.10 MB" in text
+        assert "new/post: 1.60 +- 0.10 MB" in text
 
     def test_error_column_is_semi_dispersion(self):
         text = render(self.full_rows())
@@ -206,8 +209,8 @@ class TestAppendJobsCsv:
         path = str(tmp_path / "jobs.csv")
         first = [JobRecord(0, "w0", 10, 1.0, 0.5, 100, phase="pre", passes=1)]
         second = [JobRecord(1, "w0", 20, 2.0, 1.0, 200, phase="post", passes=3)]
-        append_jobs_csv(path, first)
-        append_jobs_csv(path, second)
+        append_records_csv(path, first)
+        append_records_csv(path, second)
         with open(path) as f:
             lines = f.read().strip().splitlines()
         assert len(lines) == 3
