@@ -28,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 from ..colstore import open_dataset
 from ..engine import PartialResult
-from ..graph import PipelineError, load_spec, spec_graph_id
+from ..graph import PipelineError, build, load_spec, spec_graph_id
 from ..metrics import JobRecord
 from ..proto import (
     Fail,
@@ -303,10 +303,14 @@ class Scheduler:
         handles = []
         try:
             for uri in spec.dataset:
-                with open_dataset(uri) as h:  # planning reads only h.uri and h.clusters
+                with open_dataset(uri) as h:  # planning reads only h.uri, h.schema and h.clusters
                     handles.append(h)
+            build(spec, handles[0].schema)  # an ill-typed document fails here, not on every worker
             nslots = max(1, sum(w.slots for w in self._workers.values()))
             planned = plan_partitions(handles, nslots, run.factor)
+        except PipelineError as e:
+            self._fail_run(f"bad pipeline document: {e}")
+            return
         except Exception as e:
             self._fail_run(f"planning failed: {e}")
             return

@@ -1,8 +1,7 @@
 """Binary columnar event files with cluster-granular, byte-accounted reads."""
 
+from ..exprlang import ValueType
 from .format import (
-    Dtype,
-    ColumnSchema,
     ClusterInfo,
     ChunkRef,
     FormatError,
@@ -24,13 +23,12 @@ __all__ = [
     "ChunkRef",
     "ClusterInfo",
     "ColumnBatch",
-    "ColumnSchema",
     "DataServer",
     "DatasetHandle",
-    "Dtype",
     "FormatError",
     "ReadAccount",
     "TransportError",
+    "ValueType",
     "VectorData",
     "open_dataset",
     "read_range",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import wire
+from ..exprlang import ValueType
 from . import server as srv
 from .format import (
     FOOTER_MAGIC,
@@ -27,8 +28,6 @@ from .format import (
     TAIL_SIZE,
     VERSION,
     ClusterInfo,
-    ColumnSchema,
-    Dtype,
     FormatError,
     decode_chunk,
     decode_footer,
@@ -119,10 +118,6 @@ class RemoteTransport:
         reply = self._request(srv.OP_METRICS, bytes([srv.METRICS_SESSION]))
         return struct.unpack("<QQ", reply)
 
-    def server_metrics(self) -> tuple[int, int]:
-        reply = self._request(srv.OP_METRICS, bytes([srv.METRICS_GLOBAL]))
-        return struct.unpack("<QQ", reply)
-
     def close(self) -> None:
         try:
             self._request(srv.OP_CLOSE, struct.pack("<Q", self._fid))
@@ -183,14 +178,11 @@ class DatasetHandle:
     def __init__(self, uri: str, transport, schema, total_entries, clusters, account: ReadAccount):
         self.uri = uri
         self._transport = transport
-        self.schema: tuple[ColumnSchema, ...] = schema
+        self.schema: dict[str, ValueType] = schema  # file order
         self.total_entries: int = total_entries
         self.clusters: tuple[ClusterInfo, ...] = clusters
         self.account = account
-        self._col_index = {c.name: i for i, c in enumerate(schema)}
-
-    def schema_types(self) -> dict[str, Dtype]:
-        return {c.name: c.dtype for c in self.schema}
+        self._col_index = {name: i for i, name in enumerate(schema)}
 
     def column_chunk_bytes(self, columns) -> int:
         """Total chunk bytes of the given columns, computed from the footer."""
@@ -249,6 +241,8 @@ def open_dataset(uri: str) -> DatasetHandle:
         for cl in clusters:
             if cl.entry_start != pos or cl.entry_count < 1:
                 raise FormatError(f"{uri}: clusters not contiguous")
+            if not all(HEADER_SIZE <= ch.offset and ch.offset + ch.length <= footer_offset for ch in cl.chunks):
+                raise FormatError(f"{uri}: chunk outside the data region")
             pos += cl.entry_count
         if pos != total_entries:
             raise FormatError(f"{uri}: cluster entry counts do not sum to total")
@@ -273,7 +267,6 @@ def read_range(handle: DatasetHandle, columns, begin: int, end: int):
     if begin == end:
         return
 
-    dtypes = handle.schema_types()
     for cl in handle.clusters:
         cl_end = cl.entry_start + cl.entry_count
         if cl_end <= begin or cl.entry_start >= end:
@@ -291,8 +284,9 @@ def read_range(handle: DatasetHandle, columns, begin: int, end: int):
             handle.account.chunk_bytes += len(raw)
             if zlib.crc32(raw) != ref.crc32:
                 raise FormatError(f"{handle.uri}: chunk CRC mismatch in column {name}")
-            data = decode_chunk(dtypes[name], raw, cl.entry_count)
-            if dtypes[name].is_vector:
+            dtype = handle.schema[name]
+            data = decode_chunk(dtype, raw, cl.entry_count)
+            if dtype.is_vector:
                 lengths, values = data
                 starts = np.zeros(len(lengths) + 1, dtype=np.int64)
                 np.cumsum(lengths, out=starts[1:])

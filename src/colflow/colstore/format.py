@@ -7,9 +7,13 @@ Layout (all integers little-endian):
     footer   : body described below, followed by a 16-byte tail at EOF-16:
                u64 footer_offset + u32 crc32(footer body) + magic ``TOOF``
 
-Footer body: u32 n_columns, per column (u16 name_len, name, u8 dtype),
+Footer body: u32 n_columns, per column (u16 name_len, UTF-8 name, u8 dtype),
 u64 total_entries, u32 n_clusters, per cluster (u64 entry_start,
 u32 entry_count, then per column u64 offset + u64 length + u32 crc32).
+
+The u8 dtype is the column's ``exprlang.ValueType`` value: 1=F64, 2=I64,
+3=BOOL, 4=VEC_F64, 5=VEC_I64. A schema is a ``dict[str, ValueType]`` in
+file order.
 
 Chunk encodings: F64/I64 packed 8-byte LE, BOOL one byte per entry,
 VEC_* as u32 lengths[entry_count] followed by the packed values.
@@ -22,9 +26,10 @@ import re
 import struct
 import zlib
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
+
+from ..exprlang import ValueType
 
 MAGIC = b"CSTR"
 FOOTER_MAGIC = b"TOOF"
@@ -40,30 +45,16 @@ class FormatError(Exception):
     """Malformed or corrupt columnar file."""
 
 
-class Dtype(IntEnum):
-    F64 = 1
-    I64 = 2
-    BOOL = 3
-    VEC_F64 = 4
-    VEC_I64 = 5
-
-    @property
-    def is_vector(self) -> bool:
-        return self in (Dtype.VEC_F64, Dtype.VEC_I64)
+_SCALAR_NP = {ValueType.F64: "<f8", ValueType.I64: "<i8"}
+_VEC_NP = {ValueType.VEC_F64: "<f8", ValueType.VEC_I64: "<i8"}
 
 
-_SCALAR_NP = {Dtype.F64: "<f8", Dtype.I64: "<i8"}
-_VEC_NP = {Dtype.VEC_F64: "<f8", Dtype.VEC_I64: "<i8"}
-
-
-@dataclass(frozen=True)
-class ColumnSchema:
-    name: str
-    dtype: Dtype
-
-    def __post_init__(self) -> None:
-        if not _NAME_RE.match(self.name):
-            raise FormatError(f"invalid column name {self.name!r}")
+def check_column(name: str, dtype: ValueType) -> None:
+    """A stored column needs an identifier name and a storable type."""
+    if not _NAME_RE.match(name):
+        raise FormatError(f"invalid column name {name!r}")
+    if not dtype.storable:
+        raise FormatError(f"column {name!r} has non-storable type {dtype.name}")
 
 
 @dataclass(frozen=True)
@@ -82,14 +73,14 @@ class ClusterInfo:
     chunks: tuple[ChunkRef, ...]  # one per column, schema order
 
 
-def encode_chunk(dtype: Dtype, values) -> bytes:
+def encode_chunk(dtype: ValueType, values) -> bytes:
     """Encode one cluster's worth of values for a single column."""
     if dtype in _SCALAR_NP:
         arr = np.asarray(values, dtype=_SCALAR_NP[dtype])
         if arr.ndim != 1:
             raise FormatError(f"scalar column data must be one-dimensional, got shape {arr.shape}")
         return arr.tobytes()
-    if dtype is Dtype.BOOL:
+    if dtype is ValueType.BOOL:
         arr = np.asarray(values, dtype=bool)
         if arr.ndim != 1:
             raise FormatError(f"bool column data must be one-dimensional, got shape {arr.shape}")
@@ -103,7 +94,7 @@ def encode_chunk(dtype: Dtype, values) -> bytes:
     return lengths.tobytes() + packed.tobytes()
 
 
-def decode_chunk(dtype: Dtype, raw: bytes, entry_count: int):
+def decode_chunk(dtype: ValueType, raw: bytes, entry_count: int):
     """Decode a chunk back into arrays.
 
     Scalar/bool columns return one ndarray of length entry_count; vector
@@ -113,29 +104,24 @@ def decode_chunk(dtype: Dtype, raw: bytes, entry_count: int):
         if len(raw) != 8 * entry_count:
             raise FormatError("chunk length does not match entry count")
         return np.frombuffer(raw, dtype=_SCALAR_NP[dtype])
-    if dtype is Dtype.BOOL:
+    if dtype is ValueType.BOOL:
         if len(raw) != entry_count:
             raise FormatError("chunk length does not match entry count")
         return np.frombuffer(raw, dtype=np.uint8).astype(bool)
     if len(raw) < 4 * entry_count:
         raise FormatError("vector chunk shorter than its lengths array")
     lengths = np.frombuffer(raw[: 4 * entry_count], dtype="<u4")
-    values = np.frombuffer(raw[4 * entry_count :], dtype=_VEC_NP[dtype])
-    if int(lengths.sum()) != len(values):
+    if len(raw) != 4 * entry_count + 8 * int(lengths.sum()):
         raise FormatError("vector chunk lengths do not match value count")
-    return lengths, values
+    return lengths, np.frombuffer(raw[4 * entry_count :], dtype=_VEC_NP[dtype])
 
 
-def encode_footer(
-    schema: tuple[ColumnSchema, ...],
-    total_entries: int,
-    clusters: tuple[ClusterInfo, ...],
-) -> bytes:
+def encode_footer(schema: dict[str, ValueType], total_entries: int, clusters: tuple[ClusterInfo, ...]) -> bytes:
     out = bytearray()
     out += struct.pack("<I", len(schema))
-    for col in schema:
-        name = col.name.encode()
-        out += struct.pack("<H", len(name)) + name + struct.pack("<B", col.dtype)
+    for name, dtype in schema.items():
+        raw = name.encode()
+        out += struct.pack("<H", len(raw)) + raw + struct.pack("<B", dtype)
     out += struct.pack("<QI", total_entries, len(clusters))
     for cl in clusters:
         out += struct.pack("<QI", cl.entry_start, cl.entry_count)
@@ -144,7 +130,7 @@ def encode_footer(
     return bytes(out)
 
 
-def decode_footer(raw: bytes) -> tuple[tuple[ColumnSchema, ...], int, tuple[ClusterInfo, ...]]:
+def decode_footer(raw: bytes) -> tuple[dict[str, ValueType], int, tuple[ClusterInfo, ...]]:
     view = memoryview(raw)
     pos = 0
 
@@ -158,19 +144,25 @@ def decode_footer(raw: bytes) -> tuple[tuple[ColumnSchema, ...], int, tuple[Clus
         return vals
 
     (n_columns,) = take("<I")
-    schema = []
+    schema: dict[str, ValueType] = {}
     for _ in range(n_columns):
         (name_len,) = take("<H")
         if pos + name_len > len(view):
             raise FormatError("truncated footer")
-        name = bytes(view[pos : pos + name_len]).decode()
+        try:
+            name = bytes(view[pos : pos + name_len]).decode()
+        except UnicodeDecodeError:
+            raise FormatError("column name is not UTF-8") from None
         pos += name_len
         (dtype_code,) = take("<B")
         try:
-            dtype = Dtype(dtype_code)
+            dtype = ValueType(dtype_code)
         except ValueError:
             raise FormatError(f"unknown dtype code {dtype_code}") from None
-        schema.append(ColumnSchema(name, dtype))
+        if name in schema:
+            raise FormatError("duplicate column names in footer")
+        check_column(name, dtype)
+        schema[name] = dtype
     (total_entries, n_clusters) = take("<QI")
     clusters = []
     for _ in range(n_clusters):
@@ -182,39 +174,30 @@ def decode_footer(raw: bytes) -> tuple[tuple[ColumnSchema, ...], int, tuple[Clus
         clusters.append(ClusterInfo(entry_start, entry_count, tuple(chunks)))
     if pos != len(view):
         raise FormatError("trailing bytes after footer body")
-    names = [c.name for c in schema]
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate column names in footer")
-    return tuple(schema), total_entries, tuple(clusters)
+    return schema, total_entries, tuple(clusters)
 
 
-def write_dataset(
-    path: str,
-    schema: list[ColumnSchema] | tuple[ColumnSchema, ...],
-    columns: dict,
-    cluster_size: int = DEFAULT_CLUSTER_SIZE,
-):
+def write_dataset(path: str, schema: dict[str, ValueType], columns: dict, cluster_size: int = DEFAULT_CLUSTER_SIZE):
     """Write a columnar file and return an opened local handle.
 
-    ``columns`` maps column name to its full value sequence (sequences of
+    ``schema`` maps each column name to its type, in file order; ``columns``
+    maps column name to its full value sequence (sequences of
     sequences for vector columns). All columns must have equal length; the
     last cluster may be short.
     """
     from .dataset import open_dataset  # deferred: dataset imports this module
 
-    schema = tuple(schema)
     if not schema:
         raise FormatError("schema must have at least one column")
-    names = [c.name for c in schema]
-    if len(set(names)) != len(names):
-        raise FormatError("duplicate column names")
-    if set(columns) != set(names):
+    for name, dtype in schema.items():
+        check_column(name, dtype)
+    if set(columns) != set(schema):
         raise FormatError("columns do not match schema")
     if cluster_size < 1:
         raise FormatError("cluster_size must be >= 1")
 
-    lengths = {name: len(columns[name]) for name in names}
-    total = lengths[names[0]]
+    lengths = {name: len(columns[name]) for name in schema}
+    total = next(iter(lengths.values()))
     if any(n != total for n in lengths.values()):
         raise FormatError(f"mismatched array lengths: {lengths}")
 
@@ -224,8 +207,8 @@ def write_dataset(
         for start in range(0, total, cluster_size):
             count = min(cluster_size, total - start)
             chunks = []
-            for col in schema:
-                raw = encode_chunk(col.dtype, columns[col.name][start : start + count])
+            for name, dtype in schema.items():
+                raw = encode_chunk(dtype, columns[name][start : start + count])
                 chunks.append(ChunkRef(f.tell(), len(raw), zlib.crc32(raw)))
                 f.write(raw)
             clusters.append(ClusterInfo(start, count, tuple(chunks)))

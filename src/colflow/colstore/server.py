@@ -2,9 +2,9 @@
 
 Requests and replies are ``wire`` frames whose kind is the opcode; a
 reply echoes its request's opcode. Opcodes: 1=OPEN(path)->(u64 id, u64
-size), 2=READ(u64 id, u64 off, u32 len)->bytes (short at EOF), 3=STAT(path)
-->u64 size, 4=METRICS(scope byte, 0=session 1=server totals)->(u64
-bytes_served, u64 read_calls), 5=CLOSE(u64 id). Paths are wire strings.
+size), 2=READ(u64 id, u64 off, u32 len)->bytes (short at EOF),
+4=METRICS(scope byte, 0=session 1=server totals)->(u64 bytes_served, u64
+read_calls), 5=CLOSE(u64 id); 3 is unassigned. Paths are wire strings.
 Errors come back as opcode 0xFFFF with a u16 code and a wire string.
 
 A request payload may be at most MAX_REQUEST bytes and a READ at most
@@ -27,7 +27,6 @@ from .. import wire
 
 OP_OPEN = 1
 OP_READ = 2
-OP_STAT = 3
 OP_METRICS = 4
 OP_CLOSE = 5
 OP_ERROR = 0xFFFF
@@ -154,12 +153,6 @@ class DataServer:
                 self.total_bytes_served += len(data)
                 self.total_read_calls += 1
             return OP_READ, data
-        if opcode == OP_STAT:
-            path = wire.Reader(payload).string()
-            target = session.resolve(path)
-            if not target.is_file():
-                raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")
-            return OP_STAT, struct.pack("<Q", target.stat().st_size)
         if opcode == OP_METRICS:
             scope = payload[0] if payload else METRICS_SESSION
             if scope == METRICS_GLOBAL:
@@ -186,9 +179,6 @@ class DataServer:
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
 
     def __enter__(self) -> "DataServer":
         self.start()

@@ -15,18 +15,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .colstore import ColumnSchema, Dtype, write_dataset
+from .colstore import ValueType, write_dataset
 
 MANIFEST_NAME = "manifest.json"
 
-SCHEMA = [
-    ColumnSchema("event_weight", Dtype.F64),
-    ColumnSchema("MET_pt", Dtype.F64),
-    ColumnSchema("nJet", Dtype.I64),
-    ColumnSchema("Jet_pt", Dtype.VEC_F64),
-    ColumnSchema("Jet_eta", Dtype.VEC_F64),
-    ColumnSchema("Jet_phi", Dtype.VEC_F64),
-]
+SCHEMA = {
+    "event_weight": ValueType.F64,
+    "MET_pt": ValueType.F64,
+    "nJet": ValueType.I64,
+    "Jet_pt": ValueType.VEC_F64,
+    "Jet_eta": ValueType.VEC_F64,
+    "Jet_phi": ValueType.VEC_F64,
+}
 
 
 @dataclass(frozen=True)

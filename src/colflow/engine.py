@@ -27,7 +27,7 @@ import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 
-from .colstore import ColumnSchema, open_dataset, write_dataset
+from .colstore import open_dataset, write_dataset
 from .exprlang import EvalError, compile_expr
 from .graph import (
     ComputationGraph,
@@ -39,7 +39,6 @@ from .graph import (
     SnapshotStage,
     SumStage,
     VaryStage,
-    storable_dtype,
 )
 from .hist import AccumKind, Histo1D, ScalarAccumulator
 
@@ -242,9 +241,8 @@ def run_range(
                 f"[0, {handle.total_entries}) in {entry_range.file}"
             )
         columns = [c for c in graph.columns_needed]
-        file_types = handle.schema_types()
         for c in columns:
-            if c not in file_types:
+            if c not in handle.schema:
                 raise EngineError(f"{entry_range.file} lacks required column {c!r}")
 
         defs = compiled.define_fns
@@ -287,7 +285,7 @@ def run_range(
         for batch in batches:
             buffers = {}
             for name, data in batch.columns.items():
-                buffers[name] = data.tolists() if file_types[name].is_vector else data.tolist()
+                buffers[name] = data.tolists() if handle.schema[name].is_vector else data.tolist()
             batch_bytes = handle.account.chunk_bytes - prev_chunk_bytes
             prev_chunk_bytes = handle.account.chunk_bytes
             mem_peak = max(mem_peak, batch_bytes)
@@ -359,7 +357,7 @@ def _write_snapshot(
     range_id: str,
 ) -> str:
     types = compiled.graph.column_types
-    schema = [ColumnSchema(c, storable_dtype(types[c])) for c in stage.columns]
+    schema = {c: types[c] for c in stage.columns}
     path = f"{stage.out}.part{range_id}.col"
     parent = os.path.dirname(path)
     if parent:

@@ -5,9 +5,10 @@ strings in a C-flavored syntax::
 
     sum(where(Jet_pt, Jet_eta < 2.4 && Jet_pt > 30)) / MET_pt
 
-Values are F64/I64/BOOL scalars or vectors of them; VEC_BOOL arises only
-transiently (vector comparisons feeding `where` or boolean algebra) and is
-never a stored column type. Precedence, tightest first: unary, `* / %`,
+Values are F64/I64/BOOL scalars or vectors of them. `ValueType` is also
+the one column type of the file format: its values 1-5 are the footer's u8
+dtype codes. VEC_BOOL (6) arises only transiently (vector comparisons
+feeding `where` or boolean algebra) and is not `storable`. Precedence, tightest first: unary, `* / %`,
 `+ -`, comparisons (non-associative), `&&`, `||`, `?:`.
 
 The public surface is `parse`, `typecheck`, `compile_expr`, `to_text`
@@ -37,7 +38,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import IntEnum
 from typing import Callable
 
 Span = tuple[int, int]  # 1-based (line, col)
@@ -62,13 +63,19 @@ class EvalError(ExprError):
     pass
 
 
-class ValueType(Enum):
-    F64 = "F64"
-    I64 = "I64"
-    BOOL = "BOOL"
-    VEC_F64 = "VEC_F64"
-    VEC_I64 = "VEC_I64"
-    VEC_BOOL = "VEC_BOOL"
+class ValueType(IntEnum):
+    """Type of a column or expression; the value is the footer's dtype code."""
+
+    F64 = 1
+    I64 = 2
+    BOOL = 3
+    VEC_F64 = 4
+    VEC_I64 = 5
+    VEC_BOOL = 6
+
+    @property
+    def storable(self) -> bool:
+        return self is not ValueType.VEC_BOOL
 
     @property
     def is_vector(self) -> bool:

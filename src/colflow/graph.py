@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 
-from .colstore import Dtype
 from .exprlang import Expr, ExprError, ValueType, columns_used, parse, typecheck
 
 
@@ -41,27 +40,9 @@ class PipelineError(Exception):
     """Invalid pipeline document or graph construction failure."""
 
 
-_VT_FROM_DTYPE = {
-    Dtype.F64: ValueType.F64,
-    Dtype.I64: ValueType.I64,
-    Dtype.BOOL: ValueType.BOOL,
-    Dtype.VEC_F64: ValueType.VEC_F64,
-    Dtype.VEC_I64: ValueType.VEC_I64,
-}
-_DTYPE_FROM_VT = {v: k for k, v in _VT_FROM_DTYPE.items()}
-
-
-def value_type(dtype: Dtype) -> ValueType:
-    return _VT_FROM_DTYPE[dtype]
-
-
-def storable_dtype(vt: ValueType) -> Dtype | None:
-    return _DTYPE_FROM_VT.get(vt)
-
-
 def schema_types(handle) -> dict[str, ValueType]:
-    """Expression-level schema of an opened dataset."""
-    return {c.name: value_type(c.dtype) for c in handle.schema}
+    """A copy of an opened dataset's schema, in file order."""
+    return dict(handle.schema)
 
 
 class VariationKind(Enum):
@@ -392,7 +373,7 @@ class ComputationGraph:
                 t = working.get(c)
                 if t is None:
                     raise _err(i, f"snapshot column {c!r} is not defined")
-                if storable_dtype(t) is None:
+                if not t.storable:
                     raise _err(i, f"snapshot column {c!r} has non-storable type {t.name}")
             self.snapshot = stage
 

@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
-from colflow.colstore import ColumnSchema, Dtype, write_dataset
+from colflow.colstore import ValueType, write_dataset
 
-STANDARD_SCHEMA = [
-    ColumnSchema("event_weight", Dtype.F64),
-    ColumnSchema("MET_pt", Dtype.F64),
-    ColumnSchema("nJet", Dtype.I64),
-    ColumnSchema("Jet_pt", Dtype.VEC_F64),
-    ColumnSchema("Jet_eta", Dtype.VEC_F64),
-    ColumnSchema("Jet_phi", Dtype.VEC_F64),
-]
+STANDARD_SCHEMA = {
+    "event_weight": ValueType.F64,
+    "MET_pt": ValueType.F64,
+    "nJet": ValueType.I64,
+    "Jet_pt": ValueType.VEC_F64,
+    "Jet_eta": ValueType.VEC_F64,
+    "Jet_phi": ValueType.VEC_F64,
+}
 
 
 def standard_columns(n: int, seed: int = 0) -> dict:

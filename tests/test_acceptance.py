@@ -287,7 +287,7 @@ def test_c07_scanning_two_of_six_columns_reads_only_their_chunks(tmp_path):
             seen += batch.entry_count
         assert seen == 5000
         wanted = h.column_chunk_bytes(("MET_pt", "nJet"))
-        all_columns = h.column_chunk_bytes([c.name for c in h.schema])
+        all_columns = h.column_chunk_bytes(list(h.schema))
         assert wanted < all_columns
         assert h.account.chunk_bytes == wanted
         assert h.account.bytes_read - metadata == wanted

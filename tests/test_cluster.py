@@ -234,6 +234,18 @@ class TestDistributedRuns:
             with pytest.raises(ClusterError, match="bad pipeline document"):
                 submit_run(sched.address, "{broken", timeout=5.0)
 
+    def test_ill_typed_document_fails_before_any_task(self, dataset_files):
+        doc = json.dumps({"dataset": dataset_files, "stages": [
+            {"op": "filter", "expr": "MET_pt && true"}, {"op": "count", "name": "n"}]})
+        with Scheduler() as sched:
+            worker, _, _ = spawn_worker(sched.address, name="w0")
+            received = []
+            worker._execute = received.append
+            wait_for_workers(sched, 1)
+            with pytest.raises(ClusterError, match="bad pipeline document: stage 0"):
+                submit_run(sched.address, doc, timeout=5.0)
+        assert received == []
+
     def test_zero_partition_factor_rejected(self, dataset_files):
         with Scheduler() as sched:
             with pytest.raises(ClusterError, match="partition factor"):

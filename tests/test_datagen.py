@@ -93,7 +93,7 @@ class TestShape:
         manifest = load_manifest(generate(GenConfig(1, 2000, 500, seed=11), str(tmp_path / "d")))
         (path,) = manifest_files(manifest)
         with open_dataset(path) as h:
-            names = [c.name for c in h.schema]
+            names = list(h.schema)
             assert names == ["event_weight", "MET_pt", "nJet", "Jet_pt", "Jet_eta", "Jet_phi"]
             for batch in read_range(h, names, 0, h.total_entries):
                 njet = batch.columns["nJet"]

@@ -84,11 +84,10 @@ def rich_graph(rich_file):
 def read_all_rows(path):
     rows = []
     with open_dataset(path) as h:
-        names = [c.name for c in h.schema]
-        types = {c.name: c.dtype for c in h.schema}
+        names = list(h.schema)
         for batch in h.read_range(names, 0, h.total_entries):
             cols = {
-                n: (d.tolists() if types[n].is_vector else d.tolist())
+                n: (d.tolists() if h.schema[n].is_vector else d.tolist())
                 for n, d in batch.columns.items()
             }
             for j in range(batch.entry_count):
@@ -271,7 +270,7 @@ class TestCounters:
             needed = list(rich_graph.columns_needed)
             # range [64,200) touches clusters 1,2,3 of size 64
             touched = [c for c in h.clusters if c.entry_start + c.entry_count > 64 and c.entry_start < 200]
-            col_idx = [i for i, c in enumerate(h.schema) if c.name in needed]
+            col_idx = [i for i, name in enumerate(h.schema) if name in needed]
             expect_chunks = sum(c.chunks[i].length for c in touched for i in col_idx)
             metadata = h.account.bytes_read  # header + tail + footer body
         assert partial.chunk_bytes == expect_chunks
@@ -294,12 +293,11 @@ class TestCounters:
             run_range(rich_graph, EntryRange(rich_file, 200, 100), SINGLE_PASS)
 
     def test_missing_column_rejected(self, rich_graph, make_dataset):
-        from colflow.colstore import ColumnSchema, Dtype
 
         path = make_dataset(
             n=10,
             name="narrow.col",
-            schema=[ColumnSchema("MET_pt", Dtype.F64)],
+            schema={"MET_pt": ValueType.F64},
             columns={"MET_pt": [1.0] * 10},
         )
         with pytest.raises(EngineError, match="lacks required column"):
@@ -406,7 +404,7 @@ class TestSnapshots:
         assert partial.snapshots == [path]
         with open_dataset(path) as h:
             assert h.total_entries == 0
-            assert [c.name for c in h.schema] == ["MET_pt", "nJet", "ht", "Jet_pt"]
+            assert list(h.schema) == ["MET_pt", "nJet", "ht", "Jet_pt"]
 
     def test_snapshot_skipped_when_nominal_not_run(self, rich_file, tmp_path):
         prefix = str(tmp_path / "never")
@@ -429,12 +427,11 @@ class TestSnapshots:
 
 class TestEvalErrors:
     def test_eval_error_carries_event_index(self, make_dataset):
-        from colflow.colstore import ColumnSchema, Dtype
 
         path = make_dataset(
             n=5,
             name="gaps.col",
-            schema=[ColumnSchema("v", Dtype.VEC_F64)],
+            schema={"v": ValueType.VEC_F64},
             columns={"v": [[1.0], [2.0], [], [4.0], [5.0]]},
         )
         doc = {

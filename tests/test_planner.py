@@ -5,14 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colflow.cluster import plan_partitions
-from colflow.colstore import ColumnSchema, Dtype, open_dataset, write_dataset
+from colflow.colstore import ValueType, open_dataset, write_dataset
 
 
 def make_file(tmp_path, name, n_entries, cluster_size):
     path = tmp_path / name
     write_dataset(
         str(path),
-        [ColumnSchema("x", Dtype.F64)],
+        {"x": ValueType.F64},
         {"x": [float(i) for i in range(n_entries)]},
         cluster_size,
     ).close()

@@ -6,11 +6,11 @@ import pytest
 
 from colflow import wire
 from colflow.colstore import (
-    ColumnSchema,
-    Dtype,
     TransportError,
+    ValueType,
     open_dataset,
     serve,
+    server_totals,
     write_dataset,
 )
 from colflow.colstore import server as srv
@@ -24,7 +24,7 @@ def served_dir(tmp_path):
     (root / "blob.bin").write_bytes(bytes(range(256)) * 64)
     write_dataset(
         str(root / "d.col"),
-        [ColumnSchema("x", Dtype.F64)],
+        {"x": ValueType.F64},
         {"x": np.arange(1000.0)},
         cluster_size=250,
     ).close()
@@ -140,11 +140,11 @@ def test_sessions_are_isolated(served_dir):
     t1.read(0, 500)
     assert t1.session_metrics() == (500, 1)
     assert t2.session_metrics() == (0, 0)
-    g_bytes, g_calls = t1.server_metrics()
+    g_bytes, g_calls = server_totals(server.address)
     assert g_bytes >= 500
     t2.read(0, 70)
     assert t2.session_metrics() == (70, 1)
-    assert t2.server_metrics()[0] == g_bytes + 70
+    assert server_totals(server.address)[0] == g_bytes + 70
     t1.close()
     t2.close()
 
@@ -164,17 +164,17 @@ def test_stale_file_id_rejected(served_dir):
 def test_request_bound_edge(served_dir):
     root, server = served_dir
     path = "p" * (srv.MAX_REQUEST - 4)  # a wire string exactly MAX_REQUEST bytes long
-    at_limit = wire.pack_frame(srv.OP_STAT, wire.pack_str(path))
+    at_limit = wire.pack_frame(srv.OP_OPEN, wire.pack_str(path))
     reply = raw_exchange(server.address, at_limit)
     assert reply is not None and reply[0] == srv.OP_ERROR  # answered, not dropped
-    past = wire.pack_frame(srv.OP_STAT, wire.pack_str(path + "p"))
+    past = wire.pack_frame(srv.OP_OPEN, wire.pack_str(path + "p"))
     assert raw_exchange(server.address, past) is None  # dropped, nothing buffered
     assert_still_serving(server)
 
 
 def test_forged_request_header_dropped(served_dir):
     root, server = served_dir
-    huge = wire.HEADER.pack(2**32 - 1, srv.OP_STAT, wire.PROTO_VERSION)
+    huge = wire.HEADER.pack(2**32 - 1, srv.OP_OPEN, wire.PROTO_VERSION)
     assert raw_exchange(server.address, huge) is None
     bad_version = wire.HEADER.pack(4 + 1, srv.OP_METRICS, wire.PROTO_VERSION + 1) + b"\x00"
     assert raw_exchange(server.address, bad_version) is None
