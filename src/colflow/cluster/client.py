@@ -31,7 +31,8 @@ class RunResult:
     ``wall_time`` is task execution end to end: the scheduler's clock for a
     distributed run, the job waves (queue waits included) for the baseline.
     ``planning_bytes`` are the metadata reads done outside any task: the
-    scheduler's planning, or the baseline client's sizing of its inputs.
+    scheduler's planning (which types every run, explicit tasks or not),
+    plus, for the baseline, the client's sizing of its inputs.
     ``merge_duration`` is the baseline's local merge of its result files;
     a distributed run has no such step.
     """

@@ -12,6 +12,12 @@ the merged output is independent of scheduling and arrival order, not just
 up to float rounding. Duplicate RESULTs (a worker declared lost that later
 answers anyway) are discarded.
 
+Planning types each run once, against the first file of its dataset, and
+checks the column types of every file it opened. Each worker gets one
+GRAPH (run number, document, that schema) before its first TASK of the
+run. An answer from another run only frees its worker slot; a RESULT
+whose shape does not fit the run's graph fails its task.
+
 Workers are declared lost after 3 missed heartbeat intervals or on
 disconnect; their inflight tasks are requeued, each requeue consuming one
 attempt from the task's budget of max_retries + 1.
@@ -27,8 +33,8 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..colstore import open_dataset
-from ..engine import PartialResult
-from ..graph import PipelineError, build, load_spec, spec_graph_id
+from ..engine import EngineError, PartialResult, check_columns, result_shape
+from ..graph import ComputationGraph, PipelineError, PipelineSpec, build, load_spec
 from ..metrics import JobRecord
 from ..proto import (
     Fail,
@@ -58,9 +64,9 @@ class _Worker:
     sock: socket.socket
     name: str
     slots: int
-    inflight: set[int] = field(default_factory=set)
+    inflight: set[tuple[int, int]] = field(default_factory=set)  # (run, task_id)
     last_beat: float = field(default_factory=time.monotonic)
-    graphs_sent: set[str] = field(default_factory=set)
+    graph_run: int = 0  # the run whose GRAPH this worker was sent last
 
     @property
     def free_slots(self) -> int:
@@ -70,15 +76,16 @@ class _Worker:
 @dataclass
 class _Run:
     run_id: str
+    number: int  # names the run on the worker channel
     client_conn: int
-    document: str
-    graph_id: str
+    spec: PipelineSpec
     max_retries: int
     factor: int
-    tasks: dict[int, Task] | None  # None until planned
-    multi_passes: int  # traversals a multi_pass task makes: nominal + one per topology tag
+    tasks: dict[int, Task] | None  # the client's explicit tasks, or None until planned
     t0: float
     deadline: float
+    graph: ComputationGraph | None = None  # set by planning
+    shape: dict = field(default_factory=dict)  # result_shape every RESULT must have
     planning_bytes: int = 0
     pending: deque = field(default_factory=deque)
     attempts: dict = field(default_factory=dict)  # task_id -> attempts started
@@ -103,6 +110,7 @@ class Scheduler:
         self._conns: dict[int, socket.socket] = {}
         self._workers: dict[int, _Worker] = {}
         self._run: _Run | None = None
+        self._runs_started = 0
         self._next_conn = 0
         self._threads: list[threading.Thread] = []
 
@@ -217,13 +225,13 @@ class Scheduler:
                 self._lose_worker(worker, "heartbeat timeout")
         run = self._run
         if run is not None:
-            if run.tasks is None:
+            if run.graph is None:
                 if self._workers:
                     self._plan_run(run)
                 elif now >= run.deadline:
                     self._fail_run("no workers registered within startup timeout")
             run = self._run  # planning may have failed the run
-            if run is not None and run.tasks is not None and not run.tasks:
+            if run is not None and run.graph is not None and not run.tasks:
                 self._finish_run(run)  # nothing to read: every file was empty
                 return
             self._dispatch()
@@ -237,10 +245,8 @@ class Scheduler:
                 worker.last_beat = time.monotonic()
         elif isinstance(msg, Submit):
             self._on_submit(conn_id, msg)
-        elif isinstance(msg, Result):
-            self._on_result(conn_id, msg)
-        elif isinstance(msg, Fail):
-            self._on_fail(conn_id, msg)
+        elif isinstance(msg, (Result, Fail)):
+            self._on_answer(conn_id, msg)
         elif isinstance(msg, Shutdown):
             self._events.put(("stop", None, None))
 
@@ -272,72 +278,71 @@ class Scheduler:
         except PipelineError as e:
             self._send(conn_id, RunFail(msg.run_id, f"bad pipeline document: {e}"))
             return
-        graph_id = spec_graph_id(spec)
+        ids = [t.task_id for t in msg.tasks]
+        if len(set(ids)) != len(ids):
+            self._send(conn_id, RunFail(msg.run_id, "task ids must be unique"))
+            return
+        self._runs_started += 1
         now = time.monotonic()
-        run = _Run(
+        self._run = _Run(
             run_id=msg.run_id,
+            number=self._runs_started,
             client_conn=conn_id,
-            document=msg.document,
-            graph_id=graph_id,
+            spec=spec,
             max_retries=msg.max_retries,
             factor=msg.factor,
-            tasks=None,
-            multi_passes=1 + len(spec.topology_tags()),
+            tasks={t.task_id: replace(t, run=self._runs_started) for t in msg.tasks} or None,
             t0=now,
             deadline=now + self._startup_timeout,
         )
-        if msg.tasks:
-            ids = [t.task_id for t in msg.tasks]
-            if len(set(ids)) != len(ids) or any(i < 0 for i in ids):
-                self._send(conn_id, RunFail(msg.run_id, "task ids must be unique and non-negative"))
-                return
-            run.tasks = {
-                t.task_id: replace(t, graph_id=graph_id) for t in msg.tasks
-            }
-            run.pending = deque(sorted(run.tasks))
-            run.merge_order = sorted(run.tasks)
-        self._run = run
 
     def _plan_run(self, run: _Run) -> None:
-        spec = load_spec(run.document)
+        """Type the run and cut it into tasks, unless the client sent them: such a
+        run opens only its first file, since its task paths may resolve only on workers."""
+        spec = run.spec
         handles = []
         try:
-            for uri in spec.dataset:
+            for uri in spec.dataset if run.tasks is None else spec.dataset[:1]:
                 with open_dataset(uri) as h:  # planning reads only h.uri, h.schema and h.clusters
                     handles.append(h)
-            build(spec, handles[0].schema)  # an ill-typed document fails here, not on every worker
-            nslots = max(1, sum(w.slots for w in self._workers.values()))
-            planned = plan_partitions(handles, nslots, run.factor)
+            graph = build(spec, handles[0].schema)
+            for h in handles:
+                check_columns(graph, h.uri, h.schema)
+            if run.tasks is None:
+                nslots = max(1, sum(w.slots for w in self._workers.values()))
+                planned = plan_partitions(handles, nslots, run.factor)
+                run.tasks = {t.task_id: Task(t.task_id, t.entry_range, run=run.number) for t in planned}
         except PipelineError as e:
             self._fail_run(f"bad pipeline document: {e}")
+            return
+        except EngineError as e:
+            self._fail_run(f"bad dataset: {e}")
             return
         except Exception as e:
             self._fail_run(f"planning failed: {e}")
             return
         run.planning_bytes = sum(h.account.bytes_read for h in handles)
-        run.tasks = {
-            t.task_id: Task(t.task_id, run.graph_id, t.entry_range) for t in planned
-        }
+        run.graph = graph
+        run.shape = result_shape(PartialResult.empty(graph))
         run.pending = deque(sorted(run.tasks))
         run.merge_order = sorted(run.tasks)
 
     def _dispatch(self) -> None:
         run = self._run
-        if run is None or run.tasks is None:
+        if run is None or run.graph is None:
             return
         while run.pending and self._run is run:  # a failed send may end the run
             worker = self._pick_worker()
             if worker is None:
                 return
             task_id = run.pending.popleft()
-            if run.graph_id not in worker.graphs_sent:
-                self._send(worker.conn_id, Graph(run.graph_id, run.document))
-                worker.graphs_sent.add(run.graph_id)
+            if worker.graph_run != run.number:
+                self._send(worker.conn_id, Graph(run.number, run.spec.document, run.graph.base_schema))
+                worker.graph_run = run.number
             run.attempts[task_id] = run.attempts.get(task_id, 0) + 1
-            task = replace(run.tasks[task_id], attempt=run.attempts[task_id])
             run.inflight[task_id] = worker.conn_id
-            worker.inflight.add(task_id)
-            self._send(worker.conn_id, task)
+            worker.inflight.add((run.number, task_id))
+            self._send(worker.conn_id, run.tasks[task_id])
 
     def _pick_worker(self) -> _Worker | None:
         best = None
@@ -346,25 +351,31 @@ class Scheduler:
                 best = worker
         return best
 
-    def _on_result(self, conn_id: int, msg: Result) -> None:
-        run = self._run
+    def _on_answer(self, conn_id: int, msg: Result | Fail) -> None:
         worker = self._workers.get(conn_id)
         if worker is not None:
-            worker.inflight.discard(msg.task_id)
+            worker.inflight.discard((msg.run, msg.task_id))
             worker.last_beat = time.monotonic()
-        if run is None or run.tasks is None or msg.task_id not in run.tasks:
-            return
+        run = self._run
+        if run is None or run.graph is None or msg.run != run.number or msg.task_id not in run.tasks:
+            return  # another run's answer
         if msg.task_id in run.done:
             return  # duplicate after reassignment; first result wins
+        if isinstance(msg, Fail):
+            self._retry(run, msg.task_id, msg.error)
+        elif result_shape(msg.partial) != run.shape:
+            self._retry(run, msg.task_id, "result does not fit the run's graph")
+        else:
+            self._accept(run, worker, msg)
+
+    def _accept(self, run: _Run, worker: _Worker | None, msg: Result) -> None:
         run.done.add(msg.task_id)
-        assigned = run.inflight.pop(msg.task_id, None)
-        if assigned is not None and assigned != conn_id:
-            other = self._workers.get(assigned)
-            if other is not None:
-                other.inflight.discard(msg.task_id)
+        assigned = self._workers.get(run.inflight.pop(msg.task_id, None))
+        if assigned is not None and assigned is not worker:
+            assigned.inflight.discard((run.number, msg.task_id))
 
         task = run.tasks[msg.task_id]
-        passes = run.multi_passes if task.multi_pass else 1
+        passes = 1 + len(run.graph.topology_tags()) if task.multi_pass else 1
         partial = msg.partial
         run.records.append(
             JobRecord(
@@ -393,18 +404,13 @@ class Scheduler:
         if len(run.done) == len(run.tasks):
             self._finish_run(run)
 
-    def _on_fail(self, conn_id: int, msg: Fail) -> None:
-        run = self._run
-        worker = self._workers.get(conn_id)
-        if worker is not None:
-            worker.inflight.discard(msg.task_id)
-        if run is None or run.tasks is None or msg.task_id in run.done:
+    def _retry(self, run: _Run, task_id: int, error: str) -> None:
+        """Requeue a failed task, or fail the run once its attempts are spent."""
+        run.inflight.pop(task_id, None)
+        if run.attempts.get(task_id, 0) >= run.max_retries + 1:
+            self._fail_run(f"task {task_id} exhausted retries: {error}")
             return
-        run.inflight.pop(msg.task_id, None)
-        if run.attempts.get(msg.task_id, 0) >= run.max_retries + 1:
-            self._fail_run(f"task {msg.task_id} exhausted retries: {msg.error}")
-            return
-        run.pending.appendleft(msg.task_id)
+        run.pending.appendleft(task_id)
 
     def _lose_worker(self, worker: _Worker, why: str) -> None:
         self._workers.pop(worker.conn_id, None)
@@ -415,8 +421,8 @@ class Scheduler:
         run = self._run
         if run is None:
             return
-        for task_id in sorted(worker.inflight):
-            if task_id in run.done:
+        for number, task_id in sorted(worker.inflight):
+            if number != run.number or task_id in run.done:
                 continue
             run.inflight.pop(task_id, None)
             if run.attempts.get(task_id, 0) >= run.max_retries + 1:

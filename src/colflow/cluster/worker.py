@@ -1,10 +1,11 @@
 """Worker daemon: executes tasks from the scheduler via the engine.
 
 One socket to the scheduler, read by the main loop; a heartbeat thread and
-the task executor share the write side under a lock. Graph documents are
-cached by graph_id and compiled once per worker against the schema of the
-first file a task touches (datasets are schema-uniform here; a mismatched
-file fails the task, not the worker).
+the task executor share the write side under a lock. The main loop compiles
+each GRAPH frame's document against the schema the frame carries and holds
+only the latest run's graph: a task of another run, or of a run whose graph
+did not build, fails. So does a task whose file holds a needed column with
+another type; the worker survives either way.
 
 A task may name a payload URI: the worker then downloads payload_bytes
 from it before opening the data, and those bytes count into the task's
@@ -20,14 +21,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
-from ..colstore.dataset import (
-    REMOTE_SCHEME,
-    LocalTransport,
-    RemoteTransport,
-    parse_remote_uri,
-)
+from ..colstore.dataset import REMOTE_SCHEME, open_transport
 from ..engine import CompiledPipeline, run_multi_pass, run_range
-from ..graph import build, load_spec, schema_types
+from ..graph import build, load_spec
 from ..proto import (
     Fail,
     Graph,
@@ -56,11 +52,7 @@ def download_payload(uri: str, n_bytes: int) -> int:
     """
     if n_bytes <= 0:
         return 0
-    if uri.startswith(REMOTE_SCHEME):
-        host, port, path = parse_remote_uri(uri)
-        transport = RemoteTransport(host, port, path)
-    else:
-        transport = LocalTransport(uri)
+    transport = open_transport(uri)
     try:
         size = transport.size()
         if size == 0:
@@ -95,9 +87,7 @@ class Worker:
         self.slots = slots
         self._data_base = data_base.strip()
         self._send_lock = threading.Lock()
-        self._specs: dict[str, str] = {}  # graph_id -> document
-        self._compiled: dict[str, tuple] = {}  # graph_id -> (graph, CompiledPipeline)
-        self._compile_lock = threading.Lock()
+        self._held: tuple = (0, RuntimeError("no graph received"))  # (run, CompiledPipeline or build error)
         self._stop = threading.Event()
         self._announced = False
 
@@ -112,31 +102,12 @@ class Worker:
             except OSError:
                 return
 
-    def _graph_for(self, task: Task):
-        """Returns (graph, compiled, meta_bytes).
-
-        meta_bytes is nonzero only for the task that triggered compilation:
-        reading the schema costs one metadata fetch, and charging it to that
-        task keeps the run's byte accounting closed against the data server.
-        """
-        with self._compile_lock:
-            cached = self._compiled.get(task.graph_id)
-            if cached is not None:
-                return (*cached, 0)
-            document = self._specs.get(task.graph_id)
-            if document is None:
-                raise RuntimeError(f"no graph {task.graph_id!r} received before task {task.task_id}")
-            from ..colstore import open_dataset
-
-            with open_dataset(task.entry_range.file) as h:
-                schema = schema_types(h)
-                meta_bytes = h.account.bytes_read
-            graph = build(load_spec(document), schema)
-            if graph.graph_id != task.graph_id:
-                raise RuntimeError("graph identity mismatch between document and task")
-            cached = (graph, CompiledPipeline(graph))
-            self._compiled[task.graph_id] = cached
-            return (*cached, meta_bytes)
+    @staticmethod
+    def _compile(msg: Graph) -> tuple:
+        try:
+            return msg.run, CompiledPipeline(build(load_spec(msg.document), msg.schema))
+        except Exception as e:  # kept as the run's answer to every task
+            return msg.run, e
 
     def _resolve(self, task: Task) -> Task:
         """Point schemeless relative task paths at the configured data server."""
@@ -148,21 +119,25 @@ class Worker:
 
     def _execute(self, task: Task) -> None:
         t_start = time.perf_counter()
+        run, compiled = self._held
         try:
+            if run != task.run:
+                raise RuntimeError(f"no graph for run {task.run} (holding run {run})")
+            if isinstance(compiled, Exception):
+                raise compiled.with_traceback(None)  # raised once per task; keep its traceback short
             task = self._resolve(task)
-            graph, compiled, meta_bytes = self._graph_for(task)
             payload_read = download_payload(task.payload_uri, task.payload_bytes) if task.payload_uri else 0
             partial = (run_multi_pass if task.multi_pass else run_range)(
-                graph, task.entry_range, range_id=str(task.task_id), compiled=compiled
+                compiled.graph, task.entry_range, range_id=str(task.task_id), compiled=compiled
             )
-            partial.bytes_read += payload_read + meta_bytes
+            partial.bytes_read += payload_read
             t_total = time.perf_counter() - t_start
             if task.result_file:
-                write_result_file(task.result_file, task.graph_id, partial)
-            self._send(Result(task.task_id, t_total, partial))
+                write_result_file(task.result_file, compiled.graph.graph_id, partial)
+            self._send(Result(task.task_id, t_total, partial, task.run))
         except Exception as e:  # error containment: the task fails, not the worker
             try:
-                self._send(Fail(task.task_id, f"{type(e).__name__}: {e}"))
+                self._send(Fail(task.task_id, f"{type(e).__name__}: {e}", task.run))
             except OSError:
                 pass
 
@@ -188,7 +163,7 @@ class Worker:
                 if msg is None:
                     break  # scheduler vanished
                 if isinstance(msg, Graph):
-                    self._specs[msg.graph_id] = msg.document
+                    self._held = self._compile(msg)
                 elif isinstance(msg, Task):
                     pool.submit(self._execute, msg)
                 elif isinstance(msg, Shutdown):

@@ -209,14 +209,16 @@ def _tracked_read(transport, account: ReadAccount, offset: int, length: int) -> 
     return data
 
 
+def open_transport(uri: str):
+    """The byte source a URI names: a file on a data server or a local file."""
+    if uri.startswith(REMOTE_SCHEME):
+        return RemoteTransport(*parse_remote_uri(uri))
+    return LocalTransport(uri)
+
+
 def open_dataset(uri: str) -> DatasetHandle:
     """Open a columnar file, reading only its header and footer."""
-    if uri.startswith(REMOTE_SCHEME):
-        host, port, path = parse_remote_uri(uri)
-        transport = RemoteTransport(host, port, path)
-    else:
-        transport = LocalTransport(uri)
-
+    transport = open_transport(uri)
     account = ReadAccount()
     try:
         size = transport.size()

@@ -95,6 +95,24 @@ class PartialResult:
                 mine[name].add(r)
 
 
+def result_shape(p: PartialResult) -> dict:
+    """Universe -> result name -> axis or accumulator kind; partials merge only if equal."""
+    return {
+        u: {n: (r.nbins, r.xmin, r.xmax) if isinstance(r, Histo1D) else r.kind for n, r in rs.items()}
+        for u, rs in p.universes.items()
+    }
+
+
+def check_columns(graph: ComputationGraph, uri: str, schema: dict) -> None:
+    """Every column the graph reads is in schema, with the graph's type."""
+    for c in graph.columns_needed:
+        if c not in schema:
+            raise EngineError(f"{uri} lacks required column {c!r}")
+        if schema[c] is not graph.base_schema[c]:
+            want = graph.base_schema[c].name
+            raise EngineError(f"{uri} holds column {c!r} as {schema[c].name}, the graph reads it as {want}")
+
+
 def _fresh_slots(graph: ComputationGraph) -> ResultMap:
     slots: ResultMap = {}
     for name, stage in graph.result_stages.items():
@@ -168,8 +186,8 @@ _OP_SNAPSHOT = 5
 class CompiledPipeline:
     """Per-process compilation of a graph: closures plus universe overlays.
 
-    Immutable and shareable across threads; a worker caches one per
-    graph_id and reuses it for every task.
+    Immutable and shareable across threads; a worker builds one per run
+    and reuses it for every task of that run.
     """
 
     def __init__(self, graph: ComputationGraph):
@@ -240,10 +258,7 @@ def run_range(
                 f"range [{entry_range.begin}, {entry_range.end}) outside "
                 f"[0, {handle.total_entries}) in {entry_range.file}"
             )
-        columns = [c for c in graph.columns_needed]
-        for c in columns:
-            if c not in handle.schema:
-                raise EngineError(f"{entry_range.file} lacks required column {c!r}")
+        check_columns(graph, entry_range.file, handle.schema)
 
         defs = compiled.define_fns
         filter_fns = compiled.filter_fns
@@ -279,7 +294,7 @@ def run_range(
         mem_peak = 0
         events = 0
         prev_chunk_bytes = 0
-        batches = handle.read_range(columns, entry_range.begin, entry_range.end)
+        batches = handle.read_range(graph.columns_needed, entry_range.begin, entry_range.end)
 
         t0 = time.perf_counter()
         for batch in batches:

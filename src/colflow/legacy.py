@@ -115,6 +115,7 @@ def _run_jobs(
             )
         except ClusterError as e:
             raise LegacyError(f"{phase.value} job failed: {e}") from e
+        planning_bytes += done.planning_bytes  # the scheduler types each wave
         if result is None:
             result = done
         else:
@@ -148,7 +149,6 @@ def run_legacy_preselection(
     tasks = [
         Task(
             j.job_id,
-            "",
             EntryRange(j.file, 0, n),
             payload_uri=payload_uri if j.payload_bytes else "",
             payload_bytes=j.payload_bytes,
@@ -183,7 +183,7 @@ def run_legacy_postselection(
     os.makedirs(out_dir, exist_ok=True)
     result_files = [os.path.join(out_dir, f"job{j.job_id}.res") for j in jobs]
     tasks = [
-        Task(j.job_id, "", EntryRange(j.file, 0, n), multi_pass=True, result_file=rf)
+        Task(j.job_id, EntryRange(j.file, 0, n), multi_pass=True, result_file=rf)
         for j, n, rf in zip(jobs, totals, result_files)
     ]
     result = _run_jobs(

@@ -12,6 +12,10 @@ Kinds 1..7 form the worker channel (REGISTER, GRAPH, TASK, RESULT, FAIL,
 HEARTBEAT, SHUTDOWN). Kinds 8..10 form the client channel (SUBMIT,
 RUN_DONE, RUN_FAIL): a client submits a planned run and eventually receives
 the merged result with its per-task records.
+
+The worker channel is scoped to runs: GRAPH carries the run number, the
+document and the schema the scheduler typed it against ((name, u8
+ValueType) pairs in file order); TASK names its run; RESULT and FAIL echo it.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import struct
 from dataclasses import dataclass
 
 from .engine import EntryRange, PartialResult
+from .exprlang import ValueType
 from .hist import AccumKind, Histo1D, ScalarAccumulator
 from .metrics import JobRecord, MetricsError
 # PROTO_VERSION and ProtoError are re-exported for the cluster side
@@ -46,20 +51,20 @@ class Register:
 
 @dataclass(frozen=True)
 class Graph:
-    graph_id: str
+    run: int
     document: str
+    schema: dict[str, ValueType]  # file order
 
 
 @dataclass(frozen=True)
 class Task:
     task_id: int
-    graph_id: str
     entry_range: EntryRange
     multi_pass: bool = False  # the baseline's per-file job (run_multi_pass)
-    attempt: int = 1
     payload_uri: str = ""  # junk blob fetched before work, "" for none
     payload_bytes: int = 0
     result_file: str = ""  # where to write results instead of replying inline
+    run: int = 0  # set by the scheduler; a client leaves it 0
 
 
 @dataclass(frozen=True)
@@ -67,12 +72,14 @@ class Result:
     task_id: int
     t_total: float
     partial: PartialResult
+    run: int = 0
 
 
 @dataclass(frozen=True)
 class Fail:
     task_id: int
     error: str
+    run: int = 0
 
 
 @dataclass(frozen=True)
@@ -222,11 +229,9 @@ def _unpack_record(r: Reader) -> JobRecord:
 def _pack_task(t: Task) -> bytes:
     return b"".join(
         (
-            struct.pack("<I", t.task_id),
-            pack_str(t.graph_id),
+            struct.pack("<II", t.task_id, t.run),
             pack_str(t.entry_range.file),
             struct.pack("<QQB", t.entry_range.begin, t.entry_range.end, t.multi_pass),
-            struct.pack("<I", t.attempt),
             pack_str(t.payload_uri),
             struct.pack("<Q", t.payload_bytes),
             pack_str(t.result_file),
@@ -235,25 +240,16 @@ def _pack_task(t: Task) -> bytes:
 
 
 def _unpack_task(r: Reader) -> Task:
-    task_id = r.u32()
-    graph_id = r.string()
+    task_id, run = r.unpack("<II")
     file = r.string()
     begin, end, multi_pass = r.unpack("<QQB")
     if multi_pass > 1:
         raise ProtoError(f"bad multi_pass byte {multi_pass}")
-    attempt = r.u32()
     payload_uri = r.string()
     (payload_bytes,) = r.unpack("<Q")
     result_file = r.string()
     return Task(
-        task_id,
-        graph_id,
-        EntryRange(file, begin, end),
-        bool(multi_pass),
-        attempt,
-        payload_uri,
-        payload_bytes,
-        result_file,
+        task_id, EntryRange(file, begin, end), bool(multi_pass), payload_uri, payload_bytes, result_file, run
     )
 
 
@@ -261,13 +257,14 @@ def _encode_payload(msg: Message) -> bytes:
     if isinstance(msg, Register):
         return pack_str(msg.name) + struct.pack("<I", msg.slots)
     if isinstance(msg, Graph):
-        return pack_str(msg.graph_id) + pack_str(msg.document)
+        head = struct.pack("<I", msg.run) + pack_str(msg.document) + struct.pack("<I", len(msg.schema))
+        return head + b"".join(pack_str(c) + struct.pack("<B", t) for c, t in msg.schema.items())
     if isinstance(msg, Task):
         return _pack_task(msg)
     if isinstance(msg, Result):
-        return struct.pack("<Id", msg.task_id, msg.t_total) + pack_partial(msg.partial)
+        return struct.pack("<IId", msg.task_id, msg.run, msg.t_total) + pack_partial(msg.partial)
     if isinstance(msg, Fail):
-        return struct.pack("<I", msg.task_id) + pack_str(msg.error)
+        return struct.pack("<II", msg.task_id, msg.run) + pack_str(msg.error)
     if isinstance(msg, Heartbeat):
         return pack_str(msg.name)
     if isinstance(msg, Shutdown):
@@ -303,14 +300,19 @@ def _decode_payload(kind: int, payload: bytes) -> Message:
                 raise ProtoError(f"worker {name!r} registered with {slots} slots")
             return Register(name, slots)
         if kind == MSG_GRAPH:
-            return Graph(r.string(), r.string())
+            run, document = r.u32(), r.string()
+            schema = {r.string(): ValueType(r.unpack("<B")[0]) for _ in range(r.u32())}  # ValueError: unknown code
+            if not all(t.storable for t in schema.values()):
+                raise ProtoError(f"GRAPH schema holds a non-storable type: {schema}")
+            return Graph(run, document, schema)
         if kind == MSG_TASK:
             return _unpack_task(r)
         if kind == MSG_RESULT:
-            task_id, t_total = r.unpack("<Id")
-            return Result(task_id, t_total, unpack_partial(r))
+            task_id, run, t_total = r.unpack("<IId")
+            return Result(task_id, t_total, unpack_partial(r), run)
         if kind == MSG_FAIL:
-            return Fail(r.u32(), r.string())
+            task_id, run = r.unpack("<II")
+            return Fail(task_id, r.string(), run)
         if kind == MSG_HEARTBEAT:
             return Heartbeat(r.string())
         if kind == MSG_SHUTDOWN:

@@ -380,7 +380,7 @@ class TestFacilityRuns:
         )
         names = [(e["name"], e["entries"]) for e in manifest["files"]]
         tasks = tuple(
-            Task(i, "", EntryRange(name, 0, entries))
+            Task(i, EntryRange(name, 0, entries))
             for i, (name, entries) in enumerate(names)
         )
         relative = submit_run(fac.scheduler_address, document, tasks=tasks)

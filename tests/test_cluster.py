@@ -6,6 +6,7 @@ framing, retry and merge paths are the production ones either way.
 
 import json
 import os
+import socket
 import threading
 import time
 
@@ -24,9 +25,22 @@ from colflow.cluster import scheduler
 from colflow.cluster.planner import plan_partitions
 from colflow.cluster.worker import download_payload, read_result_file
 from colflow.colstore import open_dataset, serve, write_dataset
-from colflow.engine import EntryRange, run_local, run_range
+from colflow.engine import EntryRange, PartialResult, run_local, run_range
+from colflow.exprlang import ValueType
 from colflow.graph import build, load_spec, schema_types
-from colflow.proto import Graph, Result, RunDone, Submit, Task, encode
+from colflow.proto import (
+    Fail,
+    Graph,
+    Register,
+    Result,
+    RunDone,
+    Shutdown,
+    Submit,
+    Task,
+    encode,
+    recv_message,
+    send_message,
+)
 from conftest import STANDARD_SCHEMA, standard_columns
 
 
@@ -178,7 +192,7 @@ class TestDistributedRuns:
             with open_dataset(f) as h:
                 totals.append(h.total_entries)
         tasks = tuple(
-            Task(i, "", EntryRange(f, 0, n))
+            Task(i, EntryRange(f, 0, n))
             for i, (f, n) in enumerate(zip(dataset_files, totals))
         )
         with Scheduler() as sched:
@@ -187,7 +201,7 @@ class TestDistributedRuns:
             result = submit_run(sched.address, doc, tasks=tasks)
         assert len(result.records) == 3
         assert result.total_events == sum(totals)
-        assert result.planning_bytes == 0  # no planning needed
+        assert result.planning_bytes > 0  # the scheduler typed the run against the first file
 
     def test_multi_pass_task_matches_single_pass(self, dataset_files):
         doc = make_doc(dataset_files, integer_weights=True)
@@ -197,7 +211,7 @@ class TestDistributedRuns:
         graph = _build_graph(doc, dataset_files)
         single = run_range(graph, EntryRange(f, 0, n))
 
-        tasks = (Task(0, "", EntryRange(f, 0, n), multi_pass=True),)
+        tasks = (Task(0, EntryRange(f, 0, n), multi_pass=True),)
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
@@ -276,7 +290,7 @@ class TestDistributedRuns:
     def test_duplicate_task_ids_rejected(self, dataset_files):
         doc = make_doc(dataset_files)
         r = EntryRange(dataset_files[0], 0, 10)
-        tasks = (Task(3, "", r), Task(3, "", r))
+        tasks = (Task(3, r), Task(3, r))
         with Scheduler() as sched:
             with pytest.raises(ClusterError, match="task ids"):
                 submit_run(sched.address, doc, tasks=tasks, timeout=5.0)
@@ -290,7 +304,7 @@ class TestDistributedRuns:
             with open_dataset(f) as h:
                 totals.append(h.total_entries)
         tasks = tuple(
-            Task(10 + 2 * i, "", EntryRange(f, 0, n))
+            Task(10 + 2 * i, EntryRange(f, 0, n))
             for i, (f, n) in enumerate(zip(dataset_files, totals))
         )
         with Scheduler() as sched:
@@ -349,7 +363,7 @@ class TestFaultTolerance:
     def test_failing_task_exhausts_retries(self, dataset_files):
         # range beyond EOF: the engine raises on every attempt
         doc = make_doc(dataset_files)
-        tasks = (Task(0, "", EntryRange(dataset_files[0], 0, 10**9)),)
+        tasks = (Task(0, EntryRange(dataset_files[0], 0, 10**9)),)
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
@@ -358,7 +372,7 @@ class TestFaultTolerance:
 
     def test_worker_survives_failing_task(self, dataset_files):
         doc = make_doc(dataset_files)
-        bad = Task(0, "", EntryRange(dataset_files[0], 0, 10**9))
+        bad = Task(0, EntryRange(dataset_files[0], 0, 10**9))
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
@@ -384,7 +398,7 @@ class TestWireLimits:
             spawn_worker(sched.address, name="w0")
             wait_for_workers(sched, 1)
             result = submit_run(
-                sched.address, doc, tasks=(Task(0, "", EntryRange(f, 0, n)),), timeout=30
+                sched.address, doc, tasks=(Task(0, EntryRange(f, 0, n)),), timeout=30
             )
             assert result.total_events == n
 
@@ -409,7 +423,7 @@ class TestWireLimits:
             ok = submit_run(sched.address, doc, run_id="run-0", timeout=30)
             run_done = payload_size(RunDone("run-0", 0.0, ok.partial, ok.records))
             limit = max(
-                payload_size(m) for m in (Submit("run-0", doc), Graph("0" * 16, doc), Result(0, 0.0, ok.partial))
+                payload_size(m) for m in (Submit("run-0", doc), Graph(2**32 - 1, doc, STANDARD_SCHEMA), Result(0, 0.0, ok.partial))
             )
             assert run_done > limit  # every other frame of the run fits
             monkeypatch.setattr(wire, "MAX_FRAME", limit)
@@ -457,14 +471,13 @@ class TestPayloadAndResultFiles:
         with serve(str(tmp_path)) as server:
             uri = f"colsrv://{server.address}/payload.bin"
             with_payload = (
-                Task(0, "", EntryRange(dataset_files[0], 0, n),
+                Task(0, EntryRange(dataset_files[0], 0, n),
                      payload_uri=uri, payload_bytes=n_payload),
             )
-            without = (Task(0, "", EntryRange(dataset_files[0], 0, n)),)
+            without = (Task(0, EntryRange(dataset_files[0], 0, n)),)
             with Scheduler() as sched:
                 spawn_worker(sched.address, name="w0")
                 wait_for_workers(sched, 1)
-                submit_run(sched.address, doc, tasks=without)  # warm the graph cache
                 a = submit_run(sched.address, doc, tasks=with_payload)
                 b = submit_run(sched.address, doc, tasks=without)
             assert server.total_bytes_served == n_payload
@@ -477,7 +490,7 @@ class TestPayloadAndResultFiles:
         with open_dataset(dataset_files[0]) as h:
             n = h.total_entries
         tasks = (
-            Task(0, "", EntryRange(dataset_files[0], 0, n), result_file=out),
+            Task(0, EntryRange(dataset_files[0], 0, n), result_file=out),
         )
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
@@ -500,3 +513,218 @@ class TestShutdown:
         assert out["code"] == 0
         sched.wait(timeout=5.0)
         sched.stop()
+
+
+def x_file(path, x_type, z_type=ValueType.I64):
+    """Three events: x 7, 8, 9 (halves added when F64) and an unused column z."""
+    x = [7.5, 8.5, 9.5] if x_type is ValueType.F64 else [7, 8, 9]
+    z = [1.5, 2.5, 3.5] if z_type is ValueType.F64 else [1, 2, 3]
+    write_dataset(str(path), {"x": x_type, "z": z_type}, {"x": x, "z": z}, 2).close()
+    return str(path)
+
+
+def half_x_doc(files):
+    return json.dumps({"dataset": files, "stages": [
+        {"op": "define", "name": "y", "expr": "x / 2"},
+        {"op": "sum", "name": "s", "column": "y"},
+    ]})
+
+
+class TestColumnTypes:
+    def test_mixed_column_types_fail_before_any_task(self, tmp_path):
+        files = [x_file(tmp_path / "a.col", ValueType.I64), x_file(tmp_path / "b.col", ValueType.F64)]
+        with Scheduler() as sched:
+            worker, _, _ = spawn_worker(sched.address, name="w0")
+            received = []
+            worker._execute = received.append
+            wait_for_workers(sched, 1)
+            with pytest.raises(
+                ClusterError, match=r"bad dataset: .*b\.col holds column 'x' as F64, the graph reads it as I64"
+            ):
+                submit_run(sched.address, half_x_doc(files), timeout=5.0)
+        assert received == []
+
+    def test_explicit_task_on_mistyped_file_fails(self, tmp_path):
+        # explicit runs are typed against the document's first file only; the
+        # engine then checks each task's file
+        a, b = x_file(tmp_path / "a.col", ValueType.I64), x_file(tmp_path / "b.col", ValueType.F64)
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            with pytest.raises(ClusterError, match=r"task 0 exhausted retries: EngineError: .*b\.col holds column 'x'"):
+                submit_run(sched.address, half_x_doc([a]), tasks=(Task(0, EntryRange(b, 0, 3)),),
+                           max_retries=0, timeout=10.0)
+
+    def test_unused_column_may_differ(self, tmp_path):
+        files = [x_file(tmp_path / "a.col", ValueType.I64),
+                 x_file(tmp_path / "b.col", ValueType.I64, z_type=ValueType.F64)]
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            result = submit_run(sched.address, half_x_doc(files), timeout=10.0)
+        assert result.partial.universes["nominal"]["s"].value == 2 * (3 + 4 + 4)
+
+
+def test_first_task_reads_only_its_range(dataset_files):
+    doc = make_doc(dataset_files)
+    f = dataset_files[1]
+    with open_dataset(f) as h:
+        n = h.total_entries
+    own = run_range(_build_graph(doc, dataset_files), EntryRange(f, 0, n))
+    with Scheduler() as sched:
+        spawn_worker(sched.address, name="fresh")
+        wait_for_workers(sched, 1)
+        result = submit_run(sched.address, doc, tasks=(Task(0, EntryRange(f, 0, n)),))
+    assert result.records[0].bytes_read == own.bytes_read
+
+
+class FakeWorker:
+    """A worker socket driven by the test: it registers and answers by hand."""
+
+    def __init__(self, address, slots=1):
+        host, _, port = address.rpartition(":")
+        self.sock = socket.create_connection((host, int(port)), timeout=10)
+        send_message(self.sock, Register("fake", slots))
+
+    def recv(self, kind):
+        msg = recv_message(self.sock)
+        assert isinstance(msg, kind), msg
+        return msg
+
+    def send(self, msg):
+        send_message(self.sock, msg)
+
+
+class TestRunScoping:
+    def test_result_of_wrong_shape_fails_its_task(self, dataset_files):
+        doc = make_doc(dataset_files[:2])
+        graph = _build_graph(doc, dataset_files)
+        other = build(load_spec(make_doc(dataset_files[:2], integer_weights=True).replace("jes_", "jer_")),
+                      STANDARD_SCHEMA)
+        tasks = tuple(Task(i, EntryRange(f, 0, 10)) for i, f in enumerate(dataset_files[:2]))
+        with Scheduler() as sched:
+            fake = FakeWorker(sched.address, slots=2)
+            wait_for_workers(sched, 1)
+            outcome = {}
+
+            def client():
+                t0 = time.monotonic()
+                try:
+                    submit_run(sched.address, doc, tasks=tasks, max_retries=0, timeout=20)
+                except ClusterError as e:
+                    outcome["error"] = str(e)
+                outcome["seconds"] = time.monotonic() - t0
+
+            thread = threading.Thread(target=client)
+            thread.start()
+            run = fake.recv(Graph).run
+            first, second = fake.recv(Task), fake.recv(Task)
+            fake.send(Result(first.task_id, 0.1, PartialResult.empty(graph), run))
+            fake.send(Result(second.task_id, 0.1, PartialResult.empty(other), run))
+            thread.join(30)
+            assert outcome["error"] == f"task {second.task_id} exhausted retries: result does not fit the run's graph"
+            assert outcome["seconds"] < 5
+            fake.sock.close()
+            spawn_worker(sched.address, name="w0")
+            result = run_distributed(doc, sched.address, timeout=30)  # the state loop survived
+        assert result.total_events == 450
+
+    def test_answer_from_another_run_is_dropped(self, dataset_files):
+        doc = make_doc(dataset_files[:1])
+        graph = _build_graph(doc, dataset_files)
+        with Scheduler() as sched:
+            fake = FakeWorker(sched.address)
+            wait_for_workers(sched, 1)
+            outcome = {}
+            task = (Task(0, EntryRange(dataset_files[0], 0, 10)),)
+            thread = threading.Thread(target=lambda: outcome.update(
+                result=submit_run(sched.address, doc, tasks=task, max_retries=0, timeout=20)))
+            thread.start()
+            run = fake.recv(Graph).run
+            got = fake.recv(Task)
+            assert got.run == run
+            fake.send(Fail(0, "a stale answer", run - 1))  # frees nothing, fails nothing
+            fake.send(Result(0, 0.1, PartialResult.empty(graph), run + 1))
+            fake.send(Result(0, 0.1, PartialResult.empty(graph), run))
+            thread.join(30)
+        assert outcome["result"].records[0].task_id == 0
+
+    def test_worker_fails_task_of_a_run_it_no_longer_holds(self, dataset_files):
+        f = dataset_files[0]
+        doc = make_doc([f])
+        listener = socket.create_server(("127.0.0.1", 0))
+        worker = Worker(f"127.0.0.1:{listener.getsockname()[1]}", name="w0")
+        conn, _ = listener.accept()
+        listener.close()
+        conn.settimeout(10)
+        thread = threading.Thread(target=worker.run, daemon=True)
+        thread.start()
+        with conn:
+            assert isinstance(recv_message(conn), Register)
+            task = Task(0, EntryRange(f, 0, 10))
+            send_message(conn, Graph(1, doc, STANDARD_SCHEMA))
+            send_message(conn, Graph(2, doc, STANDARD_SCHEMA))
+            send_message(conn, Task(0, EntryRange(f, 0, 10), run=1))
+            stale = recv_message(conn)
+            assert stale == Fail(0, "RuntimeError: no graph for run 1 (holding run 2)", 1)
+            send_message(conn, Task(0, EntryRange(f, 0, 10), run=2))
+            ok = recv_message(conn)
+            assert isinstance(ok, Result) and ok.run == 2 and ok.partial.events == 10
+            # a graph that does not build is that run's answer to every task
+            send_message(conn, Graph(3, doc, {"MET_pt": ValueType.F64}))
+            send_message(conn, Task(7, task.entry_range, run=3))
+            bad = recv_message(conn)
+            assert isinstance(bad, Fail) and bad.run == 3 and bad.error.startswith("PipelineError: ")
+            send_message(conn, Shutdown())
+            thread.join(10)
+        assert not thread.is_alive()
+
+
+def jets_file(path, njet):
+    """Standard-schema events with the given jet counts; jet pT 40-55."""
+    n = len(njet)
+    write_dataset(str(path), STANDARD_SCHEMA, {
+        "event_weight": [1.0] * n,
+        "MET_pt": [float(i % 97) for i in range(n)],
+        "nJet": njet,
+        "Jet_pt": [[40.0 + i % 13 + k for k in range(j)] for i, j in enumerate(njet)],
+        "Jet_eta": [[0.0] * j for j in njet],
+        "Jet_phi": [[0.0] * j for j in njet],
+    }, 500).close()
+    return str(path)
+
+
+def lead_doc(files, prefix, n_tags):
+    """Leading-jet pT, which fails on an event without jets, under n_tags scale variations."""
+    tags = [f"{prefix}{k}" for k in range(n_tags)]
+    return json.dumps({"dataset": files, "stages": [
+        {"op": "define", "name": "lead", "expr": "Jet_pt[0]"},
+        {"op": "vary", "column": "lead", "kind": "topology", "tags": tags,
+         "exprs": [f"lead * {1 + 0.01 * (k + 1)}" for k in range(n_tags)]},
+        {"op": "histo1d", "name": "h_lead", "column": "lead", "nbins": 20, "xmin": 0.0, "xmax": 100.0},
+        {"op": "count", "name": "n"},
+    ]})
+
+
+def test_late_answer_of_a_failed_run_stays_out_of_the_next(tmp_path):
+    n = 1500
+    slow = jets_file(tmp_path / "slow.col", [2] * n)
+    bad = jets_file(tmp_path / "bad.col", [0, 2, 2])  # event 0 has no jet: Jet_pt[0] fails
+    b_files = [jets_file(tmp_path / f"b{i}.col", [1, 2, 3] * (n // 3)) for i in range(2)]
+    doc_a = lead_doc([slow, bad], "a", 6)
+    doc_b = lead_doc(b_files, "b", 20)
+    with Scheduler() as sched:
+        spawn_worker(sched.address, slots=2, name="w0")
+        wait_for_workers(sched, 1)
+        tasks_a = (Task(0, EntryRange(slow, 0, n)), Task(1, EntryRange(bad, 0, 3)))
+        with pytest.raises(ClusterError, match="task 1 exhausted retries: .*index 0 out of range"):
+            submit_run(sched.address, doc_a, tasks=tasks_a, max_retries=0, timeout=30)
+        # task 0 of run A is still running when run B sends its own task 0
+        tasks_b = tuple(Task(i, EntryRange(f, 0, n)) for i, f in enumerate(b_files))
+        b = submit_run(sched.address, doc_b, tasks=tasks_b, timeout=60)
+        again = submit_run(sched.address, lead_doc([slow], "c", 1), timeout=30)
+    with open_dataset(b_files[0]) as h:
+        graph_b = build(load_spec(doc_b), h.schema)
+    assert set(b.partial.universes) == {"nominal", *(f"b{k}" for k in range(20))}
+    assert b.partial.universes == run_local(graph_b, b_files).universes
+    assert again.total_events == n

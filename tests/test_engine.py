@@ -486,3 +486,39 @@ class TestRunLocal:
         assert single.events == 300
         assert single.bytes_read > 0
         assert single.t_loop > 0.0
+
+
+def x_files(make_dataset, b_type, z_types=(ValueType.I64, ValueType.I64)):
+    """a.col holds x as I64 [7, 8, 9]; b.col holds x as b_type, plus an unused z each."""
+    b_x = [7.5, 8.5, 9.5] if b_type is ValueType.F64 else [7, 8, 9]
+    files = []
+    for name, x_type, x, z_type in (("a.col", ValueType.I64, [7, 8, 9], z_types[0]),
+                                    ("b.col", b_type, b_x, z_types[1])):
+        z = [1.5, 2.5, 3.5] if z_type is ValueType.F64 else [1, 2, 3]
+        files.append(make_dataset(name=name, schema={"x": x_type, "z": z_type},
+                                  columns={"x": x, "z": z}))
+    return files
+
+
+def half_x_document(files):
+    return {"dataset": files, "stages": [
+        {"op": "define", "name": "y", "expr": "x / 2"},
+        {"op": "sum", "name": "s", "column": "y"},
+    ]}
+
+
+class TestColumnTypes:
+    def test_mixed_column_types_rejected(self, make_dataset):
+        files = x_files(make_dataset, ValueType.F64)
+        with open_dataset(files[0]) as h:
+            graph = build(load_spec(half_x_document(files)), h.schema)
+        # typed against a.col, b.col's floats would go through I64 floor division
+        with pytest.raises(EngineError, match=r"b\.col holds column 'x' as F64, the graph reads it as I64"):
+            run_local(graph, files)
+
+    def test_unused_column_may_differ(self, make_dataset):
+        files = x_files(make_dataset, ValueType.I64, (ValueType.I64, ValueType.F64))
+        with open_dataset(files[0]) as h:
+            graph = build(load_spec(half_x_document(files)), h.schema)
+        assert graph.columns_needed == ("x",)
+        assert run_local(graph, files).universes["nominal"]["s"].value == 2 * (3 + 4 + 4)

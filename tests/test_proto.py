@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from colflow import wire
 from colflow.engine import EntryRange, PartialResult
+from colflow.exprlang import ValueType
 from colflow.graph import build, load_spec
 from colflow.hist import AccumKind, Histo1D, ScalarAccumulator
 from colflow.metrics import JobRecord
@@ -52,23 +53,30 @@ def sample_partial(n_universes=3):
 def sample_task(i=0):
     return Task(
         task_id=i,
-        graph_id="abcd1234ef567890",
         entry_range=EntryRange("colsrv://127.0.0.1:9000/data/f0.col", 1000 * i, 1000 * i + 1000),
         multi_pass=True,
-        attempt=2,
         payload_uri="colsrv://127.0.0.1:9000/payload.bin",
         payload_bytes=1 << 20,
         result_file="out/job0.res",
+        run=3,
     )
 
 
+SAMPLE_SCHEMA = {
+    "MET_pt": ValueType.F64,
+    "nJet": ValueType.I64,
+    "pass": ValueType.BOOL,
+    "Jet_pt": ValueType.VEC_F64,
+    "Jet_id": ValueType.VEC_I64,
+}
+
 MESSAGES = [
     Register("worker-3", 4),
-    Graph("abcd1234ef567890", '{"dataset":["a.col"],"stages":[{"op":"count","name":"n"}]}'),
+    Graph(3, '{"dataset":["a.col"],"stages":[{"op":"count","name":"n"}]}', SAMPLE_SCHEMA),
     sample_task(5),
-    Task(0, "g", EntryRange("f.col", 0, 10)),
-    Result(7, 1.25, sample_partial()),
-    Fail(3, "event 17 in f.col: 4:2: min() of an empty vector"),
+    Task(0, EntryRange("f.col", 0, 10)),
+    Result(7, 1.25, sample_partial(), run=3),
+    Fail(3, "event 17 in f.col: 4:2: min() of an empty vector", run=3),
     Heartbeat("worker-0"),
     Shutdown(),
     Submit("run-0", '{"dataset":["a.col"]}', 2, 3, ()),
@@ -102,10 +110,31 @@ class TestRoundTrips:
             assert back.partial.universes[u]["h_met"].sumw == results["h_met"].sumw
 
     def test_empty_strings_and_zero_counts(self):
-        msg = Task(0, "", EntryRange("", 0, 0))
+        msg = Task(0, EntryRange("", 0, 0))
         assert decode(encode(msg)) == msg
         done = RunDone("r", 0.0, PartialResult(), ())
         assert decode(encode(done)) == done
+        graph = Graph(0, "", {})
+        assert decode(encode(graph)) == graph
+
+    def test_run_scoped_layouts(self):
+        """GRAPH, TASK, RESULT and FAIL carry the run as a u32, in this order."""
+        graph = encode(Graph(7, "{}", {"x": ValueType.I64, "Jet_pt": ValueType.VEC_F64}))
+        assert graph[8:] == (
+            struct.pack("<I", 7) + struct.pack("<I", 2) + b"{}" + struct.pack("<I", 2)
+            + struct.pack("<I", 1) + b"x" + bytes([ValueType.I64])
+            + struct.pack("<I", 6) + b"Jet_pt" + bytes([ValueType.VEC_F64])
+        )
+        back = decode(graph)
+        assert list(back.schema) == ["x", "Jet_pt"]  # file order survives
+        assert encode(Task(4, EntryRange("f.col", 0, 10), run=9))[8:16] == struct.pack("<II", 4, 9)
+        assert encode(Result(4, 0.5, PartialResult(), 9))[8:24] == struct.pack("<IId", 4, 9, 0.5)
+        assert encode(Fail(4, "boom", 9))[8:] == struct.pack("<II", 4, 9) + struct.pack("<I", 4) + b"boom"
+
+    def test_result_and_fail_default_to_run_0(self):
+        """The benchmark's replay builds Result(task_id, t_total, partial)."""
+        assert decode(encode(Result(1, 0.25, PartialResult()))).run == 0
+        assert decode(encode(Fail(1, "x"))).run == 0
 
 
 class TestFramingRules:
@@ -141,9 +170,9 @@ class TestFramingRules:
             decode(bytes(raw))
 
     def test_task_multi_pass_byte_is_0_or_1(self):
-        raw = bytearray(encode(Task(0, "g", EntryRange("f.col", 0, 10), multi_pass=True)))
-        # header, task_id, graph_id "g", file "f.col", begin, end, then the flag
-        flag = 8 + 4 + (4 + 1) + (4 + 5) + 8 + 8
+        raw = bytearray(encode(Task(0, EntryRange("f.col", 0, 10), multi_pass=True)))
+        # header, task_id, run, file "f.col", begin, end, then the flag
+        flag = 8 + 4 + 4 + (4 + 5) + 8 + 8
         assert raw[flag] == 1
         raw[flag] = 2
         with pytest.raises(ProtoError, match="multi_pass"):
@@ -154,6 +183,23 @@ class TestFramingRules:
         raw[-4:] = struct.pack("<I", 0)
         with pytest.raises(ProtoError, match="0 slots"):
             decode(bytes(raw))
+
+    @pytest.mark.parametrize("code", [0, 6, 7, 255])
+    def test_graph_dtype_code_outside_storable_types_rejected(self, code):
+        raw = bytearray(encode(Graph(1, "{}", {"x": ValueType.F64})))
+        assert raw[-1] == ValueType.F64
+        raw[-1] = code
+        with pytest.raises(ProtoError):
+            decode(bytes(raw))
+
+    def test_graph_schema_count_past_payload_rejected(self):
+        raw = bytearray(encode(Graph(1, "{}", {"x": ValueType.F64})))
+        count_at = 8 + 4 + (4 + 2)
+        assert raw[count_at : count_at + 4] == struct.pack("<I", 1)
+        for count in (2, 2**32 - 1):
+            raw[count_at : count_at + 4] = struct.pack("<I", count)
+            with pytest.raises(ProtoError, match="truncated"):
+                decode(bytes(raw))
 
     def test_garbage_payload_rejected(self):
         frame = struct.pack("<IHH", 4 + 3, 1, PROTO_VERSION) + b"\xff\xff\xff"
@@ -225,7 +271,7 @@ class TestLimits:
         uris = [f"colsrv://127.0.0.1:9000/data/events_{i:04d}.col" for i in range(1500)]
         document = json.dumps({"dataset": uris, "stages": [{"op": "count", "name": "n"}]})
         assert len(document.encode()) > 0xFFFF  # past the old u16 string length
-        for msg in (Submit("run-big", document, 2, 3, ()), Graph("g", document)):
+        for msg in (Submit("run-big", document, 2, 3, ()), Graph(1, document, SAMPLE_SCHEMA)):
             assert decode(encode(msg)) == msg
 
     @pytest.mark.parametrize("value", [255, 256, 65535, 65536, 2**32 - 1])
@@ -233,7 +279,7 @@ class TestLimits:
         """attempt and passes were u8, slots and the Submit counts u16."""
         record = JobRecord(0, "w0", 10, 1.0, 0.5, 100, 80, attempt=value, passes=value)
         for msg in (
-            Task(0, "g", EntryRange("f.col", 0, 10), attempt=value),
+            Task(0, EntryRange("f.col", 0, 10), run=value),
             Register("w0", value),
             Submit("r", "{}", value, value, ()),
             RunDone("r", 1.0, sample_partial(1), (record,)),
@@ -242,7 +288,7 @@ class TestLimits:
 
     def test_count_field_past_u32_names_the_message(self):
         with pytest.raises(ProtoError, match="cannot encode Task"):
-            encode(Task(0, "g", EntryRange("f.col", 0, 10), attempt=2**32))
+            encode(Task(0, EntryRange("f.col", 0, 10), run=2**32))
 
     def test_oversized_header_rejected_before_body(self):
         a, b = socket.socketpair()
@@ -273,25 +319,26 @@ def random_message(draw):
     names = st.text(
         alphabet=st.characters(min_codepoint=32, max_codepoint=0x24F), max_size=40
     )
+    u32s = st.integers(0, 2**32 - 1)
     choice = draw(st.integers(0, 5))
     if choice == 0:
         return Register(draw(names), draw(st.integers(1, 2**32 - 1)))
     if choice == 1:
         return Heartbeat(draw(names))
     if choice == 2:
-        return Fail(draw(st.integers(0, 2**32 - 1)), draw(names))
+        return Fail(draw(u32s), draw(names), draw(u32s))
     if choice == 3:
-        return Graph(draw(names), draw(names))
+        storable = st.sampled_from([t for t in ValueType if t.storable])
+        return Graph(draw(u32s), draw(names), draw(st.dictionaries(names, storable, max_size=8)))
     if choice == 4:
         return Task(
-            draw(st.integers(0, 2**32 - 1)),
-            draw(names),
+            draw(u32s),
             EntryRange(draw(names), draw(st.integers(0, 2**40)), draw(st.integers(0, 2**40))),
             draw(st.booleans()),
-            draw(st.integers(1, 2**32 - 1)),
             draw(names),
             draw(st.integers(0, 2**40)),
             draw(names),
+            draw(u32s),
         )
     return RunFail(draw(names), draw(names))
 
