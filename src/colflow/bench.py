@@ -107,63 +107,22 @@ def default_post_document(files: list[str]) -> str:
     exactly 9x the nominal data volume.
     """
     stages = [
-        {
-            "op": "vary",
-            "column": "Jet_pt",
-            "kind": "topology",
-            "tags": ["jes_up", "jes_down", "jer_up", "jer_down"],
-            "exprs": [
-                "Jet_pt * 1.05",
-                "Jet_pt * 0.95",
-                "Jet_pt * 1.02",
-                "Jet_pt * 0.98",
-            ],
-        },
-        {
-            "op": "vary",
-            "column": "MET_pt",
-            "kind": "topology",
-            "tags": ["met_jes_up", "met_jes_down", "met_unclust_up", "met_unclust_down"],
-            "exprs": [
-                "MET_pt * 1.03",
-                "MET_pt * 0.97",
-                "MET_pt + 5.0",
-                "MET_pt - 5.0",
-            ],
-        },
-    ]
-    wtags, wexprs = [], []
-    for k in range(11):
-        delta = (k + 1) / 100.0
-        wtags += [f"w{k}_up", f"w{k}_down"]
-        wexprs += [
-            f"event_weight * {1.0 + delta:.2f}",
-            f"event_weight * {1.0 - delta:.2f}",
-        ]
-    stages.append(
-        {"op": "vary", "column": "event_weight", "kind": "weight", "tags": wtags, "exprs": wexprs}
-    )
-    stages += [
+        {"op": "vary", "column": "Jet_pt", "kind": "topology",
+         "tags": ["jes_up", "jes_down", "jer_up", "jer_down"],
+         "exprs": [f"Jet_pt * {f}" for f in ("1.05", "0.95", "1.02", "0.98")]},
+        {"op": "vary", "column": "MET_pt", "kind": "topology",
+         "tags": ["met_jes_up", "met_jes_down", "met_unclust_up", "met_unclust_down"],
+         "exprs": ["MET_pt * 1.03", "MET_pt * 0.97", "MET_pt + 5.0", "MET_pt - 5.0"]},
+        {"op": "vary", "column": "event_weight", "kind": "weight",
+         "tags": [f"w{k}_{side}" for k in range(11) for side in ("up", "down")],
+         "exprs": [f"event_weight * {1.0 + sign * (k + 1) / 100.0:.2f}" for k in range(11) for sign in (1, -1)]},
         {"op": "define", "name": "ht", "expr": "sum(Jet_pt)"},
         {"op": "define", "name": "lead_pt", "expr": "nJet > 0 ? Jet_pt[0] : 0.0"},
         {"op": "filter", "expr": "lead_pt > 25.0", "label": "leading jet"},
     ]
-    for name, col, hi in (
-        ("h_ht", "ht", 1500.0),
-        ("h_lead_pt", "lead_pt", 500.0),
-        ("h_met", "MET_pt", 500.0),
-    ):
-        stages.append(
-            {
-                "op": "histo1d",
-                "name": name,
-                "column": col,
-                "weight": "event_weight",
-                "nbins": 50,
-                "xmin": 0.0,
-                "xmax": hi,
-            }
-        )
+    for name, col, hi in (("h_ht", "ht", 1500.0), ("h_lead_pt", "lead_pt", 500.0), ("h_met", "MET_pt", 500.0)):
+        stages.append({"op": "histo1d", "name": name, "column": col, "weight": "event_weight",
+                       "nbins": 50, "xmin": 0.0, "xmax": hi})
     stages.append({"op": "count", "name": "n_events"})
     return json.dumps({"dataset": list(files), "stages": stages}, indent=2)
 

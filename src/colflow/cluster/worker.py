@@ -103,7 +103,7 @@ class Worker:
                 return
 
     @staticmethod
-    def _compile(msg: Graph) -> tuple:
+    def _build(msg: Graph) -> tuple:
         try:
             return msg.run, CompiledPipeline(build(load_spec(msg.document), msg.schema))
         except Exception as e:  # kept as the run's answer to every task
@@ -163,7 +163,7 @@ class Worker:
                 if msg is None:
                     break  # scheduler vanished
                 if isinstance(msg, Graph):
-                    self._held = self._compile(msg)
+                    self._held = self._build(msg)
                 elif isinstance(msg, Task):
                     pool.submit(self._execute, msg)
                 elif isinstance(msg, Shutdown):

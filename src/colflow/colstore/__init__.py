@@ -12,7 +12,6 @@ from .dataset import (
     DatasetHandle,
     ReadAccount,
     TransportError,
-    VectorData,
     open_dataset,
     read_range,
     server_totals,
@@ -29,7 +28,6 @@ __all__ = [
     "ReadAccount",
     "TransportError",
     "ValueType",
-    "VectorData",
     "open_dataset",
     "read_range",
     "serve",

@@ -14,12 +14,12 @@ import os
 import socket
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .. import wire
-from ..exprlang import ValueType
+from ..exprlang import Jagged, ValueType
 from . import server as srv
 from .format import (
     FOOTER_MAGIC,
@@ -147,29 +147,12 @@ def server_totals(address: str) -> tuple[int, int]:
 
 
 @dataclass
-class VectorData:
-    """A vector column's slice of a batch: per-entry lengths plus packed values."""
-
-    lengths: np.ndarray
-    values: np.ndarray
-
-    def tolists(self) -> list[list]:
-        out: list[list] = []
-        flat = self.values.tolist()
-        pos = 0
-        for n in self.lengths.tolist():
-            out.append(flat[pos : pos + n])
-            pos += n
-        return out
-
-
-@dataclass
 class ColumnBatch:
     """Decoded values of the requested columns for one cluster overlap."""
 
     entry_start: int
     entry_count: int
-    columns: dict[str, np.ndarray | VectorData]
+    columns: dict[str, np.ndarray | Jagged]  # Jagged for vector columns
 
 
 class DatasetHandle:
@@ -275,7 +258,7 @@ def read_range(handle: DatasetHandle, columns, begin: int, end: int):
             continue
         lo = max(begin, cl.entry_start) - cl.entry_start
         hi = min(end, cl_end) - cl.entry_start
-        decoded: dict[str, np.ndarray | VectorData] = {}
+        decoded: dict[str, np.ndarray | Jagged] = {}
         for name in names:
             ref = cl.chunks[handle._col_index[name]]
             raw = _tracked_read(handle._transport, handle.account, ref.offset, ref.length)
@@ -286,13 +269,5 @@ def read_range(handle: DatasetHandle, columns, begin: int, end: int):
             handle.account.chunk_bytes += len(raw)
             if zlib.crc32(raw) != ref.crc32:
                 raise FormatError(f"{handle.uri}: chunk CRC mismatch in column {name}")
-            dtype = handle.schema[name]
-            data = decode_chunk(dtype, raw, cl.entry_count)
-            if dtype.is_vector:
-                lengths, values = data
-                starts = np.zeros(len(lengths) + 1, dtype=np.int64)
-                np.cumsum(lengths, out=starts[1:])
-                decoded[name] = VectorData(lengths[lo:hi], values[starts[lo] : starts[hi]])
-            else:
-                decoded[name] = data[lo:hi]
+            decoded[name] = decode_chunk(handle.schema[name], raw, cl.entry_count)[lo:hi]
         yield ColumnBatch(cl.entry_start + lo, hi - lo, decoded)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..exprlang import ValueType
+from ..exprlang import Jagged, ValueType
 
 MAGIC = b"CSTR"
 FOOTER_MAGIC = b"TOOF"
@@ -86,6 +86,8 @@ def encode_chunk(dtype: ValueType, values) -> bytes:
             raise FormatError(f"bool column data must be one-dimensional, got shape {arr.shape}")
         return arr.astype(np.uint8).tobytes()
     # vector column: u32 lengths then packed values
+    if isinstance(values, Jagged):
+        return values.lengths.astype("<u4").tobytes() + values.values.astype(_VEC_NP[dtype]).tobytes()
     lengths = np.fromiter((len(v) for v in values), dtype="<u4", count=len(values))
     flat: list = []
     for v in values:
@@ -98,7 +100,7 @@ def decode_chunk(dtype: ValueType, raw: bytes, entry_count: int):
     """Decode a chunk back into arrays.
 
     Scalar/bool columns return one ndarray of length entry_count; vector
-    columns return (lengths: u32 ndarray, values: ndarray).
+    columns return a Jagged.
     """
     if dtype in _SCALAR_NP:
         if len(raw) != 8 * entry_count:
@@ -113,7 +115,7 @@ def decode_chunk(dtype: ValueType, raw: bytes, entry_count: int):
     lengths = np.frombuffer(raw[: 4 * entry_count], dtype="<u4")
     if len(raw) != 4 * entry_count + 8 * int(lengths.sum()):
         raise FormatError("vector chunk lengths do not match value count")
-    return lengths, np.frombuffer(raw[4 * entry_count :], dtype=_VEC_NP[dtype])
+    return Jagged(lengths.astype(np.int64), np.frombuffer(raw[4 * entry_count :], dtype=_VEC_NP[dtype]))
 
 
 def encode_footer(schema: dict[str, ValueType], total_entries: int, clusters: tuple[ClusterInfo, ...]) -> bytes:
@@ -181,8 +183,8 @@ def write_dataset(path: str, schema: dict[str, ValueType], columns: dict, cluste
     """Write a columnar file and return an opened local handle.
 
     ``schema`` maps each column name to its type, in file order; ``columns``
-    maps column name to its full value sequence (sequences of
-    sequences for vector columns). All columns must have equal length; the
+    maps column name to its full value sequence (a Jagged, or a sequence
+    of sequences, for vector columns). All columns must have equal length; the
     last cluster may be short.
     """
     from .dataset import open_dataset  # deferred: dataset imports this module

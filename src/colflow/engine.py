@@ -8,12 +8,14 @@ on how many are listed. run_multi_pass is the baseline's pass plan: one
 traversal for nominal plus the WEIGHT universes, then one per TOPOLOGY
 universe.
 
-Universe evaluation is memoized per event at node granularity: the nominal
-row computes each define at most once, and a variation universe recomputes
-only the stages downstream of its vary stage that transitively depend on
-the varied column; everything else is shared with nominal. Row values are
-never mutated, so sharing is safe. Reductions run in entry order, which
-makes merged results reproducible bit for bit for integer weights.
+Evaluation is by batch: one cluster's rows at a time, walked through the
+stages one universe after another. Each expression is evaluated once per
+batch over the rows still live at its stage. Each batch computes a define
+at most once for nominal; a variation universe recomputes only the varied
+column and the stages after its vary stage that depend on it, and shares
+everything else with nominal. Values are never mutated, so sharing is
+safe. Fills and sums add in entry order, which makes merged results
+reproducible bit for bit for integer weights.
 
 t_loop covers the stretch from just before the first batch request to the
 end of the last processed batch; opening the file, compiling the graph,
@@ -27,8 +29,10 @@ import os
 import time
 from dataclasses import dataclass, field as dataclass_field
 
+import numpy as np
+
 from .colstore import open_dataset, write_dataset
-from .exprlang import EvalError, compile_expr
+from .exprlang import EvalError, Jagged, compile_expr
 from .graph import (
     ComputationGraph,
     CountStage,
@@ -125,66 +129,84 @@ def _fresh_slots(graph: ComputationGraph) -> ResultMap:
     return slots
 
 
-# --- row contexts -------------------------------------------------------------
+# --- batch views --------------------------------------------------------------
 
 
-class _NominalRow(dict):
-    """Base columns plus lazily computed defines, cached per event."""
+@dataclass(frozen=True)
+class _Variation:
+    """What one universe changes from its vary stage on."""
 
-    __slots__ = ("_defs",)
-
-    def __init__(self, base: dict, defs: dict):
-        super().__init__(base)
-        self._defs = defs
-
-    def __missing__(self, name):
-        value = self._defs[name](self)
-        self[name] = value
-        return value
+    stage_index: int
+    target: str
+    expr: object  # compiled vary expression, evaluated in the nominal view
+    own: frozenset  # names computed in the universe: the target and its affected defines
+    affected: frozenset  # stage indices that read the varied value
 
 
-class _UniverseRow(dict):
-    """Overlay for one variation universe.
+class _Rows:
+    """One batch's live rows in one universe, and the values computed for them.
 
-    The varied column and the defines downstream of the vary stage are
-    computed here; every other name falls through to the shared nominal
-    row. The vary expression sees the nominal context, matching its
-    declared position in the stage list.
+    A name is computed on first use and kept. A filtered child slices what
+    its parent already holds. A universe view computes its varied column
+    and affected defines itself, and asks `nominal`, the nominal view of
+    the same rows, for every other name, so it shares the nominal arrays.
     """
 
-    __slots__ = ("_nom", "_defs", "_affected", "_target", "_vary_fn")
+    def __init__(self, pipe, ids, held, up=None, nominal=None, variation=None):
+        self.ids = ids
+        self._pipe = pipe
+        self._held = held
+        self._up = up  # (parent's held values, parent's up, mask): holds no view, so views form no cycle
+        self._nominal = nominal
+        self._variation = variation
+        self._filtered: dict[int, _Rows] = {}
 
-    def __init__(self, nominal: _NominalRow, defs: dict, affected: frozenset, target: str, vary_fn):
-        super().__init__()
-        self._nom = nominal
-        self._defs = defs
-        self._affected = affected
-        self._target = target
-        self._vary_fn = vary_fn
-
-    def __missing__(self, name):
-        if name == self._target:
-            value = self._vary_fn(self._nom)
-        elif name in self._affected:
-            value = self._defs[name](self)
-        else:
-            value = self._nom[name]
-        self[name] = value
+    def column(self, name: str):
+        if self._variation is not None and name not in self._variation.own:
+            return self._nominal.column(name)
+        value = _lookup(self._held, self._up, name)
+        if value is None:
+            if self._variation is not None and name == self._variation.target:
+                value = self._variation.expr(self._nominal)
+            else:
+                value = self._pipe.define_fns[name](self)
+            self._held[name] = value
         return value
+
+    def where(self, mask, nominal=None) -> "_Rows":
+        """The rows mask keeps; a universe view's nominal companion is sliced too."""
+        if nominal is None and self._nominal is not None:
+            nominal = self._nominal.where(mask)
+        return _Rows(self._pipe, self.ids[mask], {}, (self._held, self._up, mask), nominal, self._variation)
+
+    def filtered(self, i: int) -> "_Rows":
+        """The rows that pass filter stage i, kept so that every universe reuses nominal's."""
+        if i not in self._filtered:
+            v = self._variation
+            if v is None or i in v.affected:
+                self._filtered[i] = self.where(self._pipe.filter_fns[i](self))
+            else:  # the nominal rows' decision
+                nominal = self._nominal.filtered(i)
+                self._filtered[i] = self.where(nominal._up[2], nominal)
+        return self._filtered[i]
+
+
+def _lookup(held: dict, up, name: str):
+    """name's value if a view or one of its parents holds it, sliced down to the view."""
+    value = held.get(name)
+    if value is None and up is not None:
+        parent_held, parent_up, mask = up
+        value = _lookup(parent_held, parent_up, name)
+        if value is not None:
+            value = held[name] = value[mask]
+    return value
 
 
 # --- compiled pipeline ----------------------------------------------------------
 
-_OP_FILTER = 0
-_OP_HIST_SCALAR = 1
-_OP_HIST_VECTOR = 2
-_OP_SUM = 3
-_OP_COUNT = 4
-_OP_SNAPSHOT = 5
-
 
 class CompiledPipeline:
-    """Per-process compilation of a graph: closures plus universe overlays.
+    """Per-process compilation of a graph: typed expressions plus universe descriptors.
 
     Immutable and shareable across threads; a worker builds one per run
     and reuses it for every task of that run.
@@ -194,43 +216,43 @@ class CompiledPipeline:
         self.graph = graph
         types = graph.column_types  # complete: build rejects forward references
         self.define_fns: dict[str, object] = {}
-        self.filter_fns: list = []  # by filter ordinal
-        self.vary_fns: dict[str, object] = {}  # tag -> compiled expr
-        steps: list[tuple] = []  # (stage_idx, op, *payload)
-
+        self.filter_fns: dict[int, object] = {}  # by stage index
+        self.variations: dict[str, _Variation] = {}
         for i, stage in enumerate(graph.stages):
             if isinstance(stage, DefineStage):
                 self.define_fns[stage.name] = compile_expr(stage.expr, types)
             elif isinstance(stage, FilterStage):
-                ordinal = len(self.filter_fns)
-                self.filter_fns.append(compile_expr(stage.expr, types))
-                steps.append((i, _OP_FILTER, ordinal))
+                self.filter_fns[i] = compile_expr(stage.expr, types)
             elif isinstance(stage, VaryStage):
                 for tag, expr in zip(stage.tags, stage.exprs):
-                    self.vary_fns[tag] = compile_expr(expr, types)
-            elif isinstance(stage, HistoStage):
-                op = _OP_HIST_VECTOR if types[stage.column].is_vector else _OP_HIST_SCALAR
-                steps.append((i, op, stage.name, stage.column, stage.weight))
-            elif isinstance(stage, SumStage):
-                steps.append((i, _OP_SUM, stage.name, stage.column))
-            elif isinstance(stage, CountStage):
-                steps.append((i, _OP_COUNT, stage.name))
-            elif isinstance(stage, SnapshotStage):
-                steps.append((i, _OP_SNAPSHOT))
-        self.steps = tuple(steps)
-        self.snapshot_stage = graph.snapshot
+                    affected = graph.affected_nodes(tag)
+                    defines = {graph.stages[j].name for j in affected if isinstance(graph.stages[j], DefineStage)}
+                    own = frozenset({stage.column, *defines})
+                    self.variations[tag] = _Variation(i, stage.column, compile_expr(expr, types), own, affected)
 
-        # per-universe overlay descriptors
-        self.overlays: dict[str, tuple[str, object, frozenset, frozenset]] = {}
-        for tag in graph.universes():
-            if tag == "nominal":
-                continue
-            vs, _ = graph.variation_of(tag)
-            affected = graph.affected_nodes(tag)
-            affected_defines = frozenset(
-                graph.stages[i].name for i in affected if isinstance(graph.stages[i], DefineStage)
-            )
-            self.overlays[tag] = (vs.target, self.vary_fns[tag], affected_defines, affected)
+
+def _run_universe(compiled: CompiledPipeline, view: _Rows, universe: str, results: ResultMap, snapshot: list):
+    """Walk the stages for one universe over one batch's rows."""
+    variation = compiled.variations.get(universe)
+    for i, stage in enumerate(compiled.graph.stages):
+        if variation is not None and i == variation.stage_index:  # the universe's view from here on
+            view = _Rows(compiled, view.ids, {}, nominal=view, variation=variation)
+        if not len(view.ids):
+            return
+        if isinstance(stage, FilterStage):
+            view = view.filtered(i)
+        elif isinstance(stage, HistoStage):
+            x = view.column(stage.column)
+            w = np.ones(len(view.ids)) if stage.weight is None else view.column(stage.weight)
+            if isinstance(x, Jagged):
+                w, x = np.repeat(w, x.lengths), x.values
+            results[stage.name].fill(x, w)
+        elif isinstance(stage, SumStage):
+            results[stage.name].accumulate(view.column(stage.column))
+        elif isinstance(stage, CountStage):
+            results[stage.name].count(len(view.ids))
+        elif isinstance(stage, SnapshotStage) and universe == "nominal":
+            snapshot.append([view.column(c) for c in stage.columns])
 
 
 def run_range(
@@ -260,103 +282,29 @@ def run_range(
             )
         check_columns(graph, entry_range.file, handle.schema)
 
-        defs = compiled.define_fns
-        filter_fns = compiled.filter_fns
-        snapshot = compiled.snapshot_stage if "nominal" in universes else None
-        snap_buffers: dict[str, list] | None = (
-            {c: [] for c in snapshot.columns} if snapshot is not None else None
-        )
-
-        # bind result slots into flat per-universe step lists
-        plans = []
-        for u in universes:
-            results = partial.universes[u]
-            overlay = None if u == "nominal" else compiled.overlays[u]
-            bound: list[tuple] = []
-            for step in compiled.steps:
-                stage_idx, op = step[0], step[1]
-                if op == _OP_FILTER:
-                    ordinal = step[2]
-                    affected = overlay is not None and stage_idx in overlay[3]
-                    bound.append((_OP_FILTER, ordinal, affected))
-                elif op in (_OP_HIST_SCALAR, _OP_HIST_VECTOR):
-                    _, _, name, column, weight = step
-                    bound.append((op, results[name], column, weight))
-                elif op == _OP_SUM:
-                    bound.append((_OP_SUM, results[step[2]], step[3]))
-                elif op == _OP_COUNT:
-                    bound.append((_OP_COUNT, results[step[2]]))
-                elif op == _OP_SNAPSHOT:
-                    if u == "nominal" and snap_buffers is not None:
-                        bound.append((_OP_SNAPSHOT,))
-            plans.append((u, overlay, bound))
-
+        snapshot: list[list] = []  # per batch, the snapshot columns' nominal values
         mem_peak = 0
-        events = 0
         prev_chunk_bytes = 0
         batches = handle.read_range(graph.columns_needed, entry_range.begin, entry_range.end)
 
         t0 = time.perf_counter()
         for batch in batches:
-            buffers = {}
-            for name, data in batch.columns.items():
-                buffers[name] = data.tolists() if handle.schema[name].is_vector else data.tolist()
             batch_bytes = handle.account.chunk_bytes - prev_chunk_bytes
             prev_chunk_bytes = handle.account.chunk_bytes
             mem_peak = max(mem_peak, batch_bytes)
 
-            names = list(buffers)
-            cols = [buffers[n] for n in names]
-            for j in range(batch.entry_count):
-                events += 1
-                base = {name: col[j] for name, col in zip(names, cols)}
-                nom_row = _NominalRow(base, defs)
-                filter_cache: list = [None] * len(filter_fns)
-                try:
-                    for u, overlay, bound in plans:
-                        if overlay is None:
-                            row = nom_row
-                        else:
-                            row = _UniverseRow(nom_row, defs, overlay[2], overlay[0], overlay[1])
-                        for step in bound:
-                            op = step[0]
-                            if op == _OP_FILTER:
-                                _, ordinal, affected = step
-                                if affected:
-                                    passed = filter_fns[ordinal](row)
-                                else:
-                                    passed = filter_cache[ordinal]
-                                    if passed is None:
-                                        passed = filter_fns[ordinal](nom_row)
-                                        filter_cache[ordinal] = passed
-                                if not passed:
-                                    break
-                            elif op == _OP_HIST_SCALAR:
-                                _, h, column, weight = step
-                                h.fill(row[column], 1.0 if weight is None else row[weight])
-                            elif op == _OP_HIST_VECTOR:
-                                _, h, column, weight = step
-                                w = 1.0 if weight is None else row[weight]
-                                for x in row[column]:
-                                    h.fill(x, w)
-                            elif op == _OP_SUM:
-                                step[1].accumulate(row[step[2]])
-                            elif op == _OP_COUNT:
-                                step[1].count()
-                            else:  # snapshot, nominal only
-                                for c, buf in snap_buffers.items():
-                                    buf.append(row[c])
-                except EvalError as e:
-                    raise EngineError(
-                        f"event {batch.entry_start + j} in {entry_range.file}: {e}"
-                    ) from None
+            ids = np.arange(batch.entry_start, batch.entry_start + batch.entry_count)
+            root = _Rows(compiled, ids, dict(batch.columns))
+            try:
+                for u in universes:
+                    _run_universe(compiled, root, u, partial.universes[u], snapshot)
+            except EvalError as e:
+                raise EngineError(f"event {e.entry} in {entry_range.file}: {e}") from None
         partial.t_loop = time.perf_counter() - t0
 
-        if snap_buffers is not None:
-            partial.snapshots.append(
-                _write_snapshot(compiled, snapshot, snap_buffers, range_id)
-            )
-        partial.events = events
+        if compiled.graph.snapshot is not None and "nominal" in universes:
+            partial.snapshots.append(_write_snapshot(compiled, snapshot, range_id))
+        partial.events = entry_range.end - entry_range.begin  # the batches cover the range
         partial.bytes_read = handle.account.bytes_read
         partial.chunk_bytes = handle.account.chunk_bytes
         partial.mem_peak = mem_peak
@@ -365,19 +313,23 @@ def run_range(
     return partial
 
 
-def _write_snapshot(
-    compiled: CompiledPipeline,
-    stage: SnapshotStage,
-    buffers: dict[str, list],
-    range_id: str,
-) -> str:
+def _write_snapshot(compiled: CompiledPipeline, batches: list[list], range_id: str) -> str:
+    """One part file of the nominal rows that reached the snapshot, in entry order."""
+    stage = compiled.graph.snapshot
     types = compiled.graph.column_types
     schema = {c: types[c] for c in stage.columns}
+    columns: dict = {c: [] for c in schema}  # an empty part when no row reached the snapshot
+    for k, c in enumerate(schema if batches else ()):
+        parts = [b[k] for b in batches]
+        if isinstance(parts[0], Jagged):
+            columns[c] = Jagged(np.concatenate([p.lengths for p in parts]), np.concatenate([p.values for p in parts]))
+        else:
+            columns[c] = np.concatenate(parts)
     path = f"{stage.out}.part{range_id}.col"
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    write_dataset(path, schema, buffers).close()
+    write_dataset(path, schema, columns).close()
     return path
 
 

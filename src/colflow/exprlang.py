@@ -12,34 +12,51 @@ feeding `where` or boolean algebra) and is not `storable`. Precedence, tightest 
 `+ -`, comparisons (non-associative), `&&`, `||`, `?:`.
 
 The public surface is `parse`, `typecheck`, `compile_expr`, `to_text`
-(canonical printing) and `columns_used`. Past the parser the module has two
-halves. The type pass (`typecheck`) walks the tree, builds no closures, and
-holds every type and promotion rule and every ExprTypeError. The closure
-half (`compile_expr`) runs the type pass, then builds per-event closures
-shaped by the types it recorded per node; it checks and promotes nothing on
-its own. The vectorised batch backend planned in ROADMAP.md (item 2)
-replaces the closure half. Compiled closures are immutable and reentrant;
-evaluation is a pure function of the expression and the row context.
-Reductions run left to right so results are bit-reproducible.
+(canonical printing), `columns_used` and `Jagged`. Past the parser the
+module has two halves. The type pass (`typecheck`) holds every type and
+promotion rule and every ExprTypeError. The evaluator (`compile_expr`)
+returns a function of a batch of rows: an object with `ids` (each row's
+entry number), `column(name)` and `where(mask)` (the rows a boolean mask
+keeps, as the same kind of object). A scalar value is a numpy array, a
+vector value a `Jagged`. Each node is evaluated once per batch, only on
+the rows where it is live: a ternary's branches under `cond` and `~cond`,
+the right side of a scalar `&&`/`||` only where it decides the result.
+The evaluator checks and promotes nothing the type pass did not record.
 
 Semantics chosen once and kept fixed:
-  - mixed I64/F64 arithmetic promotes to F64; I64/I64 division is floor
-    division and I64 division or modulo by zero is an eval error
-  - F64 division by zero follows IEEE-754 (inf/nan), F64 `x % 0` is nan
-  - `sum` always yields F64 (empty vector sums to 0.0); `min`/`max` on an
-    empty vector are an eval error; `len` yields I64
+  - mixed I64/F64 arithmetic and comparison promote to F64; I64/I64
+    division is floor division and I64 division or modulo by zero is an
+    eval error
+  - an I64 result outside int64 (`+ - *`, unary `-`, `abs`,
+    `INT64_MIN / -1`) is an eval error; an integer literal outside int64
+    is an ExprTypeError
+  - F64 division by zero follows IEEE-754 (inf/nan), F64 `x % y` is C's
+    fmod (nan for y = 0); the sign of a NaN result is not pinned
+  - `log` and `exp` are Python's `math` functions per element, so their
+    bits are the C library's (numpy's SIMD versions differ by up to 1 ulp)
+  - `sum` always yields F64, left to right (an empty vector sums to 0.0);
+    a VEC_I64 sums exactly and rounds once. `min`/`max` keep the first of
+    equal values and a leading NaN, as Python's do; on an empty vector they
+    are an eval error; `len` yields I64
   - elementwise ops require equal vector lengths; `v[i]` requires
     0 <= i < len(v) (negative indices are out of range)
   - scalar `&&`/`||` short-circuit; on VEC_BOOL they are elementwise
+
+An EvalError carries the failing row's entry number. When several rows or
+nodes fail, it names the first failing row of the first failing node in
+evaluation order (operands left to right, `then` before `other`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Callable
+
+import numpy as np
 
 Span = tuple[int, int]  # 1-based (line, col)
 
@@ -60,7 +77,9 @@ class ExprTypeError(ExprError):
 
 
 class EvalError(ExprError):
-    pass
+    def __init__(self, span: Span, message: str, entry: int | None = None):
+        super().__init__(span, message)
+        self.entry = entry  # the failing row's entry number
 
 
 class ValueType(IntEnum):
@@ -92,6 +111,9 @@ class ValueType(IntEnum):
     @property
     def is_numeric(self) -> bool:
         return self.element in (ValueType.F64, ValueType.I64)
+
+
+I64_MIN, I64_MAX = -(2**63), 2**63 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,6 +345,7 @@ class _Parser:
         raise ExprSyntaxError(tok.span, f"expected an expression, found {shown!r}")
 
 
+@functools.lru_cache(maxsize=4096)  # ASTs are immutable; scheduler and worker load each document
 def parse(text: str) -> Expr:
     """Parse source text into an AST; raises ExprSyntaxError with line:col."""
     return _Parser(_lex(text)).parse()
@@ -393,6 +416,8 @@ def _infer(node: Expr, schema: dict[str, ValueType], types: dict[int, ValueType]
 
 def _infer_node(node: Expr, schema: dict[str, ValueType], types: dict[int, ValueType]) -> ValueType:
     if isinstance(node, Literal):
+        if node.type is ValueType.I64 and not I64_MIN <= node.value <= I64_MAX:
+            raise ExprTypeError(node.span, f"integer literal {node.value} is outside I64")
         return node.type
 
     if isinstance(node, ColumnRef):
@@ -487,30 +512,75 @@ def _infer_call(node: Call, schema: dict[str, ValueType], types: dict[int, Value
 
 
 def typecheck(expr: Expr, schema: dict[str, ValueType]) -> ValueType:
-    """Result type of expr under schema; raises ExprTypeError. Builds no closures."""
+    """Result type of expr under schema; raises ExprTypeError. Evaluates nothing."""
     return _infer(expr, schema, {})
 
 
 # ---------------------------------------------------------------------------
-# Closure half: per-event closures shaped by the types the type pass recorded
+# Batch evaluation: each node once per batch, over the live rows only
 
 
-def _fdiv(n: float, d: float) -> float:
-    if d != 0.0:
-        return n / d
-    if n == 0.0 or math.isnan(n):
-        return math.nan
-    return math.copysign(math.inf, n) * math.copysign(1.0, d)
+@dataclass(frozen=True, eq=False)
+class Jagged:
+    """A vector value per row: int64 lengths, then every row's elements back to back."""
+
+    lengths: np.ndarray
+    values: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.lengths)
+
+    def offsets(self) -> np.ndarray:
+        """Where each row starts in values, then the end: len(self) + 1 entries."""
+        out = np.zeros(len(self.lengths) + 1, dtype=np.int64)
+        np.cumsum(self.lengths, out=out[1:])
+        return out
+
+    def __getitem__(self, rows) -> "Jagged":
+        """The rows a slice (step 1) or a boolean mask selects."""
+        if isinstance(rows, slice):
+            lo, hi, _ = rows.indices(len(self.lengths))
+            offsets = self.offsets()
+            return Jagged(self.lengths[lo:hi], self.values[offsets[lo] : offsets[max(lo, hi)]])
+        return Jagged(self.lengths[rows], self.values[np.repeat(rows, self.lengths)])
 
 
-def _fmod(n: float, d: float) -> float:
-    if d == 0.0 or math.isnan(n) or math.isnan(d) or math.isinf(n):
-        return math.nan
-    return math.fmod(n, d)
+Value = np.ndarray | Jagged
+
+_DTYPES = {ValueType.F64: np.float64, ValueType.I64: np.int64, ValueType.BOOL: np.bool_}
 
 
-def _sqrt(x: float) -> float:
-    return math.sqrt(x) if x >= 0.0 else math.nan
+class _Bad(Exception):
+    """An element kernel's failure: args are (flat index of the first bad element, message)."""
+
+
+_BY_ZERO = {"'/'": "integer division by zero", "'%'": "integer modulo by zero"}
+
+
+def _arith(label: str, f64, i64=None):
+    """An arithmetic kernel: f64 on F64; on I64, i64 (default f64) over Python
+    ints, so the result is exact and is checked to fit int64."""
+
+    def kernel(*args):
+        if args[0].dtype != np.int64:
+            return f64(*args)
+        exact = [a.astype(object) for a in args]
+        zero = args[1] == 0 if label in _BY_ZERO else np.zeros(len(args[0]), dtype=bool)
+        if zero.any():
+            exact[1][zero] = 1  # reported below; keeps the division itself defined
+        out = (i64 or f64)(*exact)
+        cases = ((zero, _BY_ZERO.get(label)), ((out < I64_MIN) | (out > I64_MAX), f"I64 overflow in {label}"))
+        firsts = [(int(np.argmax(bad)), message) for bad, message in cases if bad.any()]
+        if firsts:
+            raise _Bad(*min(firsts))  # the first bad element, whatever its kind
+        return out.astype(np.int64)
+
+    return kernel
+
+
+def _per_element(f):
+    """f on each element as a Python float: the C library's result to the bit."""
+    return lambda a: np.array([f(x) for x in a.tolist()], dtype=np.float64)
 
 
 def _log(x: float) -> float:
@@ -526,170 +596,169 @@ def _exp(x: float) -> float:
         return math.inf
 
 
-_Fn = Callable[[dict], object]
-
-_MATH_FUNCS = {"abs": abs, "sqrt": _sqrt, "log": _log, "exp": _exp}
-
-_OP_FUNCS = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
-    "<": lambda a, b: a < b,
-    "<=": lambda a, b: a <= b,
-    ">": lambda a, b: a > b,
-    ">=": lambda a, b: a >= b,
-    "==": lambda a, b: a == b,
-    "!=": lambda a, b: a != b,
+_KERNELS = {
+    "+": _arith("'+'", np.add), "-": _arith("'-'", np.subtract), "*": _arith("'*'", np.multiply),
+    "/": _arith("'/'", np.divide, np.floor_divide), "%": _arith("'%'", np.fmod, np.remainder),
+    "neg": _arith("unary '-'", np.negative), "abs": _arith("abs()", np.abs),
+    "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
+    "==": np.equal, "!=": np.not_equal, "&&": np.logical_and, "||": np.logical_or, "!": np.logical_not,
+    "sqrt": np.sqrt, "log": _per_element(_log), "exp": _per_element(_exp),
 }
 
 
-def _zip_pairs(lv: list, rv: list, span: Span) -> zip:
-    if len(lv) != len(rv):
-        raise EvalError(span, f"vector length mismatch: {len(lv)} vs {len(rv)}")
-    return zip(lv, rv)
+def _cast(value: Value, t: ValueType) -> Value:
+    """value with t's element dtype (I64 widened to F64 where the type pass widened it)."""
+    if isinstance(value, Jagged):
+        return Jagged(value.lengths, _cast(value.values, t))
+    return value.astype(_DTYPES[t.element], copy=False)
 
 
-def _int_op(op: str, span: Span):
-    """I64 `/` or `%`: floor semantics, and a zero divisor is an eval error."""
-    if op == "/":
-        def div(a, b):
-            if b == 0:
-                raise EvalError(span, "integer division by zero")
-            return a // b
-
-        return div
-
-    def mod(a, b):
-        if b == 0:
-            raise EvalError(span, "integer modulo by zero")
-        return a % b
-
-    return mod
+def _merge(cond: np.ndarray, a: Value, b: Value) -> Value:
+    """a's rows where cond is set and b's elsewhere; a and b hold only their own rows."""
+    if isinstance(a, Jagged):
+        lengths = _merge(cond, a.lengths, b.lengths)
+        return Jagged(lengths, _merge(np.repeat(cond, lengths), a.values, b.values))
+    out = np.empty(len(cond), a.dtype)
+    out[cond] = a
+    out[~cond] = b
+    return out
 
 
-def _as_type(node: Expr, want: ValueType, types: dict[int, ValueType]) -> _Fn:
-    """node's closure, its values made floats where the type pass widened I64 to F64."""
-    fn = _compile(node, types)
-    if types[id(node)] is want:
-        return fn
-    if want.is_vector:
-        return lambda ctx: [float(x) for x in fn(ctx)]
-    return lambda ctx: float(fn(ctx))
+def _mismatch(node: Expr, rows, a: Jagged, b: Jagged, r: int) -> EvalError:
+    return EvalError(node.span, f"vector length mismatch: {a.lengths[r]} vs {b.lengths[r]}", int(rows.ids[r]))
 
 
-def _compile(node: Expr, types: dict[int, ValueType]) -> _Fn:
-    t = types[id(node)]
+def _elementwise(node: Expr, rows, kernel, *args: Value) -> Value:
+    """kernel over the elements of args; a scalar repeats over its row's vector."""
+    vectors = [a for a in args if isinstance(a, Jagged)]
+    lengths = vectors[0].lengths if vectors else None
+    for v in vectors[1:]:
+        differ = v.lengths != lengths
+        if differ.any():
+            r = int(np.argmax(differ))
+            _elementwise(node, rows, kernel, *(a[:r] for a in args))  # an earlier row may fail first
+            raise _mismatch(node, rows, vectors[0], v, r)
+    if lengths is None:
+        flat = args
+    else:
+        flat = [a.values if isinstance(a, Jagged) else np.repeat(a, lengths) for a in args]
+    try:
+        out = kernel(*flat)
+    except _Bad as bad:
+        index, message = bad.args
+        r = index if lengths is None else int(np.searchsorted(np.cumsum(lengths), index, side="right"))
+        raise EvalError(node.span, message, int(rows.ids[r])) from None
+    return out if lengths is None else Jagged(lengths, out)
 
+
+def _fold(v: Jagged, acc: np.ndarray, step, first: int = 0) -> np.ndarray:
+    """Fold element k into the rows longer than k, for k = first, first + 1, ... in turn.
+
+    This keeps each row's left-to-right order; numpy's add.reduce would
+    not (it sums pairwise once a row has more than 8 elements).
+    """
+    starts = v.offsets()[:-1]
+    for k in range(first, int(v.lengths.max(initial=0))):
+        longer = v.lengths > k
+        acc[longer] = step(acc[longer], v.values[starts[longer] + k])
+    return acc
+
+
+def _under(node: Expr, types: dict[int, ValueType], rows, mask: np.ndarray) -> Value:
+    """node's value on the rows where mask is set, evaluated on those rows only."""
+    return _eval(node, types, rows if mask.all() else rows.where(mask))
+
+
+def _eval(node: Expr, types: dict[int, ValueType], rows) -> Value:
     if isinstance(node, Literal):
-        v = node.value
-        return lambda ctx: v
+        return np.full(len(rows.ids), node.value, _DTYPES[node.type])
 
     if isinstance(node, ColumnRef):
-        name = node.name
-        return lambda ctx: ctx[name]
+        return rows.column(node.name)
 
     if isinstance(node, Unary):
-        f = _compile(node.operand, types)
-        if node.op == "!":
-            if t.is_vector:
-                return lambda ctx: [not b for b in f(ctx)]
-            return lambda ctx: not f(ctx)
-        if t.is_vector:
-            return lambda ctx: [-x for x in f(ctx)]
-        return lambda ctx: -f(ctx)
+        kernel = _KERNELS["!" if node.op == "!" else "neg"]
+        return _elementwise(node, rows, kernel, _eval(node.operand, types, rows))
 
     if isinstance(node, Binary):
-        lf = _compile(node.left, types)
-        rf = _compile(node.right, types)
-        op = node.op
-        span = node.span
-        if op in ("&&", "||"):
-            if t is ValueType.BOOL:
-                if op == "&&":
-                    return lambda ctx: rf(ctx) if lf(ctx) else False
-                return lambda ctx: True if lf(ctx) else rf(ctx)
-            combine = (lambda a, b: a and b) if op == "&&" else (lambda a, b: a or b)
-            return lambda ctx: [combine(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)]
-
-        if op == "/" or op == "%":
-            if t.element is ValueType.I64:
-                f = _int_op(op, span)
-            else:
-                f = _fdiv if op == "/" else _fmod
-        else:
-            f = _OP_FUNCS[op]
-        lvec = types[id(node.left)].is_vector
-        rvec = types[id(node.right)].is_vector
-        if lvec and rvec:
-            return lambda ctx: [f(a, b) for a, b in _zip_pairs(lf(ctx), rf(ctx), span)]
-        if lvec:
-            return lambda ctx: (lambda v, s: [f(a, s) for a in v])(lf(ctx), rf(ctx))
-        if rvec:
-            return lambda ctx: (lambda s, v: [f(s, b) for b in v])(lf(ctx), rf(ctx))
-        if t is ValueType.F64:
-            return lambda ctx: float(f(lf(ctx), rf(ctx)))
-        return lambda ctx: f(lf(ctx), rf(ctx))
+        t = types[id(node)]
+        left = _eval(node.left, types, rows)
+        if t is ValueType.BOOL and node.op in ("&&", "||"):
+            undecided = left if node.op == "&&" else ~left
+            out = left.copy()
+            if undecided.any():
+                out[undecided] = _under(node.right, types, rows, undecided)
+            return out
+        right = _eval(node.right, types, rows)
+        if node.op in _CMP_OPS:
+            t = _num_promote(types[id(node.left)], types[id(node.right)])
+        if t.is_numeric:
+            left, right = _cast(left, t), _cast(right, t)
+        return _elementwise(node, rows, _KERNELS[node.op], left, right)
 
     if isinstance(node, Ternary):
-        cf = _compile(node.cond, types)
-        tf = _as_type(node.then, t, types)
-        ef = _as_type(node.other, t, types)
-        return lambda ctx: tf(ctx) if cf(ctx) else ef(ctx)
+        t = types[id(node)]
+        cond = _eval(node.cond, types, rows)
+        then = _cast(_under(node.then, types, rows, cond), t)
+        other = _cast(_under(node.other, types, rows, ~cond), t)
+        return _merge(cond, then, other)
 
     if isinstance(node, Index):
-        bf = _compile(node.base, types)
-        if_ = _compile(node.index, types)
-        span = node.span
-
-        def index_fn(ctx):
-            v = bf(ctx)
-            i = if_(ctx)
-            if not 0 <= i < len(v):
-                raise EvalError(span, f"index {i} out of range for length {len(v)}")
-            return v[i]
-
-        return index_fn
+        base = _eval(node.base, types, rows)
+        i = _eval(node.index, types, rows)
+        bad = (i < 0) | (i >= base.lengths)
+        if bad.any():
+            r = int(np.argmax(bad))
+            raise EvalError(node.span, f"index {i[r]} out of range for length {base.lengths[r]}", int(rows.ids[r]))
+        return base.values[base.offsets()[:-1] + i]
 
     if isinstance(node, Call):
-        return _compile_call(node, t, types)
+        return _eval_call(node, types, rows)
 
     raise TypeError(f"not an Expr node: {node!r}")
 
 
-def _compile_call(node: Call, t: ValueType, types: dict[int, ValueType]) -> _Fn:
-    span = node.span
+def _eval_call(node: Call, types: dict[int, ValueType], rows) -> Value:
     name = node.func
-    af = _compile(node.args[0], types)
+    arg = _eval(node.args[0], types, rows)
 
     if name == "len":
-        return lambda ctx: len(af(ctx))
+        return arg.lengths
 
     if name == "sum":
-        return lambda ctx: float(sum(af(ctx)))  # left-to-right
+        if arg.values.dtype == np.int64:  # exact in Python ints, then rounded once
+            exact = _fold(Jagged(arg.lengths, arg.values.astype(object)), np.zeros(len(arg), object), np.add)
+            return exact.astype(np.float64)
+        return _fold(arg, np.zeros(len(arg)), np.add)
 
     if name in ("min", "max"):
-        reduce = min if name == "min" else max
-
-        def extremum(ctx):
-            v = af(ctx)
-            if not v:
-                raise EvalError(span, f"{name}() of an empty vector")
-            return reduce(v)
-
-        return extremum
+        empty = arg.lengths == 0
+        if empty.any():
+            raise EvalError(node.span, f"{name}() of an empty vector", int(rows.ids[np.argmax(empty)]))
+        better = np.less if name == "min" else np.greater
+        # replace only on a strict improvement: the first of equals and a leading NaN stay
+        return _fold(arg, arg.values[arg.offsets()[:-1]], lambda acc, x: np.where(better(x, acc), x, acc), 1)
 
     if name == "where":
-        mf = _compile(node.args[1], types)
-        return lambda ctx: [x for x, keep in _zip_pairs(af(ctx), mf(ctx), span) if keep]
+        keep = _eval(node.args[1], types, rows)
+        differ = arg.lengths != keep.lengths
+        if differ.any():
+            raise _mismatch(node, rows, arg, keep, int(np.argmax(differ)))
+        row_of = np.repeat(np.arange(len(arg)), arg.lengths)
+        return Jagged(np.bincount(row_of[keep.values], minlength=len(arg)), arg.values[keep.values])
 
-    f = _MATH_FUNCS[name]
-    if t.is_vector:
-        return lambda ctx: [f(x) for x in af(ctx)]
-    return lambda ctx: f(af(ctx))
+    if name != "abs":  # sqrt, log, exp
+        arg = _cast(arg, ValueType.F64)
+    return _elementwise(node, rows, _KERNELS[name], arg)
 
 
-def compile_expr(expr: Expr, schema: dict[str, ValueType]) -> _Fn:
-    """Typecheck expr, then compile it to a closure over row contexts."""
+def compile_expr(expr: Expr, schema: dict[str, ValueType]) -> Callable[[object], Value]:
+    """Typecheck expr, then return its evaluator over a batch's live rows."""
     types: dict[int, ValueType] = {}
     _infer(expr, schema, types)
-    return _compile(expr, types)
+
+    def evaluate(rows) -> Value:
+        with np.errstate(all="ignore"):  # IEEE-754 results are the semantics, not warnings
+            return _eval(expr, types, rows)
+
+    return evaluate

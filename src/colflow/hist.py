@@ -5,13 +5,16 @@ instances, and partial results are combined by addition. Axis layout is
 uniform bins over [xmin, xmax) with two extra slots: index 0 collects
 underflow (x < xmin, and NaN by convention) and index nbins+1 collects
 overflow (x >= xmax). sumw2 tracks the sum of squared weights so merged
-statistical errors stay exact.
+statistical errors stay exact. sumw and sumw2 are array("d") buffers that
+fills add into in place through numpy: a result holds no float per bin.
 """
 
 from __future__ import annotations
 
-import math
+from array import array
 from enum import Enum
+
+import numpy as np
 
 
 class Histo1D:
@@ -27,25 +30,26 @@ class Histo1D:
         self.xmin = float(xmin)
         self.xmax = float(xmax)
         self.entries = 0
-        self.sumw = [0.0] * (nbins + 2)
-        self.sumw2 = [0.0] * (nbins + 2)
+        self.sumw = array("d", [0.0]) * (nbins + 2)
+        self.sumw2 = array("d", [0.0]) * (nbins + 2)
 
-    def fill(self, x: float, w: float = 1.0) -> None:
-        if not math.isfinite(w):
-            raise ValueError(f"non-finite weight {w!r} in histogram {self.name!r}")
-        if math.isnan(x) or x < self.xmin:
-            b = 0
-        elif x >= self.xmax:
-            b = self.nbins + 1
-        else:
-            # divide first: the one fixed formula all modes share
-            b = int((x - self.xmin) / (self.xmax - self.xmin) * self.nbins)
-            if b >= self.nbins:  # guard the upper edge against rounding
-                b = self.nbins - 1
-            b += 1
-        self.sumw[b] += w
-        self.sumw2[b] += w * w
-        self.entries += 1
+    def fill(self, x, w=1.0) -> None:
+        """Fill the values of x (a scalar is one value) as F64, with one weight
+        for all or one each; each bin adds in order, as one fill at a time."""
+        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+        w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
+        bad = ~np.isfinite(w)
+        if bad.any():
+            raise ValueError(f"non-finite weight {float(w[bad][0])!r} in histogram {self.name!r}")
+        bins = np.zeros(len(x), dtype=np.int64)  # underflow, NaN included
+        bins[x >= self.xmax] = self.nbins + 1
+        inside = (x >= self.xmin) & (x < self.xmax)
+        # divide first: the one fixed formula all modes share
+        k = ((x[inside] - self.xmin) / (self.xmax - self.xmin) * self.nbins).astype(np.int64)
+        bins[inside] = np.minimum(k, self.nbins - 1) + 1  # guard the upper edge against rounding
+        np.add.at(np.frombuffer(self.sumw), bins, w)  # unbuffered: a bin hit twice adds in order
+        np.add.at(np.frombuffer(self.sumw2), bins, w * w)
+        self.entries += len(x)
 
     def same_axis(self, other: "Histo1D") -> bool:
         return (
@@ -62,16 +66,15 @@ class Histo1D:
                 f"histogram axis mismatch: {self.name!r}[{self.nbins},{self.xmin},{self.xmax}] "
                 f"vs {other.name!r}[{other.nbins},{other.xmin},{other.xmax}]"
             )
-        for b in range(self.nbins + 2):
-            self.sumw[b] += other.sumw[b]
-            self.sumw2[b] += other.sumw2[b]
+        np.frombuffer(self.sumw)[:] += np.frombuffer(other.sumw)  # bin by bin, in place
+        np.frombuffer(self.sumw2)[:] += np.frombuffer(other.sumw2)
         self.entries += other.entries
 
     def copy(self) -> "Histo1D":
         h = Histo1D(self.name, self.nbins, self.xmin, self.xmax)
         h.entries = self.entries
-        h.sumw = list(self.sumw)
-        h.sumw2 = list(self.sumw2)
+        h.sumw = array("d", self.sumw)
+        h.sumw2 = array("d", self.sumw2)
         return h
 
     def total_sumw(self) -> float:
@@ -108,11 +111,12 @@ class ScalarAccumulator:
         self.kind = kind
         self.value = value
 
-    def count(self) -> None:
-        self.value += 1
+    def count(self, n: int = 1) -> None:
+        self.value += n
 
-    def accumulate(self, x: float) -> None:
-        self.value += x
+    def accumulate(self, x) -> None:
+        """Add each value of x in order (a scalar is one value)."""
+        self.value = float(np.cumsum(np.append(self.value, np.asarray(x, dtype=np.float64)))[-1])
 
     def add(self, other: "ScalarAccumulator") -> None:
         if self.kind is not other.kind:

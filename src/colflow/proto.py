@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import socket
 import struct
+from array import array
 from dataclasses import dataclass
 
 from .engine import EntryRange, PartialResult
@@ -160,8 +161,8 @@ def unpack_histo(r: Reader, name: str) -> Histo1D:
     sumw2 = r.unpack(f"<{nbins + 2}d")
     h = Histo1D(name, nbins, xmin, xmax)
     h.entries = entries
-    h.sumw = list(sumw)
-    h.sumw2 = list(sumw2)
+    h.sumw = array("d", sumw)
+    h.sumw2 = array("d", sumw2)
     return h
 
 

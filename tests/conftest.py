@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from colflow.colstore import ValueType, write_dataset
+from colflow.exprlang import Jagged, compile_expr
 
 STANDARD_SCHEMA = {
     "event_weight": ValueType.F64,
@@ -42,3 +43,53 @@ def make_dataset(tmp_path):
         return str(path)
 
     return build
+
+
+def vector_rows(v: Jagged) -> list[list]:
+    """A vector column's rows as Python lists."""
+    flat = v.values.tolist()
+    ends = np.cumsum(v.lengths).tolist()
+    return [flat[end - n : end] for n, end in zip(v.lengths.tolist(), ends)]
+
+
+class Batch:
+    """Rows for a compiled expression: entry numbers plus one value per column."""
+
+    def __init__(self, ids, columns: dict):
+        self.ids = np.asarray(ids, dtype=np.int64)
+        self._columns = columns
+
+    def column(self, name):
+        return self._columns[name]
+
+    def where(self, mask):
+        return Batch(self.ids[mask], {n: v[mask] for n, v in self._columns.items()})
+
+
+_DTYPE = {ValueType.F64: np.float64, ValueType.I64: np.int64, ValueType.BOOL: np.bool_}
+
+
+def as_batch_column(values: list, t: ValueType):
+    """Per-row Python values (lists for a vector type) as a batch column."""
+    if t.is_vector:
+        lengths = np.array([len(v) for v in values], dtype=np.int64)
+        return Jagged(lengths, np.array([x for v in values for x in v], dtype=_DTYPE[t.element]))
+    return np.array(values, dtype=_DTYPE[t])
+
+
+def batch_of(rows: list[dict], schema: dict, first_entry: int = 0) -> Batch:
+    """A batch of the given rows; entry numbers count up from first_entry."""
+    columns = {n: as_batch_column([r[n] for r in rows], t) for n, t in schema.items() if n in rows[0]}
+    return Batch(np.arange(first_entry, first_entry + len(rows)), columns)
+
+
+def as_python(value):
+    """A one-row result as a Python value: a list for a vector."""
+    if isinstance(value, Jagged):
+        return value.values.tolist()
+    return value[0].item()
+
+
+def eval_row(expr, schema: dict, row: dict):
+    """expr evaluated on one event, given as Python values, as a one-row batch."""
+    return as_python(compile_expr(expr, schema)(batch_of([row], schema)))

@@ -23,7 +23,7 @@ from colflow.colstore.format import (
     encode_footer,
 )
 
-from conftest import STANDARD_SCHEMA, standard_columns
+from conftest import STANDARD_SCHEMA, standard_columns, vector_rows
 
 
 def test_roundtrip_all_dtypes(tmp_path):
@@ -55,8 +55,8 @@ def test_roundtrip_all_dtypes(tmp_path):
             got["f"].extend(batch.columns["f"].tolist())
             got["i"].extend(batch.columns["i"].tolist())
             got["b"].extend(batch.columns["b"].tolist())
-            got["vf"].extend(batch.columns["vf"].tolists())
-            got["vi"].extend(batch.columns["vi"].tolists())
+            got["vf"].extend(vector_rows(batch.columns["vf"]))
+            got["vi"].extend(vector_rows(batch.columns["vi"]))
     assert got["f"] == list(cols["f"])
     assert got["i"] == list(cols["i"])
     assert got["b"] == list(cols["b"])
@@ -111,7 +111,7 @@ def test_vector_slicing_mid_cluster(make_dataset):
     with open_dataset(path) as h:
         got = []
         for b in h.read_range(["Jet_pt"], 17, 103):
-            got.extend(b.columns["Jet_pt"].tolists())
+            got.extend(vector_rows(b.columns["Jet_pt"]))
     assert got == [list(v) for v in cols["Jet_pt"][17:103]]
 
 
@@ -121,7 +121,7 @@ def test_empty_vectors_and_single_entry(tmp_path):
     write_dataset(path, schema, {"v": [[]]}, cluster_size=10).close()
     with open_dataset(path) as h:
         (batch,) = h.read_range(["v"], 0, 1)
-        assert batch.columns["v"].tolists() == [[]]
+        assert vector_rows(batch.columns["v"]) == [[]]
 
 
 def test_range_validation(make_dataset):
@@ -224,7 +224,7 @@ def test_roundtrip_property(tmp_path_factory, data, cluster_size):
             out_f.extend(batch.columns["f"].tolist())
             out_i.extend(batch.columns["i"].tolist())
             out_b.extend(batch.columns["b"].tolist())
-            out_v.extend(batch.columns["v"].tolists())
+            out_v.extend(vector_rows(batch.columns["v"]))
     assert out_f == cols["f"]
     assert out_i == cols["i"]
     assert out_b == cols["b"]

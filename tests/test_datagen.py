@@ -14,6 +14,7 @@ from colflow.datagen import (
     load_manifest,
     manifest_files,
 )
+from conftest import vector_rows
 
 
 def file_digests(manifest_path):
@@ -102,7 +103,7 @@ class TestShape:
                 assert (batch.columns["MET_pt"] >= 0).all()
                 eta = batch.columns["Jet_eta"].values
                 assert eta.size == 0 or (np.abs(eta) <= 2.5).all()
-                for jets in batch.columns["Jet_pt"].tolists():
+                for jets in vector_rows(batch.columns["Jet_pt"]):
                     assert jets == sorted(jets, reverse=True)
 
     def test_skim_selection_keeps_about_five_percent(self, tmp_path):

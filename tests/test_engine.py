@@ -22,11 +22,12 @@ from colflow.engine import (
     run_multi_pass,
     run_range,
 )
-from colflow.exprlang import ValueType, compile_expr
+from colflow.exprlang import ValueType
 from colflow.graph import (
     DefineStage,
     FilterStage,
     HistoStage,
+    PipelineError,
     SumStage,
     VaryStage,
     build,
@@ -35,6 +36,7 @@ from colflow.graph import (
 )
 from colflow.proto import pack_partial, unpack_partial
 from colflow.wire import Reader
+from conftest import eval_row, vector_rows
 
 RICH_DOC = {
     "dataset": ["unused.col"],
@@ -87,7 +89,7 @@ def read_all_rows(path):
         names = list(h.schema)
         for batch in h.read_range(names, 0, h.total_entries):
             cols = {
-                n: (d.tolists() if h.schema[n].is_vector else d.tolist())
+                n: (vector_rows(d) if h.schema[n].is_vector else d.tolist())
                 for n, d in batch.columns.items()
             }
             for j in range(batch.entry_count):
@@ -141,13 +143,13 @@ def naive_run(rows, graph):
             for i, stage in enumerate(graph.stages):
                 if i in vary_at:
                     target, expr = vary_at[i]
-                    ctx[target] = compile_expr(expr, graph.column_types)(ctx)
+                    ctx[target] = eval_row(expr, graph.column_types, ctx)
                 if isinstance(stage, VaryStage):
                     continue
                 if isinstance(stage, DefineStage):
-                    ctx[stage.name] = compile_expr(stage.expr, graph.column_types)(ctx)
+                    ctx[stage.name] = eval_row(stage.expr, graph.column_types, ctx)
                 elif isinstance(stage, FilterStage):
-                    if not compile_expr(stage.expr, graph.column_types)(ctx):
+                    if not eval_row(stage.expr, graph.column_types, ctx):
                         break
                 elif isinstance(stage, HistoStage):
                     w = 1.0 if stage.weight is None else ctx[stage.weight]
@@ -199,6 +201,42 @@ class TestOracle:
         assert partial.universes["w_up"]["h_ht"].entries == nom["h_ht"].entries
         # count is unweighted, so weight universes agree with nominal
         assert partial.universes["w_up"]["n_all"].value == nom["n_all"].value
+
+
+    def test_result_stage_before_its_vary_stage_reads_the_nominal_column(self, make_dataset):
+        """The substitution applies from the vary stage on, never to earlier stages."""
+        path = make_dataset(name="x.col", schema={"x": ValueType.F64}, columns={"x": [1.0, 2.0, 3.0, 4.0]})
+        doc = {"dataset": [path], "stages": [
+            {"op": "sum", "name": "s_before", "column": "x"},
+            {"op": "histo1d", "name": "h_before", "column": "x", "nbins": 4, "xmin": 0.0, "xmax": 50.0},
+            {"op": "vary", "column": "x", "kind": "topology", "tags": ["up"], "exprs": ["x * 10.0"]},
+            {"op": "sum", "name": "s_after", "column": "x"},
+        ]}
+        graph = build(load_spec(doc), {"x": ValueType.F64})
+        partial = run_range(graph, EntryRange(path, 0, 4), SINGLE_PASS)
+        nom, up = partial.universes["nominal"], partial.universes["up"]
+        assert (nom["s_before"].value, nom["s_after"].value) == (10.0, 10.0)
+        assert (up["s_before"].value, up["s_after"].value) == (10.0, 100.0)
+        assert up["h_before"] == nom["h_before"]
+        expected = naive_run(read_all_rows(path), graph)
+        assert expected["up"]["s_before"] == [10.0] and expected["up"]["s_after"] == [100.0]
+
+
+    def test_a_finished_range_leaves_no_views_behind(self, rich_file, rich_graph):
+        """Batch views form no reference cycle, so each batch's arrays go at once,
+        not at the next garbage collection."""
+        import gc
+
+        from colflow import engine
+
+        gc.collect()
+        gc.disable()
+        try:
+            run_range(rich_graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
+            alive = sum(isinstance(o, engine._Rows) for o in gc.get_objects())
+        finally:
+            gc.enable()
+        assert alive == 0
 
 
 class TestModes:
@@ -445,6 +483,26 @@ class TestEvalErrors:
         graph = build(load_spec(doc), {"v": ValueType.VEC_F64})
         with pytest.raises(EngineError, match="event 2"):
             run_range(graph, EntryRange(path, 0, 5), SINGLE_PASS)
+
+
+    def test_i64_overflow_names_event_and_file(self, make_dataset):
+        path = make_dataset(n=4, name="big.col", schema={"n": ValueType.I64},
+                            columns={"n": [1, 2, 2**62, 3]})
+        doc = {"dataset": [path], "stages": [
+            {"op": "define", "name": "m", "expr": "n * 2"},
+            {"op": "sum", "name": "s", "column": "m"},
+        ]}
+        graph = build(load_spec(doc), {"n": ValueType.I64})
+        with pytest.raises(EngineError, match=r"^event 2 in .*big\.col: 1:3: I64 overflow in '\*'$"):
+            run_range(graph, EntryRange(path, 0, 4), SINGLE_PASS)
+
+    def test_integer_literal_outside_i64_fails_at_build(self):
+        doc = {"dataset": ["x.col"], "stages": [
+            {"op": "define", "name": "m", "expr": "n * 18446744073709551616"},
+            {"op": "sum", "name": "s", "column": "m"},
+        ]}
+        with pytest.raises(PipelineError, match="outside I64"):
+            build(load_spec(doc), {"n": ValueType.I64})
 
 
 class TestRunLocal:

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +23,7 @@ from colflow.exprlang import (
     to_text,
     typecheck,
 )
+from conftest import as_python, batch_of, eval_row, vector_rows
 
 SCHEMA = {
     "MET_pt": ValueType.F64,
@@ -48,11 +50,11 @@ VF = {"v": ValueType.VEC_F64}
 
 
 def ev(src: str, row=None):
-    return compile_expr(parse(src), SCHEMA)(row if row is not None else dict(ROW))
+    return eval_row(parse(src), SCHEMA, row if row is not None else dict(ROW))
 
 
 def eval_expr(src: str, row: dict, schema: dict):
-    return compile_expr(parse(src), schema)(row)
+    return eval_row(parse(src), schema, row)
 
 
 # --- parsing ---------------------------------------------------------------
@@ -265,8 +267,8 @@ def test_sum_is_left_to_right():
 
 def test_determinism():
     c = compile_expr(parse("sum(where(Jet_pt, Jet_eta < 2.4)) + MET_pt * event_weight"), SCHEMA)
-    assert type(c(dict(ROW))) is float
-    assert c(dict(ROW)) == c(dict(ROW))
+    assert type(as_python(c(batch_of([ROW], SCHEMA)))) is float
+    assert as_python(c(batch_of([ROW], SCHEMA))) == as_python(c(batch_of([ROW], SCHEMA)))
 
 
 def test_columns_used():
@@ -346,7 +348,7 @@ def _oracle(ast, row):
 @settings(max_examples=150, deadline=None)
 def test_scalar_arithmetic_matches_reference(ast, p, q):
     row = {"p": p, "q": q}
-    got = compile_expr(ast, {"p": ValueType.F64, "q": ValueType.F64})(row)
+    got = eval_row(ast, {"p": ValueType.F64, "q": ValueType.F64}, row)
     assert got == _oracle(ast, row)
 
 
@@ -423,7 +425,7 @@ def test_value_has_typechecked_type(ast, p, n, v, h):
     for node in _subtrees(ast):
         t = typecheck(node, TYPED_SCHEMA)
         try:
-            value = compile_expr(node, TYPED_SCHEMA)(row)
+            value = eval_row(node, TYPED_SCHEMA, row)
         except EvalError as e:
             assert "by zero" in e.message  # the only error these trees can raise
             continue
@@ -432,3 +434,168 @@ def test_value_has_typechecked_type(ast, p, n, v, h):
             assert all(type(x) is _PY_TYPE[t.element] for x in value)
         else:
             assert type(value) is _PY_TYPE[t]
+
+
+# --- batches: live rows only, and the rules numpy alone would not keep ----------
+
+I64 = {"n": ValueType.I64}
+INT64_MAX = 2**63 - 1
+INT64_MIN = -(2**63)
+
+
+def ev_rows(src: str, rows: list[dict], schema: dict, first_entry: int = 0):
+    return compile_expr(parse(src), schema)(batch_of(rows, schema, first_entry))
+
+
+@pytest.mark.parametrize("src, bad", [
+    ("n + 1", INT64_MAX),
+    ("n - 1", INT64_MIN),
+    ("1 - n", INT64_MIN),
+    ("n * 2", 2**62),
+    ("n * n", 2**32),
+    ("n * 4611686018427387904", 4),
+    ("(0 - 1) * n", INT64_MIN),
+    ("n * (0 - 1)", INT64_MIN),
+    ("-n", INT64_MIN),
+    ("abs(n)", INT64_MIN),
+    ("n / (0 - 1)", INT64_MIN),
+])
+def test_i64_overflow_is_an_eval_error_naming_the_entry(src, bad):
+    rows = [{"n": 1}, {"n": -1}, {"n": bad}, {"n": bad}]
+    with pytest.raises(EvalError, match="I64 overflow") as e:
+        ev_rows(src, rows, I64, first_entry=40)
+    assert e.value.entry == 42
+
+
+def test_i64_edges_that_fit_do_not_fail():
+    rows = [{"n": INT64_MIN}]
+    assert ev_rows("n % (0 - 1)", rows, I64).tolist() == [0]
+    assert ev_rows("n + 0", rows, I64).tolist() == [INT64_MIN]
+    assert ev_rows("n * 1", rows, I64).tolist() == [INT64_MIN]
+    assert ev_rows("(n + 1) * (0 - 1)", rows, I64).tolist() == [INT64_MAX]
+    assert ev_rows("n / 2 * 2", rows, I64).tolist() == [INT64_MIN]
+
+
+def test_i64_overflow_in_a_vector_names_its_row():
+    rows = [{"h": [1, 2]}, {"h": []}, {"h": [3, 2**62]}]
+    with pytest.raises(EvalError, match="I64 overflow") as e:
+        ev_rows("h * 2", rows, {"h": ValueType.VEC_I64}, first_entry=7)
+    assert e.value.entry == 9
+
+
+def test_integer_literal_outside_i64_is_a_type_error():
+    assert typecheck(parse("9223372036854775807"), {}) is ValueType.I64
+    with pytest.raises(ExprTypeError, match="outside I64"):
+        typecheck(parse("n + 9223372036854775808"), I64)
+
+
+def test_mixed_comparison_promotes_to_f64():
+    rows = [{"n": 2**53 + 1}]
+    assert ev_rows("n > 9007199254740992.0", rows, I64).tolist() == [False]
+    assert ev_rows("n == 9007199254740992.0", rows, I64).tolist() == [True]
+    assert ev_rows("n > 9007199254740992", rows, I64).tolist() == [True]  # I64 against I64 stays exact
+
+
+def test_sum_of_i64_vector_is_exact_then_rounded_once():
+    h = {"h": ValueType.VEC_I64}
+    rows = [{"h": [2**53, 1, 1]}, {"h": [2**62, 2**62, 2**62]}, {"h": []}]
+    assert ev_rows("sum(h)", rows, h).tolist() == [9007199254740994.0, float(3 * 2**62), 0.0]
+
+
+def test_sum_is_left_to_right_past_eight_elements():
+    rng = np.random.default_rng(3)
+    rows = [{"v": list(rng.exponential(40.0, k) * 10.0 ** rng.integers(-8, 8, k))} for k in range(0, 40)]
+    got = ev_rows("sum(v)", rows, VF).tolist()
+    assert got == [float(sum(r["v"])) for r in rows]  # Python's sum folds left to right
+
+
+def test_min_max_keep_the_first_of_equals_and_a_leading_nan():
+    rows = [{"v": [0.0, -0.0]}, {"v": [-0.0, 0.0]}, {"v": [math.nan, 1.0]}, {"v": [1.0, math.nan, 2.0]}]
+    for name, reduce in (("min", min), ("max", max)):
+        got = ev_rows(f"{name}(v)", rows, VF).tolist()
+        want = [reduce(r["v"]) for r in rows]
+        assert [math.copysign(1.0, x) for x in got] == [math.copysign(1.0, x) for x in want]
+        assert [repr(x) for x in got] == [repr(x) for x in want]
+
+
+def _math_exp(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def test_exp_and_log_are_bit_identical_to_math():
+    rng = np.random.default_rng(11)
+    xs = np.concatenate([rng.uniform(-750.0, 750.0, 3000), rng.normal(0.0, 3.0, 3000),
+                         [0.0, -0.0, 709.78, 709.79, -745.2, math.inf, -math.inf, math.nan]])
+    rows = [{"p": float(x)} for x in xs]
+    f64 = {"p": ValueType.F64}
+    got = ev_rows("exp(p)", rows, f64).tolist()
+    assert [repr(x) for x in got] == [repr(_math_exp(x)) for x in xs.tolist()]
+    logs = ev_rows("log(p)", rows, f64).tolist()
+    want = [math.log(x) if x > 0 else (-math.inf if x == 0 else math.nan) for x in xs.tolist()]
+    assert [repr(x) for x in logs] == [repr(x) for x in want]
+
+
+def test_untaken_branches_are_not_evaluated():
+    rows = [{"nJet": 2, "Jet_pt": [50.0, 40.0]}, {"nJet": 0, "Jet_pt": []}, {"nJet": 1, "Jet_pt": [30.0]}]
+    assert ev_rows("nJet > 0 ? Jet_pt[0] : 0.0", rows, SCHEMA).tolist() == [50.0, 0.0, 30.0]
+    assert ev_rows("nJet > 0 && Jet_pt[0] > 35.0", rows, SCHEMA).tolist() == [True, False, False]
+    assert ev_rows("nJet == 0 || Jet_pt[0] > 35.0", rows, SCHEMA).tolist() == [True, True, False]
+    with pytest.raises(EvalError, match="out of range") as e:
+        ev_rows("nJet < 2 ? Jet_pt[0] : 0.0", rows, SCHEMA, first_entry=5)
+    assert e.value.entry == 6
+
+
+def test_vector_ternary_merges_rows_in_order():
+    rows = [{"passed": True, "hits": [1, 2], "Jet_pt": [9.5]},
+            {"passed": False, "hits": [], "Jet_pt": [1.5, 2.5, 3.5]},
+            {"passed": True, "hits": [7], "Jet_pt": []}]
+    got = ev_rows("passed ? hits : Jet_pt", rows, SCHEMA)
+    assert vector_rows(got) == [[1.0, 2.0], [1.5, 2.5, 3.5], [7.0]]
+    assert got.values.dtype == np.float64
+
+
+def test_first_failing_node_in_evaluation_order_is_named():
+    schema = {"v": ValueType.VEC_F64, "n": ValueType.I64}
+    rows = [{"v": [1.0] * 5, "n": 0}, {"v": [1.0] * 5, "n": 1}, {"v": [1.0], "n": 1}]
+    # row 0 fails the right operand, row 2 the left; the left is evaluated first
+    with pytest.raises(EvalError, match="out of range") as e:
+        ev_rows("v[3] + 10 / n", rows, schema, first_entry=100)
+    assert e.value.entry == 102
+    # within one node, the earlier row wins even when the failures differ in kind
+    rows = [{"a": [1, 2], "b": [1, 0]}, {"a": [1], "b": [1, 2]}]
+    with pytest.raises(EvalError, match="division by zero") as e:
+        ev_rows("a / b", rows, {"a": ValueType.VEC_I64, "b": ValueType.VEC_I64})
+    assert e.value.entry == 0
+
+
+@given(
+    _typed_asts(),
+    st.lists(
+        st.tuples(st.floats(-1e3, 1e3), st.integers(-20, 20),
+                  st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
+                  st.lists(st.integers(-20, 20), min_size=3, max_size=3)),
+        min_size=1, max_size=5,
+    ),
+)
+@settings(max_examples=200, deadline=None)
+def test_a_batch_agrees_with_its_rows_one_at_a_time(ast, values):
+    rows = [{"p": p, "q": -p, "n": n, "v": v, "h": h} for p, n, v, h in values]
+    singles = []
+    for row in rows:
+        try:
+            singles.append(eval_row(ast, TYPED_SCHEMA, row))
+        except EvalError as e:
+            singles.append(e)
+    evaluate = compile_expr(ast, TYPED_SCHEMA)
+    failing = [i for i, s in enumerate(singles) if isinstance(s, EvalError)]
+    if failing:
+        with pytest.raises(EvalError) as e:
+            evaluate(batch_of(rows, TYPED_SCHEMA))
+        assert e.value.entry in failing
+        return
+    got = evaluate(batch_of(rows, TYPED_SCHEMA))
+    got = vector_rows(got) if typecheck(ast, TYPED_SCHEMA).is_vector else got.tolist()
+    assert repr(got) == repr(singles)

@@ -15,6 +15,7 @@ from colflow.graph import (
     build,
     load_spec,
 )
+from conftest import batch_of
 
 SCHEMA = {
     "event_weight": ValueType.F64,
@@ -380,13 +381,14 @@ class TestBuild:
 
     def test_build_compiles_no_closures(self, monkeypatch):
         def refuse(*args):
-            raise AssertionError("graph.build compiled a closure")
+            raise AssertionError("graph.build evaluated an expression")
 
-        monkeypatch.setattr(exprlang, "_compile", refuse)
+        monkeypatch.setattr(exprlang, "_eval", refuse)
         d = minimal()
         d["stages"].insert(0, {"op": "vary", "column": "Jet_pt", "kind": "topology",
                                "tags": ["up"], "exprs": ["Jet_pt * 1.1"]})
         g = build(load_spec(d), SCHEMA)
         assert g.defines == {"ht": ValueType.F64}
-        with pytest.raises(AssertionError, match="compiled a closure"):
-            exprlang.compile_expr(exprlang.parse("nJet + 1"), SCHEMA)
+        evaluate = exprlang.compile_expr(exprlang.parse("nJet + 1"), SCHEMA)
+        with pytest.raises(AssertionError, match="evaluated an expression"):
+            evaluate(batch_of([{"nJet": 2}], {"nJet": ValueType.I64}))

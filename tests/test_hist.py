@@ -162,3 +162,37 @@ def test_scalar_accumulators():
     assert c.value == 7
     with pytest.raises(ValueError):
         c.add(s)
+
+
+def test_array_fill_equals_one_value_at_a_time():
+    rng = random.Random(17)
+    xs = [rng.uniform(-10.0, 110.0) for _ in range(500)] + [math.nan, math.inf, -math.inf, 0.0, 100.0, 99.99999999]
+    ws = [rng.uniform(0.0, 3.0) for _ in xs]
+    one, many = Histo1D("h", 7, 0.0, 100.0), Histo1D("h", 7, 0.0, 100.0)
+    for x, w in zip(xs, ws):
+        one.fill(x, w)
+    many.fill(xs[:250], ws[:250])
+    many.fill(xs[250:], ws[250:])
+    assert many == one  # bit-exact: every bin adds in the same order
+    unweighted = Histo1D("h", 7, 0.0, 100.0)
+    unweighted.fill(xs)
+    assert unweighted.entries == len(xs) and unweighted.sumw == unweighted.sumw2
+
+
+def test_array_fill_rejects_any_nonfinite_weight():
+    h = Histo1D("h", 2, 0.0, 1.0)
+    with pytest.raises(ValueError, match="non-finite weight inf"):
+        h.fill([0.1, 0.2, 0.3], [1.0, math.inf, 1.0])
+
+
+def test_accumulate_array_equals_one_value_at_a_time():
+    rng = random.Random(5)
+    xs = [rng.uniform(-1e6, 1e6) * 10 ** rng.randint(-9, 9) for _ in range(300)]
+    running = 0.0
+    for x in xs:
+        running += x
+    many = ScalarAccumulator(AccumKind.SUM)
+    many.accumulate(xs[:100])
+    many.accumulate([])
+    many.accumulate(xs[100:])
+    assert many.value == running

@@ -7,8 +7,9 @@ import pytest
 
 from colflow.cluster import Scheduler, Worker
 from colflow.cluster.client import RunResult
-from colflow.colstore import VectorData, open_dataset, read_range, serve, write_dataset
+from colflow.colstore import open_dataset, read_range, serve, write_dataset
 from colflow.engine import SINGLE_PASS, EntryRange, run_local, run_range
+from colflow.exprlang import Jagged
 from colflow.graph import build, load_spec, schema_types
 from colflow.legacy import (
     LegacyError,
@@ -19,7 +20,7 @@ from colflow.legacy import (
     run_legacy_postselection,
     run_legacy_preselection,
 )
-from conftest import STANDARD_SCHEMA, standard_columns
+from conftest import STANDARD_SCHEMA, standard_columns, vector_rows
 
 SKIM_COLUMNS = ["event_weight", "MET_pt", "nJet", "Jet_pt"]
 
@@ -103,8 +104,8 @@ def read_rows(path, columns):
             cols = []
             for name in columns:
                 data = batch.columns[name]
-                if isinstance(data, VectorData):
-                    cols.append([tuple(v) for v in data.tolists()])
+                if isinstance(data, Jagged):
+                    cols.append([tuple(v) for v in vector_rows(data)])
                 else:
                     cols.append(data.tolist())
             rows.extend(zip(*cols))
