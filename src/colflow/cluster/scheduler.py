@@ -10,7 +10,8 @@ A run is finished when every task id has exactly one accepted RESULT.
 Results are merged in task-id order (buffering whatever arrives early), so
 the merged output is independent of scheduling and arrival order, not just
 up to float rounding. Duplicate RESULTs (a worker declared lost that later
-answers anyway) are discarded.
+answers anyway) are discarded. A worker slot is freed only by that
+worker's own answer or by its loss.
 
 Planning types each run once, against the first file of its dataset, and
 checks the column types of every file it opened. Each worker gets one
@@ -89,7 +90,6 @@ class _Run:
     planning_bytes: int = 0
     pending: deque = field(default_factory=deque)
     attempts: dict = field(default_factory=dict)  # task_id -> attempts started
-    inflight: dict = field(default_factory=dict)  # task_id -> conn_id
     done: set = field(default_factory=set)
     records: list = field(default_factory=list)
     buffer: dict = field(default_factory=dict)  # task_id -> PartialResult
@@ -340,7 +340,6 @@ class Scheduler:
                 self._send(worker.conn_id, Graph(run.number, run.spec.document, run.graph.base_schema))
                 worker.graph_run = run.number
             run.attempts[task_id] = run.attempts.get(task_id, 0) + 1
-            run.inflight[task_id] = worker.conn_id
             worker.inflight.add((run.number, task_id))
             self._send(worker.conn_id, run.tasks[task_id])
 
@@ -370,10 +369,6 @@ class Scheduler:
 
     def _accept(self, run: _Run, worker: _Worker | None, msg: Result) -> None:
         run.done.add(msg.task_id)
-        assigned = self._workers.get(run.inflight.pop(msg.task_id, None))
-        if assigned is not None and assigned is not worker:
-            assigned.inflight.discard((run.number, msg.task_id))
-
         task = run.tasks[msg.task_id]
         passes = 1 + len(run.graph.topology_tags()) if task.multi_pass else 1
         partial = msg.partial
@@ -406,7 +401,6 @@ class Scheduler:
 
     def _retry(self, run: _Run, task_id: int, error: str) -> None:
         """Requeue a failed task, or fail the run once its attempts are spent."""
-        run.inflight.pop(task_id, None)
         if run.attempts.get(task_id, 0) >= run.max_retries + 1:
             self._fail_run(f"task {task_id} exhausted retries: {error}")
             return
@@ -422,13 +416,10 @@ class Scheduler:
         if run is None:
             return
         for number, task_id in sorted(worker.inflight):
-            if number != run.number or task_id in run.done:
-                continue
-            run.inflight.pop(task_id, None)
-            if run.attempts.get(task_id, 0) >= run.max_retries + 1:
-                self._fail_run(f"task {task_id} lost with retries exhausted (worker {worker.name} {why})")
-                return
-            run.pending.appendleft(task_id)
+            if self._run is not run:
+                return  # a requeue failed the run
+            if number == run.number and task_id not in run.done:
+                self._retry(run, task_id, f"worker {worker.name} {why}")
 
     def _finish_run(self, run: _Run) -> None:
         wall = time.monotonic() - run.t0

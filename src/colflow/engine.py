@@ -42,7 +42,6 @@ from .graph import (
     PipelineError,
     SnapshotStage,
     SumStage,
-    VaryStage,
 )
 from .hist import AccumKind, Histo1D, ScalarAccumulator
 
@@ -132,17 +131,6 @@ def _fresh_slots(graph: ComputationGraph) -> ResultMap:
 # --- batch views --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Variation:
-    """What one universe changes from its vary stage on."""
-
-    stage_index: int
-    target: str
-    expr: object  # compiled vary expression, evaluated in the nominal view
-    own: frozenset  # names computed in the universe: the target and its affected defines
-    affected: frozenset  # stage indices that read the varied value
-
-
 class _Rows:
     """One batch's live rows in one universe, and the values computed for them.
 
@@ -152,13 +140,14 @@ class _Rows:
     the same rows, for every other name, so it shares the nominal arrays.
     """
 
-    def __init__(self, pipe, ids, held, up=None, nominal=None, variation=None):
+    def __init__(self, pipe, ids, held, up=None, nominal=None, tag=None):
         self.ids = ids
         self._pipe = pipe
         self._held = held
         self._up = up  # (parent's held values, parent's up, mask): holds no view, so views form no cycle
         self._nominal = nominal
-        self._variation = variation
+        self._tag = tag
+        self._variation = pipe.graph.variations.get(tag)  # None for nominal
         self._filtered: dict[int, _Rows] = {}
 
     def column(self, name: str):
@@ -167,7 +156,7 @@ class _Rows:
         value = _lookup(self._held, self._up, name)
         if value is None:
             if self._variation is not None and name == self._variation.target:
-                value = self._variation.expr(self._nominal)
+                value = self._pipe.vary_fns[self._tag](self._nominal)
             else:
                 value = self._pipe.define_fns[name](self)
             self._held[name] = value
@@ -177,7 +166,7 @@ class _Rows:
         """The rows mask keeps; a universe view's nominal companion is sliced too."""
         if nominal is None and self._nominal is not None:
             nominal = self._nominal.where(mask)
-        return _Rows(self._pipe, self.ids[mask], {}, (self._held, self._up, mask), nominal, self._variation)
+        return _Rows(self._pipe, self.ids[mask], {}, (self._held, self._up, mask), nominal, self._tag)
 
     def filtered(self, i: int) -> "_Rows":
         """The rows that pass filter stage i, kept so that every universe reuses nominal's."""
@@ -206,7 +195,7 @@ def _lookup(held: dict, up, name: str):
 
 
 class CompiledPipeline:
-    """Per-process compilation of a graph: typed expressions plus universe descriptors.
+    """Per-process compilation of a graph: one evaluator per define, filter and vary tag.
 
     Immutable and shareable across threads; a worker builds one per run
     and reuses it for every task of that run.
@@ -217,26 +206,20 @@ class CompiledPipeline:
         types = graph.column_types  # complete: build rejects forward references
         self.define_fns: dict[str, object] = {}
         self.filter_fns: dict[int, object] = {}  # by stage index
-        self.variations: dict[str, _Variation] = {}
+        self.vary_fns = {tag: compile_expr(v.expr, types) for tag, v in graph.variations.items()}
         for i, stage in enumerate(graph.stages):
             if isinstance(stage, DefineStage):
                 self.define_fns[stage.name] = compile_expr(stage.expr, types)
             elif isinstance(stage, FilterStage):
                 self.filter_fns[i] = compile_expr(stage.expr, types)
-            elif isinstance(stage, VaryStage):
-                for tag, expr in zip(stage.tags, stage.exprs):
-                    affected = graph.affected_nodes(tag)
-                    defines = {graph.stages[j].name for j in affected if isinstance(graph.stages[j], DefineStage)}
-                    own = frozenset({stage.column, *defines})
-                    self.variations[tag] = _Variation(i, stage.column, compile_expr(expr, types), own, affected)
 
 
 def _run_universe(compiled: CompiledPipeline, view: _Rows, universe: str, results: ResultMap, snapshot: list):
     """Walk the stages for one universe over one batch's rows."""
-    variation = compiled.variations.get(universe)
+    variation = compiled.graph.variations.get(universe)
     for i, stage in enumerate(compiled.graph.stages):
         if variation is not None and i == variation.stage_index:  # the universe's view from here on
-            view = _Rows(compiled, view.ids, {}, nominal=view, variation=variation)
+            view = _Rows(compiled, view.ids, {}, nominal=view, tag=universe)
         if not len(view.ids):
             return
         if isinstance(stage, FilterStage):
@@ -270,7 +253,7 @@ def run_range(
         universes = graph.universes()
     for u in universes:
         if u != "nominal":
-            graph.variation_of(u)  # raises on unknown
+            graph.variation(u)  # raises on unknown
     partial = PartialResult.empty(graph)
 
     handle = open_dataset(entry_range.file)

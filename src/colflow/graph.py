@@ -21,9 +21,11 @@ immutable ComputationGraph that executors share across threads and tasks.
 Variations: each vary stage declares alternative expressions for one
 column. Each tag defines a universe; universes never compose. A variation
 expression is evaluated in the nominal context at the vary stage's
-position, and the substitution applies to stages after that position, so
-`affected_nodes(tag)` is the transitive closure over column dependencies
-starting at the vary stage.
+position, and the substitution applies to stages after that position.
+`ComputationGraph.variations` describes every universe once, by tag: its
+vary stage, target and expression, the names it recomputes (the target and
+every define that reads it, transitively) and the later stages that read
+one of them.
 """
 
 from __future__ import annotations
@@ -53,15 +55,12 @@ class VariationKind(Enum):
 @dataclass(frozen=True)
 class DefineStage:
     name: str
-    expr_text: str
     expr: Expr
 
 
 @dataclass(frozen=True)
 class FilterStage:
-    expr_text: str
     expr: Expr
-    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -69,7 +68,6 @@ class VaryStage:
     column: str
     kind: VariationKind
     tags: tuple[str, ...]
-    expr_texts: tuple[str, ...]
     exprs: tuple[Expr, ...]
 
 
@@ -124,12 +122,6 @@ class PipelineSpec:
     dataset: tuple[str, ...]
     stages: tuple[Stage, ...]
     document: str  # canonical JSON; identity for graph_id
-
-    def topology_tags(self) -> list[str]:
-        """Tags of every topology variation, in stage order."""
-        return [
-            t for s in self.stages if isinstance(s, VaryStage) and s.kind is VariationKind.TOPOLOGY for t in s.tags
-        ]
 
 
 def _err(i: int, message: str) -> PipelineError:
@@ -200,12 +192,11 @@ def load_spec(document: str | dict) -> PipelineSpec:
             result_names.add(raw["name"])
 
         if op == "define":
-            stages.append(DefineStage(raw["name"], raw["expr"], _parse_expr(i, raw["expr"])))
+            stages.append(DefineStage(raw["name"], _parse_expr(i, raw["expr"])))
         elif op == "filter":
-            label = raw.get("label", "")
-            if not isinstance(label, str):
+            if not isinstance(raw.get("label", ""), str):
                 raise _err(i, "'label' must be a string")
-            stages.append(FilterStage(raw["expr"], _parse_expr(i, raw["expr"]), label))
+            stages.append(FilterStage(_parse_expr(i, raw["expr"])))
         elif op == "vary":
             try:
                 kind = VariationKind(raw["kind"])
@@ -229,7 +220,6 @@ def load_spec(document: str | dict) -> PipelineSpec:
                     raw["column"],
                     kind,
                     tuple(tags),
-                    tuple(exprs),
                     tuple(_parse_expr(i, e) for e in exprs),
                 )
             )
@@ -266,19 +256,20 @@ def load_spec(document: str | dict) -> PipelineSpec:
 
 
 @dataclass(frozen=True)
-class VariationSet:
-    target: str
+class Variation:
+    """One universe: what one vary tag changes from its stage on."""
+
     kind: VariationKind
-    tags: tuple[str, ...]
-    exprs: tuple[Expr, ...]
     stage_index: int
+    target: str
+    expr: Expr  # evaluated in the nominal context at stage_index
+    own: frozenset[str]  # the target and every define that reads it, transitively
+    affected: frozenset[int]  # the later stages that read a name in own
 
 
 def _stage_refs(stage: Stage) -> set[str]:
     """Columns a stage reads (vary stages excluded: nominal-context exprs)."""
-    if isinstance(stage, DefineStage):
-        return columns_used(stage.expr)
-    if isinstance(stage, FilterStage):
+    if isinstance(stage, (DefineStage, FilterStage)):
         return columns_used(stage.expr)
     if isinstance(stage, HistoStage):
         refs = {stage.column}
@@ -303,29 +294,20 @@ class ComputationGraph:
 
         working = dict(base_schema)
         self.defines: dict[str, ValueType] = {}
-        variations: list[VariationSet] = []
+        self.variations: dict[str, Variation] = {}  # by tag, in declaration order
         self.result_stages: dict[str, Stage] = {}
         self.snapshot: SnapshotStage | None = None
         self.column_types: dict[str, ValueType] = working  # grows with defines
 
         for i, stage in enumerate(self.stages):
             try:
-                self._check_stage(i, stage, working, variations)
+                self._check_stage(i, stage, working)
             except ExprError as e:
                 raise _err(i, str(e)) from None
 
-        self._variations = tuple(variations)
-        self._universes = ["nominal"]
-        self._tag_info: dict[str, tuple[VariationSet, int]] = {}
-        for vs in self._variations:
-            for k, tag in enumerate(vs.tags):
-                self._universes.append(tag)
-                self._tag_info[tag] = (vs, k)
-
-        self._affected = {tag: self._compute_affected(tag) for tag in self._tag_info}
         self.columns_needed = self._compute_columns_needed()
 
-    def _check_stage(self, i: int, stage: Stage, working: dict, variations: list) -> None:
+    def _check_stage(self, i: int, stage: Stage, working: dict) -> None:
         if isinstance(stage, DefineStage):
             if stage.name in working:
                 raise _err(i, f"define {stage.name!r} shadows an existing column")
@@ -339,13 +321,14 @@ class ComputationGraph:
             if stage.column not in working:
                 raise _err(i, f"vary target {stage.column!r} is not a column")
             target_t = working[stage.column]
+            own, affected = self._reach(i, stage.column)
             for tag, expr in zip(stage.tags, stage.exprs):
                 t = typecheck(expr, working)
                 if t is not target_t:
                     raise _err(
                         i, f"variation {tag!r} has type {t.name}, target {stage.column!r} is {target_t.name}"
                     )
-            variations.append(VariationSet(stage.column, stage.kind, stage.tags, stage.exprs, i))
+                self.variations[tag] = Variation(stage.kind, i, stage.column, expr, own, affected)
         elif isinstance(stage, HistoStage):
             t = working.get(stage.column)
             if t is None:
@@ -377,73 +360,51 @@ class ComputationGraph:
                     raise _err(i, f"snapshot column {c!r} has non-storable type {t.name}")
             self.snapshot = stage
 
-    def _compute_affected(self, tag: str) -> frozenset[int]:
-        vs, _ = self._tag_info[tag]
-        tainted = {vs.target}
-        hit: set[int] = set()
-        for i in range(vs.stage_index + 1, len(self.stages)):
-            stage = self.stages[i]
-            if isinstance(stage, VaryStage):
-                continue
-            if _stage_refs(stage) & tainted:
-                hit.add(i)
+    def _reach(self, i: int, target: str) -> tuple[frozenset[str], frozenset[int]]:
+        """The names a variation of target at stage i recomputes, and the later stages reading them."""
+        own = {target}
+        affected: set[int] = set()
+        for j in range(i + 1, len(self.stages)):
+            stage = self.stages[j]
+            if _stage_refs(stage) & own:
+                affected.add(j)
                 if isinstance(stage, DefineStage):
-                    tainted.add(stage.name)
-        return frozenset(hit)
+                    own.add(stage.name)
+        return frozenset(own), frozenset(affected)
 
     def _compute_columns_needed(self) -> tuple[str, ...]:
-        define_refs = {
-            s.name: columns_used(s.expr) for s in self.stages if isinstance(s, DefineStage)
-        }
+        """The file columns some stage reads, directly or through defines, in file order.
+
+        One reverse pass is enough: a define reads only names declared before
+        it, so every reader of a define is met before the define itself.
+        """
         needed: set[str] = set()
-
-        def resolve(name: str, seen: frozenset = frozenset()) -> None:
-            if name in self.base_schema:
-                needed.add(name)
-            elif name in define_refs and name not in seen:
-                for ref in define_refs[name]:
-                    resolve(ref, seen | {name})
-
-        for stage in self.stages:
-            refs = _stage_refs(stage)
-            if isinstance(stage, VaryStage):
-                refs = set().union(*(columns_used(e) for e in stage.exprs))
-            for ref in refs:
-                resolve(ref)
-        ordered = [c for c in self.base_schema if c in needed]
-        return tuple(ordered)
+        for stage in reversed(self.stages):
+            if isinstance(stage, DefineStage):
+                if stage.name in needed:
+                    needed |= columns_used(stage.expr)
+            elif isinstance(stage, VaryStage):
+                needed.update(*map(columns_used, stage.exprs))
+            else:
+                needed |= _stage_refs(stage)
+        return tuple(c for c in self.base_schema if c in needed)
 
     # -- public views -------------------------------------------------------
 
-    @property
-    def variations(self) -> tuple[VariationSet, ...]:
-        return self._variations
-
     def universes(self) -> list[str]:
-        return list(self._universes)
+        return ["nominal", *self.variations]
 
     def weight_tags(self) -> list[str]:
-        return [t for vs in self._variations if vs.kind is VariationKind.WEIGHT for t in vs.tags]
+        return [t for t, v in self.variations.items() if v.kind is VariationKind.WEIGHT]
 
     def topology_tags(self) -> list[str]:
-        return self.spec.topology_tags()
+        return [t for t, v in self.variations.items() if v.kind is VariationKind.TOPOLOGY]
 
-    def variation_of(self, tag: str) -> tuple[VariationSet, int]:
-        """The VariationSet declaring tag and the tag's index within it."""
+    def variation(self, tag: str) -> Variation:
         try:
-            return self._tag_info[tag]
+            return self.variations[tag]
         except KeyError:
             raise PipelineError(f"unknown universe {tag!r}") from None
-
-    def affected_nodes(self, universe: str) -> frozenset[int]:
-        if universe == "nominal":
-            return frozenset()
-        if universe not in self._affected:
-            raise PipelineError(f"unknown universe {universe!r}")
-        return self._affected[universe]
-
-    def result_names(self) -> list[str]:
-        return list(self.result_stages)
 
 
 def spec_graph_id(spec: PipelineSpec) -> str:

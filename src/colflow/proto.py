@@ -64,7 +64,7 @@ class Task:
     multi_pass: bool = False  # the baseline's per-file job (run_multi_pass)
     payload_uri: str = ""  # junk blob fetched before work, "" for none
     payload_bytes: int = 0
-    result_file: str = ""  # where to write results instead of replying inline
+    result_file: str = ""  # also write the partial here; the RESULT is sent either way
     run: int = 0  # set by the scheduler; a client leaves it 0
 
 

@@ -34,6 +34,7 @@ from colflow.proto import (
     Register,
     Result,
     RunDone,
+    RunFail,
     Shutdown,
     Submit,
     Task,
@@ -385,6 +386,58 @@ class TestFaultTolerance:
 
 def payload_size(msg) -> int:
     return len(encode(msg)) - wire.HEADER.size
+
+
+class TestSlotBookkeeping:
+    """The state loop's methods driven directly: no reader threads, sends recorded."""
+
+    @staticmethod
+    def scheduler(files, max_retries):
+        sched = Scheduler()
+        sent = []
+        sched._send = lambda conn_id, msg: sent.append((conn_id, msg))
+        tasks = tuple(Task(i, EntryRange(files[0], 0, 10)) for i in range(2))
+        sched._on_submit(99, Submit("r", make_doc(files[:1]), max_retries, tasks=tasks))
+        return sched, sent
+
+    @staticmethod
+    def register(sched, conn_id, name):
+        a, b = socket.socketpair()
+        b.close()
+        sched._workers[conn_id] = scheduler._Worker(conn_id, a, name, slots=1)
+        return sched._workers[conn_id]
+
+    def test_late_answer_of_a_lost_worker_frees_no_other_slot(self, dataset_files):
+        sched, sent = self.scheduler(dataset_files, max_retries=2)
+        try:
+            a = self.register(sched, 1, "a")
+            run = sched._run
+            sched._plan_run(run)
+            sched._dispatch()  # task 0 to a; task 1 waits
+            sched._lose_worker(a, "heartbeat timeout")
+            b = self.register(sched, 2, "b")
+            sched._dispatch()  # task 0 again, to b
+            assert b.inflight == {(run.number, 0)}
+            sched._on_answer(1, Result(0, 0.1, PartialResult.empty(run.graph), run.number))  # a's late answer
+            assert 0 in run.done and b.inflight == {(run.number, 0)}
+            sched._dispatch()  # b is still busy with task 0
+            assert b.inflight == {(run.number, 0)} and list(run.pending) == [1]
+            assert [m.task_id for c, m in sent if c == 2 and isinstance(m, Task)] == [0]
+        finally:
+            sched.stop()
+
+    def test_losing_a_worker_spends_an_attempt(self, dataset_files):
+        sched, sent = self.scheduler(dataset_files, max_retries=0)
+        try:
+            a = self.register(sched, 1, "a")
+            sched._plan_run(sched._run)
+            sched._dispatch()
+            sched._lose_worker(a, "disconnected")
+            assert sched._run is None
+            fails = [m for c, m in sent if c == 99 and isinstance(m, RunFail)]
+            assert [f.error for f in fails] == ["task 0 exhausted retries: worker a disconnected"]
+        finally:
+            sched.stop()
 
 
 class TestWireLimits:

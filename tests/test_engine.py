@@ -128,8 +128,8 @@ def naive_run(rows, graph):
     for u in graph.universes():
         vary_at = {}
         if u != "nominal":
-            vs, k = graph.variation_of(u)
-            vary_at[vs.stage_index] = (vs.target, vs.exprs[k])
+            v = graph.variation(u)
+            vary_at[v.stage_index] = (v.target, v.expr)
         results = {}
         for name, stage in graph.result_stages.items():
             if isinstance(stage, HistoStage):
@@ -351,7 +351,7 @@ class TestSplitMerge:
         assert merged.events == whole.events
         assert merged.bytes_read > whole.bytes_read  # metadata read 3x, chunks overlap
         for u in rich_graph.universes():
-            for name in rich_graph.result_names():
+            for name in rich_graph.result_stages:
                 a, b = merged.universes[u][name], whole.universes[u][name]
                 if hasattr(a, "sumw"):
                     assert a.entries == b.entries

@@ -93,6 +93,14 @@ class TestLoadSpec:
         with pytest.raises(PipelineError, match="stage 1: filter stage has unknown fields"):
             load_spec(d)
 
+    def test_filter_label_must_be_a_string(self):
+        d = minimal()
+        d["stages"][1]["label"] = "two jets"
+        load_spec(d)
+        d["stages"][1]["label"] = 2
+        with pytest.raises(PipelineError, match="stage 1: 'label' must be a string"):
+            load_spec(d)
+
     def test_duplicate_result_names(self):
         d = doc(
             [
@@ -170,9 +178,9 @@ class TestBuild:
         g = build(load_spec(minimal()), SCHEMA)
         assert g.defines == {"ht": ValueType.F64}
         assert g.universes() == ["nominal"]
-        assert g.result_names() == ["h_ht", "n_pass"]
+        assert list(g.result_stages) == ["h_ht", "n_pass"]
         assert g.columns_needed == ("event_weight", "nJet", "Jet_pt")
-        assert g.affected_nodes("nominal") == frozenset()
+        assert g.variations == {}
 
     def test_graph_id_stable_and_content_bound(self):
         s1 = load_spec(minimal())
@@ -235,7 +243,8 @@ class TestBuild:
         )
         g = build(load_spec(d), SCHEMA)
         assert g.universes() == ["nominal", "ht_up"]
-        assert g.affected_nodes("ht_up") == frozenset({2})
+        assert g.variation("ht_up").own == frozenset({"ht"})
+        assert g.variation("ht_up").affected == frozenset({2})
 
     def test_universe_order_matches_declaration(self):
         d = doc(
@@ -253,11 +262,13 @@ class TestBuild:
         assert g.universes() == ["nominal", "jesUp", "jesDown", "wUp"]
         assert g.weight_tags() == ["wUp"]
         assert g.topology_tags() == ["jesUp", "jesDown"]
-        assert load_spec(d).topology_tags() == ["jesUp", "jesDown"]
-        vs, k = g.variation_of("jesDown")
-        assert (vs.target, k) == ("Jet_pt", 1)
+        v = g.variation("jesDown")
+        assert (v.kind, v.stage_index, v.target) == (VariationKind.TOPOLOGY, 0, "Jet_pt")
+        assert v.expr is g.stages[0].exprs[1]
         with pytest.raises(PipelineError, match="unknown universe"):
-            g.variation_of("jesSideways")
+            g.variation("jesSideways")
+        with pytest.raises(PipelineError, match="unknown universe"):
+            g.variation("nominal")
 
     def test_many_tags_many_universes(self):
         tags = [f"w{i}_{d}" for i in range(15) for d in ("up", "down")]
@@ -289,7 +300,8 @@ class TestBuild:
             ]
         )
         g = build(load_spec(d), SCHEMA)
-        assert g.affected_nodes("jesUp") == frozenset({1, 3, 4})
+        assert g.variation("jesUp").affected == frozenset({1, 3, 4})
+        assert g.variation("jesUp").own == frozenset({"Jet_pt", "ht"})
 
     def test_vary_before_stage_not_retroactive(self):
         # the define precedes the vary stage, so it keeps its nominal value
@@ -305,7 +317,8 @@ class TestBuild:
             ]
         )
         g = build(load_spec(d), SCHEMA)
-        assert g.affected_nodes("jesUp") == frozenset()
+        assert g.variation("jesUp").affected == frozenset()
+        assert g.variation("jesUp").own == frozenset({"Jet_pt"})
 
     def test_weight_variation_affects_only_weighted_fills(self):
         d = doc(
@@ -320,7 +333,7 @@ class TestBuild:
             ]
         )
         g = build(load_spec(d), SCHEMA)
-        assert g.affected_nodes("wUp") == frozenset({2})
+        assert g.variation("wUp").affected == frozenset({2})
 
     def test_columns_needed_pruning_and_order(self):
         d = doc(
@@ -333,6 +346,35 @@ class TestBuild:
         g = build(load_spec(d), SCHEMA)
         # schema order, transitively through the define, nothing else
         assert g.columns_needed == ("nJet", "Jet_pt")
+
+        chain = doc(
+            [
+                {"op": "define", "name": "ht", "expr": "sum(Jet_pt)"},
+                {"op": "define", "name": "ht_met", "expr": "ht + MET_pt"},
+                {"op": "sum", "name": "s", "column": "ht_met"},
+            ]
+        )
+        assert build(load_spec(chain), SCHEMA).columns_needed == ("MET_pt", "Jet_pt")
+
+        unused = doc(
+            [
+                {"op": "define", "name": "eta0", "expr": "nJet > 0 ? Jet_eta[0] : 0.0"},
+                {"op": "sum", "name": "s", "column": "MET_pt"},
+            ]
+        )
+        assert build(load_spec(unused), SCHEMA).columns_needed == ("MET_pt",)
+
+        vary_define = doc(
+            [
+                {"op": "define", "name": "ht", "expr": "sum(Jet_pt)"},
+                {"op": "vary", "column": "ht", "kind": "topology",
+                 "tags": ["ht_up"], "exprs": ["ht + MET_pt"]},
+                {"op": "histo1d", "name": "h", "column": "ht", "weight": "event_weight",
+                 "nbins": 5, "xmin": 0.0, "xmax": 100.0},
+            ]
+        )
+        g = build(load_spec(vary_define), SCHEMA)
+        assert g.columns_needed == ("event_weight", "MET_pt", "Jet_pt")
 
     def test_vary_exprs_count_toward_columns_needed(self):
         d = doc(
@@ -376,7 +418,7 @@ class TestBuild:
         g2 = build(load_spec(d), SCHEMA)
         assert g1.graph_id == g2.graph_id
         assert g1.universes() == g2.universes()
-        assert g1.affected_nodes("a") == g2.affected_nodes("a")
+        assert g1.variation("a").affected == g2.variation("a").affected
         assert g1.columns_needed == g2.columns_needed
 
     def test_build_compiles_no_closures(self, monkeypatch):
