@@ -17,7 +17,13 @@ Exit codes: 0 success, 2 validation error (bad flags, bad documents,
 bad inputs), 1 runtime failure (lost cluster, failed run).
 
 Long-running services print exactly one announcement line ending in
-their bound address, so wrappers can parse it.
+their bound address, so wrappers can parse it. A worker prints its line
+only once the scheduler has confirmed its REGISTER, so a run submitted
+after the line plans with that worker.
+
+Each command imports the modules it runs in its own body: starting a
+service loads that service's code and nothing of the benchmark, the
+baseline, the report or the dataset generator.
 """
 
 from __future__ import annotations
@@ -29,51 +35,20 @@ import os
 import sys
 import threading
 
-from .bench import BenchConfig, BenchError, run_bench
-from .cluster.client import ClusterError, run_distributed
-from .cluster.scheduler import Scheduler
-from .cluster.worker import Worker, write_result_file
-from .colstore.dataset import TransportError
-from .colstore.format import FormatError
-from .colstore.server import serve
-from .datagen import GenConfig, generate, load_manifest
-from .engine import EngineError
-from .facility import FacilityError
-from .graph import PipelineError, load_spec, spec_graph_id
-from .legacy import (
-    LegacyError,
-    Phase,
-    plan_legacy_jobs,
-    run_legacy_postselection,
-    run_legacy_preselection,
-)
-from .metrics import (
-    MetricsError,
-    aggregate,
-    append_records_csv,
-    metrics_row,
-    read_metrics_csv,
-    write_metrics_csv,
-    write_records_csv,
-)
-from .report import ReportError, render
-from .wire import ProtoError
-
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
-_RUNTIME_ERRORS = (
-    ClusterError,
-    LegacyError,
-    BenchError,
-    FacilityError,
-    EngineError,
-    TransportError,
-    FormatError,
-    ProtoError,
-    OSError,
-)
+
+def _runtime_errors(*extra: type) -> tuple[type, ...]:
+    """What a client command reports as a runtime failure: the cluster's
+    errors, those of the data layer and the wire, OSError, and extra."""
+    from .cluster.client import ClusterError
+    from .colstore import FormatError, TransportError
+    from .engine import EngineError
+    from .wire import ProtoError
+
+    return (ClusterError, EngineError, TransportError, FormatError, ProtoError, OSError, *extra)
 
 
 def _err(msg: str) -> None:
@@ -125,6 +100,8 @@ def _read_document(path: str) -> str | None:
 
 
 def cmd_gen(args) -> int:
+    from .datagen import GenConfig, generate, load_manifest
+
     try:
         config = GenConfig(
             n_files=args.files,
@@ -150,6 +127,8 @@ def cmd_gen(args) -> int:
 
 
 def cmd_serve_data(args) -> int:
+    from .colstore.server import serve
+
     host, port = args.listen
     if not os.path.isdir(args.root):
         _err(f"{args.root} is not a readable directory")
@@ -169,6 +148,8 @@ def cmd_serve_data(args) -> int:
 
 
 def cmd_scheduler(args) -> int:
+    from .cluster.scheduler import Scheduler
+
     host, port = args.listen
     try:
         sched = Scheduler(host=host, port=port, startup_timeout=args.startup_timeout).start()
@@ -184,6 +165,9 @@ def cmd_scheduler(args) -> int:
 
 
 def cmd_worker(args) -> int:
+    from .cluster.worker import Worker
+    from .wire import ProtoError
+
     try:
         worker = Worker(
             args.scheduler, slots=args.slots, name=args.name, data_base=args.data or ""
@@ -191,12 +175,21 @@ def cmd_worker(args) -> int:
     except OSError as e:
         _err(f"cannot reach scheduler at {args.scheduler}: {e}")
         return EXIT_RUNTIME
-    worker.announce()
+    try:
+        worker.announce()
+    except (ProtoError, OSError) as e:
+        _err(f"scheduler at {args.scheduler} did not confirm registration: {e}")
+        return EXIT_RUNTIME
     print(f"worker {worker.name} registered with {args.scheduler}", flush=True)
     return worker.run()
 
 
 def cmd_run(args) -> int:
+    from .cluster.client import run_distributed
+    from .cluster.worker import write_result_file
+    from .graph import PipelineError, load_spec, spec_graph_id
+    from .metrics import aggregate, metrics_row, write_metrics_csv, write_records_csv
+
     document = _read_document(args.spec)
     if document is None:
         return EXIT_USAGE
@@ -213,7 +206,7 @@ def cmd_run(args) -> int:
             max_retries=args.max_retries,
             timeout=args.timeout,
         )
-    except _RUNTIME_ERRORS as e:
+    except _runtime_errors() as e:
         _err(str(e))
         return EXIT_RUNTIME
     os.makedirs(args.out, exist_ok=True)
@@ -235,6 +228,17 @@ def cmd_run(args) -> int:
 
 
 def cmd_legacy(args) -> int:
+    from .cluster.worker import write_result_file
+    from .graph import PipelineError, load_spec, spec_graph_id
+    from .legacy import (
+        LegacyError,
+        Phase,
+        plan_legacy_jobs,
+        run_legacy_postselection,
+        run_legacy_preselection,
+    )
+    from .metrics import append_records_csv
+
     document = _read_document(args.spec)
     if document is None:
         return EXIT_USAGE
@@ -294,7 +298,7 @@ def cmd_legacy(args) -> int:
                 parallel_jobs=args.parallel_jobs,
                 timeout=args.timeout,
             )
-    except _RUNTIME_ERRORS as e:
+    except _runtime_errors(LegacyError) as e:
         _err(str(e))
         return EXIT_RUNTIME
 
@@ -317,6 +321,10 @@ def cmd_legacy(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .bench import BenchConfig, BenchError, run_bench
+    from .facility import FacilityError
+    from .legacy import LegacyError
+
     try:
         config = BenchConfig(
             out_dir=args.out,
@@ -338,7 +346,7 @@ def cmd_bench(args) -> int:
         return EXIT_USAGE
     try:
         result = run_bench(config)
-    except _RUNTIME_ERRORS as e:
+    except _runtime_errors(BenchError, FacilityError, LegacyError) as e:
         _err(str(e))
         _err(f"completed rows retained under {os.path.abspath(args.out)}")
         return EXIT_RUNTIME
@@ -348,6 +356,9 @@ def cmd_bench(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .metrics import MetricsError, read_metrics_csv
+    from .report import ReportError, render
+
     rows: list[dict] = []
     try:
         for path in args.metrics:

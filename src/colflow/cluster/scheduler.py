@@ -11,13 +11,20 @@ Results are merged in task-id order (buffering whatever arrives early), so
 the merged output is independent of scheduling and arrival order, not just
 up to float rounding. Duplicate RESULTs (a worker declared lost that later
 answers anyway) are discarded. A worker slot is freed only by that
-worker's own answer or by its loss.
+worker's own answer or by its loss. A task's record names the worker that
+ran it and that attempt, even when the answer comes from a worker already
+declared lost; such a worker's FAIL is dropped, since its loss requeued
+the task. An answer for a task its connection was not sent is dropped.
 
 Planning types each run once, against the first file of its dataset, and
 checks the column types of every file it opened. Each worker gets one
 GRAPH (run number, document, that schema) before its first TASK of the
 run. An answer from another run only frees its worker slot; a RESULT
 whose shape does not fit the run's graph fails its task.
+
+A worker is recorded, and its REGISTER echoed back, in one step of the
+state loop, so every SUBMIT that reaches the scheduler after a worker has
+read its echo plans with that worker.
 
 Workers are declared lost after 3 missed heartbeat intervals or on
 disconnect; their inflight tasks are requeued, each requeue consuming one
@@ -90,6 +97,7 @@ class _Run:
     planning_bytes: int = 0
     pending: deque = field(default_factory=deque)
     attempts: dict = field(default_factory=dict)  # task_id -> attempts started
+    assigned: dict = field(default_factory=dict)  # (conn_id, task_id) -> (worker name, attempt) until answered
     done: set = field(default_factory=set)
     records: list = field(default_factory=list)
     buffer: dict = field(default_factory=dict)  # task_id -> PartialResult
@@ -239,6 +247,7 @@ class Scheduler:
     def _on_message(self, conn_id: int, msg: Message) -> None:
         if isinstance(msg, Register):
             self._workers[conn_id] = _Worker(conn_id, self._conns[conn_id], msg.name, msg.slots)
+            self._send(conn_id, msg)  # the echo: any SUBMIT the state loop meets later plans with it
         elif isinstance(msg, Heartbeat):
             worker = self._workers.get(conn_id)
             if worker is not None:
@@ -340,6 +349,7 @@ class Scheduler:
                 self._send(worker.conn_id, Graph(run.number, run.spec.document, run.graph.base_schema))
                 worker.graph_run = run.number
             run.attempts[task_id] = run.attempts.get(task_id, 0) + 1
+            run.assigned[(worker.conn_id, task_id)] = (worker.name, run.attempts[task_id])
             worker.inflight.add((run.number, task_id))
             self._send(worker.conn_id, run.tasks[task_id])
 
@@ -356,32 +366,34 @@ class Scheduler:
             worker.inflight.discard((msg.run, msg.task_id))
             worker.last_beat = time.monotonic()
         run = self._run
-        if run is None or run.graph is None or msg.run != run.number or msg.task_id not in run.tasks:
+        if run is None or run.graph is None or msg.run != run.number:
             return  # another run's answer
-        if msg.task_id in run.done:
-            return  # duplicate after reassignment; first result wins
-        if isinstance(msg, Fail):
-            self._retry(run, msg.task_id, msg.error)
-        elif result_shape(msg.partial) != run.shape:
-            self._retry(run, msg.task_id, "result does not fit the run's graph")
-        else:
-            self._accept(run, worker, msg)
+        assigned = run.assigned.pop((conn_id, msg.task_id), None)
+        if assigned is None or msg.task_id in run.done:
+            return  # not this connection's task, or a duplicate after reassignment: first result wins
+        if isinstance(msg, Result) and result_shape(msg.partial) == run.shape:
+            self._accept(run, assigned, msg)
+        elif worker is not None:  # a lost worker's tasks were requeued when it was lost
+            error = msg.error if isinstance(msg, Fail) else "result does not fit the run's graph"
+            self._retry(run, msg.task_id, error)
 
-    def _accept(self, run: _Run, worker: _Worker | None, msg: Result) -> None:
+    def _accept(self, run: _Run, assigned: tuple[str, int], msg: Result) -> None:
+        """Record and merge a result; assigned names the worker that ran it and the attempt."""
         run.done.add(msg.task_id)
+        name, attempt = assigned
         task = run.tasks[msg.task_id]
         passes = 1 + len(run.graph.topology_tags()) if task.multi_pass else 1
         partial = msg.partial
         run.records.append(
             JobRecord(
                 task_id=msg.task_id,
-                worker=worker.name if worker is not None else "?",
+                worker=name,
                 events=partial.events,
                 t_total=msg.t_total,
                 t_loop=partial.t_loop,
                 bytes_read=partial.bytes_read,
                 chunk_bytes=partial.chunk_bytes,
-                attempt=run.attempts.get(msg.task_id, 1),
+                attempt=attempt,
                 phase="task",
                 passes=passes,
                 mem_peak=partial.mem_peak,

@@ -1,7 +1,8 @@
 """Worker daemon: executes tasks from the scheduler via the engine.
 
 One socket to the scheduler, read by the main loop; a heartbeat thread and
-the task executor share the write side under a lock. The main loop compiles
+the task executor share the write side under a lock. Registration waits for
+the scheduler to echo REGISTER before anything else. The main loop compiles
 each GRAPH frame's document against the schema the frame carries and holds
 only the latest run's graph: a task of another run, or of a run whose graph
 did not build, fails. So does a task whose file holds a needed column with
@@ -142,10 +143,22 @@ class Worker:
                 pass
 
     def announce(self) -> None:
-        """Send registration; idempotent, run() calls it if nobody did."""
-        if not self._announced:
-            self._announced = True
-            self._send(Register(self.name, self.slots))
+        """Register and wait for the scheduler's echo; idempotent, run() calls it if nobody did.
+
+        Once it returns, the scheduler has recorded this worker, so every run
+        submitted afterwards plans with it. Any answer but the echo is a
+        ProtoError.
+        """
+        if self._announced:
+            return
+        self._announced = True
+        register = Register(self.name, self.slots)
+        self._send(register)
+        echo = recv_message(self._sock)
+        if echo is None:
+            raise ProtoError("scheduler closed the connection before confirming REGISTER")
+        if echo != register:
+            raise ProtoError(f"scheduler answered REGISTER with {type(echo).__name__}, not its echo")
 
     def run(self) -> int:
         """Serve until SHUTDOWN (0) or lost scheduler connection (1)."""

@@ -4,6 +4,12 @@ Children are separate interpreter processes running the command-line
 entrypoints, so every byte and timing crosses real process and socket
 boundaries. Each child announces itself with one stdout line ending in
 its bound address; stderr goes to per-process log files.
+
+Children that depend on nothing start side by side: the data server and
+the scheduler together, then every worker at once with both addresses.
+A worker announces itself only after the scheduler has confirmed its
+registration, so once `start()` returns, the next run plans with every
+worker. A failed start stops every child it spawned before raising.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+from typing import TextIO
 
 from .cluster.client import shutdown_cluster
 
@@ -22,35 +29,6 @@ _LOG_TAIL_LINES = 10
 
 class FacilityError(Exception):
     pass
-
-
-def _await_line(proc: subprocess.Popen, timeout: float, what: str, log_path: str) -> str:
-    """First stdout line of a child, or FacilityError on timeout/exit."""
-    box: dict[str, str] = {}
-
-    def read() -> None:
-        box["line"] = proc.stdout.readline()
-
-    t = threading.Thread(target=read, daemon=True)
-    t.start()
-    t.join(timeout)
-    line = box.get("line", "")
-    if line:
-        return line.strip()
-    if t.is_alive():
-        proc.kill()
-        proc.wait()
-        raise FacilityError(f"{what} did not announce itself within {timeout}s")
-    try:  # stdout closed without a line: the child is exiting
-        code = proc.wait(timeout=5.0)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        code = proc.wait()
-    with open(log_path, errors="replace") as f:
-        tail = "".join(f.readlines()[-_LOG_TAIL_LINES:])
-    raise FacilityError(
-        f"{what} exited with code {code} before announcing itself; {log_path} ends with:\n{tail}"
-    )
 
 
 def _drain(proc: subprocess.Popen) -> None:
@@ -93,23 +71,62 @@ class MiniFacility:
         self.data_proc: subprocess.Popen | None = None
         self.scheduler_proc: subprocess.Popen | None = None
         self.worker_procs: list[subprocess.Popen] = []
-        self._logs: list = []
+        self._logs: dict[subprocess.Popen, TextIO] = {}  # child -> its stderr log file
+        self._announced: set[subprocess.Popen] = set()
 
-    def _launch(self, args: list[str], log_name: str, what: str) -> tuple[subprocess.Popen, str]:
-        """Start a child and wait for its announcement line."""
+    def _spawn(self, args: list[str], log_name: str) -> subprocess.Popen:
+        """Start a child without waiting for it."""
         os.makedirs(self.log_dir, exist_ok=True)
-        log_path = os.path.join(self.log_dir, log_name)
-        log = open(log_path, "w")
-        self._logs.append(log)
+        log = open(os.path.join(self.log_dir, log_name), "w")
         proc = subprocess.Popen(
             [sys.executable, "-m", "colflow.cli", *args],
             stdout=subprocess.PIPE,
             stderr=log,
             text=True,
         )
-        line = _await_line(proc, self.startup_timeout, what, log_path)
-        _drain(proc)
-        return proc, line
+        self._logs[proc] = log
+        return proc
+
+    def _await(self, children: list[tuple[subprocess.Popen, str]]) -> list[str]:
+        """The announcement lines of children started together, in order.
+
+        They share one startup_timeout; the first that exits or times out
+        without announcing raises FacilityError.
+        """
+        lines: dict[subprocess.Popen, str] = {}
+
+        def read(proc: subprocess.Popen) -> None:
+            lines[proc] = proc.stdout.readline()
+
+        readers = [threading.Thread(target=read, args=(proc,), daemon=True) for proc, _ in children]
+        for t in readers:
+            t.start()
+        deadline = time.monotonic() + self.startup_timeout
+        for (proc, what), t in zip(children, readers):
+            t.join(max(0.0, deadline - time.monotonic()))
+            if not lines.get(proc):
+                raise self._failure(proc, what, timed_out=t.is_alive())
+            self._announced.add(proc)
+            _drain(proc)
+        return [lines[proc].strip() for proc, _ in children]
+
+    def _failure(self, proc: subprocess.Popen, what: str, timed_out: bool) -> FacilityError:
+        """The error for a child that did not announce itself."""
+        if timed_out:
+            proc.kill()
+            proc.wait()
+            return FacilityError(f"{what} did not announce itself within {self.startup_timeout}s")
+        try:  # stdout closed without a line: the child is exiting
+            code = proc.wait(timeout=5.0)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            code = proc.wait()
+        log_path = self._logs[proc].name
+        with open(log_path, errors="replace") as f:
+            tail = "".join(f.readlines()[-_LOG_TAIL_LINES:])
+        return FacilityError(
+            f"{what} exited with code {code} before announcing itself; {log_path} ends with:\n{tail}"
+        )
 
     def start(self) -> "MiniFacility":
         try:
@@ -120,40 +137,41 @@ class MiniFacility:
         return self
 
     def _start(self) -> None:
-        self.data_proc, line = self._launch(
-            ["serve-data", "--root", self.data_root, "--listen", "127.0.0.1:0"],
-            "data-server.log",
-            "data server",
+        self.data_proc = self._spawn(
+            ["serve-data", "--root", self.data_root, "--listen", "127.0.0.1:0"], "data-server.log"
         )
-        self.data_address = _address_of(line, "data server")
-
-        self.scheduler_proc, line = self._launch(
-            ["scheduler", "--listen", "127.0.0.1:0"], "scheduler.log", "scheduler"
+        self.scheduler_proc = self._spawn(["scheduler", "--listen", "127.0.0.1:0"], "scheduler.log")
+        data_line, scheduler_line = self._await(
+            [(self.data_proc, "data server"), (self.scheduler_proc, "scheduler")]
         )
-        self.scheduler_address = _address_of(line, "scheduler")
+        self.data_address = _address_of(data_line, "data server")
+        self.scheduler_address = _address_of(scheduler_line, "scheduler")
 
         for k in range(self.n_workers):
-            proc, _ = self._launch(
-                [
-                    "worker",
-                    "--scheduler",
-                    self.scheduler_address,
-                    "--slots",
-                    str(self.slots),
-                    "--data",
-                    self.data_address,
-                    "--name",
-                    f"w{k}",
-                ],
-                f"worker-{k}.log",
-                f"worker w{k}",
+            self.worker_procs.append(
+                self._spawn(
+                    [
+                        "worker",
+                        "--scheduler",
+                        self.scheduler_address,
+                        "--slots",
+                        str(self.slots),
+                        "--data",
+                        self.data_address,
+                        "--name",
+                        f"w{k}",
+                    ],
+                    f"worker-{k}.log",
+                )
             )
-            self.worker_procs.append(proc)
-        # registrations are already in flight once every worker has printed;
-        # the scheduler additionally grants submits a startup grace period
-        time.sleep(0.2)
+        # a worker's line follows the scheduler's echo of its REGISTER
+        self._await([(proc, f"worker w{k}") for k, proc in enumerate(self.worker_procs)])
 
     def stop(self) -> None:
+        children = [p for p in (self.data_proc, self.scheduler_proc, *self.worker_procs) if p is not None]
+        for proc in children:
+            if proc not in self._announced and proc.poll() is None:
+                proc.terminate()  # nothing else would tell it to stop
         if self.scheduler_address:
             shutdown_cluster(self.scheduler_address)
         deadline = time.monotonic() + 10.0
@@ -166,15 +184,15 @@ class MiniFacility:
                 proc.terminate()
         if self.data_proc is not None and self.data_proc.poll() is None:
             self.data_proc.terminate()
-        for proc in [self.data_proc, self.scheduler_proc, *self.worker_procs]:
-            if proc is None or proc.poll() is not None:
+        for proc in children:
+            if proc.poll() is not None:
                 continue
             try:
                 proc.wait(timeout=5.0)
             except subprocess.TimeoutExpired:
                 proc.kill()
                 proc.wait(timeout=5.0)
-        for log in self._logs:
+        for log in self._logs.values():
             try:
                 log.close()
             except OSError:

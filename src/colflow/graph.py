@@ -376,7 +376,9 @@ class ComputationGraph:
         """The file columns some stage reads, directly or through defines, in file order.
 
         One reverse pass is enough: a define reads only names declared before
-        it, so every reader of a define is met before the define itself.
+        it, so every reader of a define is met before the define itself. A
+        vary stage's expressions count only when a later stage reads its
+        target, as a define's do only when a later stage reads its name.
         """
         needed: set[str] = set()
         for stage in reversed(self.stages):
@@ -384,7 +386,8 @@ class ComputationGraph:
                 if stage.name in needed:
                     needed |= columns_used(stage.expr)
             elif isinstance(stage, VaryStage):
-                needed.update(*map(columns_used, stage.exprs))
+                if stage.column in needed:
+                    needed.update(*map(columns_used, stage.exprs))
             else:
                 needed |= _stage_refs(stage)
         return tuple(c for c in self.base_schema if c in needed)

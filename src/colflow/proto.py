@@ -13,6 +13,10 @@ HEARTBEAT, SHUTDOWN). Kinds 8..10 form the client channel (SUBMIT,
 RUN_DONE, RUN_FAIL): a client submits a planned run and eventually receives
 the merged result with its per-task records.
 
+A worker opens its channel with REGISTER, and the scheduler echoes that
+frame back once it has recorded the worker (since version 5): a worker
+that has read the echo takes part in every run submitted after it.
+
 The worker channel is scoped to runs: GRAPH carries the run number, the
 document and the schema the scheduler typed it against ((name, u8
 ValueType) pairs in file order); TASK names its run; RESULT and FAIL echo it.

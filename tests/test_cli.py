@@ -12,7 +12,7 @@ import pytest
 
 from colflow.bench import check_equivalence, default_post_document, default_pre_document
 from colflow.cli import build_parser, main
-from colflow.cluster.client import submit_run
+from colflow.cluster.client import run_distributed, submit_run
 from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
 from colflow.engine import EntryRange
@@ -403,15 +403,49 @@ class TestFacilityRuns:
         assert result.records == ()
 
 
+def test_services_import_none_of_the_client_side():
+    code = (
+        "import sys, colflow.cli, colflow.colstore.server, colflow.cluster.scheduler, colflow.cluster.worker\n"
+        "print(' '.join(sorted(m for m in sys.modules if m.startswith('colflow.'))))"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "colflow.cluster.worker" in loaded
+    assert not loaded & {f"colflow.{m}" for m in ("bench", "legacy", "report", "datagen", "facility")}
+
+
 class TestFacilityLifecycle:
     def test_child_exit_before_announcing_is_reported(self, tmp_path):
         not_a_dir = tmp_path / "data.col"
         not_a_dir.write_bytes(b"")
+        fac = MiniFacility(str(not_a_dir), str(tmp_path / "logs"), n_workers=1)
         t0 = time.monotonic()
         with pytest.raises(FacilityError, match="data server exited with code 2") as info:
-            MiniFacility(str(not_a_dir), str(tmp_path / "logs"), n_workers=1).start()
-        assert time.monotonic() - t0 < 10
+            fac.start()
+        assert time.monotonic() - t0 < 5  # the scheduler, started alongside, is not waited for
         assert "is not a readable directory" in str(info.value)
+        spawned = [fac.data_proc, fac.scheduler_proc, *fac.worker_procs]
+        assert fac.scheduler_proc is not None  # it started side by side with the data server
+        assert all(p.poll() is not None for p in spawned)
+
+    def test_start_timeout_leaves_no_child_running(self, tmp_path):
+        fac = MiniFacility(str(tmp_path), str(tmp_path / "logs"), n_workers=1, startup_timeout=0.01)
+        with pytest.raises(FacilityError, match="data server did not announce itself within 0.01s"):
+            fac.start()
+        assert fac.scheduler_proc is not None and not fac.worker_procs
+        assert all(p.poll() is not None for p in (fac.data_proc, fac.scheduler_proc))
+
+    def test_first_run_plans_with_every_worker(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        generate(GenConfig(n_files=1, events_per_file=8, cluster_size=1, seed=3), data_dir)
+        probe = json.dumps({"dataset": manifest_files(load_manifest(data_dir)),
+                            "stages": [{"op": "count", "name": "n"}]})
+        with MiniFacility(data_dir, str(tmp_path / "logs"), n_workers=3) as fac:
+            # no wait and no retry: every worker's line follows its confirmed registration
+            result = run_distributed(probe, fac.scheduler_address, factor=1, timeout=30)
+        assert result.total_events == 8
+        assert sorted(r.worker for r in result.records) == ["w0", "w1", "w2"]
 
     def test_clean_shutdown_exit_codes(self, tmp_path):
         data_dir = str(tmp_path / "data")

@@ -31,6 +31,7 @@ from colflow.graph import build, load_spec, schema_types
 from colflow.proto import (
     Fail,
     Graph,
+    ProtoError,
     Register,
     Result,
     RunDone,
@@ -426,6 +427,36 @@ class TestSlotBookkeeping:
         finally:
             sched.stop()
 
+    def test_late_answer_of_a_lost_worker_names_who_ran_it(self, dataset_files):
+        sched, _ = self.scheduler(dataset_files, max_retries=2)
+        try:
+            a = self.register(sched, 1, "a")
+            run = sched._run
+            sched._plan_run(run)
+            sched._dispatch()  # task 0 to a, attempt 1
+            sched._lose_worker(a, "heartbeat timeout")
+            self.register(sched, 2, "b")
+            sched._dispatch()  # task 0 to b, attempt 2
+            sched._on_answer(1, Result(0, 0.1, PartialResult.empty(run.graph), run.number))
+            [record] = run.records
+            assert (record.task_id, record.worker, record.attempt) == (0, "a", 1)
+        finally:
+            sched.stop()
+
+    def test_late_fail_of_a_lost_worker_requeues_nothing(self, dataset_files):
+        sched, _ = self.scheduler(dataset_files, max_retries=2)
+        try:
+            a = self.register(sched, 1, "a")
+            run = sched._run
+            sched._plan_run(run)
+            sched._dispatch()  # task 0 to a
+            sched._lose_worker(a, "heartbeat timeout")  # requeues task 0 once
+            assert list(run.pending) == [0, 1]
+            sched._on_answer(1, Fail(0, "too late", run.number))
+            assert list(run.pending) == [0, 1] and run.attempts == {0: 1}
+        finally:
+            sched.stop()
+
     def test_losing_a_worker_spends_an_attempt(self, dataset_files):
         sched, sent = self.scheduler(dataset_files, max_retries=0)
         try:
@@ -638,6 +669,7 @@ class FakeWorker:
         host, _, port = address.rpartition(":")
         self.sock = socket.create_connection((host, int(port)), timeout=10)
         send_message(self.sock, Register("fake", slots))
+        assert self.recv(Register) == Register("fake", slots)  # the scheduler's echo
 
     def recv(self, kind):
         msg = recv_message(self.sock)
@@ -646,6 +678,35 @@ class FakeWorker:
 
     def send(self, msg):
         send_message(self.sock, msg)
+
+
+class TestRegistration:
+    @pytest.mark.parametrize(
+        "answer", [Shutdown(), Register("someone-else", 1), None], ids=["shutdown", "other-register", "eof"]
+    )
+    def test_announce_needs_its_echo(self, answer):
+        listener = socket.create_server(("127.0.0.1", 0))
+        worker = Worker(f"127.0.0.1:{listener.getsockname()[1]}", name="w0")
+        conn, _ = listener.accept()
+        listener.close()
+        with conn:
+            if answer is None:
+                conn.shutdown(socket.SHUT_WR)
+            else:
+                send_message(conn, answer)
+            with pytest.raises(ProtoError):
+                worker.announce()
+            assert recv_message(conn) == Register("w0", 1)  # it did register first
+        worker._sock.close()
+
+    def test_scheduler_echoes_register_after_recording_the_worker(self):
+        with Scheduler() as sched:
+            host, _, port = sched.address.rpartition(":")
+            with socket.create_connection((host, int(port)), timeout=10) as sock:
+                send_message(sock, Register("w7", 3))
+                assert recv_message(sock) == Register("w7", 3)
+                [worker] = sched._workers.values()
+                assert (worker.name, worker.slots) == ("w7", 3)
 
 
 class TestRunScoping:
@@ -713,7 +774,9 @@ class TestRunScoping:
         thread = threading.Thread(target=worker.run, daemon=True)
         thread.start()
         with conn:
-            assert isinstance(recv_message(conn), Register)
+            register = recv_message(conn)
+            assert isinstance(register, Register)
+            send_message(conn, register)
             task = Task(0, EntryRange(f, 0, 10))
             send_message(conn, Graph(1, doc, STANDARD_SCHEMA))
             send_message(conn, Graph(2, doc, STANDARD_SCHEMA))

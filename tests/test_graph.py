@@ -388,6 +388,16 @@ class TestBuild:
         g = build(load_spec(d), SCHEMA)
         assert g.columns_needed == ("MET_pt", "Jet_eta")
 
+    def test_unread_vary_target_needs_no_columns(self):
+        d = doc(
+            [
+                {"op": "vary", "column": "MET_pt", "kind": "topology",
+                 "tags": ["smear"], "exprs": ["MET_pt + Jet_eta[0]"]},
+                {"op": "sum", "name": "s", "column": "nJet"},
+            ]
+        )
+        assert build(load_spec(d), SCHEMA).columns_needed == ("nJet",)
+
     def test_snapshot_columns_must_be_storable(self):
         d = doc(
             [
