@@ -3,7 +3,7 @@
     colflow gen         synthetic dataset generation
     colflow serve-data  byte-accounted data server
     colflow scheduler   run coordinator
-    colflow worker      task executor daemon
+    colflow worker      task executor daemon (one slot)
     colflow run         distributed single-loop execution of a pipeline
     colflow legacy      per-file batch baseline (pre|post)
     colflow bench       four-scenario comparison on a local facility
@@ -20,6 +20,10 @@ Long-running services print exactly one announcement line ending in
 their bound address, so wrappers can parse it. A worker prints its line
 only once the scheduler has confirmed its REGISTER, so a run submitted
 after the line plans with that worker.
+
+A worker process is one slot and reads each task's file as the task
+names it; more slots are more `colflow worker` processes (`bench
+--slots` starts that many per worker).
 
 Each command imports the modules it runs in its own body: starting a
 service loads that service's code and nothing of the benchmark, the
@@ -169,9 +173,7 @@ def cmd_worker(args) -> int:
     from .wire import ProtoError
 
     try:
-        worker = Worker(
-            args.scheduler, slots=args.slots, name=args.name, data_base=args.data or ""
-        )
+        worker = Worker(args.scheduler, name=args.name)
     except OSError as e:
         _err(f"cannot reach scheduler at {args.scheduler}: {e}")
         return EXIT_RUNTIME
@@ -401,13 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     w = sub.add_parser("worker", help="start a task executor")
     w.add_argument("--scheduler", type=_address, required=True)
-    w.add_argument("--slots", type=_number(int, 1), default=1)
-    w.add_argument(
-        "--data",
-        type=_address,
-        default=None,
-        help="data server for resolving relative task paths",
-    )
     w.add_argument("--name", default=None)
     w.set_defaults(func=cmd_worker)
 
@@ -447,7 +442,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--cluster-size", type=int, default=10_000)
     b.add_argument("--seed", type=int, default=2024)
     b.add_argument("--workers", type=int, default=4)
-    b.add_argument("--slots", type=int, default=1)
+    b.add_argument("--slots", type=int, default=1, help="worker processes per worker")
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--factor", type=int, default=3)
     b.add_argument("--payload-bytes", type=int, default=1_000_000)

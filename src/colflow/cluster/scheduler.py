@@ -10,16 +10,18 @@ A run is finished when every task id has exactly one accepted RESULT.
 Results are merged in task-id order (buffering whatever arrives early), so
 the merged output is independent of scheduling and arrival order, not just
 up to float rounding. Duplicate RESULTs (a worker declared lost that later
-answers anyway) are discarded. A worker slot is freed only by that
-worker's own answer or by its loss. A task's record names the worker that
-ran it and that attempt, even when the answer comes from a worker already
-declared lost; such a worker's FAIL is dropped, since its loss requeued
-the task. An answer for a task its connection was not sent is dropped.
+answers anyway) are discarded. A worker process is one slot: it is sent
+a TASK only while it has none in flight, and it is freed only by its own
+answer or by its loss. Idle workers take tasks in registration order. A
+task's record names the worker that ran it and that attempt, even when
+the answer comes from a worker already declared lost; such a worker's
+FAIL is dropped, since its loss requeued the task. An answer for a task
+its connection was not sent is dropped.
 
 Planning types each run once, against the first file of its dataset, and
 checks the column types of every file it opened. Each worker gets one
 GRAPH (run number, document, that schema) before its first TASK of the
-run. An answer from another run only frees its worker slot; a RESULT
+run. An answer from another run only frees its worker; a RESULT
 whose shape does not fit the run's graph fails its task.
 
 A worker is recorded, and its REGISTER echoed back, in one step of the
@@ -28,7 +30,9 @@ read its echo plans with that worker.
 
 Workers are declared lost after 3 missed heartbeat intervals or on
 disconnect; their inflight tasks are requeued, each requeue consuming one
-attempt from the task's budget of max_retries + 1.
+attempt from the task's budget of max_retries + 1. Heartbeat loss is
+judged only once the event queue is drained, so beats that queued up
+while a long step (planning a large dataset) held the state loop count.
 """
 
 from __future__ import annotations
@@ -71,14 +75,9 @@ class _Worker:
     conn_id: int
     sock: socket.socket
     name: str
-    slots: int
-    inflight: set[tuple[int, int]] = field(default_factory=set)  # (run, task_id)
+    inflight: set[tuple[int, int]] = field(default_factory=set)  # (run, task_id): at most one
     last_beat: float = field(default_factory=time.monotonic)
     graph_run: int = 0  # the run whose GRAPH this worker was sent last
-
-    @property
-    def free_slots(self) -> int:
-        return self.slots - len(self.inflight)
 
 
 @dataclass
@@ -228,9 +227,10 @@ class Scheduler:
 
     def _tick(self) -> None:
         now = time.monotonic()
-        for worker in list(self._workers.values()):
-            if now - worker.last_beat > HEARTBEAT_INTERVAL * LOSS_FACTOR:
-                self._lose_worker(worker, "heartbeat timeout")
+        if self._events.empty():  # a beat still queued is not a missed beat
+            for worker in list(self._workers.values()):
+                if now - worker.last_beat > HEARTBEAT_INTERVAL * LOSS_FACTOR:
+                    self._lose_worker(worker, "heartbeat timeout")
         run = self._run
         if run is not None:
             if run.graph is None:
@@ -246,7 +246,7 @@ class Scheduler:
 
     def _on_message(self, conn_id: int, msg: Message) -> None:
         if isinstance(msg, Register):
-            self._workers[conn_id] = _Worker(conn_id, self._conns[conn_id], msg.name, msg.slots)
+            self._workers[conn_id] = _Worker(conn_id, self._conns[conn_id], msg.name)
             self._send(conn_id, msg)  # the echo: any SUBMIT the state loop meets later plans with it
         elif isinstance(msg, Heartbeat):
             worker = self._workers.get(conn_id)
@@ -307,7 +307,8 @@ class Scheduler:
 
     def _plan_run(self, run: _Run) -> None:
         """Type the run and cut it into tasks, unless the client sent them: such a
-        run opens only its first file, since its task paths may resolve only on workers."""
+        run opens only its first file, the one it is typed against, since its
+        tasks are already cut and each worker checks its own task's file."""
         spec = run.spec
         handles = []
         try:
@@ -318,8 +319,7 @@ class Scheduler:
             for h in handles:
                 check_columns(graph, h.uri, h.schema)
             if run.tasks is None:
-                nslots = max(1, sum(w.slots for w in self._workers.values()))
-                planned = plan_partitions(handles, nslots, run.factor)
+                planned = plan_partitions(handles, len(self._workers), run.factor)
                 run.tasks = {t.task_id: Task(t.task_id, t.entry_range, run=run.number) for t in planned}
         except PipelineError as e:
             self._fail_run(f"bad pipeline document: {e}")
@@ -354,11 +354,7 @@ class Scheduler:
             self._send(worker.conn_id, run.tasks[task_id])
 
     def _pick_worker(self) -> _Worker | None:
-        best = None
-        for worker in self._workers.values():
-            if worker.free_slots > 0 and (best is None or worker.free_slots > best.free_slots):
-                best = worker
-        return best
+        return next((w for w in self._workers.values() if not w.inflight), None)
 
     def _on_answer(self, conn_id: int, msg: Result | Fail) -> None:
         worker = self._workers.get(conn_id)

@@ -1,15 +1,22 @@
 """Worker daemon: executes tasks from the scheduler via the engine.
 
-One socket to the scheduler, read by the main loop; a heartbeat thread and
-the task executor share the write side under a lock. Registration waits for
-the scheduler to echo REGISTER before anything else. The main loop compiles
-each GRAPH frame's document against the schema the frame carries and holds
-only the latest run's graph: a task of another run, or of a run whose graph
-did not build, fails. So does a task whose file holds a needed column with
-another type; the worker survives either way.
+A worker process is one slot: its receive loop runs each TASK to the end
+before it reads the next frame, and the scheduler sends it a TASK only
+while it has none in flight. Two slots are two worker processes, so an
+analysis spreads over as many cores as it has slots; threads in one
+process would share its interpreter lock.
 
-A task may name a payload URI: the worker then downloads payload_bytes
-from it before opening the data, and those bytes count into the task's
+One socket to the scheduler; a heartbeat thread and the receive loop
+share the write side under a lock. Registration waits for the scheduler
+to echo REGISTER before anything else. The receive loop compiles each
+GRAPH frame's document against the schema the frame carries and holds
+only the latest run's graph: a task of another run, or of a run whose
+graph did not build, fails. So does a task whose file holds a needed
+column with another type; the worker survives either way.
+
+A task names its data by path or URI and is read as named. It may also
+name a payload URI: the worker then downloads payload_bytes from it
+before opening the data, and those bytes count into the task's
 bytes_read (download is part of t_total, never of t_loop).
 """
 
@@ -19,10 +26,8 @@ import os
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import replace
 
-from ..colstore.dataset import REMOTE_SCHEME, open_transport
+from ..colstore.dataset import open_transport
 from ..engine import CompiledPipeline, run_multi_pass, run_range
 from ..graph import build, load_spec
 from ..proto import (
@@ -72,21 +77,11 @@ def download_payload(uri: str, n_bytes: int) -> int:
 
 
 class Worker:
-    def __init__(
-        self,
-        scheduler_address: str,
-        slots: int = 1,
-        name: str | None = None,
-        data_base: str = "",
-    ):
-        if slots < 1:
-            raise ValueError(f"a worker needs at least 1 slot, got {slots}")
+    def __init__(self, scheduler_address: str, name: str | None = None):
         host, _, port = scheduler_address.rpartition(":")
         self._sock = socket.create_connection((host, int(port)), timeout=None)
         self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self.name = name or f"worker-{os.getpid()}"
-        self.slots = slots
-        self._data_base = data_base.strip()
         self._send_lock = threading.Lock()
         self._held: tuple = (0, RuntimeError("no graph received"))  # (run, CompiledPipeline or build error)
         self._stop = threading.Event()
@@ -110,14 +105,6 @@ class Worker:
         except Exception as e:  # kept as the run's answer to every task
             return msg.run, e
 
-    def _resolve(self, task: Task) -> Task:
-        """Point schemeless relative task paths at the configured data server."""
-        f = task.entry_range.file
-        if not self._data_base or "://" in f or os.path.isabs(f):
-            return task
-        resolved = f"{REMOTE_SCHEME}{self._data_base}/{f}"
-        return replace(task, entry_range=replace(task.entry_range, file=resolved))
-
     def _execute(self, task: Task) -> None:
         t_start = time.perf_counter()
         run, compiled = self._held
@@ -126,7 +113,6 @@ class Worker:
                 raise RuntimeError(f"no graph for run {task.run} (holding run {run})")
             if isinstance(compiled, Exception):
                 raise compiled.with_traceback(None)  # raised once per task; keep its traceback short
-            task = self._resolve(task)
             payload_read = download_payload(task.payload_uri, task.payload_bytes) if task.payload_uri else 0
             partial = (run_multi_pass if task.multi_pass else run_range)(
                 compiled.graph, task.entry_range, range_id=str(task.task_id), compiled=compiled
@@ -152,7 +138,7 @@ class Worker:
         if self._announced:
             return
         self._announced = True
-        register = Register(self.name, self.slots)
+        register = Register(self.name)
         self._send(register)
         echo = recv_message(self._sock)
         if echo is None:
@@ -166,7 +152,6 @@ class Worker:
         beat = threading.Thread(target=self._heartbeat_loop, name="worker-beat", daemon=True)
         beat.start()
         code = 1
-        pool = ThreadPoolExecutor(max_workers=self.slots, thread_name_prefix="worker-task")
         try:
             while True:
                 try:
@@ -178,13 +163,12 @@ class Worker:
                 if isinstance(msg, Graph):
                     self._held = self._build(msg)
                 elif isinstance(msg, Task):
-                    pool.submit(self._execute, msg)
+                    self._execute(msg)
                 elif isinstance(msg, Shutdown):
                     code = 0
                     break
         finally:
             self._stop.set()
-            pool.shutdown(wait=True, cancel_futures=True)
             try:
                 self._sock.close()
             except OSError:

@@ -6,10 +6,13 @@ boundaries. Each child announces itself with one stdout line ending in
 its bound address; stderr goes to per-process log files.
 
 Children that depend on nothing start side by side: the data server and
-the scheduler together, then every worker at once with both addresses.
-A worker announces itself only after the scheduler has confirmed its
-registration, so once `start()` returns, the next run plans with every
-worker. A failed start stops every child it spawned before raising.
+the scheduler together, then every worker at once with the scheduler's
+address. A worker announces itself only after the scheduler has confirmed
+its registration, so once `start()` returns, the next run plans with
+every worker. A failed start stops every child it spawned before raising.
+
+A slot is a worker process: n workers of s slots each are n x s worker
+processes, named w0, w1, ... in start order.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ def _address_of(line: str, what: str) -> str:
 
 
 class MiniFacility:
-    """One data server, one scheduler, and n workers on localhost."""
+    """One data server, one scheduler, and n_workers x slots worker processes on localhost."""
 
     def __init__(
         self,
@@ -59,8 +62,8 @@ class MiniFacility:
         slots: int = 1,
         startup_timeout: float = 30.0,
     ):
-        if n_workers < 1:
-            raise FacilityError("need at least one worker")
+        if n_workers < 1 or slots < 1:
+            raise FacilityError("need at least one worker of at least one slot")
         self.data_root = os.path.abspath(data_root)
         self.log_dir = os.path.abspath(log_dir)
         self.n_workers = n_workers
@@ -147,21 +150,10 @@ class MiniFacility:
         self.data_address = _address_of(data_line, "data server")
         self.scheduler_address = _address_of(scheduler_line, "scheduler")
 
-        for k in range(self.n_workers):
+        for k in range(self.n_workers * self.slots):
             self.worker_procs.append(
                 self._spawn(
-                    [
-                        "worker",
-                        "--scheduler",
-                        self.scheduler_address,
-                        "--slots",
-                        str(self.slots),
-                        "--data",
-                        self.data_address,
-                        "--name",
-                        f"w{k}",
-                    ],
-                    f"worker-{k}.log",
+                    ["worker", "--scheduler", self.scheduler_address, "--name", f"w{k}"], f"worker-{k}.log"
                 )
             )
         # a worker's line follows the scheduler's echo of its REGISTER

@@ -13,9 +13,11 @@ HEARTBEAT, SHUTDOWN). Kinds 8..10 form the client channel (SUBMIT,
 RUN_DONE, RUN_FAIL): a client submits a planned run and eventually receives
 the merged result with its per-task records.
 
-A worker opens its channel with REGISTER, and the scheduler echoes that
-frame back once it has recorded the worker (since version 5): a worker
-that has read the echo takes part in every run submitted after it.
+A worker opens its channel with REGISTER, which carries only its name
+(since version 6: a worker process is one slot, so there is no slot
+count), and the scheduler echoes that frame back once it has recorded
+the worker (since version 5): a worker that has read the echo takes part
+in every run submitted after it.
 
 The worker channel is scoped to runs: GRAPH carries the run number, the
 document and the schema the scheduler typed it against ((name, u8
@@ -51,7 +53,6 @@ MSG_RUN_FAIL = 10
 @dataclass(frozen=True)
 class Register:
     name: str
-    slots: int
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class Submit:
     """A run request.
 
     Two flavors: tasks empty means the scheduler partitions the document's
-    dataset itself (factor x the live workers' slots); a non-empty task list is
+    dataset itself (factor x the live workers); a non-empty task list is
     dispatched exactly as given (the baseline's one-job-per-file runs).
     """
 
@@ -260,7 +261,7 @@ def _unpack_task(r: Reader) -> Task:
 
 def _encode_payload(msg: Message) -> bytes:
     if isinstance(msg, Register):
-        return pack_str(msg.name) + struct.pack("<I", msg.slots)
+        return pack_str(msg.name)
     if isinstance(msg, Graph):
         head = struct.pack("<I", msg.run) + pack_str(msg.document) + struct.pack("<I", len(msg.schema))
         return head + b"".join(pack_str(c) + struct.pack("<B", t) for c, t in msg.schema.items())
@@ -300,10 +301,7 @@ def _decode_payload(kind: int, payload: bytes) -> Message:
     r = Reader(payload)
     try:
         if kind == MSG_REGISTER:
-            name, slots = r.string(), r.u32()
-            if slots < 1:
-                raise ProtoError(f"worker {name!r} registered with {slots} slots")
-            return Register(name, slots)
+            return Register(r.string())
         if kind == MSG_GRAPH:
             run, document = r.u32(), r.string()
             schema = {r.string(): ValueType(r.unpack("<B")[0]) for _ in range(r.u32())}  # ValueError: unknown code

@@ -23,7 +23,7 @@ from __future__ import annotations
 import socket
 import struct
 
-PROTO_VERSION = 5
+PROTO_VERSION = 6
 
 MAX_FRAME = 256 * 1024 * 1024
 """The largest payload, in bytes, one frame may carry.

@@ -10,16 +10,14 @@ import time
 
 import pytest
 
-from colflow.bench import check_equivalence, default_post_document, default_pre_document
+from colflow.bench import default_post_document, default_pre_document
 from colflow.cli import build_parser, main
 from colflow.cluster.client import run_distributed, submit_run
 from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
-from colflow.engine import EntryRange
 from colflow.facility import FacilityError, MiniFacility
 from colflow.graph import load_spec, spec_graph_id
 from colflow.metrics import RunMetrics, metrics_row, write_metrics_csv
-from colflow.proto import Task
 
 
 def colflow(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
@@ -134,8 +132,8 @@ class TestValidationExits:
         [
             ("scheduler", "--listen", "127.0.0.1:99999"),
             ("serve-data", "--root", ".", "--listen", "127.0.0.1:70000"),
-            ("worker", "--scheduler", "127.0.0.1:0", "--data", "127.0.0.1:5000"),
-            ("worker", "--scheduler", "127.0.0.1:5000", "--data", "127.0.0.1:65536"),
+            ("worker", "--scheduler", "127.0.0.1:0"),
+            ("worker", "--scheduler", "127.0.0.1:65536"),
         ],
         ids=["listen", "serve-listen", "connect-0", "connect-65536"],
     )
@@ -145,14 +143,17 @@ class TestValidationExits:
         assert "HOST:PORT" in r.stderr
         assert "Traceback" not in r.stderr
 
+    @pytest.mark.parametrize("flag", ["--slots", "--data"])
+    def test_worker_takes_no_slot_count_or_data_server(self, flag, capsys):
+        assert main(["worker", "--scheduler", "h:1", flag, "2"]) == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
     def test_port_range_edges_accepted(self):
         parser = build_parser()
         assert parser.parse_args(["scheduler", "--listen", "h:0"]).listen == ("h", 0)
         serve = parser.parse_args(["serve-data", "--root", ".", "--listen", "h:65535"])
         assert serve.listen == ("h", 65535)
-        worker = parser.parse_args(["worker", "--scheduler", "h:1", "--data", "d:65535"])
-        assert (worker.scheduler, worker.data) == ("h:1", "d:65535")
-        assert parser.parse_args(["worker", "--scheduler", "h:1"]).data is None
+        assert parser.parse_args(["worker", "--scheduler", "h:65535"]).scheduler == "h:65535"
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -163,7 +164,6 @@ class TestValidationExits:
             ("run", "--max-retries", "two"),
             ("run", "--timeout", "-1"),
             ("run", "--timeout", "nan"),
-            ("worker", "--slots", "0"),
             ("legacy pre", "--parallel-jobs", "0"),
             ("legacy pre", "--payload-bytes", "-1"),
             ("legacy post", "--timeout", "0"),
@@ -174,7 +174,6 @@ class TestValidationExits:
     def test_out_of_range_number_is_usage_error(self, command, flag, value, capsys):
         required = {
             "run": ["--spec", "d.json", "--scheduler", "h:1", "--out", "o"],
-            "worker": ["--scheduler", "h:1"],
             "legacy": ["--spec", "d.json", "--scheduler", "h:1", "--out", "o"],
             "scheduler": [],
             "bench": ["--out", "o"],
@@ -190,7 +189,6 @@ class TestValidationExits:
              "--partition-factor", "1", "--max-retries", "0", "--timeout", "0.5"]
         )
         assert (run.partition_factor, run.max_retries, run.timeout) == (1, 0, 0.5)
-        assert parser.parse_args(["worker", "--scheduler", "h:1", "--slots", "1"]).slots == 1
         legacy = parser.parse_args(
             ["legacy", "pre", "--spec", "d", "--scheduler", "h:1", "--out", "o",
              "--payload-bytes", "0", "--parallel-jobs", "1"]
@@ -355,39 +353,6 @@ class TestFacilityRuns:
         _, partial = read_result_file(str(out / "post_result.res"))
         assert len(partial.universes) == 31  # nominal + 30 variations
 
-    def test_worker_resolves_relative_paths_against_data_server(self, facility):
-        fac, manifest, _ = facility
-        uris = manifest_files(manifest, base=fac.data_address)
-        # integer weights keep the comparison bit-exact across partitionings
-        document = json.dumps(
-            {
-                "dataset": uris,
-                "stages": [
-                    {"op": "define", "name": "ht", "expr": "sum(Jet_pt)"},
-                    {"op": "define", "name": "w", "expr": "1"},
-                    {
-                        "op": "histo1d",
-                        "name": "h_ht",
-                        "column": "ht",
-                        "weight": "w",
-                        "nbins": 20,
-                        "xmin": 0.0,
-                        "xmax": 1000.0,
-                    },
-                    {"op": "count", "name": "n"},
-                ],
-            }
-        )
-        names = [(e["name"], e["entries"]) for e in manifest["files"]]
-        tasks = tuple(
-            Task(i, EntryRange(name, 0, entries))
-            for i, (name, entries) in enumerate(names)
-        )
-        relative = submit_run(fac.scheduler_address, document, tasks=tasks)
-        absolute = submit_run(fac.scheduler_address, document)
-        assert relative.total_events == absolute.total_events == 4500
-        check_equivalence(relative.partial, absolute.partial, rtol=0.0)
-
     def test_all_empty_files_complete_with_zero_events(self, facility, tmp_path):
         fac, _, root = facility
         empty_dir = os.path.join(root, "empty")
@@ -446,6 +411,18 @@ class TestFacilityLifecycle:
             result = run_distributed(probe, fac.scheduler_address, factor=1, timeout=30)
         assert result.total_events == 8
         assert sorted(r.worker for r in result.records) == ["w0", "w1", "w2"]
+
+    def test_a_slot_is_a_worker_process(self, tmp_path):
+        data_dir = str(tmp_path / "data")
+        generate(GenConfig(n_files=1, events_per_file=8, cluster_size=1, seed=3), data_dir)
+        probe = json.dumps({"dataset": manifest_files(load_manifest(data_dir)),
+                            "stages": [{"op": "count", "name": "n"}]})
+        with MiniFacility(data_dir, str(tmp_path / "logs"), n_workers=1, slots=2) as fac:
+            assert len(fac.worker_procs) == 2
+            assert all(p.poll() is None for p in fac.worker_procs)
+            result = run_distributed(probe, fac.scheduler_address, factor=1, timeout=30)
+        assert result.total_events == 8
+        assert len({r.worker for r in result.records}) == 2
 
     def test_clean_shutdown_exit_codes(self, tmp_path):
         data_dir = str(tmp_path / "data")

@@ -21,7 +21,7 @@ from colflow.cluster import (
     shutdown_cluster,
     submit_run,
 )
-from colflow.cluster import scheduler
+from colflow.cluster import scheduler, worker as worker_module
 from colflow.cluster.planner import plan_partitions
 from colflow.cluster.worker import download_payload, read_result_file
 from colflow.colstore import open_dataset, serve, write_dataset
@@ -46,8 +46,8 @@ from colflow.proto import (
 from conftest import STANDARD_SCHEMA, standard_columns
 
 
-def spawn_worker(address, slots=1, name=None):
-    worker = Worker(address, slots=slots, name=name)
+def spawn_worker(address, name=None):
+    worker = Worker(address, name=name)
     out = {}
 
     def target():
@@ -135,31 +135,33 @@ class TestDistributedRuns:
         doc = make_doc(dataset_files, integer_weights=True)
         results = []
         with Scheduler() as sched:
-            spawn_worker(sched.address, slots=2, name="w0")
-            wait_for_workers(sched, 1)
+            spawn_worker(sched.address, name="w0")
+            spawn_worker(sched.address, name="w1")
+            wait_for_workers(sched, 2)
             for factor in (1, 3, 10):
                 results.append(run_distributed(doc, sched.address, factor=factor))
         for other in results[1:]:
             assert other.partial.universes == results[0].partial.universes
 
-    def test_plan_sized_by_slots(self, dataset_files):
+    def test_plan_sized_by_workers(self, dataset_files):
         doc = make_doc(dataset_files[:2], integer_weights=True)  # 4 clusters per file
         results = []
-        for slots in (1, 4):
+        for n_workers in (1, 4):
             with Scheduler() as sched:
-                spawn_worker(sched.address, slots=slots, name="w0")
-                wait_for_workers(sched, 1)
+                for i in range(n_workers):
+                    spawn_worker(sched.address, name=f"w{i}")
+                wait_for_workers(sched, n_workers)
                 results.append(run_distributed(doc, sched.address, factor=1))
         assert len(results[0].records) == 2
-        assert len(results[1].records) >= 4  # one worker, but four slots to fill
+        assert len(results[1].records) >= 4  # four workers to fill
         assert results[1].partial.universes == results[0].partial.universes
 
     def test_records_cover_every_task_once(self, dataset_files):
         doc = make_doc(dataset_files)
         with Scheduler() as sched:
-            spawn_worker(sched.address, slots=2, name="w0")
-            spawn_worker(sched.address, slots=2, name="w1")
-            wait_for_workers(sched, 2)
+            for i in range(4):
+                spawn_worker(sched.address, name=f"w{i}")
+            wait_for_workers(sched, 4)
             result = run_distributed(doc, sched.address, factor=3)
         ids = [r.task_id for r in result.records]
         assert ids == sorted(ids)
@@ -266,11 +268,6 @@ class TestDistributedRuns:
         with Scheduler() as sched:
             with pytest.raises(ClusterError, match="partition factor"):
                 submit_run(sched.address, make_doc(dataset_files), factor=0, timeout=5.0)
-
-    def test_zero_slot_worker_rejected_before_connecting(self):
-        # port 1 refuses connections: reaching it would raise OSError instead
-        with pytest.raises(ValueError, match="at least 1 slot"):
-            Worker("127.0.0.1:1", slots=0)
 
     def test_missing_file_fails_run(self, tmp_path):
         doc = json.dumps(
@@ -405,7 +402,7 @@ class TestSlotBookkeeping:
     def register(sched, conn_id, name):
         a, b = socket.socketpair()
         b.close()
-        sched._workers[conn_id] = scheduler._Worker(conn_id, a, name, slots=1)
+        sched._workers[conn_id] = scheduler._Worker(conn_id, a, name)
         return sched._workers[conn_id]
 
     def test_late_answer_of_a_lost_worker_frees_no_other_slot(self, dataset_files):
@@ -469,6 +466,31 @@ class TestSlotBookkeeping:
             assert [f.error for f in fails] == ["task 0 exhausted retries: worker a disconnected"]
         finally:
             sched.stop()
+
+
+class TestHeartbeats:
+    def test_long_planning_loses_no_worker(self, tmp_path, monkeypatch):
+        # planning 1000 remote entries holds the state loop far past the
+        # 0.15 s loss limit; the beats queued meanwhile still count
+        monkeypatch.setattr(scheduler, "HEARTBEAT_INTERVAL", 0.05)
+        monkeypatch.setattr(worker_module, "HEARTBEAT_INTERVAL", 0.05)
+        write_dataset(str(tmp_path / "small.col"), STANDARD_SCHEMA, standard_columns(200, seed=5), 200).close()
+        with serve(str(tmp_path)) as server:
+            doc = json.dumps({"dataset": [f"colsrv://{server.address}/small.col"] * 1000,
+                              "stages": [{"op": "count", "name": "n"}]})
+            with Scheduler() as sched:
+                lost = []
+                lose = sched._lose_worker
+                sched._lose_worker = lambda w, why: (lost.append((w.name, why)), lose(w, why))
+                spawn_worker(sched.address, name="w0")
+                spawn_worker(sched.address, name="w1")
+                wait_for_workers(sched, 2)
+                result = run_distributed(doc, sched.address, factor=1, timeout=120)
+                registered = len(sched._workers)
+        assert lost == []
+        assert result.total_events == 200_000
+        assert all(r.attempt == 1 for r in result.records)
+        assert registered == 2
 
 
 class TestWireLimits:
@@ -665,11 +687,11 @@ def test_first_task_reads_only_its_range(dataset_files):
 class FakeWorker:
     """A worker socket driven by the test: it registers and answers by hand."""
 
-    def __init__(self, address, slots=1):
+    def __init__(self, address):
         host, _, port = address.rpartition(":")
         self.sock = socket.create_connection((host, int(port)), timeout=10)
-        send_message(self.sock, Register("fake", slots))
-        assert self.recv(Register) == Register("fake", slots)  # the scheduler's echo
+        send_message(self.sock, Register("fake"))
+        assert self.recv(Register) == Register("fake")  # the scheduler's echo
 
     def recv(self, kind):
         msg = recv_message(self.sock)
@@ -682,7 +704,7 @@ class FakeWorker:
 
 class TestRegistration:
     @pytest.mark.parametrize(
-        "answer", [Shutdown(), Register("someone-else", 1), None], ids=["shutdown", "other-register", "eof"]
+        "answer", [Shutdown(), Register("someone-else"), None], ids=["shutdown", "other-register", "eof"]
     )
     def test_announce_needs_its_echo(self, answer):
         listener = socket.create_server(("127.0.0.1", 0))
@@ -696,17 +718,17 @@ class TestRegistration:
                 send_message(conn, answer)
             with pytest.raises(ProtoError):
                 worker.announce()
-            assert recv_message(conn) == Register("w0", 1)  # it did register first
+            assert recv_message(conn) == Register("w0")  # it did register first
         worker._sock.close()
 
     def test_scheduler_echoes_register_after_recording_the_worker(self):
         with Scheduler() as sched:
             host, _, port = sched.address.rpartition(":")
             with socket.create_connection((host, int(port)), timeout=10) as sock:
-                send_message(sock, Register("w7", 3))
-                assert recv_message(sock) == Register("w7", 3)
+                send_message(sock, Register("w7"))
+                assert recv_message(sock) == Register("w7")
                 [worker] = sched._workers.values()
-                assert (worker.name, worker.slots) == ("w7", 3)
+                assert worker.name == "w7"
 
 
 class TestRunScoping:
@@ -717,7 +739,7 @@ class TestRunScoping:
                       STANDARD_SCHEMA)
         tasks = tuple(Task(i, EntryRange(f, 0, 10)) for i, f in enumerate(dataset_files[:2]))
         with Scheduler() as sched:
-            fake = FakeWorker(sched.address, slots=2)
+            fake = FakeWorker(sched.address)
             wait_for_workers(sched, 1)
             outcome = {}
 
@@ -732,8 +754,9 @@ class TestRunScoping:
             thread = threading.Thread(target=client)
             thread.start()
             run = fake.recv(Graph).run
-            first, second = fake.recv(Task), fake.recv(Task)
+            first = fake.recv(Task)
             fake.send(Result(first.task_id, 0.1, PartialResult.empty(graph), run))
+            second = fake.recv(Task)
             fake.send(Result(second.task_id, 0.1, PartialResult.empty(other), run))
             thread.join(30)
             assert outcome["error"] == f"task {second.task_id} exhausted retries: result does not fit the run's graph"
@@ -762,6 +785,29 @@ class TestRunScoping:
             fake.send(Result(0, 0.1, PartialResult.empty(graph), run))
             thread.join(30)
         assert outcome["result"].records[0].task_id == 0
+
+    def test_no_second_task_while_one_is_in_flight(self, dataset_files):
+        doc = make_doc(dataset_files[:1])
+        graph = _build_graph(doc, dataset_files)
+        tasks = tuple(Task(i, EntryRange(dataset_files[0], 0, 10)) for i in range(3))
+        with Scheduler() as sched:
+            fake = FakeWorker(sched.address)
+            wait_for_workers(sched, 1)
+            outcome = {}
+            thread = threading.Thread(target=lambda: outcome.update(
+                result=submit_run(sched.address, doc, tasks=tasks, max_retries=0, timeout=20)))
+            thread.start()
+            run = fake.recv(Graph).run
+            for task_id in range(3):
+                assert fake.recv(Task).task_id == task_id
+                assert list(sched._run.pending) == list(range(task_id + 1, 3))
+                fake.sock.settimeout(0.3)
+                with pytest.raises(TimeoutError):
+                    recv_message(fake.sock)  # the next task waits for this one's answer
+                fake.sock.settimeout(10)
+                fake.send(Result(task_id, 0.1, PartialResult.empty(graph), run))
+            thread.join(30)
+        assert [r.task_id for r in outcome["result"].records] == [0, 1, 2]
 
     def test_worker_fails_task_of_a_run_it_no_longer_holds(self, dataset_files):
         f = dataset_files[0]
@@ -830,8 +876,9 @@ def test_late_answer_of_a_failed_run_stays_out_of_the_next(tmp_path):
     doc_a = lead_doc([slow, bad], "a", 6)
     doc_b = lead_doc(b_files, "b", 20)
     with Scheduler() as sched:
-        spawn_worker(sched.address, slots=2, name="w0")
-        wait_for_workers(sched, 1)
+        spawn_worker(sched.address, name="w0")
+        spawn_worker(sched.address, name="w1")
+        wait_for_workers(sched, 2)
         tasks_a = (Task(0, EntryRange(slow, 0, n)), Task(1, EntryRange(bad, 0, 3)))
         with pytest.raises(ClusterError, match="task 1 exhausted retries: .*index 0 out of range"):
             submit_run(sched.address, doc_a, tasks=tasks_a, max_retries=0, timeout=30)

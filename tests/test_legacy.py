@@ -72,7 +72,7 @@ def cluster():
     with Scheduler() as sched:
         threads = []
         for i in range(2):
-            worker = Worker(sched.address, slots=1, name=f"w{i}")
+            worker = Worker(sched.address, name=f"w{i}")
             t = threading.Thread(target=worker.run, daemon=True)
             t.start()
             threads.append(t)
@@ -204,7 +204,7 @@ class TestPreselection:
             for label, pb in (("without", 0), ("with", payload)):
                 doc = pre_doc(files, str(tmp_path / label / "skim"))
                 with Scheduler() as sched:
-                    worker = Worker(sched.address, slots=1, name="w0")
+                    worker = Worker(sched.address, name="w0")
                     threading.Thread(target=worker.run, daemon=True).start()
                     import time
 

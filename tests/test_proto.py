@@ -71,7 +71,7 @@ SAMPLE_SCHEMA = {
 }
 
 MESSAGES = [
-    Register("worker-3", 4),
+    Register("worker-3"),
     Graph(3, '{"dataset":["a.col"],"stages":[{"op":"count","name":"n"}]}', SAMPLE_SCHEMA),
     sample_task(5),
     Task(0, EntryRange("f.col", 0, 10)),
@@ -131,6 +131,13 @@ class TestRoundTrips:
         assert encode(Result(4, 0.5, PartialResult(), 9))[8:24] == struct.pack("<IId", 4, 9, 0.5)
         assert encode(Fail(4, "boom", 9))[8:] == struct.pack("<II", 4, 9) + struct.pack("<I", 4) + b"boom"
 
+    def test_register_is_the_name_alone(self):
+        """Since version 6 a worker process is one slot: REGISTER has no slot count."""
+        raw = encode(Register("w0"))
+        assert raw[8:] == struct.pack("<I", 2) + b"w0"
+        with pytest.raises(ProtoError, match="protocol version 5, expected 6"):
+            decode(raw[:6] + struct.pack("<H", 5) + raw[8:])
+
     def test_result_and_fail_default_to_run_0(self):
         """The benchmark's replay builds Result(task_id, t_total, partial)."""
         assert decode(encode(Result(1, 0.25, PartialResult()))).run == 0
@@ -153,7 +160,7 @@ class TestFramingRules:
             read_messages([bad + b"\x00"])
 
     def test_truncated_frame_rejected(self):
-        raw = encode(Register("w", 1))
+        raw = encode(Register("w"))
         with pytest.raises(ProtoError, match="does not match"):
             decode(raw[:-1])
 
@@ -176,12 +183,6 @@ class TestFramingRules:
         assert raw[flag] == 1
         raw[flag] = 2
         with pytest.raises(ProtoError, match="multi_pass"):
-            decode(bytes(raw))
-
-    def test_register_with_zero_slots_rejected(self):
-        raw = bytearray(encode(Register("w", 1)))
-        raw[-4:] = struct.pack("<I", 0)
-        with pytest.raises(ProtoError, match="0 slots"):
             decode(bytes(raw))
 
     @pytest.mark.parametrize("code", [0, 6, 7, 255])
@@ -276,11 +277,10 @@ class TestLimits:
 
     @pytest.mark.parametrize("value", [255, 256, 65535, 65536, 2**32 - 1])
     def test_count_fields_round_trip(self, value):
-        """attempt and passes were u8, slots and the Submit counts u16."""
+        """attempt and passes were u8, the Submit counts u16."""
         record = JobRecord(0, "w0", 10, 1.0, 0.5, 100, 80, attempt=value, passes=value)
         for msg in (
             Task(0, EntryRange("f.col", 0, 10), run=value),
-            Register("w0", value),
             Submit("r", "{}", value, value, ()),
             RunDone("r", 1.0, sample_partial(1), (record,)),
         ):
@@ -322,7 +322,7 @@ def random_message(draw):
     u32s = st.integers(0, 2**32 - 1)
     choice = draw(st.integers(0, 5))
     if choice == 0:
-        return Register(draw(names), draw(st.integers(1, 2**32 - 1)))
+        return Register(draw(names))
     if choice == 1:
         return Heartbeat(draw(names))
     if choice == 2:
