@@ -18,16 +18,17 @@ aborted benchmark still leaves the completed rows behind.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass
+
+import numpy as np
 
 from .cluster.client import RunResult, run_distributed
 from .colstore.dataset import REMOTE_SCHEME, server_totals
 from .datagen import GenConfig, generate, load_manifest, manifest_files
 from .engine import PartialResult
 from .facility import MiniFacility
-from .hist import AccumKind, Histo1D, ScalarAccumulator
+from .hist import ResultKind
 from .legacy import run_legacy_postselection, run_legacy_preselection
 from .metrics import (
     JobRecord,
@@ -146,45 +147,35 @@ def ensure_dataset(config: BenchConfig, data_dir: str) -> dict:
 
 def check_equivalence(a: PartialResult, b: PartialResult, rtol: float = 1e-9) -> None:
     """Per-universe agreement of two runs' results, within rtol per bin."""
-    if set(a.universes) != set(b.universes):
-        raise BenchError(
-            f"universe sets differ: {sorted(a.universes)} vs {sorted(b.universes)}"
-        )
-    for universe in a.universes:
-        ra, rb = a.universes[universe], b.universes[universe]
-        if set(ra) != set(rb):
-            raise BenchError(f"universe {universe!r}: result names differ")
-        for name in ra:
-            _check_result(universe, name, ra[name], rb[name], rtol)
+    if a.labels != b.labels:
+        raise BenchError(f"universe sets differ: {a.labels} vs {b.labels}")
+    if a.tables.keys() != b.tables.keys():
+        raise BenchError(f"result names differ: {sorted(a.tables)} vs {sorted(b.tables)}")
+    for name, x in a.tables.items():
+        y = b.tables[name]
+        if x.axis != y.axis:
+            raise BenchError(f"result {name!r}: kinds or histogram axes differ")
+        if x.kind is ResultKind.HISTO:
+            _first_bad(a.labels, name, "entry counts differ", x.entries, y.entries, x.entries != y.entries)
+            _first_bad(a.labels, name, "bin {} disagrees", x.sumw, y.sumw, ~_close(x.sumw, y.sumw, rtol))
+        elif x.kind is ResultKind.COUNT:
+            _first_bad(a.labels, name, "counts differ", x.sumw, y.sumw, x.sumw != y.sumw)
+        else:
+            _first_bad(a.labels, name, "sums differ", x.sumw, y.sumw, ~_close(x.sumw, y.sumw, rtol))
 
 
-def _close(x: float, y: float, rtol: float) -> bool:
-    return x == y or math.isclose(x, y, rel_tol=rtol, abs_tol=0.0)
+def _close(x: np.ndarray, y: np.ndarray, rtol: float) -> np.ndarray:
+    """math.isclose cell by cell, with no absolute tolerance: symmetric in x and y."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(x - y)
+        return (x == y) | (np.isfinite(diff) & (diff <= rtol * np.maximum(np.abs(x), np.abs(y))))
 
 
-def _check_result(universe: str, name: str, x, y, rtol: float) -> None:
-    where = f"universe {universe!r} result {name!r}"
-    if isinstance(x, Histo1D):
-        if not isinstance(y, Histo1D) or not x.same_axis(y):
-            raise BenchError(f"{where}: histogram axes differ")
-        if x.entries != y.entries:
-            raise BenchError(f"{where}: entry counts differ ({x.entries} vs {y.entries})")
-        for b in range(x.nbins + 2):
-            if not _close(x.sumw[b], y.sumw[b], rtol):
-                raise BenchError(
-                    f"{where}: bin {b} disagrees ({x.sumw[b]!r} vs {y.sumw[b]!r})"
-                )
-        return
-    if isinstance(x, ScalarAccumulator):
-        if not isinstance(y, ScalarAccumulator) or x.kind is not y.kind:
-            raise BenchError(f"{where}: accumulator kinds differ")
-        if x.kind is AccumKind.COUNT:
-            if x.value != y.value:
-                raise BenchError(f"{where}: counts differ ({x.value} vs {y.value})")
-        elif not _close(x.value, y.value, rtol):
-            raise BenchError(f"{where}: sums differ ({x.value!r} vs {y.value!r})")
-        return
-    raise BenchError(f"{where}: unknown result type {type(x).__name__}")
+def _first_bad(labels: list[str], name: str, what: str, x: np.ndarray, y: np.ndarray, bad: np.ndarray) -> None:
+    if bad.any():
+        cell = tuple(np.argwhere(bad)[0])
+        where = f"universe {labels[cell[0]]!r} result {name!r}"
+        raise BenchError(f"{where}: {what.format(*cell[1:])} ({x[cell].item()!r} vs {y[cell].item()!r})")
 
 
 # --- scenario execution -------------------------------------------------------

@@ -45,7 +45,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..colstore import open_dataset
-from ..engine import EngineError, PartialResult, check_columns, result_shape
+from ..engine import EngineError, PartialResult, check_columns
 from ..graph import ComputationGraph, PipelineError, PipelineSpec, build, load_spec
 from ..metrics import JobRecord
 from ..proto import (
@@ -92,7 +92,7 @@ class _Run:
     t0: float
     deadline: float
     graph: ComputationGraph | None = None  # set by planning
-    shape: dict = field(default_factory=dict)  # result_shape every RESULT must have
+    shape: tuple = ()  # the PartialResult.shape() every RESULT must have
     planning_bytes: int = 0
     pending: deque = field(default_factory=deque)
     attempts: dict = field(default_factory=dict)  # task_id -> attempts started
@@ -332,7 +332,7 @@ class Scheduler:
             return
         run.planning_bytes = sum(h.account.bytes_read for h in handles)
         run.graph = graph
-        run.shape = result_shape(PartialResult.empty(graph))
+        run.shape = PartialResult.empty(graph).shape()
         run.pending = deque(sorted(run.tasks))
         run.merge_order = sorted(run.tasks)
 
@@ -367,7 +367,7 @@ class Scheduler:
         assigned = run.assigned.pop((conn_id, msg.task_id), None)
         if assigned is None or msg.task_id in run.done:
             return  # not this connection's task, or a duplicate after reassignment: first result wins
-        if isinstance(msg, Result) and result_shape(msg.partial) == run.shape:
+        if isinstance(msg, Result) and msg.partial.shape() == run.shape:
             self._accept(run, assigned, msg)
         elif worker is not None:  # a lost worker's tasks were requeued when it was lost
             error = msg.error if isinstance(msg, Fail) else "result does not fit the run's graph"

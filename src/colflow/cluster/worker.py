@@ -187,4 +187,6 @@ def read_result_file(path: str):
     """Returns (graph_id, PartialResult)."""
     with open(path, "rb") as f:
         r = Reader(f.read())
-    return r.string(), unpack_partial(r)
+    graph_id, partial = r.string(), unpack_partial(r)
+    r.finish()
+    return graph_id, partial

@@ -1,12 +1,12 @@
 """Graph execution: the event loop over entry ranges.
 
 One run_range call traverses one entry range of one file exactly once and
-produces a PartialResult carrying every universe's result slots. It
-evaluates the universes it is given, by name; SINGLE_PASS (None) means
-nominal plus every variation universe, and the bytes read do not depend
-on how many are listed. run_multi_pass is the baseline's pass plan: one
-traversal for nominal plus the WEIGHT universes, then one per TOPOLOGY
-universe.
+produces a PartialResult: one table per result stage, with a row per
+universe. It evaluates the universes it is given, by name; SINGLE_PASS
+(None) means nominal plus every variation universe, and the bytes read do
+not depend on how many are listed. run_multi_pass is the baseline's pass
+plan: one traversal for nominal plus the WEIGHT universes, then one per
+TOPOLOGY universe.
 
 Evaluation is by batch: one cluster's rows at a time, walked through the
 stages one universe after another. Each expression is evaluated once per
@@ -43,7 +43,7 @@ from .graph import (
     SnapshotStage,
     SumStage,
 )
-from .hist import AccumKind, Histo1D, ScalarAccumulator
+from .hist import ResultKind, ResultTable
 
 
 class EngineError(Exception):
@@ -60,12 +60,9 @@ class EntryRange:
     end: int
 
 
-ResultMap = dict[str, Histo1D | ScalarAccumulator]
-
-
 @dataclass
 class PartialResult:
-    """Per-universe results plus the counters a task reports upstream."""
+    """One table per result stage, a row per universe, plus the counters a task reports upstream."""
 
     events: int = 0
     t_loop: float = 0.0
@@ -73,37 +70,42 @@ class PartialResult:
     chunk_bytes: int = 0  # data volume only: sum of fetched chunk lengths
     mem_peak: int = 0  # largest single batch, in chunk bytes
     snapshots: list[str] = dataclass_field(default_factory=list)
-    universes: dict[str, ResultMap] = dataclass_field(default_factory=dict)
+    labels: list[str] = dataclass_field(default_factory=list)  # the universes, in row order
+    tables: dict[str, ResultTable] = dataclass_field(default_factory=dict)
 
     @classmethod
     def empty(cls, graph: ComputationGraph) -> "PartialResult":
-        out = cls()
-        for u in graph.universes():
-            out.universes[u] = _fresh_slots(graph)
-        return out
+        labels = graph.universes()
+        tables = {}
+        for name, stage in graph.result_stages.items():
+            if isinstance(stage, HistoStage):
+                tables[name] = ResultTable(name, ResultKind.HISTO, len(labels), stage.nbins, stage.xmin, stage.xmax)
+            else:
+                kind = ResultKind.SUM if isinstance(stage, SumStage) else ResultKind.COUNT
+                tables[name] = ResultTable(name, kind, len(labels))
+        return cls(labels=labels, tables=tables)
+
+    @property
+    def universes(self) -> dict[str, dict]:
+        """Universe -> result name -> that universe's Histo1D or ScalarAccumulator."""
+        return {u: {name: t.row(i) for name, t in self.tables.items()} for i, u in enumerate(self.labels)}
+
+    def shape(self) -> tuple:
+        """The universes, then each table's axis by name: partials merge only if equal."""
+        return self.labels, {name: t.axis for name, t in self.tables.items()}
 
     def merge_in(self, other: "PartialResult") -> None:
         """Ordered reduce: callers must merge partials in task order."""
-        if set(self.universes) != set(other.universes):
-            raise EngineError("cannot merge results with different universe sets")
+        if self.shape() != other.shape():
+            raise EngineError("cannot merge results with different universe sets or result tables")
         self.events += other.events
         self.t_loop += other.t_loop
         self.bytes_read += other.bytes_read
         self.chunk_bytes += other.chunk_bytes
         self.mem_peak = max(self.mem_peak, other.mem_peak)
         self.snapshots.extend(other.snapshots)
-        for u, results in other.universes.items():
-            mine = self.universes[u]
-            for name, r in results.items():
-                mine[name].add(r)
-
-
-def result_shape(p: PartialResult) -> dict:
-    """Universe -> result name -> axis or accumulator kind; partials merge only if equal."""
-    return {
-        u: {n: (r.nbins, r.xmin, r.xmax) if isinstance(r, Histo1D) else r.kind for n, r in rs.items()}
-        for u, rs in p.universes.items()
-    }
+        for name, table in other.tables.items():
+            self.tables[name].add(table)
 
 
 def check_columns(graph: ComputationGraph, uri: str, schema: dict) -> None:
@@ -114,18 +116,6 @@ def check_columns(graph: ComputationGraph, uri: str, schema: dict) -> None:
         if schema[c] is not graph.base_schema[c]:
             want = graph.base_schema[c].name
             raise EngineError(f"{uri} holds column {c!r} as {schema[c].name}, the graph reads it as {want}")
-
-
-def _fresh_slots(graph: ComputationGraph) -> ResultMap:
-    slots: ResultMap = {}
-    for name, stage in graph.result_stages.items():
-        if isinstance(stage, HistoStage):
-            slots[name] = Histo1D(name, stage.nbins, stage.xmin, stage.xmax)
-        elif isinstance(stage, SumStage):
-            slots[name] = ScalarAccumulator(AccumKind.SUM)
-        else:
-            slots[name] = ScalarAccumulator(AccumKind.COUNT)
-    return slots
 
 
 # --- batch views --------------------------------------------------------------
@@ -214,8 +204,8 @@ class CompiledPipeline:
                 self.filter_fns[i] = compile_expr(stage.expr, types)
 
 
-def _run_universe(compiled: CompiledPipeline, view: _Rows, universe: str, results: ResultMap, snapshot: list):
-    """Walk the stages for one universe over one batch's rows."""
+def _run_universe(compiled: CompiledPipeline, view: _Rows, universe: str, row: int, tables: dict, snapshot: list):
+    """Walk the stages for one universe over one batch's rows, filling the tables at its row."""
     variation = compiled.graph.variations.get(universe)
     for i, stage in enumerate(compiled.graph.stages):
         if variation is not None and i == variation.stage_index:  # the universe's view from here on
@@ -229,11 +219,11 @@ def _run_universe(compiled: CompiledPipeline, view: _Rows, universe: str, result
             w = np.ones(len(view.ids)) if stage.weight is None else view.column(stage.weight)
             if isinstance(x, Jagged):
                 w, x = np.repeat(w, x.lengths), x.values
-            results[stage.name].fill(x, w)
+            tables[stage.name].fill(row, x, w)
         elif isinstance(stage, SumStage):
-            results[stage.name].accumulate(view.column(stage.column))
+            tables[stage.name].accumulate(row, view.column(stage.column))
         elif isinstance(stage, CountStage):
-            results[stage.name].count(len(view.ids))
+            tables[stage.name].count(row, len(view.ids))
         elif isinstance(stage, SnapshotStage) and universe == "nominal":
             snapshot.append([view.column(c) for c in stage.columns])
 
@@ -280,7 +270,7 @@ def run_range(
             root = _Rows(compiled, ids, dict(batch.columns))
             try:
                 for u in universes:
-                    _run_universe(compiled, root, u, partial.universes[u], snapshot)
+                    _run_universe(compiled, root, u, partial.labels.index(u), partial.tables, snapshot)
             except EvalError as e:
                 raise EngineError(f"event {e.entry} in {entry_range.file}: {e}") from None
         partial.t_loop = time.perf_counter() - t0
@@ -344,17 +334,15 @@ def run_multi_pass(
 def run_local(
     graph: ComputationGraph,
     dataset: list[str],
-    nthreads: int = 1,
+    nworkers: int = 1,
     *,
     factor: int = 3,
 ) -> PartialResult:
-    """Run the whole dataset on a local thread pool and merge in task order."""
-    from concurrent.futures import ThreadPoolExecutor
-
+    """Run the whole dataset in the calling thread, task by task, as planned for nworkers."""
     from .cluster.planner import plan_partitions
 
-    if nthreads < 1:
-        raise ValueError("nthreads must be >= 1")
+    if nworkers < 1:
+        raise ValueError("nworkers must be >= 1")
     if not dataset:
         return PartialResult.empty(graph)
 
@@ -362,22 +350,8 @@ def run_local(
     for u in dataset:
         with open_dataset(u) as h:  # planning reads only h.uri and h.clusters
             handles.append(h)
-    tasks = plan_partitions(handles, nthreads, factor=factor)
-
     compiled = CompiledPipeline(graph)
     merged = PartialResult.empty(graph)
-    with ThreadPoolExecutor(max_workers=nthreads) as pool:
-        futures = [
-            pool.submit(
-                run_range,
-                graph,
-                t.entry_range,
-                SINGLE_PASS,
-                range_id=str(t.task_id),
-                compiled=compiled,
-            )
-            for t in tasks
-        ]
-        for f in futures:  # task order, not completion order
-            merged.merge_in(f.result())
+    for t in plan_partitions(handles, nworkers, factor=factor):
+        merged.merge_in(run_range(graph, t.entry_range, SINGLE_PASS, range_id=str(t.task_id), compiled=compiled))
     return merged

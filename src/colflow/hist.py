@@ -1,41 +1,63 @@
-"""Weighted 1-D histograms and scalar accumulators with exact merge.
+"""Result tables: one result stage's values in every universe, merged exactly.
 
-These are the reduce payloads of the whole system: tasks fill private
-instances, and partial results are combined by addition. Axis layout is
-uniform bins over [xmin, xmax) with two extra slots: index 0 collects
-underflow (x < xmin, and NaN by convention) and index nbins+1 collects
-overflow (x >= xmax). sumw2 tracks the sum of squared weights so merged
-statistical errors stay exact. sumw and sumw2 are array("d") buffers that
-fills add into in place through numpy: a result holds no float per bin.
+These are the reduce payloads of the whole system: a task fills a private
+table per result stage, and partial results are combined by addition.
+Row u of a table is universe u. A table holds `entries` (rows,), the
+values it has seen per row, and `sumw` and `sumw2` (rows, width): for a
+histogram the width is nbins + 2, uniform bins over [xmin, xmax) with
+index 0 collecting underflow (x < xmin, and NaN by convention) and index
+nbins + 1 collecting overflow (x >= xmax), and sumw2 the sum of squared
+weights so merged statistical errors stay exact; for a sum or a count the
+width is 1, sumw holds the value and sumw2 stays zero.
+
+Histo1D and ScalarAccumulator are read-only views of one row, for
+reading a result universe by universe.
 """
 
 from __future__ import annotations
 
-from array import array
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 
-class Histo1D:
-    __slots__ = ("name", "nbins", "xmin", "xmax", "entries", "sumw", "sumw2")
+class ResultKind(Enum):
+    """A table's kind; the value is its kind byte on the wire."""
 
-    def __init__(self, name: str, nbins: int, xmin: float, xmax: float):
-        if nbins < 1:
-            raise ValueError(f"nbins must be >= 1, got {nbins}")
-        if not xmin < xmax:
-            raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax})")
+    HISTO = 1
+    COUNT = 2
+    SUM = 3
+
+
+class ResultTable:
+    __slots__ = ("name", "kind", "nbins", "xmin", "xmax", "entries", "sumw", "sumw2")
+
+    def __init__(self, name: str, kind: ResultKind, rows: int, nbins: int = 0, xmin: float = 0.0, xmax: float = 0.0):
+        if kind is ResultKind.HISTO:
+            if nbins < 1:
+                raise ValueError(f"nbins must be >= 1, got {nbins}")
+            if not xmin < xmax:
+                raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax})")
         self.name = name
+        self.kind = kind
         self.nbins = nbins
         self.xmin = float(xmin)
         self.xmax = float(xmax)
-        self.entries = 0
-        self.sumw = array("d", [0.0]) * (nbins + 2)
-        self.sumw2 = array("d", [0.0]) * (nbins + 2)
+        width = nbins + 2 if kind is ResultKind.HISTO else 1
+        self.entries = np.zeros(rows, "<i8")
+        self.sumw = np.zeros((rows, width), "<f8")
+        self.sumw2 = np.zeros((rows, width), "<f8")
 
-    def fill(self, x, w=1.0) -> None:
-        """Fill the values of x (a scalar is one value) as F64, with one weight
-        for all or one each; each bin adds in order, as one fill at a time."""
+    @property
+    def axis(self) -> tuple:
+        """Kind and binning: tables merge only if theirs are equal."""
+        return self.kind, self.nbins, self.xmin, self.xmax
+
+    def fill(self, row: int, x, w=1.0) -> None:
+        """Fill the values of x (a scalar is one value) into a histogram row as
+        F64, with one weight for all or one each; each bin adds in order, as
+        one fill at a time."""
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
         w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
         bad = ~np.isfinite(w)
@@ -47,89 +69,62 @@ class Histo1D:
         # divide first: the one fixed formula all modes share
         k = ((x[inside] - self.xmin) / (self.xmax - self.xmin) * self.nbins).astype(np.int64)
         bins[inside] = np.minimum(k, self.nbins - 1) + 1  # guard the upper edge against rounding
-        np.add.at(np.frombuffer(self.sumw), bins, w)  # unbuffered: a bin hit twice adds in order
-        np.add.at(np.frombuffer(self.sumw2), bins, w * w)
-        self.entries += len(x)
+        np.add.at(self.sumw[row], bins, w)  # unbuffered: a bin hit twice adds in order
+        np.add.at(self.sumw2[row], bins, w * w)
+        self.entries[row] += len(x)
 
-    def same_axis(self, other: "Histo1D") -> bool:
-        return (
-            self.name == other.name
-            and self.nbins == other.nbins
-            and self.xmin == other.xmin
-            and self.xmax == other.xmax
-        )
+    def count(self, row: int, n: int) -> None:
+        self.sumw[row, 0] += n
+        self.entries[row] += n
 
-    def add(self, other: "Histo1D") -> None:
-        """In-place merge; axis identity required."""
-        if not self.same_axis(other):
-            raise ValueError(
-                f"histogram axis mismatch: {self.name!r}[{self.nbins},{self.xmin},{self.xmax}] "
-                f"vs {other.name!r}[{other.nbins},{other.xmin},{other.xmax}]"
-            )
-        np.frombuffer(self.sumw)[:] += np.frombuffer(other.sumw)  # bin by bin, in place
-        np.frombuffer(self.sumw2)[:] += np.frombuffer(other.sumw2)
+    def accumulate(self, row: int, x) -> None:
+        """Add each value of x to a sum row in order (a scalar is one value)."""
+        x = np.asarray(x, dtype=np.float64)
+        self.sumw[row, 0] = np.cumsum(np.append(self.sumw[row, 0], x))[-1]
+        self.entries[row] += x.size
+
+    def add(self, other: "ResultTable") -> None:
+        """In-place merge, cell by cell; name, axis and row count must agree."""
+        if self.name != other.name or self.axis != other.axis or len(self.entries) != len(other.entries):
+            raise ValueError(f"cannot merge table {other.name!r} {other.axis} into {self.name!r} {self.axis}")
         self.entries += other.entries
+        self.sumw += other.sumw
+        self.sumw2 += other.sumw2
 
-    def copy(self) -> "Histo1D":
-        h = Histo1D(self.name, self.nbins, self.xmin, self.xmax)
-        h.entries = self.entries
-        h.sumw = array("d", self.sumw)
-        h.sumw2 = array("d", self.sumw2)
-        return h
+    def row(self, u: int) -> "Histo1D | ScalarAccumulator":
+        if self.kind is not ResultKind.HISTO:
+            return ScalarAccumulator(self.kind, float(self.sumw[u, 0]))
+        sumw, sumw2 = self.sumw[u], self.sumw2[u]
+        sumw.flags.writeable = sumw2.flags.writeable = False
+        return Histo1D(self.name, self.nbins, self.xmin, self.xmax, int(self.entries[u]), sumw, sumw2)
 
-    def total_sumw(self) -> float:
-        return sum(self.sumw)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, ResultTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, a), getattr(other, a)) for a in self.__slots__)
+
+
+@dataclass(frozen=True, eq=False)
+class Histo1D:
+    """One universe's row of a histogram table."""
+
+    name: str
+    nbins: int
+    xmin: float
+    xmax: float
+    entries: int
+    sumw: np.ndarray
+    sumw2: np.ndarray
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Histo1D):
             return NotImplemented
-        return (
-            self.same_axis(other)
-            and self.entries == other.entries
-            and self.sumw == other.sumw
-            and self.sumw2 == other.sumw2
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"Histo1D({self.name!r}, nbins={self.nbins}, range=[{self.xmin}, {self.xmax}), "
-            f"entries={self.entries}, sumw={self.total_sumw():g})"
-        )
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in self.__dataclass_fields__)
 
 
-class AccumKind(Enum):
-    COUNT = 1
-    SUM = 2
-
-
+@dataclass(frozen=True)
 class ScalarAccumulator:
-    """A mergeable counter or running sum (COUNT stays integer-valued)."""
+    """One universe's row of a count or sum table (a count stays integer-valued)."""
 
-    __slots__ = ("kind", "value")
-
-    def __init__(self, kind: AccumKind, value: float = 0.0):
-        self.kind = kind
-        self.value = value
-
-    def count(self, n: int = 1) -> None:
-        self.value += n
-
-    def accumulate(self, x) -> None:
-        """Add each value of x in order (a scalar is one value)."""
-        self.value = float(np.cumsum(np.append(self.value, np.asarray(x, dtype=np.float64)))[-1])
-
-    def add(self, other: "ScalarAccumulator") -> None:
-        if self.kind is not other.kind:
-            raise ValueError(f"accumulator kind mismatch: {self.kind} vs {other.kind}")
-        self.value += other.value
-
-    def copy(self) -> "ScalarAccumulator":
-        return ScalarAccumulator(self.kind, self.value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ScalarAccumulator):
-            return NotImplemented
-        return self.kind is other.kind and self.value == other.value
-
-    def __repr__(self) -> str:
-        return f"ScalarAccumulator({self.kind.name}, {self.value})"
+    kind: ResultKind
+    value: float

@@ -2,10 +2,10 @@
 
 Every message travels as one ``wire`` frame (u32 length, u16 kind, u16
 version, payload); this module owns the payload layouts on top of it,
-including those of PartialResult, Histo1D, ScalarAccumulator and
-JobRecord, which also make up the legacy jobs' result files. Version
-mismatches, unknown kinds and malformed payloads are ProtoErrors; the
-connection must be dropped. Messages are self-delimiting, so a stream cut
+including those of PartialResult and JobRecord, which also make up the
+legacy jobs' result files. Version mismatches, unknown kinds, malformed
+payloads and payloads with bytes past their last field are ProtoErrors;
+the connection must be dropped. Messages are self-delimiting, so a stream cut
 at arbitrary boundaries reads back as the same message sequence.
 
 Kinds 1..7 form the worker channel (REGISTER, GRAPH, TASK, RESULT, FAIL,
@@ -22,18 +22,23 @@ in every run submitted after it.
 The worker channel is scoped to runs: GRAPH carries the run number, the
 document and the schema the scheduler typed it against ((name, u8
 ValueType) pairs in file order); TASK names its run; RESULT and FAIL echo it.
+
+Since version 7 a PartialResult travels as its universe labels once, then
+one table per result stage whose row u is universe u (see ``hist``):
+name, kind byte, axis, and the entries, sumw and sumw2 arrays whole.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
-from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .engine import EntryRange, PartialResult
 from .exprlang import ValueType
-from .hist import AccumKind, Histo1D, ScalarAccumulator
+from .hist import ResultKind, ResultTable
 from .metrics import JobRecord, MetricsError
 # PROTO_VERSION and ProtoError are re-exported for the cluster side
 from .wire import PROTO_VERSION, ProtoError, Reader, pack_frame, pack_str, parse_header, recv_frame
@@ -149,63 +154,40 @@ _KIND_OF = {
 
 # --- result payloads ----------------------------------------------------------
 
-_HISTO_TAG = 1
-_ACCUM_TAG = {AccumKind.COUNT: 2, AccumKind.SUM: 3}
-_ACCUM_OF_TAG = {tag: kind for kind, tag in _ACCUM_TAG.items()}
-
-
-def pack_histo(h: Histo1D) -> bytes:
-    """Axis and contents; the name travels with the result map entry."""
-    n = h.nbins + 2
-    return struct.pack(f"<IddQ{n}d{n}d", h.nbins, h.xmin, h.xmax, h.entries, *h.sumw, *h.sumw2)
-
-
-def unpack_histo(r: Reader, name: str) -> Histo1D:
-    nbins, xmin, xmax, entries = r.unpack("<IddQ")
-    sumw = r.unpack(f"<{nbins + 2}d")  # bounds nbins by the payload before allocating
-    sumw2 = r.unpack(f"<{nbins + 2}d")
-    h = Histo1D(name, nbins, xmin, xmax)
-    h.entries = entries
-    h.sumw = array("d", sumw)
-    h.sumw2 = array("d", sumw2)
-    return h
-
-
 def pack_partial(p: PartialResult) -> bytes:
     out = [
         struct.pack("<QdQQQI", p.events, p.t_loop, p.bytes_read, p.chunk_bytes, p.mem_peak, len(p.snapshots)),
         *map(pack_str, p.snapshots),
-        struct.pack("<I", len(p.universes)),
+        struct.pack("<I", len(p.labels)),
+        *map(pack_str, p.labels),
+        struct.pack("<I", len(p.tables)),
     ]
-    for label, results in p.universes.items():
-        out.append(pack_str(label) + struct.pack("<I", len(results)))
-        for name, res in results.items():
-            out.append(pack_str(name))
-            if isinstance(res, Histo1D):
-                out.append(struct.pack("<B", _HISTO_TAG) + pack_histo(res))
-            else:
-                out.append(struct.pack("<Bd", _ACCUM_TAG[res.kind], res.value))
+    for name, t in p.tables.items():
+        out += (pack_str(name), struct.pack("<BIdd", t.kind.value, t.nbins, t.xmin, t.xmax))
+        out += (t.entries.tobytes(), t.sumw.tobytes(), t.sumw2.tobytes())
     return b"".join(out)
 
 
 def unpack_partial(r: Reader) -> PartialResult:
     events, t_loop, bytes_read, chunk_bytes, mem_peak, n_snaps = r.unpack("<QdQQQI")
     snapshots = [r.string() for _ in range(n_snaps)]
-    universes = {}
+    labels = [r.string() for _ in range(r.u32())]
+    tables = {}
     for _ in range(r.u32()):
-        label = r.string()
-        results = {}
-        for _ in range(r.u32()):
-            name = r.string()
-            (tag,) = r.unpack("<B")
-            if tag == _HISTO_TAG:
-                results[name] = unpack_histo(r, name)
-            elif tag in _ACCUM_OF_TAG:
-                results[name] = ScalarAccumulator(_ACCUM_OF_TAG[tag], r.unpack("<d")[0])
-            else:
-                raise ProtoError(f"unknown result kind byte {tag}")
-        universes[label] = results
-    return PartialResult(events, t_loop, bytes_read, chunk_bytes, mem_peak, snapshots, universes)
+        name = r.string()
+        tag, nbins, xmin, xmax = r.unpack("<BIdd")
+        try:
+            kind = ResultKind(tag)
+        except ValueError:
+            raise ProtoError(f"unknown result kind byte {tag}") from None
+        width = nbins + 2 if kind is ResultKind.HISTO else 1
+        raw = r.take(len(labels) * (8 + 16 * width))  # the declared size, checked before allocating
+        t = tables[name] = ResultTable(name, kind, len(labels), nbins, xmin, xmax)
+        at = 0
+        for a in (t.entries, t.sumw, t.sumw2):
+            a[...] = np.frombuffer(raw, a.dtype, a.size, at).reshape(a.shape)
+            at += a.nbytes
+    return PartialResult(events, t_loop, bytes_read, chunk_bytes, mem_peak, snapshots, labels, tables)
 
 
 def _pack_record(rec: JobRecord) -> bytes:
@@ -301,41 +283,44 @@ def _decode_payload(kind: int, payload: bytes) -> Message:
     r = Reader(payload)
     try:
         if kind == MSG_REGISTER:
-            return Register(r.string())
-        if kind == MSG_GRAPH:
+            msg = Register(r.string())
+        elif kind == MSG_GRAPH:
             run, document = r.u32(), r.string()
             schema = {r.string(): ValueType(r.unpack("<B")[0]) for _ in range(r.u32())}  # ValueError: unknown code
             if not all(t.storable for t in schema.values()):
                 raise ProtoError(f"GRAPH schema holds a non-storable type: {schema}")
-            return Graph(run, document, schema)
-        if kind == MSG_TASK:
-            return _unpack_task(r)
-        if kind == MSG_RESULT:
+            msg = Graph(run, document, schema)
+        elif kind == MSG_TASK:
+            msg = _unpack_task(r)
+        elif kind == MSG_RESULT:
             task_id, run, t_total = r.unpack("<IId")
-            return Result(task_id, t_total, unpack_partial(r), run)
-        if kind == MSG_FAIL:
+            msg = Result(task_id, t_total, unpack_partial(r), run)
+        elif kind == MSG_FAIL:
             task_id, run = r.unpack("<II")
-            return Fail(task_id, r.string(), run)
-        if kind == MSG_HEARTBEAT:
-            return Heartbeat(r.string())
-        if kind == MSG_SHUTDOWN:
-            return Shutdown()
-        if kind == MSG_SUBMIT:
+            msg = Fail(task_id, r.string(), run)
+        elif kind == MSG_HEARTBEAT:
+            msg = Heartbeat(r.string())
+        elif kind == MSG_SHUTDOWN:
+            msg = Shutdown()
+        elif kind == MSG_SUBMIT:
             run_id, document = r.string(), r.string()
             max_retries, factor, n_tasks = r.unpack("<III")
             tasks = tuple(_unpack_task(r) for _ in range(n_tasks))
-            return Submit(run_id, document, max_retries, factor, tasks)
-        if kind == MSG_RUN_DONE:
+            msg = Submit(run_id, document, max_retries, factor, tasks)
+        elif kind == MSG_RUN_DONE:
             run_id = r.string()
             wall_time, planning_bytes = r.unpack("<dQ")
             partial = unpack_partial(r)
             records = tuple(_unpack_record(r) for _ in range(r.u32()))
-            return RunDone(run_id, wall_time, partial, records, planning_bytes)
-        if kind == MSG_RUN_FAIL:
-            return RunFail(r.string(), r.string())
+            msg = RunDone(run_id, wall_time, partial, records, planning_bytes)
+        elif kind == MSG_RUN_FAIL:
+            msg = RunFail(r.string(), r.string())
+        else:
+            raise ProtoError(f"unknown message kind {kind}")
     except (ValueError, MetricsError) as e:  # field values a constructor rejects
         raise ProtoError(f"malformed payload for kind {kind}: {e}") from None
-    raise ProtoError(f"unknown message kind {kind}")
+    r.finish()
+    return msg
 
 
 def decode(frame: bytes) -> Message:

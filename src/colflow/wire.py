@@ -23,7 +23,7 @@ from __future__ import annotations
 import socket
 import struct
 
-PROTO_VERSION = 6
+PROTO_VERSION = 7
 
 MAX_FRAME = 256 * 1024 * 1024
 """The largest payload, in bytes, one frame may carry.
@@ -125,14 +125,21 @@ class Reader:
     def u32(self) -> int:
         return self.unpack("<I")[0]
 
+    def take(self, n: int) -> bytes:
+        """The next n bytes; n is checked against what is left before anything is copied."""
+        left = len(self.buf) - self.off
+        if n > left:
+            raise ProtoError(f"truncated payload at offset {self.off}: {n} bytes declared, {left} left")
+        self.off += n
+        return self.buf[self.off - n : self.off]
+
     def string(self) -> str:
-        n = self.u32()
-        end = self.off + n
-        if end > len(self.buf):
-            raise ProtoError(f"truncated string: {n} bytes declared, {len(self.buf) - self.off} left")
         try:
-            s = self.buf[self.off : end].decode("utf-8")
+            return self.take(self.u32()).decode("utf-8")
         except UnicodeDecodeError as e:
             raise ProtoError(f"string is not UTF-8: {e}") from None
-        self.off = end
-        return s
+
+    def finish(self) -> None:
+        """The payload must end where its last field does."""
+        if self.off != len(self.buf):
+            raise ProtoError(f"{len(self.buf) - self.off} trailing bytes after the payload's last field")

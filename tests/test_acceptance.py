@@ -250,12 +250,12 @@ def test_c06_threads_factor_workers_leave_histograms_bit_identical(tmp_path):
     document = _integer_post_document(files)
     with open_dataset(files[0]) as h:
         graph = build(load_spec(document), schema_types(h))
-    baseline = run_local(graph, files, nthreads=1, factor=1)
+    baseline = run_local(graph, files, nworkers=1, factor=1)
     assert baseline.events == 3600
 
-    for nthreads in (1, 8):
+    for nworkers in (1, 8):
         for factor in (1, 3, 10):
-            p = run_local(graph, files, nthreads=nthreads, factor=factor)
+            p = run_local(graph, files, nworkers=nworkers, factor=factor)
             assert p.events == baseline.events
             assert p.universes == baseline.universes
 
@@ -304,7 +304,7 @@ def test_c08_killing_a_worker_mid_run_loses_nothing(tmp_path):
     document = _integer_post_document(files)
     with open_dataset(files[0]) as h:
         graph = build(load_spec(document), schema_types(h))
-    clean = run_local(graph, files, nthreads=4, factor=3)
+    clean = run_local(graph, files, nworkers=4, factor=3)
 
     max_retries = 2
     with Scheduler() as sched:

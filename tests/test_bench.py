@@ -22,7 +22,7 @@ from colflow.bench import (
 )
 from colflow.cluster.client import ClusterError
 from colflow.graph import SnapshotStage, VariationKind, VaryStage, load_spec
-from colflow.hist import AccumKind, Histo1D, ScalarAccumulator
+from colflow.hist import ResultKind, ResultTable
 from colflow.metrics import RunMetrics, read_metrics_csv
 
 
@@ -82,17 +82,14 @@ class TestConfigValidation:
 
 
 class TestEquivalenceChecker:
-    def histo(self, v: float) -> Histo1D:
-        h = Histo1D("h", 2, 0.0, 2.0)
-        h.fill(0.5, v)
-        return h
-
     def partial(self, v: float):
         from colflow.engine import PartialResult
 
-        p = PartialResult()
-        p.universes["nominal"] = {"h": self.histo(v), "n": ScalarAccumulator(AccumKind.COUNT, 3)}
-        return p
+        h = ResultTable("h", ResultKind.HISTO, 1, 2, 0.0, 2.0)
+        h.fill(0, 0.5, v)
+        n = ResultTable("n", ResultKind.COUNT, 1)
+        n.count(0, 3)
+        return PartialResult(labels=["nominal"], tables={"h": h, "n": n})
 
     def test_equal_within_tolerance(self):
         check_equivalence(self.partial(1.0), self.partial(1.0 + 1e-12))
@@ -103,13 +100,13 @@ class TestEquivalenceChecker:
 
     def test_detects_universe_mismatch(self):
         a, b = self.partial(1.0), self.partial(1.0)
-        b.universes["extra"] = {}
+        b.labels.append("extra")
         with pytest.raises(BenchError, match="universe sets"):
             check_equivalence(a, b)
 
     def test_detects_count_mismatch(self):
         a, b = self.partial(1.0), self.partial(1.0)
-        b.universes["nominal"]["n"].value = 4
+        b.tables["n"].count(0, 1)
         with pytest.raises(BenchError, match="counts differ"):
             check_equivalence(a, b)
 

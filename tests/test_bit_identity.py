@@ -3,13 +3,16 @@
 The digests below were taken from the per-event row engine that the batch
 evaluator replaced, over the same generated file: one file of 5000 events
 in 2000-entry clusters (so the last cluster is short), datagen seed 301.
-A packed PartialResult is hashed with its timing and byte counters zeroed
-and its snapshot list emptied (those hold wall time and temporary paths);
-the skim's part file is hashed as written.
+A PartialResult is hashed in the version-6 RESULT layout, rebuilt from
+its per-universe read-outs, with its timing and byte counters zeroed and
+its snapshot list emptied (those hold wall time and temporary paths); the
+skim's part file is hashed as written. The layout is rebuilt here so that
+a change of the wire layout leaves the pinned digests valid.
 """
 
 import hashlib
 import os
+import struct
 
 import pytest
 
@@ -18,7 +21,8 @@ from colflow.bench import default_post_document, default_pre_document
 from colflow.colstore import open_dataset
 from colflow.engine import SINGLE_PASS, EntryRange, run_multi_pass, run_range
 from colflow.graph import build, load_spec, schema_types
-from colflow.proto import pack_partial
+from colflow.hist import Histo1D, ResultKind
+from colflow.wire import pack_str
 
 POST = "fe91c6eaf0166fd0"  # single pass and multi pass alike
 POST_TRIMMED = "29a14222f162c829"  # entries [700, 4300): both ends inside a cluster
@@ -39,11 +43,31 @@ def graph_of(document, path):
         return build(load_spec(document), schema_types(h))
 
 
+def version6_layout(partial) -> bytes:
+    """The counters, the snapshot list, then per universe each result by name."""
+    out = [
+        struct.pack("<QdQQQI", partial.events, partial.t_loop, partial.bytes_read, partial.chunk_bytes,
+                    partial.mem_peak, len(partial.snapshots)),
+        *map(pack_str, partial.snapshots),
+        struct.pack("<I", len(partial.universes)),
+    ]
+    for label, results in partial.universes.items():
+        out.append(pack_str(label) + struct.pack("<I", len(results)))
+        for name, r in results.items():
+            out.append(pack_str(name))
+            if isinstance(r, Histo1D):
+                out.append(struct.pack("<BIddQ", 1, r.nbins, r.xmin, r.xmax, r.entries))
+                out.append(r.sumw.astype("<f8").tobytes() + r.sumw2.astype("<f8").tobytes())
+            else:
+                out.append(struct.pack("<Bd", {ResultKind.COUNT: 2, ResultKind.SUM: 3}[r.kind], r.value))
+    return b"".join(out)
+
+
 def digest(partial) -> str:
     partial.t_loop = 0.0
     partial.bytes_read = partial.chunk_bytes = partial.mem_peak = 0
     partial.snapshots = []
-    return hashlib.sha256(pack_partial(partial)).hexdigest()[:16]
+    return hashlib.sha256(version6_layout(partial)).hexdigest()[:16]
 
 
 def test_post_document_single_and_multi_pass(events_file):

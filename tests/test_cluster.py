@@ -110,7 +110,7 @@ class TestDistributedRuns:
     def test_one_worker_equals_run_local(self, dataset_files):
         doc = make_doc(dataset_files, integer_weights=True)
         graph = _build_graph(doc, dataset_files)
-        local = run_local(graph, dataset_files, nthreads=1, factor=3)
+        local = run_local(graph, dataset_files, nworkers=1, factor=3)
 
         with Scheduler() as sched:
             spawn_worker(sched.address, name="w0")
@@ -328,7 +328,7 @@ class TestFaultTolerance:
             files.append(str(path))
         doc = make_doc(files, integer_weights=True)
         graph = _build_graph(doc, files)
-        clean = run_local(graph, files, nthreads=4, factor=3)
+        clean = run_local(graph, files, nworkers=4, factor=3)
 
         with Scheduler() as sched:
             victim, _, _ = spawn_worker(sched.address, name="victim")

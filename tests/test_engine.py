@@ -526,14 +526,14 @@ class TestRunLocal:
         graph = build(load_spec(doc), schema)
 
         reference = None
-        for nthreads in (1, 8):
+        for nworkers in (1, 8):
             for factor in (1, 3, 10):
-                got = run_local(graph, [rich_file], nthreads, factor=factor)
+                got = run_local(graph, [rich_file], nworkers, factor=factor)
                 assert got.events == 300
                 if reference is None:
                     reference = got
                 else:
-                    assert got.universes == reference.universes, (nthreads, factor)
+                    assert got.universes == reference.universes, (nworkers, factor)
 
     def test_run_local_merges_counters(self, rich_file, rich_graph):
         doc = dict(RICH_DOC, dataset=[rich_file])

@@ -172,7 +172,7 @@ class TestPreselection:
         )
         with open_dataset(files[0]) as h:
             graph = build(load_spec(new_doc), schema_types(h))
-        new = run_local(graph, files, nthreads=2, factor=3)
+        new = run_local(graph, files, nworkers=2, factor=3)
 
         legacy_rows = sorted(r for s in skims for r in read_rows(s, SKIM_COLUMNS))
         new_rows = sorted(r for s in new.snapshots for r in read_rows(s, SKIM_COLUMNS))
@@ -285,7 +285,7 @@ class TestPostselection:
         )
         with open_dataset(skims[0]) as h:
             graph = build(load_spec(doc), schema_types(h))
-        new = run_local(graph, skims, nthreads=2, factor=3)
+        new = run_local(graph, skims, nworkers=2, factor=3)
         assert report.partial.universes == new.universes  # bit-exact
         assert report.total_events == new.events
         assert report.total_time > report.wall_time  # merge step took time

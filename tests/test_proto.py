@@ -10,10 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colflow import wire
+from colflow.cluster.worker import read_result_file, write_result_file
 from colflow.engine import EntryRange, PartialResult
 from colflow.exprlang import ValueType
 from colflow.graph import build, load_spec
-from colflow.hist import AccumKind, Histo1D, ScalarAccumulator
+from colflow.hist import ResultKind, ResultTable
 from colflow.metrics import JobRecord
 from colflow.proto import (
     PROTO_VERSION,
@@ -37,16 +38,15 @@ from colflow.proto import (
 def sample_partial(n_universes=3):
     p = PartialResult(events=1234, t_loop=0.5621, bytes_read=99887, chunk_bytes=88000, mem_peak=4096)
     p.snapshots = ["skim/out.part0.col"]
+    p.labels = ["nominal", *(f"u{i}" for i in range(1, n_universes))]
+    h = ResultTable("h_met", ResultKind.HISTO, n_universes, 16, 0.0, 200.0)
+    n = ResultTable("n", ResultKind.COUNT, n_universes)
+    s = ResultTable("s", ResultKind.SUM, n_universes)
     for i in range(n_universes):
-        label = "nominal" if i == 0 else f"u{i}"
-        h = Histo1D("h_met", 16, 0.0, 200.0)
-        for x in range(40):
-            h.fill(x * 5.5 + i, 0.5 + i)
-        p.universes[label] = {
-            "h_met": h,
-            "n": ScalarAccumulator(AccumKind.COUNT, 40.0 + i),
-            "s": ScalarAccumulator(AccumKind.SUM, 17.25 * (i + 1)),
-        }
+        h.fill(i, [x * 5.5 + i for x in range(40)], 0.5 + i)
+        n.count(i, 40 + i)
+        s.accumulate(i, 17.25 * (i + 1))
+    p.tables = {"h_met": h, "n": n, "s": s}
     return p
 
 
@@ -107,7 +107,7 @@ class TestRoundTrips:
         assert len(back.partial.universes) == 31
         # histogram payloads are bit-exact
         for u, results in msg.partial.universes.items():
-            assert back.partial.universes[u]["h_met"].sumw == results["h_met"].sumw
+            assert back.partial.universes[u]["h_met"].sumw.tobytes() == results["h_met"].sumw.tobytes()
 
     def test_empty_strings_and_zero_counts(self):
         msg = Task(0, EntryRange("", 0, 0))
@@ -135,8 +135,22 @@ class TestRoundTrips:
         """Since version 6 a worker process is one slot: REGISTER has no slot count."""
         raw = encode(Register("w0"))
         assert raw[8:] == struct.pack("<I", 2) + b"w0"
-        with pytest.raises(ProtoError, match="protocol version 5, expected 6"):
+        with pytest.raises(ProtoError, match=f"protocol version 5, expected {PROTO_VERSION}"):
             decode(raw[:6] + struct.pack("<H", 5) + raw[8:])
+
+    def test_result_layout_is_one_table_per_result(self):
+        """Since version 7: the labels once, then per table its name, kind byte, axis and three arrays."""
+        p = sample_partial(2)
+        raw = encode(Result(0, 0.0, p))[8 + 16 :]
+        head = struct.calcsize("<QdQQQI") + 4 + len("skim/out.part0.col")
+        labels = struct.pack("<I", 2) + struct.pack("<I", 7) + b"nominal" + struct.pack("<I", 2) + b"u1"
+        h = p.tables["h_met"]
+        first = (
+            struct.pack("<I", 3) + struct.pack("<I", 5) + b"h_met" + struct.pack("<BIdd", 1, 16, 0.0, 200.0)
+            + h.entries.tobytes() + h.sumw.tobytes() + h.sumw2.tobytes()
+        )
+        assert raw[head : head + len(labels) + len(first)] == labels + first
+        assert PROTO_VERSION == 7
 
     def test_result_and_fail_default_to_run_0(self):
         """The benchmark's replay builds Result(task_id, t_total, partial)."""
@@ -207,7 +221,11 @@ class TestFramingRules:
         with pytest.raises(ProtoError):
             decode(frame)
 
-    @pytest.mark.parametrize("msg", [m for m in MESSAGES if encode(m)[8:]], ids=lambda m: type(m).__name__)
+    @pytest.mark.parametrize(
+        "msg",
+        [m for m in MESSAGES if encode(m)[8:]] + [pytest.param(Result(1, 2.0, sample_partial(31)), id="Result31")],
+        ids=lambda m: type(m).__name__,
+    )
     def test_every_truncated_payload_rejected(self, msg):
         payload = encode(msg)[8:]
         kind = encode(msg)[4]
@@ -215,6 +233,59 @@ class TestFramingRules:
             frame = struct.pack("<IHH", cut + 4, kind, PROTO_VERSION) + payload[:cut]
             with pytest.raises(ProtoError):
                 decode(frame)
+
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            wire.pack_frame(1, wire.pack_str("w0") + struct.pack("<I", 3)),  # the version-5 REGISTER layout
+            wire.pack_frame(6, encode(Heartbeat("x"))[8:] + b"junk"),
+        ],
+        ids=["register-with-slots", "heartbeat-with-junk"],
+    )
+    def test_trailing_bytes_rejected(self, frame):
+        with pytest.raises(ProtoError, match="4 trailing bytes"):
+            decode(frame)
+
+    def test_result_with_trailing_byte_rejected(self):
+        payload = encode(Result(1, 2.0, sample_partial(3)))[8:]
+        with pytest.raises(ProtoError, match="1 trailing bytes"):
+            decode(wire.pack_frame(4, payload + b"\x00"))
+
+    def test_result_file_with_trailing_byte_rejected(self, tmp_path):
+        path = str(tmp_path / "job0.res")
+        write_result_file(path, "graph-1", sample_partial(3))
+        assert read_result_file(path) == ("graph-1", sample_partial(3))
+        with open(path, "ab") as f:
+            f.write(b"\x00")
+        with pytest.raises(ProtoError, match="1 trailing bytes"):
+            read_result_file(path)
+
+
+class TestHostileResults:
+    """RESULT payloads that declare more than they carry, or what no table is."""
+
+    @staticmethod
+    def first_table_axis(payload: bytes) -> int:
+        """Offset of the first table's kind byte in a sample_partial RESULT payload."""
+        labels = 4 + sum(4 + len(u) for u in sample_partial(3).labels)
+        return 16 + struct.calcsize("<QdQQQI") + 4 + len("skim/out.part0.col") + labels + 4 + 4 + len("h_met")
+
+    def test_huge_declared_bin_count_rejected_before_allocating(self):
+        payload = bytearray(encode(Result(1, 2.0, sample_partial(3)))[8:])
+        at = self.first_table_axis(payload)
+        assert payload[at] == ResultKind.HISTO.value and payload[at + 1 : at + 5] == struct.pack("<I", 16)
+        payload[at + 1 : at + 5] = struct.pack("<I", 2**32 - 1)
+        # 3 rows x (2**32 + 1) bins x 16 bytes would be ~200 GB: the check comes first
+        with pytest.raises(ProtoError, match="truncated"):
+            decode(wire.pack_frame(4, bytes(payload)))
+
+    @pytest.mark.parametrize("tag", [0, 4, 255])
+    def test_unknown_kind_byte_rejected(self, tag):
+        payload = bytearray(encode(Result(1, 2.0, sample_partial(3)))[8:])
+        payload[self.first_table_axis(payload)] = tag
+        with pytest.raises(ProtoError, match=f"unknown result kind byte {tag}"):
+            decode(wire.pack_frame(4, bytes(payload)))
 
 
 def read_messages(pieces):
