@@ -4,7 +4,8 @@ Requests and replies are ``wire`` frames whose kind is the opcode; a
 reply echoes its request's opcode. Opcodes: 1=OPEN(path)->(u64 id, u64
 size), 2=READ(u64 id, u64 off, u32 len)->bytes (short at EOF),
 4=METRICS(scope byte, 0=session 1=server totals)->(u64 bytes_served, u64
-read_calls), 5=CLOSE(u64 id); 3 is unassigned. Paths are wire strings.
+read_calls), 5=CLOSE(u64 id); 3 is unassigned. An OPEN payload is one
+wire string, the path, and nothing after it.
 Errors come back as opcode 0xFFFF with a u16 code and a wire string.
 
 A request payload may be at most MAX_REQUEST bytes and a READ at most
@@ -100,7 +101,7 @@ class DataServer:
                             reply_op, reply = outer._dispatch(session, opcode, payload)
                         except ServerError as e:
                             reply_op, reply = OP_ERROR, _error_reply(e.code, str(e))
-                        except wire.ProtoError as e:  # a malformed path string
+                        except wire.ProtoError as e:  # a malformed OPEN payload
                             reply_op, reply = OP_ERROR, _error_reply(ERR_BAD_REQUEST, str(e))
                         except Exception as e:  # defensive: never kill the session silently
                             reply_op, reply = OP_ERROR, _error_reply(ERR_INTERNAL, repr(e))
@@ -124,7 +125,9 @@ class DataServer:
 
     def _dispatch(self, session: _Session, opcode: int, payload: bytes) -> tuple[int, bytes]:
         if opcode == OP_OPEN:
-            path = wire.Reader(payload).string()
+            r = wire.Reader(payload)
+            path = r.string()
+            r.finish()  # a path and nothing after it
             target = session.resolve(path)
             if not target.is_file():
                 raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")

@@ -9,7 +9,10 @@ plan: one traversal for nominal plus the WEIGHT universes, then one per
 TOPOLOGY universe.
 
 Evaluation is by batch: one cluster's rows at a time, walked through the
-stages one universe after another. Each expression is evaluated once per
+stages in lanes. A row-sharing universe, one that affects only histogram,
+sum and snapshot stages, keeps nominal's rows: it rides in nominal's lane,
+which bins each shared column once for all its universes. Every other
+universe walks a lane of its own. Each expression is evaluated once per
 batch over the rows still live at its stage. Each batch computes a define
 at most once for nominal; a variation universe recomputes only the varied
 column and the stages after its vary stage that depend on it, and shares
@@ -202,29 +205,49 @@ class CompiledPipeline:
                 self.define_fns[stage.name] = compile_expr(stage.expr, types)
             elif isinstance(stage, FilterStage):
                 self.filter_fns[i] = compile_expr(stage.expr, types)
+        results = (HistoStage, SumStage, SnapshotStage)
+        self.row_sharing = frozenset(  # no filter or define reads what these vary: they keep nominal's rows
+            t for t, v in graph.variations.items() if all(isinstance(graph.stages[j], results) for j in v.affected)
+        )
 
 
-def _run_universe(compiled: CompiledPipeline, view: _Rows, universe: str, row: int, tables: dict, snapshot: list):
-    """Walk the stages for one universe over one batch's rows, filling the tables at its row."""
-    variation = compiled.graph.variations.get(universe)
+def _walk(compiled: CompiledPipeline, view: _Rows, members: list, tables: dict, snapshot: list):
+    """Walk the stages over one batch's rows in one lane, filling each member's table row.
+
+    members lists the lane's (universe, row) pairs. A universe that is not
+    row-sharing walks alone: from its vary stage on, its view is the lane's.
+    A row-sharing one rides on the lane's rows with a view of its own for
+    the values it varies. Members that read the same x array share its bins.
+    """
+    variations = compiled.graph.variations
+    views = [view] * len(members)  # where each member reads its values
     for i, stage in enumerate(compiled.graph.stages):
-        if variation is not None and i == variation.stage_index:  # the universe's view from here on
-            view = _Rows(compiled, view.ids, {}, nominal=view, tag=universe)
+        for k, (u, _) in enumerate(members):
+            if u in variations and i == variations[u].stage_index:
+                views[k] = _Rows(compiled, view.ids, {}, nominal=view, tag=u)
+                if u not in compiled.row_sharing:
+                    view = views[k]
         if not len(view.ids):
             return
         if isinstance(stage, FilterStage):
             view = view.filtered(i)
+            views = [v.filtered(i) for v in views]
         elif isinstance(stage, HistoStage):
-            x = view.column(stage.column)
-            w = np.ones(len(view.ids)) if stage.weight is None else view.column(stage.weight)
-            if isinstance(x, Jagged):
-                w, x = np.repeat(w, x.lengths), x.values
-            tables[stage.name].fill(row, x, w)
+            groups: dict[int, tuple] = {}
+            for (_, row), v in zip(members, views):
+                x = v.column(stage.column)
+                _, rows, weights = groups.setdefault(id(x), (x, [], []))
+                rows.append(row)
+                weights.append(1.0 if stage.weight is None else v.column(stage.weight))
+            for x, rows, weights in groups.values():
+                tables[stage.name].fill(rows, x, weights)
         elif isinstance(stage, SumStage):
-            tables[stage.name].accumulate(row, view.column(stage.column))
+            for (_, row), v in zip(members, views):
+                tables[stage.name].accumulate(row, v.column(stage.column))
         elif isinstance(stage, CountStage):
-            tables[stage.name].count(row, len(view.ids))
-        elif isinstance(stage, SnapshotStage) and universe == "nominal":
+            for _, row in members:
+                tables[stage.name].count(row, len(view.ids))
+        elif isinstance(stage, SnapshotStage) and any(u == "nominal" for u, _ in members):
             snapshot.append([view.column(c) for c in stage.columns])
 
 
@@ -245,6 +268,9 @@ def run_range(
         if u != "nominal":
             graph.variation(u)  # raises on unknown
     partial = PartialResult.empty(graph)
+    members = [(u, partial.labels.index(u)) for u in universes]
+    nominal_lane = [m for m in members if m[0] == "nominal" or m[0] in compiled.row_sharing]
+    lanes = ([nominal_lane] if nominal_lane else []) + [[m] for m in members if m not in nominal_lane]
 
     handle = open_dataset(entry_range.file)
     try:
@@ -269,8 +295,8 @@ def run_range(
             ids = np.arange(batch.entry_start, batch.entry_start + batch.entry_count)
             root = _Rows(compiled, ids, dict(batch.columns))
             try:
-                for u in universes:
-                    _run_universe(compiled, root, u, partial.labels.index(u), partial.tables, snapshot)
+                for lane in lanes:
+                    _walk(compiled, root, lane, partial.tables, snapshot)
             except EvalError as e:
                 raise EngineError(f"event {e.entry} in {entry_range.file}: {e}") from None
         partial.t_loop = time.perf_counter() - t0

@@ -664,6 +664,22 @@ def _fold(v: Jagged, acc: np.ndarray, step, first: int = 0) -> np.ndarray:
     return acc
 
 
+def _ordered_sum(v: Jagged) -> np.ndarray:
+    """Each F64 row's sum from 0.0, left to right, with _fold's bits: element k
+    of every row is added in turn from a zero-padded grid. A sum from +0.0
+    never becomes -0.0, so a pad's +0.0 leaves it as it is. Where a few long
+    rows would make the grid mostly pads, _fold sums instead."""
+    width = int(v.lengths.max(initial=0))
+    if len(v) * width > 8 * len(v.values) + 64:
+        return _fold(v, np.zeros(len(v)), np.add)
+    grid = np.zeros((len(v), width))
+    grid[v.lengths[:, None] > np.arange(width)] = v.values
+    acc = np.zeros(len(v))
+    for elements in grid.T:
+        acc += elements
+    return acc
+
+
 def _under(node: Expr, types: dict[int, ValueType], rows, mask: np.ndarray) -> Value:
     """node's value on the rows where mask is set, evaluated on those rows only."""
     return _eval(node, types, rows if mask.all() else rows.where(mask))
@@ -729,7 +745,7 @@ def _eval_call(node: Call, types: dict[int, ValueType], rows) -> Value:
         if arg.values.dtype == np.int64:  # exact in Python ints, then rounded once
             exact = _fold(Jagged(arg.lengths, arg.values.astype(object)), np.zeros(len(arg), object), np.add)
             return exact.astype(np.float64)
-        return _fold(arg, np.zeros(len(arg)), np.add)
+        return _ordered_sum(arg)
 
     if name in ("min", "max"):
         empty = arg.lengths == 0

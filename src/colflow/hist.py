@@ -21,6 +21,8 @@ from enum import Enum
 
 import numpy as np
 
+from .exprlang import Jagged
+
 
 class ResultKind(Enum):
     """A table's kind; the value is its kind byte on the wire."""
@@ -54,24 +56,31 @@ class ResultTable:
         """Kind and binning: tables merge only if theirs are equal."""
         return self.kind, self.nbins, self.xmin, self.xmax
 
-    def fill(self, row: int, x, w=1.0) -> None:
-        """Fill the values of x (a scalar is one value) into a histogram row as
-        F64, with one weight for all or one each; each bin adds in order, as
-        one fill at a time."""
+    def fill(self, rows, x, weights) -> None:
+        """Fill the values of x (a scalar is one value) as F64 into each listed
+        histogram row with that row's weights: one for all values or one each
+        (for a Jagged x, one per vector). Every row's weights are checked
+        before any row changes; the bins are computed once, and each bin adds
+        in order, as one fill at a time."""
+        if isinstance(x, Jagged):
+            weights = [np.repeat(np.broadcast_to(w, x.lengths.shape), x.lengths) for w in weights]
+            x = x.values
         x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        w = np.broadcast_to(np.asarray(w, dtype=np.float64), x.shape)
-        bad = ~np.isfinite(w)
-        if bad.any():
-            raise ValueError(f"non-finite weight {float(w[bad][0])!r} in histogram {self.name!r}")
+        weights = [np.asarray(w, dtype=np.float64) for w in weights]
+        weights = [w if w.shape == x.shape else np.broadcast_to(w, x.shape) for w in weights]
+        for w in weights:
+            if not np.isfinite(w).all():
+                raise ValueError(f"non-finite weight {float(w[~np.isfinite(w)][0])!r} in histogram {self.name!r}")
         bins = np.zeros(len(x), dtype=np.int64)  # underflow, NaN included
         bins[x >= self.xmax] = self.nbins + 1
         inside = (x >= self.xmin) & (x < self.xmax)
         # divide first: the one fixed formula all modes share
         k = ((x[inside] - self.xmin) / (self.xmax - self.xmin) * self.nbins).astype(np.int64)
         bins[inside] = np.minimum(k, self.nbins - 1) + 1  # guard the upper edge against rounding
-        np.add.at(self.sumw[row], bins, w)  # unbuffered: a bin hit twice adds in order
-        np.add.at(self.sumw2[row], bins, w * w)
-        self.entries[row] += len(x)
+        for row, w in zip(rows, weights):
+            np.add.at(self.sumw[row], bins, w)  # unbuffered: a bin hit twice adds in order
+            np.add.at(self.sumw2[row], bins, w * w)
+        np.add.at(self.entries, rows, len(x))
 
     def count(self, row: int, n: int) -> None:
         self.sumw[row, 0] += n

@@ -86,7 +86,7 @@ class TestEquivalenceChecker:
         from colflow.engine import PartialResult
 
         h = ResultTable("h", ResultKind.HISTO, 1, 2, 0.0, 2.0)
-        h.fill(0, 0.5, v)
+        h.fill([0], 0.5, [v])
         n = ResultTable("n", ResultKind.COUNT, 1)
         n.count(0, 3)
         return PartialResult(labels=["nominal"], tables={"h": h, "n": n})

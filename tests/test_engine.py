@@ -11,6 +11,7 @@ import os
 
 import pytest
 
+from colflow.bench import default_post_document
 from colflow.colstore import open_dataset
 from colflow.engine import (
     SINGLE_PASS,
@@ -36,7 +37,7 @@ from colflow.graph import (
 )
 from colflow.proto import pack_partial, unpack_partial
 from colflow.wire import Reader
-from conftest import eval_row, vector_rows
+from conftest import STANDARD_SCHEMA, eval_row, vector_rows
 
 RICH_DOC = {
     "dataset": ["unused.col"],
@@ -237,6 +238,97 @@ class TestOracle:
         finally:
             gc.enable()
         assert alive == 0
+
+
+def assert_matches_naive(partial, graph, rows):
+    expected = naive_run(rows, graph)
+    assert set(partial.universes) == set(expected)
+    for u, results in expected.items():
+        for name, ref in results.items():
+            mine = partial.universes[u][name]
+            if isinstance(ref, NaiveHist):
+                assert mine.entries == ref.entries, (u, name)
+                assert all(close(a, b) for a, b in zip(mine.sumw, ref.sumw)), (u, name)
+                assert all(close(a, b) for a, b in zip(mine.sumw2, ref.sumw2)), (u, name)
+            else:
+                assert close(mine.value, ref[0]), (u, name)
+
+
+RIDER_ROWS = {  # event 0 fails the cut; event 1 passes it with two jets
+    "event_weight": [1.0, 0.5, 2.0, 1.5],
+    "MET_pt": [10.0, 20.0, 30.0, 40.0],
+    "nJet": [1, 2, 4, 5],
+    "Jet_pt": [[10.0], [60.0, 10.0], [50.0, 40.0, 30.0, 20.0], [90.0, 80.0, 70.0, 60.0, 50.0]],
+    "Jet_eta": [[0.0], [0.0, 0.0], [0.0] * 4, [0.0] * 5],
+    "Jet_phi": [[0.0], [0.0, 0.0], [0.0] * 4, [0.0] * 5],
+}
+
+
+def rider_graph(path, weight_exprs):
+    doc = {"dataset": [path], "stages": [
+        {"op": "vary", "column": "event_weight", "kind": "weight",
+         "tags": [f"w{k}" for k in range(len(weight_exprs))], "exprs": weight_exprs},
+        {"op": "vary", "column": "MET_pt", "kind": "topology", "tags": ["met_up"], "exprs": ["MET_pt + 15.0"]},
+        {"op": "define", "name": "lead_pt", "expr": "nJet > 0 ? Jet_pt[0] : 0.0"},
+        {"op": "filter", "expr": "lead_pt > 25.0"},
+        {"op": "histo1d", "name": "h_lead", "column": "lead_pt", "weight": "event_weight",
+         "nbins": 10, "xmin": 0.0, "xmax": 100.0},
+        {"op": "histo1d", "name": "h_met", "column": "MET_pt", "weight": "event_weight",
+         "nbins": 10, "xmin": 0.0, "xmax": 100.0},
+        {"op": "sum", "name": "s_met", "column": "MET_pt"},
+        {"op": "count", "name": "n"},
+    ]}
+    return build(load_spec(doc), STANDARD_SCHEMA)
+
+
+class TestRowSharing:
+    """Universes that no filter or define reads ride on nominal's walk."""
+
+    def test_post_document_rides_the_weight_and_met_universes(self):
+        graph = build(load_spec(default_post_document(["x.col"])), STANDARD_SCHEMA)
+        met = {"met_jes_up", "met_jes_down", "met_unclust_up", "met_unclust_down"}
+        assert len(graph.weight_tags()) == 22
+        assert CompiledPipeline(graph).row_sharing == set(graph.weight_tags()) | met
+
+    def test_a_topology_vary_that_a_filter_reads_walks_alone(self, rich_graph):
+        assert CompiledPipeline(rich_graph).row_sharing == {"w_up", "w_down"}  # a cut reads MET_pt
+
+    def test_a_weight_vary_that_a_filter_reads_walks_alone(self, rich_file, rich_graph):
+        stages = [dict(s) for s in RICH_DOC["stages"]]
+        stages.insert(3, {"op": "filter", "expr": "event_weight > 0.98"})
+        graph = build(load_spec({**RICH_DOC, "stages": stages}), rich_graph.base_schema)
+        assert graph.weight_tags() == ["w_up", "w_down"]
+        assert CompiledPipeline(graph).row_sharing == set()
+        partial = run_range(graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
+        nominal, up, down = (partial.universes[u]["n_all"].value for u in ("nominal", "w_up", "w_down"))
+        assert down < nominal < up  # the weight moved events across the cut
+        assert_matches_naive(partial, graph, read_all_rows(rich_file))
+
+    def test_riders_match_the_naive_recompute(self, make_dataset):
+        path = make_dataset(n=4, name="riders.col", columns=RIDER_ROWS)
+        graph = rider_graph(path, ["event_weight * 2.0", "event_weight * nJet"])
+        assert CompiledPipeline(graph).row_sharing == {"w0", "w1", "met_up"}
+        partial = run_range(graph, EntryRange(path, 0, 4), SINGLE_PASS)
+        assert partial.universes["met_up"]["h_met"] != partial.universes["nominal"]["h_met"]
+        assert_matches_naive(partial, graph, read_all_rows(path))
+
+    def test_a_failing_rider_reports_its_event(self, make_dataset):
+        """The varied weight is computed on the rows that reach the histogram:
+        event 0, which has one jet, never gets there."""
+        path = make_dataset(n=4, name="riders.col", columns=RIDER_ROWS)
+        graph = rider_graph(path, ["event_weight * 2.0", "event_weight * Jet_pt[3]"])
+        for universes in (SINGLE_PASS, ["w1"], ["w1", "nominal"]):
+            with pytest.raises(EngineError) as e:
+                run_range(graph, EntryRange(path, 0, 4), universes)
+            assert str(e.value) == f"event 1 in {path}: 1:22: index 3 out of range for length 2"
+
+    def test_a_rider_with_a_non_finite_weight_names_the_histogram(self, make_dataset):
+        path = make_dataset(n=4, name="riders.col", columns=RIDER_ROWS)
+        graph = rider_graph(path, ["event_weight * 2.0", "event_weight / 0.0"])
+        for universes in (SINGLE_PASS, ["w1"]):
+            with pytest.raises(ValueError) as e:
+                run_range(graph, EntryRange(path, 0, 4), universes)
+            assert str(e.value) == "non-finite weight inf in histogram 'h_lead'"
 
 
 class TestModes:

@@ -13,10 +13,12 @@ from colflow.exprlang import (
     ExprSyntaxError,
     ExprTypeError,
     Index,
+    Jagged,
     Literal,
     Ternary,
     Unary,
     ValueType,
+    _fold,
     columns_used,
     compile_expr,
     parse,
@@ -263,6 +265,24 @@ def test_sum_is_left_to_right():
     vals = [1e16, 1.0, -1e16, 1.0]
     expected = ((1e16 + 1.0) + -1e16) + 1.0
     assert eval_expr("sum(v)", {"v": vals}, VF) == expected
+
+
+@pytest.mark.parametrize("long_rows", [0, 1])
+def test_sum_equals_the_element_by_element_fold(long_rows):
+    """sum() over a padded grid gives _fold's bits: signed zeros, NaN, infinities,
+    empty rows and rows past numpy's 8-element pairwise block. One 400-element
+    row among short ones takes the fold itself."""
+    rng = np.random.default_rng(5)
+    rows = [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [math.nan, 1.0], [1.0, math.inf, -math.inf], [-math.inf, 2.0],
+            [1e16, 1.0, -1e16, 1.0], list(rng.normal(0.0, 1e8, 13)), list(rng.normal(0.0, 1.0, 9)) + [-0.0], []]
+    rows += [list(rng.uniform(-1.0, 1.0, rng.integers(0, 12)) * 10.0 ** rng.integers(-8, 8)) for _ in range(50)]
+    rows += [list(rng.normal(0.0, 1.0, 400))] * long_rows
+    v = Jagged(np.array([len(r) for r in rows], np.int64), np.array([x for r in rows for x in r], np.float64))
+    with np.errstate(all="ignore"):
+        expected = _fold(v, np.zeros(len(rows)), np.add)
+    got = ev_rows("sum(v)", [{"v": r} for r in rows], VF)
+    assert got.tobytes() == expected.tobytes()
+    assert math.copysign(1.0, got[1]) == 1.0  # 0.0 + -0.0 is +0.0
 
 
 def test_determinism():

@@ -43,7 +43,7 @@ def sample_partial(n_universes=3):
     n = ResultTable("n", ResultKind.COUNT, n_universes)
     s = ResultTable("s", ResultKind.SUM, n_universes)
     for i in range(n_universes):
-        h.fill(i, [x * 5.5 + i for x in range(40)], 0.5 + i)
+        h.fill([i], [x * 5.5 + i for x in range(40)], [0.5 + i])
         n.count(i, 40 + i)
         s.accumulate(i, 17.25 * (i + 1))
     p.tables = {"h_met": h, "n": n, "s": s}

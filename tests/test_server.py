@@ -101,6 +101,21 @@ def test_malformed_frame_gets_error_reply(served_dir):
     assert code == srv.ERR_BAD_REQUEST
 
 
+def test_open_with_trailing_bytes_opens_nothing(served_dir):
+    root, server = served_dir
+    host, port = server.address.split(":")
+    with socket.create_connection((host, int(port)), timeout=10) as sock:
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin") + b"junk")
+        opcode, payload = wire.recv_frame(sock)
+        assert opcode == srv.OP_ERROR
+        assert struct.unpack_from("<H", payload, 0) == (srv.ERR_BAD_REQUEST,)
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<QQI", 1, 0, 4))  # the id a first open gets
+        opcode, payload = wire.recv_frame(sock)
+        assert opcode == srv.OP_ERROR
+        assert struct.unpack_from("<H", payload, 0) == (srv.ERR_BAD_ID,)
+    assert_still_serving(server)
+
+
 def test_unknown_opcode_gets_error_reply(served_dir):
     root, server = served_dir
     frame = raw_request(server.address, 999, b"")
