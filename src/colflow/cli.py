@@ -36,6 +36,7 @@ import argparse
 import json
 import math
 import os
+import socket
 import sys
 import threading
 
@@ -59,8 +60,7 @@ def _err(msg: str) -> None:
     print(f"error: {msg}", file=sys.stderr)
 
 
-def _listen(text: str, lowest_port: int = 0) -> tuple[str, int]:
-    """HOST:PORT to bind; port 0 asks the OS for a free one."""
+def _host_port(text: str, lowest_port: int) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit() or not lowest_port <= int(port) <= 65535:
         raise argparse.ArgumentTypeError(
@@ -69,9 +69,43 @@ def _listen(text: str, lowest_port: int = 0) -> tuple[str, int]:
     return host, int(port)
 
 
+def _listen(text: str) -> tuple[str, int] | socket.socket:
+    """HOST:PORT to bind, port 0 asking the OS for a free one; or fd:N, a
+    listening TCP socket inherited as file descriptor N."""
+    if text.startswith("fd:"):
+        return _inherited_listener(text[3:])
+    return _host_port(text, 0)
+
+
+def _inherited_listener(fd: str) -> socket.socket:
+    """The listening TCP socket open as file descriptor `fd`."""
+    if not (fd.isascii() and fd.isdigit()):
+        raise argparse.ArgumentTypeError(f"expected fd:N with N a file descriptor number, got 'fd:{fd}'")
+    try:
+        sock = socket.socket(fileno=int(fd))
+    except (OSError, OverflowError, ValueError) as e:  # not open, not a socket, out of range
+        raise argparse.ArgumentTypeError(f"fd:{fd} is not an open socket: {e}") from None
+    if not (
+        sock.family in (socket.AF_INET, socket.AF_INET6)
+        and sock.type == socket.SOCK_STREAM
+        and sock.getsockopt(socket.SOL_SOCKET, socket.SO_ACCEPTCONN)
+    ):
+        sock.detach()  # not ours to close
+        raise argparse.ArgumentTypeError(f"fd:{fd} is not a listening TCP socket")
+    return sock
+
+
+def _bind_at(listen: tuple[str, int] | socket.socket) -> dict:
+    """A service's keyword arguments for where it accepts: --listen's value."""
+    if isinstance(listen, socket.socket):
+        return {"listener": listen}
+    host, port = listen
+    return {"host": host, "port": port}
+
+
 def _address(text: str) -> str:
     """HOST:PORT to connect to."""
-    _listen(text, lowest_port=1)
+    _host_port(text, 1)
     return text
 
 
@@ -133,12 +167,11 @@ def cmd_gen(args) -> int:
 def cmd_serve_data(args) -> int:
     from .colstore.server import serve
 
-    host, port = args.listen
     if not os.path.isdir(args.root):
         _err(f"{args.root} is not a readable directory")
         return EXIT_USAGE
     try:
-        server = serve(args.root, port=port, host=host)
+        server = serve(args.root, **_bind_at(args.listen))
     except OSError as e:
         _err(str(e))
         return EXIT_RUNTIME
@@ -154,9 +187,8 @@ def cmd_serve_data(args) -> int:
 def cmd_scheduler(args) -> int:
     from .cluster.scheduler import Scheduler
 
-    host, port = args.listen
     try:
-        sched = Scheduler(host=host, port=port, startup_timeout=args.startup_timeout).start()
+        sched = Scheduler(startup_timeout=args.startup_timeout, **_bind_at(args.listen)).start()
     except OSError as e:
         _err(str(e))
         return EXIT_RUNTIME

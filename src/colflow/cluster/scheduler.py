@@ -106,12 +106,21 @@ class _Run:
 
 
 class Scheduler:
-    """Listens for workers and clients; owns at most one active run."""
+    """Listens for workers and clients; owns at most one active run.
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, startup_timeout: float = 10.0):
-        self._listener = socket.create_server((host, port))
-        self._host = host
-        self._port = self._listener.getsockname()[1]
+    It accepts on ``listener``, a listening TCP socket it then owns, or
+    else on one it binds to ``host:port``.
+    """
+
+    def __init__(
+        self,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        startup_timeout: float = 10.0,
+        listener: socket.socket | None = None,
+    ):
+        self._listener = listener or socket.create_server((host, port))
+        self._host, self._port = self._listener.getsockname()[:2]
         self._startup_timeout = startup_timeout
         self._events: queue.Queue = queue.Queue()
         self._conns: dict[int, socket.socket] = {}

@@ -1,36 +1,35 @@
-"""Binary columnar event files with cluster-granular, byte-accounted reads."""
+"""Binary columnar event files with cluster-granular, byte-accounted reads.
 
-from ..exprlang import ValueType
-from .format import (
-    ClusterInfo,
-    ChunkRef,
-    FormatError,
-    write_dataset,
-)
-from .dataset import (
-    ColumnBatch,
-    DatasetHandle,
-    ReadAccount,
-    TransportError,
-    open_dataset,
-    read_range,
-    server_totals,
-)
-from .server import DataServer, serve
+The names below load with their module on first use (PEP 562), so
+`import colflow.colstore.server` loads the data server and the wire
+format alone: no numpy and no expression language.
+"""
 
-__all__ = [
-    "ChunkRef",
-    "ClusterInfo",
-    "ColumnBatch",
-    "DataServer",
-    "DatasetHandle",
-    "FormatError",
-    "ReadAccount",
-    "TransportError",
-    "ValueType",
-    "open_dataset",
-    "read_range",
-    "serve",
-    "server_totals",
-    "write_dataset",
-]
+import importlib
+
+_HOME = {
+    "ChunkRef": ".format",
+    "ClusterInfo": ".format",
+    "FormatError": ".format",
+    "write_dataset": ".format",
+    "ColumnBatch": ".dataset",
+    "DatasetHandle": ".dataset",
+    "ReadAccount": ".dataset",
+    "TransportError": ".dataset",
+    "open_dataset": ".dataset",
+    "read_range": ".dataset",
+    "server_totals": ".dataset",
+    "DataServer": ".server",
+    "serve": ".server",
+    "ValueType": "..exprlang",
+}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(_HOME[name], __name__), name)
+    globals()[name] = value
+    return value

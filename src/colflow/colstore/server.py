@@ -19,6 +19,7 @@ matches the server's served bytes for that session exactly.
 
 from __future__ import annotations
 
+import socket
 import socketserver
 import struct
 import threading
@@ -77,9 +78,19 @@ class _Session:
 
 
 class DataServer:
-    """Serves files under ``root_dir`` to many concurrent sessions."""
+    """Serves files under ``root_dir`` to many concurrent sessions.
 
-    def __init__(self, root_dir: str, host: str = "127.0.0.1", port: int = 0):
+    It accepts on ``listener``, a listening TCP socket it then owns, or
+    else on one it binds to ``host:port``.
+    """
+
+    def __init__(
+        self,
+        root_dir: str,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        listener: socket.socket | None = None,
+    ):
         self.root = Path(root_dir).resolve()
         if not self.root.is_dir():
             raise NotADirectoryError(f"{root_dir} is not a readable directory")
@@ -113,9 +124,12 @@ class DataServer:
 
         class Server(socketserver.ThreadingTCPServer):
             daemon_threads = True
-            allow_reuse_address = True
 
-        self._server = Server((host, port), Handler)
+            def __init__(self, sock: socket.socket):
+                socketserver.BaseServer.__init__(self, sock.getsockname(), Handler)
+                self.socket = sock  # bound and listening already
+
+        self._server = Server(listener or socket.create_server((host, port)))
         self.host, self.port = self._server.server_address[:2]
         self._thread: threading.Thread | None = None
 
@@ -191,8 +205,10 @@ class DataServer:
         self.stop()
 
 
-def serve(root_dir: str, port: int = 0, host: str = "127.0.0.1") -> DataServer:
+def serve(
+    root_dir: str, port: int = 0, host: str = "127.0.0.1", listener: socket.socket | None = None
+) -> DataServer:
     """Start a data server in a background thread and return it."""
-    server = DataServer(root_dir, host=host, port=port)
+    server = DataServer(root_dir, host=host, port=port, listener=listener)
     server.start()
     return server

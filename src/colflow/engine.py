@@ -264,9 +264,11 @@ def run_range(
         compiled = CompiledPipeline(graph)
     if universes is SINGLE_PASS:
         universes = graph.universes()
-    for u in universes:
+    for k, u in enumerate(universes):
         if u != "nominal":
             graph.variation(u)  # raises on unknown
+        if u in universes[:k]:
+            raise PipelineError(f"universe {u!r} listed twice")
     partial = PartialResult.empty(graph)
     members = [(u, partial.labels.index(u)) for u in universes]
     nominal_lane = [m for m in members if m[0] == "nominal" or m[0] in compiled.row_sharing]

@@ -2,14 +2,19 @@
 
 Children are separate interpreter processes running the command-line
 entrypoints, so every byte and timing crosses real process and socket
-boundaries. Each child announces itself with one stdout line ending in
-its bound address; stderr goes to per-process log files.
+boundaries. Each child announces itself with one stdout line; stderr goes
+to per-process log files.
 
-Children that depend on nothing start side by side: the data server and
-the scheduler together, then every worker at once with the scheduler's
-address. A worker announces itself only after the scheduler has confirmed
-its registration, so once `start()` returns, the next run plans with
-every worker. A failed start stops every child it spawned before raising.
+Every child starts at once. As in systemd's socket activation
+(`sd_listen_fds`), the facility binds the data server's and the
+scheduler's listening sockets itself and hands each service only its own
+(`--listen fd:N`), closing its copies once they are spawned; so the
+workers know the scheduler's address before it runs, and a worker's
+connect waits in the listen backlog until the scheduler accepts. A worker
+announces itself only after the scheduler has confirmed its registration,
+so once `start()` returns, the next run plans with every worker. A failed
+start stops every child it spawned before raising, and then neither
+address accepts connections.
 
 A slot is a worker process: n workers of s slots each are n x s worker
 processes, named w0, w1, ... in start order.
@@ -18,6 +23,7 @@ processes, named w0, w1, ... in start order.
 from __future__ import annotations
 
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -43,12 +49,9 @@ def _drain(proc: subprocess.Popen) -> None:
     threading.Thread(target=pump, daemon=True).start()
 
 
-def _address_of(line: str, what: str) -> str:
-    address = line.rsplit(" ", 1)[-1]
-    host, _, port = address.rpartition(":")
-    if not host or not port.isdigit():
-        raise FacilityError(f"{what} announced no usable address: {line!r}")
-    return address
+def _address_of(sock: socket.socket) -> str:
+    host, port = sock.getsockname()[:2]
+    return f"{host}:{port}"
 
 
 class MiniFacility:
@@ -77,8 +80,14 @@ class MiniFacility:
         self._logs: dict[subprocess.Popen, TextIO] = {}  # child -> its stderr log file
         self._announced: set[subprocess.Popen] = set()
 
-    def _spawn(self, args: list[str], log_name: str) -> subprocess.Popen:
-        """Start a child without waiting for it."""
+    def _spawn(
+        self, args: list[str], log_name: str, listener: socket.socket | None = None
+    ) -> subprocess.Popen:
+        """Start a child without waiting for it; a service inherits its listener and no other socket."""
+        pass_fds: tuple[int, ...] = ()
+        if listener is not None:
+            pass_fds = (listener.fileno(),)
+            args = [*args, "--listen", f"fd:{listener.fileno()}"]
         os.makedirs(self.log_dir, exist_ok=True)
         log = open(os.path.join(self.log_dir, log_name), "w")
         proc = subprocess.Popen(
@@ -86,12 +95,13 @@ class MiniFacility:
             stdout=subprocess.PIPE,
             stderr=log,
             text=True,
+            pass_fds=pass_fds,
         )
         self._logs[proc] = log
         return proc
 
-    def _await(self, children: list[tuple[subprocess.Popen, str]]) -> list[str]:
-        """The announcement lines of children started together, in order.
+    def _await(self, children: list[tuple[subprocess.Popen, str]]) -> None:
+        """Wait until children started together have announced themselves.
 
         They share one startup_timeout; the first that exits or times out
         without announcing raises FacilityError.
@@ -111,7 +121,6 @@ class MiniFacility:
                 raise self._failure(proc, what, timed_out=t.is_alive())
             self._announced.add(proc)
             _drain(proc)
-        return [lines[proc].strip() for proc, _ in children]
 
     def _failure(self, proc: subprocess.Popen, what: str, timed_out: bool) -> FacilityError:
         """The error for a child that did not announce itself."""
@@ -140,24 +149,24 @@ class MiniFacility:
         return self
 
     def _start(self) -> None:
-        self.data_proc = self._spawn(
-            ["serve-data", "--root", self.data_root, "--listen", "127.0.0.1:0"], "data-server.log"
-        )
-        self.scheduler_proc = self._spawn(["scheduler", "--listen", "127.0.0.1:0"], "scheduler.log")
-        data_line, scheduler_line = self._await(
-            [(self.data_proc, "data server"), (self.scheduler_proc, "scheduler")]
-        )
-        self.data_address = _address_of(data_line, "data server")
-        self.scheduler_address = _address_of(scheduler_line, "scheduler")
-
-        for k in range(self.n_workers * self.slots):
-            self.worker_procs.append(
-                self._spawn(
-                    ["worker", "--scheduler", self.scheduler_address, "--name", f"w{k}"], f"worker-{k}.log"
+        local = ("127.0.0.1", 0)
+        with socket.create_server(local) as data_sock, socket.create_server(local) as scheduler_sock:
+            self.data_address = _address_of(data_sock)
+            self.scheduler_address = _address_of(scheduler_sock)
+            self.data_proc = self._spawn(["serve-data", "--root", self.data_root], "data-server.log", data_sock)
+            self.scheduler_proc = self._spawn(["scheduler"], "scheduler.log", scheduler_sock)
+            for k in range(self.n_workers * self.slots):
+                self.worker_procs.append(
+                    self._spawn(
+                        ["worker", "--scheduler", self.scheduler_address, "--name", f"w{k}"], f"worker-{k}.log"
+                    )
                 )
-            )
-        # a worker's line follows the scheduler's echo of its REGISTER
-        self._await([(proc, f"worker w{k}") for k, proc in enumerate(self.worker_procs)])
+        # the services now hold the only listening copies; a worker's
+        # line follows the scheduler's echo of its REGISTER
+        self._await(
+            [(self.data_proc, "data server"), (self.scheduler_proc, "scheduler")]
+            + [(proc, f"worker w{k}") for k, proc in enumerate(self.worker_procs)]
+        )
 
     def stop(self) -> None:
         children = [p for p in (self.data_proc, self.scheduler_proc, *self.worker_procs) if p is not None]

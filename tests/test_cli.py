@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import time
@@ -154,6 +155,82 @@ class TestValidationExits:
         serve = parser.parse_args(["serve-data", "--root", ".", "--listen", "h:65535"])
         assert serve.listen == ("h", 65535)
         assert parser.parse_args(["worker", "--scheduler", "h:65535"]).scheduler == "h:65535"
+
+    @pytest.mark.parametrize("service", [["scheduler"], ["serve-data", "--root", "."]])
+    @pytest.mark.parametrize("value", ["fd:", "fd:three", "fd:-3", "fd:3x"])
+    def test_listen_fd_must_be_a_number(self, service, value):
+        r = colflow(*service, "--listen", value)
+        assert r.returncode == 2
+        assert "expected fd:N" in r.stderr
+        assert "Traceback" not in r.stderr
+
+    @pytest.mark.parametrize("service", [["scheduler"], ["serve-data", "--root", "."]])
+    def test_listen_fd_must_be_a_listening_tcp_socket(self, service, tmp_path):
+        udp = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        unlistened = socket.socket()
+        unlistened.bind(("127.0.0.1", 0))
+        a_file = open(tmp_path / "f", "w")
+        with udp, unlistened, a_file:
+            for fd, reason in [
+                (udp.fileno(), "is not a listening TCP socket"),
+                (unlistened.fileno(), "is not a listening TCP socket"),
+                (a_file.fileno(), "is not an open socket"),
+                (999, "is not an open socket"),  # not open at all
+                (2**40, "is not an open socket"),
+            ]:
+                r = subprocess.run(
+                    [sys.executable, "-m", "colflow.cli", *service, "--listen", f"fd:{fd}"],
+                    pass_fds=[fd] if fd < 999 else [],
+                    capture_output=True, text=True, timeout=60,
+                )
+                assert r.returncode == 2, (fd, r.stderr)
+                assert f"fd:{fd} {reason}" in r.stderr
+                assert "Traceback" not in r.stderr
+
+    def test_services_serve_on_an_inherited_socket(self, tmp_path):
+        from colflow.cluster.client import shutdown_cluster
+        from colflow.colstore import open_dataset
+
+        data_dir = str(tmp_path / "data")
+        generate(GenConfig(n_files=1, events_per_file=8, cluster_size=4, seed=3), data_dir)
+        data_sock, scheduler_sock = (socket.create_server(("127.0.0.1", 0)) for _ in range(2))
+        data_address, scheduler_address = (
+            "%s:%d" % s.getsockname()[:2] for s in (data_sock, scheduler_sock)
+        )
+        with data_sock, scheduler_sock:
+            services = [
+                subprocess.Popen(
+                    [sys.executable, "-m", "colflow.cli", *argv, "--listen", f"fd:{sock.fileno()}"],
+                    pass_fds=[sock.fileno()], stdout=subprocess.PIPE, text=True,
+                )
+                for argv, sock in [
+                    (["serve-data", "--root", data_dir], data_sock),
+                    (["scheduler"], scheduler_sock),
+                ]
+            ]
+        try:
+            assert services[0].stdout.readline().split()[-1] == data_address
+            assert services[1].stdout.readline().split()[-1] == scheduler_address
+            name = load_manifest(data_dir)["files"][0]["name"]
+            handle = open_dataset(f"colsrv://{data_address}/{name}")
+            assert handle.total_entries == 8
+            handle.close()
+            services.append(
+                subprocess.Popen(
+                    [sys.executable, "-m", "colflow.cli", "worker", "--scheduler", scheduler_address],
+                    stdout=subprocess.PIPE, text=True,
+                )
+            )
+            assert "registered with" in services[2].stdout.readline()  # the scheduler echoed REGISTER
+            shutdown_cluster(scheduler_address)
+            assert services[1].wait(timeout=30) == 0
+            assert services[2].wait(timeout=30) == 0
+        finally:
+            for proc in services:
+                if proc.poll() is None:
+                    proc.terminate()
+                proc.wait(timeout=30)
+                proc.stdout.close()
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -380,33 +457,84 @@ def test_services_import_none_of_the_client_side():
     assert not loaded & {f"colflow.{m}" for m in ("bench", "legacy", "report", "datagen", "facility")}
 
 
+@pytest.fixture
+def handed_off(monkeypatch):
+    """The listening sockets a facility binds for its services, with their addresses."""
+    real = socket.create_server
+    bound: list[tuple[socket.socket, str]] = []
+
+    def record(*args, **kwargs):
+        sock = real(*args, **kwargs)
+        bound.append((sock, "%s:%d" % sock.getsockname()[:2]))
+        return sock
+
+    monkeypatch.setattr(socket, "create_server", record)
+    return bound
+
+
+def assert_nothing_left(fac: MiniFacility, handed_off) -> None:
+    """Every spawned child has exited and neither handed-off address accepts."""
+    assert fac.scheduler_proc is not None and len(fac.worker_procs) == fac.n_workers * fac.slots
+    assert all(p.poll() is not None for p in (fac.data_proc, fac.scheduler_proc, *fac.worker_procs))
+    assert len(handed_off) == 2
+    for sock, address in handed_off:
+        assert sock.fileno() == -1  # the parent closed its copy
+        host, _, port = address.rpartition(":")
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection((host, int(port)), timeout=5).close()
+
+
+def test_the_data_server_loads_neither_numpy_nor_the_expression_language():
+    code = "import sys, colflow.colstore.server\nprint(' '.join(sorted(sys.modules)))"
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    loaded = set(r.stdout.split())
+    assert "colflow.colstore.server" in loaded
+    assert not loaded & {"numpy", "colflow.exprlang", "colflow.colstore.dataset"}
+
+
+def test_every_colstore_export_resolves():
+    code = (
+        "import colflow.colstore as c\n"
+        "from colflow.colstore import *\n"
+        "print(' '.join(n for n in c.__all__ if getattr(c, n) is not globals()[n]))\n"
+        "try:\n"
+        "    c.no_such_name\n"
+        "except AttributeError:\n"
+        "    print('AttributeError')"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.split("\n")[:2] == ["", "AttributeError"]
+
+
 class TestFacilityLifecycle:
-    def test_child_exit_before_announcing_is_reported(self, tmp_path):
+    def test_child_exit_before_announcing_is_reported(self, tmp_path, handed_off):
         not_a_dir = tmp_path / "data.col"
         not_a_dir.write_bytes(b"")
-        fac = MiniFacility(str(not_a_dir), str(tmp_path / "logs"), n_workers=1)
+        fac = MiniFacility(str(not_a_dir), str(tmp_path / "logs"), n_workers=1, slots=2)
         t0 = time.monotonic()
         with pytest.raises(FacilityError, match="data server exited with code 2") as info:
             fac.start()
-        assert time.monotonic() - t0 < 5  # the scheduler, started alongside, is not waited for
+        assert time.monotonic() - t0 < 5  # the children started alongside are not waited for
         assert "is not a readable directory" in str(info.value)
-        spawned = [fac.data_proc, fac.scheduler_proc, *fac.worker_procs]
-        assert fac.scheduler_proc is not None  # it started side by side with the data server
-        assert all(p.poll() is not None for p in spawned)
+        assert_nothing_left(fac, handed_off)
 
-    def test_start_timeout_leaves_no_child_running(self, tmp_path):
+    def test_start_timeout_leaves_no_child_running(self, tmp_path, handed_off):
         fac = MiniFacility(str(tmp_path), str(tmp_path / "logs"), n_workers=1, startup_timeout=0.01)
         with pytest.raises(FacilityError, match="data server did not announce itself within 0.01s"):
             fac.start()
-        assert fac.scheduler_proc is not None and not fac.worker_procs
-        assert all(p.poll() is not None for p in (fac.data_proc, fac.scheduler_proc))
+        assert_nothing_left(fac, handed_off)
 
-    def test_first_run_plans_with_every_worker(self, tmp_path):
+    def test_first_run_plans_with_every_worker(self, tmp_path, handed_off):
         data_dir = str(tmp_path / "data")
         generate(GenConfig(n_files=1, events_per_file=8, cluster_size=1, seed=3), data_dir)
         probe = json.dumps({"dataset": manifest_files(load_manifest(data_dir)),
                             "stages": [{"op": "count", "name": "n"}]})
         with MiniFacility(data_dir, str(tmp_path / "logs"), n_workers=3) as fac:
+            # the services accept on the sockets the facility bound, and hold the only copies
+            assert [address for _, address in handed_off] == [fac.data_address, fac.scheduler_address]
+            assert all(sock.fileno() == -1 for sock, _ in handed_off)
             # no wait and no retry: every worker's line follows its confirmed registration
             result = run_distributed(probe, fac.scheduler_address, factor=1, timeout=30)
         assert result.total_events == 8

@@ -119,6 +119,18 @@ class TestDistributedRuns:
         assert result.total_events == local.events == 750
         assert result.partial.universes == local.universes  # bit-exact, integer weights
 
+    def test_scheduler_accepts_on_a_listening_socket_it_is_given(self, dataset_files):
+        doc = make_doc(dataset_files, integer_weights=True)
+        listener = socket.create_server(("127.0.0.1", 0))
+        address = "%s:%d" % listener.getsockname()[:2]
+        spawn_worker(address, name="w0")  # its connect waits in the backlog
+        with Scheduler(listener=listener) as sched:
+            assert sched.address == address
+            wait_for_workers(sched, 1)
+            result = run_distributed(doc, address, factor=3)
+        assert result.total_events == 750
+        assert listener.fileno() == -1  # the scheduler owned it
+
     def test_worker_count_invariance(self, dataset_files):
         doc = make_doc(dataset_files, integer_weights=True)
         outcomes = []

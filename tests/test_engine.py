@@ -351,6 +351,14 @@ class TestModes:
         with pytest.raises(PipelineError, match="unknown universe"):
             run_range(rich_graph, EntryRange(rich_file, 0, 10), ["bogus"])
 
+    def test_duplicate_universe_rejected(self, rich_file, rich_graph):
+        from colflow.graph import PipelineError
+
+        tag = rich_graph.weight_tags()[0]
+        for listed in (["nominal", "nominal"], ["nominal", tag, tag]):
+            with pytest.raises(PipelineError, match=f"universe '{listed[-1]}' listed twice"):
+                run_range(rich_graph, EntryRange(rich_file, 0, 10), listed)
+
     def test_nominal_weights_mode(self, rich_file, rich_graph):
         full = run_range(rich_graph, EntryRange(rich_file, 0, 300), SINGLE_PASS)
         nw = run_range(

@@ -65,6 +65,22 @@ def test_open_read_stat_close(served_dir):
     t.close()
 
 
+def test_serves_on_a_listening_socket_it_is_given(served_dir):
+    root, _ = served_dir
+    listener = socket.create_server(("127.0.0.1", 0))
+    address = "%s:%d" % listener.getsockname()[:2]
+    server = serve(str(root), listener=listener)
+    try:
+        assert server.address == address
+        host, port = address.split(":")
+        t = RemoteTransport(host, int(port), "blob.bin")
+        assert t.read(0, 2) == bytes([0, 1])
+        t.close()
+    finally:
+        server.stop()
+    assert listener.fileno() == -1  # the server owned it
+
+
 def test_short_read_at_eof(served_dir):
     root, server = served_dir
     host, port = server.address.split(":")
