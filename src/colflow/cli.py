@@ -95,12 +95,9 @@ def _inherited_listener(fd: str) -> socket.socket:
     return sock
 
 
-def _bind_at(listen: tuple[str, int] | socket.socket) -> dict:
-    """A service's keyword arguments for where it accepts: --listen's value."""
-    if isinstance(listen, socket.socket):
-        return {"listener": listen}
-    host, port = listen
-    return {"host": host, "port": port}
+def _listener(listen: tuple[str, int] | socket.socket) -> socket.socket:
+    """The socket a service accepts on: --listen's value, bound here when it is HOST:PORT."""
+    return listen if isinstance(listen, socket.socket) else socket.create_server(listen)
 
 
 def _address(text: str) -> str:
@@ -165,13 +162,13 @@ def cmd_gen(args) -> int:
 
 
 def cmd_serve_data(args) -> int:
-    from .colstore.server import serve
+    from .colstore.server import DataServer
 
     if not os.path.isdir(args.root):
         _err(f"{args.root} is not a readable directory")
         return EXIT_USAGE
     try:
-        server = serve(args.root, **_bind_at(args.listen))
+        server = DataServer(args.root, _listener(args.listen)).start()
     except OSError as e:
         _err(str(e))
         return EXIT_RUNTIME
@@ -188,7 +185,7 @@ def cmd_scheduler(args) -> int:
     from .cluster.scheduler import Scheduler
 
     try:
-        sched = Scheduler(startup_timeout=args.startup_timeout, **_bind_at(args.listen)).start()
+        sched = Scheduler(args.startup_timeout, _listener(args.listen)).start()
     except OSError as e:
         _err(str(e))
         return EXIT_RUNTIME

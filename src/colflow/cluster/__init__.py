@@ -1,5 +1,5 @@
 from .client import ClusterError, RunResult, run_distributed, shutdown_cluster, submit_run
-from .planner import TaskSpec, plan_partitions
+from .planner import plan_partitions
 from .scheduler import Scheduler
 from .worker import Worker
 
@@ -7,7 +7,6 @@ __all__ = [
     "ClusterError",
     "RunResult",
     "Scheduler",
-    "TaskSpec",
     "Worker",
     "plan_partitions",
     "run_distributed",

@@ -18,6 +18,7 @@ from ..proto import (
     recv_message,
     send_message,
 )
+from ..wire import connect
 
 
 class ClusterError(Exception):
@@ -58,13 +59,6 @@ class RunResult:
         return self.wall_time + self.merge_duration
 
 
-def _connect(scheduler_address: str) -> socket.socket:
-    host, _, port = scheduler_address.rpartition(":")
-    sock = socket.create_connection((host, int(port)), timeout=None)
-    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    return sock
-
-
 def submit_run(
     scheduler_address: str,
     document: str,
@@ -77,7 +71,7 @@ def submit_run(
 ) -> RunResult:
     """Submit a run and block until it completes or fails."""
     run_id = run_id or f"run-{uuid.uuid4().hex[:8]}"
-    sock = _connect(scheduler_address)
+    sock = connect(scheduler_address)
     sock.settimeout(timeout)
     try:
         send_message(sock, Submit(run_id, document, max_retries, factor, tasks))
@@ -115,7 +109,7 @@ def run_distributed(
 def shutdown_cluster(scheduler_address: str) -> None:
     """Ask the scheduler to stop itself and all its workers."""
     try:
-        sock = _connect(scheduler_address)
+        sock = connect(scheduler_address)
     except OSError:
         return  # already down
     try:

@@ -10,18 +10,11 @@ files than target slots every non-empty file still gets its own task
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..engine import EntryRange
+from ..proto import Task
 
 
-@dataclass(frozen=True)
-class TaskSpec:
-    task_id: int
-    entry_range: EntryRange
-
-
-def plan_partitions(dataset: list, nworkers: int, factor: int = 3) -> list[TaskSpec]:
+def plan_partitions(dataset: list, nworkers: int, factor: int = 3) -> list[Task]:
     """Partition open dataset handles into tasks, deterministically.
 
     Ranges across all tasks cover every (file, entry) pair exactly once,
@@ -53,7 +46,7 @@ def plan_partitions(dataset: list, nworkers: int, factor: int = 3) -> list[TaskS
             counts[i] += 1
         counts = [min(max(n, 1), c) for n, (_, c) in zip(counts, files)]
 
-    tasks: list[TaskSpec] = []
+    tasks: list[Task] = []
     for (handle, n_clusters), n_tasks in zip(files, counts):
         base, extra = divmod(n_clusters, n_tasks)
         start = 0
@@ -62,6 +55,6 @@ def plan_partitions(dataset: list, nworkers: int, factor: int = 3) -> list[TaskS
             group = handle.clusters[start : start + size]
             begin = group[0].entry_start
             end = group[-1].entry_start + group[-1].entry_count
-            tasks.append(TaskSpec(len(tasks), EntryRange(handle.uri, begin, end)))
+            tasks.append(Task(len(tasks), EntryRange(handle.uri, begin, end)))
             start += size
     return tasks

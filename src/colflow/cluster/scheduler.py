@@ -64,6 +64,7 @@ from ..proto import (
     encode,
     recv_message,
 )
+from ..wire import address_of
 from .planner import plan_partitions
 
 HEARTBEAT_INTERVAL = 2.0
@@ -88,10 +89,11 @@ class _Run:
     spec: PipelineSpec
     max_retries: int
     factor: int
-    tasks: dict[int, Task] | None  # the client's explicit tasks, or None until planned
+    cut: tuple[Task, ...]  # the client's explicit tasks, or () to have planning cut them
     t0: float
     deadline: float
     graph: ComputationGraph | None = None  # set by planning
+    tasks: dict[int, Task] = field(default_factory=dict)  # task_id -> TASK, set by planning
     shape: tuple = ()  # the PartialResult.shape() every RESULT must have
     planning_bytes: int = 0
     pending: deque = field(default_factory=deque)
@@ -109,18 +111,12 @@ class Scheduler:
     """Listens for workers and clients; owns at most one active run.
 
     It accepts on ``listener``, a listening TCP socket it then owns, or
-    else on one it binds to ``host:port``.
+    else on a fresh one at 127.0.0.1 on a free port.
     """
 
-    def __init__(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        startup_timeout: float = 10.0,
-        listener: socket.socket | None = None,
-    ):
-        self._listener = listener or socket.create_server((host, port))
-        self._host, self._port = self._listener.getsockname()[:2]
+    def __init__(self, startup_timeout: float = 10.0, listener: socket.socket | None = None):
+        self._listener = listener or socket.create_server(("127.0.0.1", 0))
+        self.address = address_of(self._listener)
         self._startup_timeout = startup_timeout
         self._events: queue.Queue = queue.Queue()
         self._conns: dict[int, socket.socket] = {}
@@ -129,10 +125,6 @@ class Scheduler:
         self._runs_started = 0
         self._next_conn = 0
         self._threads: list[threading.Thread] = []
-
-    @property
-    def address(self) -> str:
-        return f"{self._host}:{self._port}"
 
     def start(self) -> "Scheduler":
         accept = threading.Thread(target=self._accept_loop, name="sched-accept", daemon=True)
@@ -309,7 +301,7 @@ class Scheduler:
             spec=spec,
             max_retries=msg.max_retries,
             factor=msg.factor,
-            tasks={t.task_id: replace(t, run=self._runs_started) for t in msg.tasks} or None,
+            cut=msg.tasks,
             t0=now,
             deadline=now + self._startup_timeout,
         )
@@ -321,15 +313,13 @@ class Scheduler:
         spec = run.spec
         handles = []
         try:
-            for uri in spec.dataset if run.tasks is None else spec.dataset[:1]:
+            for uri in spec.dataset[:1] if run.cut else spec.dataset:
                 with open_dataset(uri) as h:  # planning reads only h.uri, h.schema and h.clusters
                     handles.append(h)
             graph = build(spec, handles[0].schema)
             for h in handles:
                 check_columns(graph, h.uri, h.schema)
-            if run.tasks is None:
-                planned = plan_partitions(handles, len(self._workers), run.factor)
-                run.tasks = {t.task_id: Task(t.task_id, t.entry_range, run=run.number) for t in planned}
+            tasks = run.cut or plan_partitions(handles, len(self._workers), run.factor)
         except PipelineError as e:
             self._fail_run(f"bad pipeline document: {e}")
             return
@@ -339,6 +329,7 @@ class Scheduler:
         except Exception as e:
             self._fail_run(f"planning failed: {e}")
             return
+        run.tasks = {t.task_id: replace(t, run=run.number) for t in tasks}
         run.planning_bytes = sum(h.account.bytes_read for h in handles)
         run.graph = graph
         run.shape = PartialResult.empty(graph).shape()

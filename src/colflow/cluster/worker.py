@@ -23,7 +23,6 @@ bytes_read (download is part of t_total, never of t_loop).
 from __future__ import annotations
 
 import os
-import socket
 import threading
 import time
 
@@ -44,7 +43,7 @@ from ..proto import (
     send_message,
     unpack_partial,
 )
-from ..wire import Reader, pack_str
+from ..wire import Reader, connect, pack_str
 from .scheduler import HEARTBEAT_INTERVAL
 
 _DOWNLOAD_CHUNK = 256 * 1024
@@ -78,9 +77,7 @@ def download_payload(uri: str, n_bytes: int) -> int:
 
 class Worker:
     def __init__(self, scheduler_address: str, name: str | None = None):
-        host, _, port = scheduler_address.rpartition(":")
-        self._sock = socket.create_connection((host, int(port)), timeout=None)
-        self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._sock = connect(scheduler_address)
         self.name = name or f"worker-{os.getpid()}"
         self._send_lock = threading.Lock()
         self._held: tuple = (0, RuntimeError("no graph received"))  # (run, CompiledPipeline or build error)

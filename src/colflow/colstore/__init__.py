@@ -20,7 +20,6 @@ _HOME = {
     "read_range": ".dataset",
     "server_totals": ".dataset",
     "DataServer": ".server",
-    "serve": ".server",
     "ValueType": "..exprlang",
 }
 

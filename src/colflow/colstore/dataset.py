@@ -68,11 +68,11 @@ class LocalTransport:
         self._f.close()
 
 
-def _connect(host: str, port: int) -> socket.socket:
+def _connect(address: str) -> socket.socket:
     try:
-        return socket.create_connection((host, port), timeout=30)
+        return wire.connect(address, timeout=30)
     except OSError as e:
-        raise TransportError(f"cannot connect to data server {host}:{port}: {e}") from None
+        raise TransportError(f"cannot connect to data server {address}: {e}") from None
 
 
 def _exchange(sock: socket.socket, opcode: int, payload: bytes) -> bytes:
@@ -98,7 +98,7 @@ class RemoteTransport:
     """Client side of the data-server protocol; one session per instance."""
 
     def __init__(self, host: str, port: int, path: str):
-        self._sock = _connect(host, port)
+        self._sock = _connect(f"{host}:{port}")
         try:
             self._fid, self._size = struct.unpack("<QQ", self._request(srv.OP_OPEN, wire.pack_str(path)))
         except TransportError:
@@ -141,8 +141,7 @@ def server_totals(address: str) -> tuple[int, int]:
     The query itself moves no file data, so polling it never perturbs the
     counters it reports.
     """
-    host, _, port = address.rpartition(":")
-    with _connect(host, int(port)) as sock:
+    with _connect(address) as sock:
         return struct.unpack("<QQ", _exchange(sock, srv.OP_METRICS, bytes([srv.METRICS_GLOBAL])))
 
 

@@ -179,16 +179,16 @@ def decode_footer(raw: bytes) -> tuple[dict[str, ValueType], int, tuple[ClusterI
     return schema, total_entries, tuple(clusters)
 
 
-def write_dataset(path: str, schema: dict[str, ValueType], columns: dict, cluster_size: int = DEFAULT_CLUSTER_SIZE):
-    """Write a columnar file and return an opened local handle.
+def write_dataset(
+    path: str, schema: dict[str, ValueType], columns: dict, cluster_size: int = DEFAULT_CLUSTER_SIZE
+) -> None:
+    """Write a columnar file.
 
     ``schema`` maps each column name to its type, in file order; ``columns``
     maps column name to its full value sequence (a Jagged, or a sequence
     of sequences, for vector columns). All columns must have equal length; the
     last cluster may be short.
     """
-    from .dataset import open_dataset  # deferred: dataset imports this module
-
     if not schema:
         raise FormatError("schema must have at least one column")
     for name, dtype in schema.items():
@@ -218,4 +218,3 @@ def write_dataset(path: str, schema: dict[str, ValueType], columns: dict, cluste
         body = encode_footer(schema, total, tuple(clusters))
         f.write(body)
         f.write(struct.pack("<QI", footer_offset, zlib.crc32(body)) + FOOTER_MAGIC)
-    return open_dataset(path)

@@ -15,6 +15,10 @@ version is dropped.
 
 Byte counters only grow on READ replies, so a client session's bytes_read
 matches the server's served bytes for that session exactly.
+
+A server starts only through ``start()`` (or ``with``), which runs one
+``serve_forever`` thread; ``stop()`` shuts that thread down, joins it and
+closes the listening socket.
 """
 
 from __future__ import annotations
@@ -81,16 +85,10 @@ class DataServer:
     """Serves files under ``root_dir`` to many concurrent sessions.
 
     It accepts on ``listener``, a listening TCP socket it then owns, or
-    else on one it binds to ``host:port``.
+    else on a fresh one at 127.0.0.1 on a free port.
     """
 
-    def __init__(
-        self,
-        root_dir: str,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        listener: socket.socket | None = None,
-    ):
+    def __init__(self, root_dir: str, listener: socket.socket | None = None):
         self.root = Path(root_dir).resolve()
         if not self.root.is_dir():
             raise NotADirectoryError(f"{root_dir} is not a readable directory")
@@ -129,13 +127,9 @@ class DataServer:
                 socketserver.BaseServer.__init__(self, sock.getsockname(), Handler)
                 self.socket = sock  # bound and listening already
 
-        self._server = Server(listener or socket.create_server((host, port)))
-        self.host, self.port = self._server.server_address[:2]
-        self._thread: threading.Thread | None = None
-
-    @property
-    def address(self) -> str:
-        return f"{self.host}:{self.port}"
+        self._server = Server(listener or socket.create_server(("127.0.0.1", 0)))
+        self.address = wire.address_of(self._server.socket)
+        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
 
     def _dispatch(self, session: _Session, opcode: int, payload: bytes) -> tuple[int, bytes]:
         if opcode == OP_OPEN:
@@ -187,28 +181,17 @@ class DataServer:
             return OP_CLOSE, b""
         raise ServerError(ERR_BAD_REQUEST, f"unknown opcode {opcode}")
 
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
+    def start(self) -> "DataServer":
         self._thread.start()
+        return self
 
     def stop(self) -> None:
         self._server.shutdown()
         self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
+        self._thread.join(timeout=5)
 
     def __enter__(self) -> "DataServer":
-        self.start()
-        return self
+        return self.start()
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-def serve(
-    root_dir: str, port: int = 0, host: str = "127.0.0.1", listener: socket.socket | None = None
-) -> DataServer:
-    """Start a data server in a background thread and return it."""
-    server = DataServer(root_dir, host=host, port=port, listener=listener)
-    server.start()
-    return server

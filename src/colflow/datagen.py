@@ -80,7 +80,7 @@ def generate(config: GenConfig, out_dir: str) -> str:
         columns = event_columns(rng, config.events_per_file)
         write_dataset(
             os.path.join(out_dir, name), SCHEMA, columns, config.cluster_size
-        ).close()
+        )
         entries.append({"name": name, "entries": config.events_per_file})
 
     manifest = {

@@ -330,7 +330,7 @@ def _write_snapshot(compiled: CompiledPipeline, batches: list[list], range_id: s
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    write_dataset(path, schema, columns).close()
+    write_dataset(path, schema, columns)
     return path
 
 

@@ -12,9 +12,17 @@ scheduler's listening sockets itself and hands each service only its own
 workers know the scheduler's address before it runs, and a worker's
 connect waits in the listen backlog until the scheduler accepts. A worker
 announces itself only after the scheduler has confirmed its registration,
-so once `start()` returns, the next run plans with every worker. A failed
-start stops every child it spawned before raising, and then neither
-address accepts connections.
+so once `start()` returns, the next run plans with every worker.
+
+Each child has one watcher thread, the only reader of its stdout: it
+reads the announcement line, drains the rest so the child never blocks
+on a full pipe, and closes the pipe at EOF. The facility keeps no log
+file open. `stop()`, which a failed start also runs before raising, asks
+the scheduler to shut the cluster down, terminates the data server and
+any child that never announced, waits for every child against one
+deadline (killing any that outlive it) and joins the watchers; after it,
+every child has exited, every pipe is closed, and neither address
+accepts connections.
 
 A slot is a worker process: n workers of s slots each are n x s worker
 processes, named w0, w1, ... in start order.
@@ -28,10 +36,9 @@ import subprocess
 import sys
 import threading
 import time
-from typing import TextIO
 
 from .cluster.client import shutdown_cluster
-
+from .wire import address_of
 
 _LOG_TAIL_LINES = 10
 
@@ -40,18 +47,24 @@ class FacilityError(Exception):
     pass
 
 
-def _drain(proc: subprocess.Popen) -> None:
-    # keep reading so the child never blocks on a full stdout pipe
-    def pump() -> None:
-        for _ in proc.stdout:
-            pass
+class _Child:
+    """One child process, its log path, and the watcher that owns its stdout."""
 
-    threading.Thread(target=pump, daemon=True).start()
+    def __init__(self, proc: subprocess.Popen, what: str, log_path: str):
+        self.proc = proc
+        self.what = what
+        self.log_path = log_path
+        self.line = ""  # the announcement, "" until read or if stdout ended without one
+        self.answered = threading.Event()  # set once the line, or EOF, has been read
+        self.watcher = threading.Thread(target=self._watch, name=f"watch-{what}", daemon=True)
+        self.watcher.start()
 
-
-def _address_of(sock: socket.socket) -> str:
-    host, port = sock.getsockname()[:2]
-    return f"{host}:{port}"
+    def _watch(self) -> None:
+        with self.proc.stdout as out:
+            self.line = out.readline()
+            self.answered.set()
+            for _ in out:  # keep reading so the child never blocks on a full pipe
+                pass
 
 
 class MiniFacility:
@@ -77,11 +90,10 @@ class MiniFacility:
         self.data_proc: subprocess.Popen | None = None
         self.scheduler_proc: subprocess.Popen | None = None
         self.worker_procs: list[subprocess.Popen] = []
-        self._logs: dict[subprocess.Popen, TextIO] = {}  # child -> its stderr log file
-        self._announced: set[subprocess.Popen] = set()
+        self._children: list[_Child] = []  # in start order
 
     def _spawn(
-        self, args: list[str], log_name: str, listener: socket.socket | None = None
+        self, args: list[str], what: str, log_name: str, listener: socket.socket | None = None
     ) -> subprocess.Popen:
         """Start a child without waiting for it; a service inherits its listener and no other socket."""
         pass_fds: tuple[int, ...] = ()
@@ -89,55 +101,42 @@ class MiniFacility:
             pass_fds = (listener.fileno(),)
             args = [*args, "--listen", f"fd:{listener.fileno()}"]
         os.makedirs(self.log_dir, exist_ok=True)
-        log = open(os.path.join(self.log_dir, log_name), "w")
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "colflow.cli", *args],
-            stdout=subprocess.PIPE,
-            stderr=log,
-            text=True,
-            pass_fds=pass_fds,
-        )
-        self._logs[proc] = log
+        log_path = os.path.join(self.log_dir, log_name)
+        with open(log_path, "w") as log:  # the child writes to its own copy
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "colflow.cli", *args],
+                stdout=subprocess.PIPE,
+                stderr=log,
+                text=True,
+                pass_fds=pass_fds,
+            )
+        self._children.append(_Child(proc, what, log_path))
         return proc
 
-    def _await(self, children: list[tuple[subprocess.Popen, str]]) -> None:
-        """Wait until children started together have announced themselves.
+    def _await(self) -> None:
+        """Wait until every child has announced itself.
 
         They share one startup_timeout; the first that exits or times out
         without announcing raises FacilityError.
         """
-        lines: dict[subprocess.Popen, str] = {}
-
-        def read(proc: subprocess.Popen) -> None:
-            lines[proc] = proc.stdout.readline()
-
-        readers = [threading.Thread(target=read, args=(proc,), daemon=True) for proc, _ in children]
-        for t in readers:
-            t.start()
         deadline = time.monotonic() + self.startup_timeout
-        for (proc, what), t in zip(children, readers):
-            t.join(max(0.0, deadline - time.monotonic()))
-            if not lines.get(proc):
-                raise self._failure(proc, what, timed_out=t.is_alive())
-            self._announced.add(proc)
-            _drain(proc)
+        for child in self._children:
+            if not child.answered.wait(max(0.0, deadline - time.monotonic())):
+                raise FacilityError(f"{child.what} did not announce itself within {self.startup_timeout}s")
+            if not child.line:
+                raise self._exited(child)
 
-    def _failure(self, proc: subprocess.Popen, what: str, timed_out: bool) -> FacilityError:
-        """The error for a child that did not announce itself."""
-        if timed_out:
-            proc.kill()
-            proc.wait()
-            return FacilityError(f"{what} did not announce itself within {self.startup_timeout}s")
-        try:  # stdout closed without a line: the child is exiting
-            code = proc.wait(timeout=5.0)
+    def _exited(self, child: _Child) -> FacilityError:
+        """The error for a child whose stdout ended without an announcement: it is exiting."""
+        try:
+            code = child.proc.wait(timeout=5.0)
         except subprocess.TimeoutExpired:
-            proc.kill()
-            code = proc.wait()
-        log_path = self._logs[proc].name
-        with open(log_path, errors="replace") as f:
+            child.proc.kill()
+            code = child.proc.wait()
+        with open(child.log_path, errors="replace") as f:
             tail = "".join(f.readlines()[-_LOG_TAIL_LINES:])
         return FacilityError(
-            f"{what} exited with code {code} before announcing itself; {log_path} ends with:\n{tail}"
+            f"{child.what} exited with code {code} before announcing itself; {child.log_path} ends with:\n{tail}"
         )
 
     def start(self) -> "MiniFacility":
@@ -151,54 +150,39 @@ class MiniFacility:
     def _start(self) -> None:
         local = ("127.0.0.1", 0)
         with socket.create_server(local) as data_sock, socket.create_server(local) as scheduler_sock:
-            self.data_address = _address_of(data_sock)
-            self.scheduler_address = _address_of(scheduler_sock)
-            self.data_proc = self._spawn(["serve-data", "--root", self.data_root], "data-server.log", data_sock)
-            self.scheduler_proc = self._spawn(["scheduler"], "scheduler.log", scheduler_sock)
+            self.data_address = address_of(data_sock)
+            self.scheduler_address = address_of(scheduler_sock)
+            self.data_proc = self._spawn(
+                ["serve-data", "--root", self.data_root], "data server", "data-server.log", data_sock
+            )
+            self.scheduler_proc = self._spawn(["scheduler"], "scheduler", "scheduler.log", scheduler_sock)
             for k in range(self.n_workers * self.slots):
                 self.worker_procs.append(
                     self._spawn(
-                        ["worker", "--scheduler", self.scheduler_address, "--name", f"w{k}"], f"worker-{k}.log"
+                        ["worker", "--scheduler", self.scheduler_address, "--name", f"w{k}"],
+                        f"worker w{k}",
+                        f"worker-{k}.log",
                     )
                 )
         # the services now hold the only listening copies; a worker's
         # line follows the scheduler's echo of its REGISTER
-        self._await(
-            [(self.data_proc, "data server"), (self.scheduler_proc, "scheduler")]
-            + [(proc, f"worker w{k}") for k, proc in enumerate(self.worker_procs)]
-        )
+        self._await()
 
     def stop(self) -> None:
-        children = [p for p in (self.data_proc, self.scheduler_proc, *self.worker_procs) if p is not None]
-        for proc in children:
-            if proc not in self._announced and proc.poll() is None:
-                proc.terminate()  # nothing else would tell it to stop
         if self.scheduler_address:
             shutdown_cluster(self.scheduler_address)
+        for child in self._children:
+            if child.proc is self.data_proc or not child.line:
+                child.proc.terminate()  # nothing else would tell it to stop
         deadline = time.monotonic() + 10.0
-        for proc in [self.scheduler_proc, *self.worker_procs]:
-            if proc is None or proc.poll() is not None:
-                continue
+        for child in self._children:
             try:
-                proc.wait(timeout=max(0.1, deadline - time.monotonic()))
+                child.proc.wait(timeout=max(0.0, deadline - time.monotonic()))
             except subprocess.TimeoutExpired:
-                proc.terminate()
-        if self.data_proc is not None and self.data_proc.poll() is None:
-            self.data_proc.terminate()
-        for proc in children:
-            if proc.poll() is not None:
-                continue
-            try:
-                proc.wait(timeout=5.0)
-            except subprocess.TimeoutExpired:
-                proc.kill()
-                proc.wait(timeout=5.0)
-        for log in self._logs.values():
-            try:
-                log.close()
-            except OSError:
-                pass
-        self._logs.clear()
+                child.proc.kill()
+                child.proc.wait()
+        for child in self._children:
+            child.watcher.join()  # the pipe reaches EOF once its child has exited
         self.scheduler_address = ""
         self.data_address = ""
 

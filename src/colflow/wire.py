@@ -16,6 +16,7 @@ connection is no longer trustworthy.
 
 This module imports nothing from colflow, so the data server (below
 ``engine``) and the message codecs in ``proto`` (above it) share it.
+Every colflow connection is opened by ``connect``.
 """
 
 from __future__ import annotations
@@ -68,6 +69,19 @@ def parse_header(head: bytes, limit: int | None = None) -> tuple[int, int]:
     if version != PROTO_VERSION:
         raise ProtoError(f"protocol version {version}, expected {PROTO_VERSION}")
     return length - 4, kind
+
+
+def connect(address: str, timeout: float | None = None) -> socket.socket:
+    """A TCP connection to ``HOST:PORT`` with Nagle's algorithm off: every frame goes out in one sendall."""
+    host, _, port = address.rpartition(":")
+    sock = socket.create_connection((host, int(port)), timeout=timeout)
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    return sock
+
+
+def address_of(sock: socket.socket) -> str:
+    """The ``HOST:PORT`` a bound socket answers at."""
+    return "%s:%d" % sock.getsockname()[:2]
 
 
 def send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:

@@ -39,7 +39,7 @@ def make_dataset(tmp_path):
             schema = STANDARD_SCHEMA
         if columns is None:
             columns = standard_columns(n, seed)
-        write_dataset(str(path), schema, columns, cluster_size).close()
+        write_dataset(str(path), schema, columns, cluster_size)
         return str(path)
 
     return build

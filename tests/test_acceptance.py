@@ -245,7 +245,7 @@ def test_c06_threads_factor_workers_leave_histograms_bit_identical(tmp_path):
         path = tmp_path / f"inv{i}.col"
         write_dataset(
             str(path), STANDARD_SCHEMA, standard_columns(1200, seed=31 + i), 64
-        ).close()
+        )
         files.append(str(path))
     document = _integer_post_document(files)
     with open_dataset(files[0]) as h:
@@ -277,7 +277,7 @@ def test_c07_scanning_two_of_six_columns_reads_only_their_chunks(tmp_path):
     path = str(tmp_path / "events.col")
     write_dataset(
         path, STANDARD_SCHEMA, standard_columns(5000, seed=3), cluster_size=512
-    ).close()
+    )
     with open_dataset(path) as h:
         assert len(h.schema) == 6
         metadata = h.account.bytes_read  # header and footer, paid at open
@@ -299,7 +299,7 @@ def test_c08_killing_a_worker_mid_run_loses_nothing(tmp_path):
         path = tmp_path / f"big{i}.col"
         write_dataset(
             str(path), STANDARD_SCHEMA, standard_columns(10_000, seed=40 + i), 500
-        ).close()
+        )
         files.append(str(path))
     document = _integer_post_document(files)
     with open_dataset(files[0]) as h:
@@ -351,7 +351,7 @@ def test_c10_every_universe_matches_the_naive_oracle(tmp_path):
     n = 800
     write_dataset(
         path, STANDARD_SCHEMA, standard_columns(n, seed=17), cluster_size=128
-    ).close()
+    )
     with open_dataset(path) as h:
         graph = build(load_spec(default_post_document([path])), schema_types(h))
     rows = read_all_rows(path)

@@ -473,9 +473,10 @@ def handed_off(monkeypatch):
 
 
 def assert_nothing_left(fac: MiniFacility, handed_off) -> None:
-    """Every spawned child has exited and neither handed-off address accepts."""
+    """Every spawned child has exited, its stdout pipe is closed, and neither handed-off address accepts."""
     assert fac.scheduler_proc is not None and len(fac.worker_procs) == fac.n_workers * fac.slots
     assert all(p.poll() is not None for p in (fac.data_proc, fac.scheduler_proc, *fac.worker_procs))
+    assert all(p.stdout.closed for p in (fac.data_proc, fac.scheduler_proc, *fac.worker_procs))
     assert len(handed_off) == 2
     for sock, address in handed_off:
         assert sock.fileno() == -1  # the parent closed its copy
@@ -561,3 +562,4 @@ class TestFacilityLifecycle:
         fac.stop()
         assert fac.scheduler_proc.returncode == 0
         assert all(p.returncode == 0 for p in fac.worker_procs)
+        assert all(p.stdout.closed for p in (fac.data_proc, fac.scheduler_proc, *fac.worker_procs))

@@ -24,7 +24,7 @@ from colflow.cluster import (
 from colflow.cluster import scheduler, worker as worker_module
 from colflow.cluster.planner import plan_partitions
 from colflow.cluster.worker import download_payload, read_result_file
-from colflow.colstore import open_dataset, serve, write_dataset
+from colflow.colstore import DataServer, open_dataset, write_dataset
 from colflow.engine import EntryRange, PartialResult, run_local, run_range
 from colflow.exprlang import ValueType
 from colflow.graph import build, load_spec, schema_types
@@ -74,7 +74,7 @@ def dataset_files(tmp_path):
         path = tmp_path / f"data{i}.col"
         write_dataset(
             str(path), STANDARD_SCHEMA, standard_columns(200 + 50 * i, seed=20 + i), 64
-        ).close()
+        )
         files.append(str(path))
     return files
 
@@ -190,7 +190,7 @@ class TestDistributedRuns:
     def test_network_read_closure(self, dataset_files, tmp_path):
         # served bytes on the data server == client-side accounting, exactly
         root = dataset_files[0].rsplit("/", 1)[0]
-        with serve(root) as server:
+        with DataServer(root) as server:
             uris = [f"colsrv://{server.address}/{f.rsplit('/', 1)[1]}" for f in dataset_files]
             doc = make_doc(uris)
             with Scheduler() as sched:
@@ -336,7 +336,7 @@ class TestFaultTolerance:
             path = tmp_path / f"big{i}.col"
             write_dataset(
                 str(path), STANDARD_SCHEMA, standard_columns(10_000, seed=40 + i), 500
-            ).close()
+            )
             files.append(str(path))
         doc = make_doc(files, integer_weights=True)
         graph = _build_graph(doc, files)
@@ -486,8 +486,8 @@ class TestHeartbeats:
         # 0.15 s loss limit; the beats queued meanwhile still count
         monkeypatch.setattr(scheduler, "HEARTBEAT_INTERVAL", 0.05)
         monkeypatch.setattr(worker_module, "HEARTBEAT_INTERVAL", 0.05)
-        write_dataset(str(tmp_path / "small.col"), STANDARD_SCHEMA, standard_columns(200, seed=5), 200).close()
-        with serve(str(tmp_path)) as server:
+        write_dataset(str(tmp_path / "small.col"), STANDARD_SCHEMA, standard_columns(200, seed=5), 200)
+        with DataServer(str(tmp_path)) as server:
             doc = json.dumps({"dataset": [f"colsrv://{server.address}/small.col"] * 1000,
                               "stages": [{"op": "count", "name": "n"}]})
             with Scheduler() as sched:
@@ -572,7 +572,7 @@ class TestPayloadAndResultFiles:
     def test_download_payload_wraps_short_sources(self, tmp_path):
         blob = tmp_path / "payload.bin"
         blob.write_bytes(b"\xab" * 4096)
-        with serve(str(tmp_path)) as server:
+        with DataServer(str(tmp_path)) as server:
             uri = f"colsrv://{server.address}/payload.bin"
             assert download_payload(uri, 10_000) == 10_000
             assert server.total_bytes_served == 10_000
@@ -586,7 +586,7 @@ class TestPayloadAndResultFiles:
         n_payload = 50_000
         with open_dataset(dataset_files[0]) as h:
             n = h.total_entries
-        with serve(str(tmp_path)) as server:
+        with DataServer(str(tmp_path)) as server:
             uri = f"colsrv://{server.address}/payload.bin"
             with_payload = (
                 Task(0, EntryRange(dataset_files[0], 0, n),
@@ -637,7 +637,7 @@ def x_file(path, x_type, z_type=ValueType.I64):
     """Three events: x 7, 8, 9 (halves added when F64) and an unused column z."""
     x = [7.5, 8.5, 9.5] if x_type is ValueType.F64 else [7, 8, 9]
     z = [1.5, 2.5, 3.5] if z_type is ValueType.F64 else [1, 2, 3]
-    write_dataset(str(path), {"x": x_type, "z": z_type}, {"x": x, "z": z}, 2).close()
+    write_dataset(str(path), {"x": x_type, "z": z_type}, {"x": x, "z": z}, 2)
     return str(path)
 
 
@@ -864,7 +864,7 @@ def jets_file(path, njet):
         "Jet_pt": [[40.0 + i % 13 + k for k in range(j)] for i, j in enumerate(njet)],
         "Jet_eta": [[0.0] * j for j in njet],
         "Jet_phi": [[0.0] * j for j in njet],
-    }, 500).close()
+    }, 500)
     return str(path)
 
 

@@ -45,7 +45,7 @@ def test_roundtrip_all_dtypes(tmp_path):
         "vi": [list(rng.integers(-100, 100, k)) for k in lens],
     }
     path = str(tmp_path / "all.col")
-    write_dataset(path, schema, cols, cluster_size=33).close()
+    write_dataset(path, schema, cols, cluster_size=33)
 
     with open_dataset(path) as h:
         assert h.total_entries == n
@@ -118,7 +118,7 @@ def test_vector_slicing_mid_cluster(make_dataset):
 def test_empty_vectors_and_single_entry(tmp_path):
     schema = {"v": ValueType.VEC_F64}
     path = str(tmp_path / "e.col")
-    write_dataset(path, schema, {"v": [[]]}, cluster_size=10).close()
+    write_dataset(path, schema, {"v": [[]]}, cluster_size=10)
     with open_dataset(path) as h:
         (batch,) = h.read_range(["v"], 0, 1)
         assert vector_rows(batch.columns["v"]) == [[]]
@@ -216,7 +216,7 @@ def test_roundtrip_property(tmp_path_factory, data, cluster_size):
         "v": [row[3] for row in data],
     }
     path = str(tmp_path_factory.mktemp("rt") / "p.col")
-    write_dataset(path, schema, cols, cluster_size=cluster_size).close()
+    write_dataset(path, schema, cols, cluster_size=cluster_size)
     with open_dataset(path) as h:
         assert h.total_entries == len(data)
         out_f, out_i, out_b, out_v = [], [], [], []
@@ -253,7 +253,7 @@ def test_dtype_codes_are_pinned(tmp_path):
     schema = {t.name: t for t in ValueType if t.storable}
     columns = {"F64": [1.5], "I64": [2], "BOOL": [True], "VEC_F64": [[1.0]], "VEC_I64": [[3]]}
     path = str(tmp_path / "codes.col")
-    write_dataset(path, schema, columns).close()
+    write_dataset(path, schema, columns)
     _, body = _footer(open(path, "rb").read())
     codes, pos = [], 4
     for _ in range(struct.unpack_from("<I", body)[0]):
@@ -269,7 +269,7 @@ def test_dtype_codes_are_pinned(tmp_path):
 @pytest.mark.parametrize("code", [6, 7])
 def test_footer_with_unstorable_or_unknown_code_rejected(tmp_path, code):
     path = str(tmp_path / "x.col")
-    write_dataset(path, {"x": ValueType.F64}, {"x": [1.0]}).close()
+    write_dataset(path, {"x": ValueType.F64}, {"x": [1.0]})
     raw = open(path, "rb").read()
     _, body = _footer(raw)
     code_pos = 4 + 2 + 1  # n_columns, name_len, name "x"
@@ -336,7 +336,7 @@ def test_decode_footer_raises_only_format_error(body):
 @pytest.fixture(scope="module")
 def small_file_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("fuzz") / "base.col"
-    write_dataset(str(path), STANDARD_SCHEMA, standard_columns(30, seed=5), cluster_size=12).close()
+    write_dataset(str(path), STANDARD_SCHEMA, standard_columns(30, seed=5), cluster_size=12)
     return path.parent, path.read_bytes()
 
 

@@ -73,7 +73,7 @@ def rich_file(tmp_path_factory):
     from conftest import STANDARD_SCHEMA, standard_columns
 
     path = tmp_path_factory.mktemp("engine") / "rich.col"
-    write_dataset(str(path), STANDARD_SCHEMA, standard_columns(300, seed=7), cluster_size=64).close()
+    write_dataset(str(path), STANDARD_SCHEMA, standard_columns(300, seed=7), cluster_size=64)
     return str(path)
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from colflow.cluster import Scheduler, Worker
 from colflow.cluster.client import RunResult
-from colflow.colstore import open_dataset, read_range, serve, write_dataset
+from colflow.colstore import DataServer, open_dataset, read_range, write_dataset
 from colflow.engine import SINGLE_PASS, EntryRange, run_local, run_range
 from colflow.exprlang import Jagged
 from colflow.graph import build, load_spec, schema_types
@@ -92,7 +92,7 @@ def files(tmp_path):
         path = tmp_path / f"in{i}.col"
         write_dataset(
             str(path), STANDARD_SCHEMA, standard_columns(300 + 40 * i, seed=60 + i), 128
-        ).close()
+        )
         out.append(str(path))
     return out
 
@@ -199,7 +199,7 @@ class TestPreselection:
         (blob_root / "payload.bin").write_bytes(b"\x11" * 2048)
         payload = 100_000
         reads = {}
-        with serve(str(blob_root)) as server:
+        with DataServer(str(blob_root)) as server:
             uri = f"colsrv://{server.address}/payload.bin"
             for label, pb in (("without", 0), ("with", payload)):
                 doc = pre_doc(files, str(tmp_path / label / "skim"))

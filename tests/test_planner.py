@@ -15,7 +15,7 @@ def make_file(tmp_path, name, n_entries, cluster_size):
         {"x": ValueType.F64},
         {"x": [float(i) for i in range(n_entries)]},
         cluster_size,
-    ).close()
+    )
     return str(path)
 
 

@@ -1,15 +1,16 @@
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
 
 from colflow import wire
 from colflow.colstore import (
+    DataServer,
     TransportError,
     ValueType,
     open_dataset,
-    serve,
     server_totals,
     write_dataset,
 )
@@ -27,8 +28,8 @@ def served_dir(tmp_path):
         {"x": ValueType.F64},
         {"x": np.arange(1000.0)},
         cluster_size=250,
-    ).close()
-    server = serve(str(root))
+    )
+    server = DataServer(str(root)).start()
     yield root, server
     server.stop()
 
@@ -69,7 +70,7 @@ def test_serves_on_a_listening_socket_it_is_given(served_dir):
     root, _ = served_dir
     listener = socket.create_server(("127.0.0.1", 0))
     address = "%s:%d" % listener.getsockname()[:2]
-    server = serve(str(root), listener=listener)
+    server = DataServer(str(root), listener=listener).start()
     try:
         assert server.address == address
         host, port = address.split(":")
@@ -79,6 +80,18 @@ def test_serves_on_a_listening_socket_it_is_given(served_dir):
     finally:
         server.stop()
     assert listener.fileno() == -1  # the server owned it
+
+
+def test_a_stopped_server_leaves_no_serving_thread(tmp_path):
+    before = set(threading.enumerate())
+    with DataServer(str(tmp_path)):
+        assert len(set(threading.enumerate()) - before) == 1  # one serve_forever thread
+    assert set(threading.enumerate()) <= before
+    server = DataServer(str(tmp_path)).start()
+    with pytest.raises(RuntimeError):  # a second start runs no second loop
+        server.start()
+    server.stop()
+    assert set(threading.enumerate()) <= before
 
 
 def test_short_read_at_eof(served_dir):
