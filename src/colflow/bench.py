@@ -60,7 +60,6 @@ class BenchConfig:
     cluster_size: int = 10_000
     seed: int = 2024
     workers: int = 4
-    slots: int = 1
     repeats: int = 3
     factor: int = 3
     payload_bytes: int = 1_000_000
@@ -71,7 +70,7 @@ class BenchConfig:
         for field_name in ("n_files", "events_per_file", "cluster_size"):
             if getattr(self, field_name) < 0:
                 raise BenchError(f"{field_name} must be >= 0")
-        for field_name in ("workers", "slots", "repeats", "factor", "parallel_jobs"):
+        for field_name in ("workers", "repeats", "factor", "parallel_jobs"):
             if getattr(self, field_name) < 1:
                 raise BenchError(f"{field_name} must be >= 1")
         if self.payload_bytes < 0:
@@ -262,9 +261,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
     manifest = ensure_dataset(config, h.data_dir)
 
     log_dir = os.path.join(h.out_dir, "logs")
-    with MiniFacility(
-        h.data_dir, log_dir, n_workers=config.workers, slots=config.slots
-    ) as facility:
+    with MiniFacility(h.data_dir, log_dir, n_workers=config.workers) as facility:
         h.facility = facility
         files = manifest_files(manifest, base=facility.data_address)
         payload_uri = files[0] if config.payload_bytes > 0 else ""

@@ -23,7 +23,7 @@ after the line plans with that worker.
 
 A worker process is one slot and reads each task's file as the task
 names it; more slots are more `colflow worker` processes (`bench
---slots` starts that many per worker).
+--workers` starts that many).
 
 Each command imports the modules it runs in its own body: starting a
 service loads that service's code and nothing of the benchmark, the
@@ -291,9 +291,6 @@ def cmd_legacy(args) -> int:
         if not isinstance(files, list) or not all(isinstance(x, str) for x in files):
             _err(f"{args.skims} must hold a JSON list of file paths")
             return EXIT_USAGE
-    if not pre and args.payload_bytes:
-        _err("postselection jobs take no payload")
-        return EXIT_USAGE
     if pre and args.payload_bytes > 0 and not args.payload_uri:
         _err("--payload-bytes needs --payload-uri to fetch from")
         return EXIT_USAGE
@@ -365,7 +362,6 @@ def cmd_bench(args) -> int:
             cluster_size=args.cluster_size,
             seed=args.seed,
             workers=args.workers,
-            slots=args.slots,
             repeats=args.repeats,
             factor=args.factor,
             payload_bytes=args.payload_bytes,
@@ -453,11 +449,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
         lp.add_argument("--spec", required=True, help="pipeline document (JSON)")
         lp.add_argument("--scheduler", type=_address, required=True)
-        lp.add_argument("--payload-bytes", type=_number(int, 0), default=0)
         lp.add_argument("--out", required=True)
         lp.add_argument("--parallel-jobs", type=_number(int, 1), default=4)
         lp.add_argument("--timeout", type=_number(float, 0, strict=True), default=600.0)
         if phase == "pre":
+            lp.add_argument("--payload-bytes", type=_number(int, 0), default=0)
             lp.add_argument("--payload-uri", default="")
         else:
             lp.add_argument("--skims", default="", help="JSON list of skim files")
@@ -471,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--cluster-size", type=int, default=10_000)
     b.add_argument("--seed", type=int, default=2024)
     b.add_argument("--workers", type=int, default=4)
-    b.add_argument("--slots", type=int, default=1, help="worker processes per worker")
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--factor", type=int, default=3)
     b.add_argument("--payload-bytes", type=int, default=1_000_000)

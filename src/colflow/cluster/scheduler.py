@@ -37,6 +37,7 @@ while a long step (planning a large dataset) held the state loop count.
 
 from __future__ import annotations
 
+import itertools
 import queue
 import socket
 import threading
@@ -64,7 +65,7 @@ from ..proto import (
     encode,
     recv_message,
 )
-from ..wire import address_of
+from ..wire import accept_forever, address_of, stop_accepting
 from .planner import plan_partitions
 
 HEARTBEAT_INTERVAL = 2.0
@@ -123,11 +124,16 @@ class Scheduler:
         self._workers: dict[int, _Worker] = {}
         self._run: _Run | None = None
         self._runs_started = 0
-        self._next_conn = 0
+        self._conn_ids = itertools.count()
         self._threads: list[threading.Thread] = []
 
     def start(self) -> "Scheduler":
-        accept = threading.Thread(target=self._accept_loop, name="sched-accept", daemon=True)
+        accept = threading.Thread(
+            target=accept_forever,
+            args=(self._listener, self._reader, "sched-read"),
+            name="sched-accept",
+            daemon=True,
+        )
         state = threading.Thread(target=self._state_loop, name="sched-state", daemon=True)
         self._threads = [accept, state]
         accept.start()
@@ -136,20 +142,9 @@ class Scheduler:
 
     def stop(self) -> None:
         self._events.put(("stop", None, None))
-        self._close_listener()
+        stop_accepting(self._listener)
         for t in self._threads:
             t.join(timeout=5.0)
-
-    def _close_listener(self) -> None:
-        # shutdown() first: close() alone does not wake a blocked accept()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
 
     def wait(self, timeout: float | None = None) -> None:
         """Block until the state loop exits (a client sent SHUTDOWN)."""
@@ -163,21 +158,9 @@ class Scheduler:
 
     # -- connection plumbing --------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        while True:
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            conn_id = self._next_conn
-            self._next_conn += 1
-            self._conns[conn_id] = sock
-            threading.Thread(
-                target=self._reader, args=(conn_id, sock), name=f"sched-read-{conn_id}", daemon=True
-            ).start()
-
-    def _reader(self, conn_id: int, sock: socket.socket) -> None:
+    def _reader(self, sock: socket.socket) -> None:
+        conn_id = next(self._conn_ids)
+        self._conns[conn_id] = sock  # before any event of this connection reaches the state loop
         try:
             while True:
                 msg = recv_message(sock)
@@ -218,7 +201,7 @@ class Scheduler:
                 continue
             if kind == "stop":
                 self._broadcast_shutdown()
-                self._close_listener()
+                stop_accepting(self._listener)
                 return
             if kind == "gone":
                 self._on_gone(conn_id)

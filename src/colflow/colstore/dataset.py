@@ -1,8 +1,8 @@
 """Opening and reading columnar files over local or remote transports.
 
 URIs: a plain filesystem path opens locally; ``colsrv://host:port/relpath``
-opens a session against a data server. Each handle owns one transport
-connection and one ReadAccount; opening reads only the header and footer.
+opens a data-server connection that reads that one file. Each handle owns
+one transport and one ReadAccount; opening reads only the header and footer.
 Reads are chunk-granular: one transport read per needed chunk, no
 coalescing, so the account's chunk_bytes is exactly the sum of the fetched
 chunks' byte lengths.
@@ -95,12 +95,12 @@ def _exchange(sock: socket.socket, opcode: int, payload: bytes) -> bytes:
 
 
 class RemoteTransport:
-    """Client side of the data-server protocol; one session per instance."""
+    """Client side of the data-server protocol: one connection reading one file."""
 
     def __init__(self, host: str, port: int, path: str):
         self._sock = _connect(f"{host}:{port}")
         try:
-            self._fid, self._size = struct.unpack("<QQ", self._request(srv.OP_OPEN, wire.pack_str(path)))
+            (self._size,) = struct.unpack("<Q", self._request(srv.OP_OPEN, wire.pack_str(path)))
         except TransportError:
             self._sock.close()
             raise
@@ -112,18 +112,10 @@ class RemoteTransport:
         return self._size
 
     def read(self, offset: int, length: int) -> bytes:
-        return self._request(srv.OP_READ, struct.pack("<QQI", self._fid, offset, length))
-
-    def session_metrics(self) -> tuple[int, int]:
-        reply = self._request(srv.OP_METRICS, bytes([srv.METRICS_SESSION]))
-        return struct.unpack("<QQ", reply)
+        return self._request(srv.OP_READ, struct.pack("<QI", offset, length))
 
     def close(self) -> None:
-        try:
-            self._request(srv.OP_CLOSE, struct.pack("<Q", self._fid))
-        except TransportError:
-            pass
-        self._sock.close()
+        self._sock.close()  # the server closes the file when the connection ends
 
 
 def parse_remote_uri(uri: str) -> tuple[str, int, str]:
@@ -142,7 +134,7 @@ def server_totals(address: str) -> tuple[int, int]:
     counters it reports.
     """
     with _connect(address) as sock:
-        return struct.unpack("<QQ", _exchange(sock, srv.OP_METRICS, bytes([srv.METRICS_GLOBAL])))
+        return struct.unpack("<QQ", _exchange(sock, srv.OP_METRICS, b""))
 
 
 @dataclass

@@ -16,15 +16,20 @@ connection is no longer trustworthy.
 
 This module imports nothing from colflow, so the data server (below
 ``engine``) and the message codecs in ``proto`` (above it) share it.
-Every colflow connection is opened by ``connect``.
+Every colflow connection is opened by ``connect`` and accepted by
+``accept_forever``.
 """
 
 from __future__ import annotations
 
+import errno
+import itertools
 import socket
 import struct
+import threading
+from collections.abc import Callable
 
-PROTO_VERSION = 7
+PROTO_VERSION = 8
 
 MAX_FRAME = 256 * 1024 * 1024
 """The largest payload, in bytes, one frame may carry.
@@ -77,6 +82,32 @@ def connect(address: str, timeout: float | None = None) -> socket.socket:
     sock = socket.create_connection((host, int(port)), timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
+
+
+def accept_forever(listener: socket.socket, handle: Callable[[socket.socket], None], name: str) -> None:
+    """Accept on ``listener`` until ``stop_accepting`` shuts it down and closes it.
+
+    Each connection, Nagle's algorithm off, gets a daemon thread running
+    ``handle(sock)``; ``handle`` owns the socket from then on.
+    """
+    for k in itertools.count():
+        try:
+            sock, _ = listener.accept()
+        except OSError as e:
+            if e.errno in (errno.EINVAL, errno.EBADF):  # shut down or closed
+                return
+            continue  # this connection failed before it was accepted; keep serving
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        threading.Thread(target=handle, args=(sock,), name=f"{name}-{k}", daemon=True).start()
+
+
+def stop_accepting(listener: socket.socket) -> None:
+    """End ``accept_forever`` on ``listener`` and close it; calling it again does nothing."""
+    try:
+        listener.shutdown(socket.SHUT_RDWR)  # close() alone does not wake a blocked accept()
+    except OSError:  # never listening, or closed already
+        pass
+    listener.close()
 
 
 def address_of(sock: socket.socket) -> str:

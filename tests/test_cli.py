@@ -98,7 +98,7 @@ class TestValidationExits:
             str(tmp_path),
         )
         assert r.returncode == 2
-        assert "no payload" in r.stderr
+        assert "unrecognized arguments: --payload-bytes" in r.stderr
 
     def test_legacy_pre_payload_needs_uri(self, tmp_path):
         spec = tmp_path / "doc.json"

@@ -417,6 +417,13 @@ class TestSlotBookkeeping:
         sched._workers[conn_id] = scheduler._Worker(conn_id, a, name)
         return sched._workers[conn_id]
 
+    @staticmethod
+    def stop(sched):
+        """No state loop runs to close the workers' sockets, so close them here."""
+        for worker in sched._workers.values():
+            worker.sock.close()
+        sched.stop()
+
     def test_late_answer_of_a_lost_worker_frees_no_other_slot(self, dataset_files):
         sched, sent = self.scheduler(dataset_files, max_retries=2)
         try:
@@ -434,7 +441,7 @@ class TestSlotBookkeeping:
             assert b.inflight == {(run.number, 0)} and list(run.pending) == [1]
             assert [m.task_id for c, m in sent if c == 2 and isinstance(m, Task)] == [0]
         finally:
-            sched.stop()
+            self.stop(sched)
 
     def test_late_answer_of_a_lost_worker_names_who_ran_it(self, dataset_files):
         sched, _ = self.scheduler(dataset_files, max_retries=2)
@@ -450,7 +457,7 @@ class TestSlotBookkeeping:
             [record] = run.records
             assert (record.task_id, record.worker, record.attempt) == (0, "a", 1)
         finally:
-            sched.stop()
+            self.stop(sched)
 
     def test_late_fail_of_a_lost_worker_requeues_nothing(self, dataset_files):
         sched, _ = self.scheduler(dataset_files, max_retries=2)
@@ -464,7 +471,7 @@ class TestSlotBookkeeping:
             sched._on_answer(1, Fail(0, "too late", run.number))
             assert list(run.pending) == [0, 1] and run.attempts == {0: 1}
         finally:
-            sched.stop()
+            self.stop(sched)
 
     def test_losing_a_worker_spends_an_attempt(self, dataset_files):
         sched, sent = self.scheduler(dataset_files, max_retries=0)
@@ -477,7 +484,7 @@ class TestSlotBookkeeping:
             fails = [m for c, m in sent if c == 99 and isinstance(m, RunFail)]
             assert [f.error for f in fails] == ["task 0 exhausted retries: worker a disconnected"]
         finally:
-            sched.stop()
+            self.stop(sched)
 
 
 class TestHeartbeats:
@@ -713,6 +720,12 @@ class FakeWorker:
     def send(self, msg):
         send_message(self.sock, msg)
 
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.sock.close()
+
 
 class TestRegistration:
     @pytest.mark.parametrize(
@@ -781,8 +794,7 @@ class TestRunScoping:
     def test_answer_from_another_run_is_dropped(self, dataset_files):
         doc = make_doc(dataset_files[:1])
         graph = _build_graph(doc, dataset_files)
-        with Scheduler() as sched:
-            fake = FakeWorker(sched.address)
+        with Scheduler() as sched, FakeWorker(sched.address) as fake:
             wait_for_workers(sched, 1)
             outcome = {}
             task = (Task(0, EntryRange(dataset_files[0], 0, 10)),)
@@ -802,8 +814,7 @@ class TestRunScoping:
         doc = make_doc(dataset_files[:1])
         graph = _build_graph(doc, dataset_files)
         tasks = tuple(Task(i, EntryRange(dataset_files[0], 0, 10)) for i in range(3))
-        with Scheduler() as sched:
-            fake = FakeWorker(sched.address)
+        with Scheduler() as sched, FakeWorker(sched.address) as fake:
             wait_for_workers(sched, 1)
             outcome = {}
             thread = threading.Thread(target=lambda: outcome.update(

@@ -150,7 +150,6 @@ class TestRoundTrips:
             + h.entries.tobytes() + h.sumw.tobytes() + h.sumw2.tobytes()
         )
         assert raw[head : head + len(labels) + len(first)] == labels + first
-        assert PROTO_VERSION == 7
 
     def test_result_and_fail_default_to_run_0(self):
         """The benchmark's replay builds Result(task_id, t_total, partial)."""

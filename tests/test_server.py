@@ -14,6 +14,7 @@ from colflow.colstore import (
     server_totals,
     write_dataset,
 )
+from colflow.cluster.scheduler import Scheduler
 from colflow.colstore import server as srv
 from colflow.colstore.dataset import RemoteTransport
 
@@ -47,6 +48,12 @@ def raw_exchange(address: str, data: bytes):
 
 def raw_request(address: str, opcode: int, payload: bytes):
     return raw_exchange(address, wire.pack_frame(opcode, payload))
+
+
+def reply_code(frame) -> int | None:
+    """The error code of an error reply, or None for any other reply."""
+    opcode, payload = frame
+    return struct.unpack_from("<H", payload, 0)[0] if opcode == srv.OP_ERROR else None
 
 
 def assert_still_serving(server):
@@ -85,13 +92,26 @@ def test_serves_on_a_listening_socket_it_is_given(served_dir):
 def test_a_stopped_server_leaves_no_serving_thread(tmp_path):
     before = set(threading.enumerate())
     with DataServer(str(tmp_path)):
-        assert len(set(threading.enumerate()) - before) == 1  # one serve_forever thread
+        assert len(set(threading.enumerate()) - before) == 1  # one accept thread
     assert set(threading.enumerate()) <= before
     server = DataServer(str(tmp_path)).start()
     with pytest.raises(RuntimeError):  # a second start runs no second loop
         server.start()
     server.stop()
     assert set(threading.enumerate()) <= before
+
+
+@pytest.mark.parametrize(
+    "make", [lambda root: DataServer(root), lambda root: Scheduler()], ids=["data-server", "scheduler"]
+)
+def test_stopping_a_service_that_never_started_returns_at_once(tmp_path, make):
+    service = make(str(tmp_path))
+    stopper = threading.Thread(target=service.stop, daemon=True)
+    stopper.start()
+    stopper.join(timeout=3)
+    assert not stopper.is_alive()
+    with pytest.raises(ConnectionRefusedError):  # and its listening socket is closed
+        socket.create_connection(service.address.split(":"), timeout=3).close()
 
 
 def test_short_read_at_eof(served_dir):
@@ -135,14 +155,47 @@ def test_open_with_trailing_bytes_opens_nothing(served_dir):
     host, port = server.address.split(":")
     with socket.create_connection((host, int(port)), timeout=10) as sock:
         wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin") + b"junk")
-        opcode, payload = wire.recv_frame(sock)
-        assert opcode == srv.OP_ERROR
-        assert struct.unpack_from("<H", payload, 0) == (srv.ERR_BAD_REQUEST,)
-        wire.send_frame(sock, srv.OP_READ, struct.pack("<QQI", 1, 0, 4))  # the id a first open gets
-        opcode, payload = wire.recv_frame(sock)
-        assert opcode == srv.OP_ERROR
-        assert struct.unpack_from("<H", payload, 0) == (srv.ERR_BAD_ID,)
+        assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
+        assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST  # no file is open
     assert_still_serving(server)
+
+
+def test_data_channel_layout(served_dir):
+    """Since version 8: OPEN answers the size alone, READ is offset+length, METRICS is empty."""
+    root, server = served_dir
+    with wire.connect(server.address, timeout=10) as sock:
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin"))
+        assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", 256 * 64))
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 3, 2))
+        assert wire.recv_frame(sock) == (srv.OP_READ, bytes([3, 4]))
+        served, calls = server_totals(server.address)
+        wire.send_frame(sock, srv.OP_METRICS, b"")
+        assert wire.recv_frame(sock) == (srv.OP_METRICS, struct.pack("<QQ", served, calls))
+    assert wire.PROTO_VERSION == 8
+
+
+OPEN_BLOB = (srv.OP_OPEN, wire.pack_str("blob.bin"), None)
+
+
+@pytest.mark.parametrize(
+    "requests",
+    [
+        [OPEN_BLOB, (srv.OP_OPEN, wire.pack_str("d.col"), srv.ERR_BAD_REQUEST)],
+        [(srv.OP_READ, struct.pack("<QI", 0, 4), srv.ERR_BAD_REQUEST), OPEN_BLOB],
+        [OPEN_BLOB, (srv.OP_METRICS, b"\x01", srv.ERR_BAD_REQUEST)],
+    ],
+    ids=["second-open", "read-before-open", "metrics-with-payload"],
+)
+def test_bad_request_leaves_the_connection_serving(served_dir, requests):
+    """Each request gets its expected error code (None: none), then blob.bin is read on the same connection."""
+    root, server = served_dir
+    with wire.connect(server.address, timeout=10) as sock:
+        for opcode, payload, code in requests:
+            wire.send_frame(sock, opcode, payload)
+            assert reply_code(wire.recv_frame(sock)) == code
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
+        assert wire.recv_frame(sock) == (srv.OP_READ, bytes([0, 1, 2, 3]))
 
 
 def test_unknown_opcode_gets_error_reply(served_dir):
@@ -155,53 +208,38 @@ def test_unknown_opcode_gets_error_reply(served_dir):
 def test_read_counters_count_only_read_bytes(served_dir):
     root, server = served_dir
     host, port = server.address.split(":")
+    base = server_totals(server.address)
     t = RemoteTransport(host, int(port), "blob.bin")
     t.size()
-    base = t.session_metrics()
-    assert base == (0, 0)  # OPEN/STAT/METRICS do not count
+    assert server_totals(server.address) == base  # OPEN/STAT/METRICS do not count
     t.read(0, 100)
     t.read(100, 50)
-    assert t.session_metrics() == (150, 2)
     t.close()
+    assert server_totals(server.address) == (base[0] + 150, base[1] + 2)
 
 
 def test_client_and_server_byte_accounting_agree_exactly(served_dir):
     root, server = served_dir
     uri = f"colsrv://{server.address}/d.col"
+    served0, calls0 = server_totals(server.address)
     with open_dataset(uri) as h:
         for _ in h.read_range(["x"], 123, 881):
             pass
-        served, calls = h._transport.session_metrics()
-        assert h.account.bytes_read == served
-        assert h.account.read_calls == calls
+    served1, calls1 = server_totals(server.address)
+    assert h.account.bytes_read == served1 - served0 > 0
+    assert h.account.read_calls == calls1 - calls0
 
 
 def test_sessions_are_isolated(served_dir):
+    """Each connection reads its own file; closing one leaves the other serving."""
     root, server = served_dir
     host, port = server.address.split(":")
     t1 = RemoteTransport(host, int(port), "blob.bin")
-    t2 = RemoteTransport(host, int(port), "blob.bin")
-    t1.read(0, 500)
-    assert t1.session_metrics() == (500, 1)
-    assert t2.session_metrics() == (0, 0)
-    g_bytes, g_calls = server_totals(server.address)
-    assert g_bytes >= 500
-    t2.read(0, 70)
-    assert t2.session_metrics() == (70, 1)
-    assert server_totals(server.address)[0] == g_bytes + 70
+    t2 = RemoteTransport(host, int(port), "d.col")
+    assert t1.read(0, 2) == bytes([0, 1])
     t1.close()
-    t2.close()
-
-
-def test_stale_file_id_rejected(served_dir):
-    root, server = served_dir
-    host, port = server.address.split(":")
-    t = RemoteTransport(host, int(port), "blob.bin")
-    fid = t._fid
-    t.close()
-    t2 = RemoteTransport(host, int(port), "blob.bin")
-    with pytest.raises(TransportError):
-        t2._request(srv.OP_READ, struct.pack("<QQI", fid + 100, 0, 10))
+    assert t2.read(0, 4) == (root / "d.col").read_bytes()[:4]
+    assert t2.size() == (root / "d.col").stat().st_size
     t2.close()
 
 
@@ -233,9 +271,10 @@ def test_read_over_max_frame_rejected(served_dir, monkeypatch):
         t.read(0, 2**32 - 1)
     monkeypatch.setattr(wire, "MAX_FRAME", 100)
     assert t.read(0, 100) == bytes(range(100))
+    served = server_totals(server.address)[0]
     with pytest.raises(TransportError, match="READ of 101 bytes exceeds MAX_FRAME"):
         t.read(0, 101)
-    assert t.session_metrics() == (100, 1)
+    assert server_totals(server.address)[0] == served  # refused reads serve nothing
     t.close()
     assert_still_serving(server)
 
