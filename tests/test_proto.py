@@ -157,6 +157,78 @@ class TestRoundTrips:
         assert decode(encode(Fail(1, "x"))).run == 0
 
 
+def _s(text: str) -> bytes:
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
+
+
+def test_cluster_channel_layout(tmp_path):
+    """Every cluster-channel payload and the result file, byte for byte, in wire version 8."""
+    p = PartialResult(events=40, t_loop=0.25, bytes_read=4096, chunk_bytes=3000, mem_peak=512)
+    p.snapshots = ["skim/out.part0.col"]
+    p.labels = ["nominal", "u1"]
+    h = ResultTable("h", ResultKind.HISTO, 2, 2, 0.0, 10.0)
+    h.entries[:] = [3, 1]
+    h.sumw[:] = [[0.0, 1.0, 2.0, 0.0], [0.5, 0.0, 0.0, 0.0]]
+    h.sumw2[:] = [[0.0, 1.0, 4.0, 0.0], [0.25, 0.0, 0.0, 0.0]]
+    n = ResultTable("n", ResultKind.COUNT, 2)
+    n.entries[:] = [40, 7]
+    n.sumw[:] = [[40.0], [7.0]]
+    n.sumw2[:] = [[40.0], [7.0]]
+    p.tables = {"h": h, "n": n}
+    partial = (
+        struct.pack("<QdQQQI", 40, 0.25, 4096, 3000, 512, 1) + _s("skim/out.part0.col")
+        + struct.pack("<I", 2) + _s("nominal") + _s("u1")
+        + struct.pack("<I", 2)
+        + _s("h") + struct.pack("<BIdd", 1, 2, 0.0, 10.0)
+        + struct.pack("<2q", 3, 1)
+        + struct.pack("<8d", 0.0, 1.0, 2.0, 0.0, 0.5, 0.0, 0.0, 0.0)
+        + struct.pack("<8d", 0.0, 1.0, 4.0, 0.0, 0.25, 0.0, 0.0, 0.0)
+        + _s("n") + struct.pack("<BIdd", 2, 0, 0.0, 0.0)
+        + struct.pack("<2q", 40, 7) + struct.pack("<2d", 40.0, 7.0) + struct.pack("<2d", 40.0, 7.0)
+    )
+    task = Task(5, EntryRange("f.col", 100, 200), True, "colsrv://h:1/p.bin", 1 << 20, "out/j5.res", 3)
+    task_bytes = (
+        struct.pack("<II", 5, 3) + _s("f.col") + struct.pack("<QQB", 100, 200, 1)
+        + _s("colsrv://h:1/p.bin") + struct.pack("<Q", 1 << 20) + _s("out/j5.res")
+    )
+    record = JobRecord(2, "w1", 500, 1.5, 1.25, 4096, 4000, 2, "post", 9, 256)
+    record_bytes = (
+        struct.pack("<I", 2) + _s("w1") + struct.pack("<QddQQI", 500, 1.5, 1.25, 4096, 4000, 2)
+        + _s("post") + struct.pack("<IQ", 9, 256)
+    )
+    samples = [
+        (1, Register("w0"), _s("w0")),
+        (
+            2,
+            Graph(7, "{}", {"x": ValueType.I64, "Jet_pt": ValueType.VEC_F64}),
+            struct.pack("<I", 7) + _s("{}") + struct.pack("<I", 2)
+            + _s("x") + struct.pack("<B", ValueType.I64) + _s("Jet_pt") + struct.pack("<B", ValueType.VEC_F64),
+        ),
+        (3, task, task_bytes),
+        (4, Result(4, 0.5, p, run=9), struct.pack("<IId", 4, 9, 0.5) + partial),
+        (5, Fail(4, "boom", 9), struct.pack("<II", 4, 9) + _s("boom")),
+        (6, Heartbeat("w0"), _s("w0")),
+        (7, Shutdown(), b""),
+        (8, Submit("run-1", "{}", 2, 3, (task,)), _s("run-1") + _s("{}") + struct.pack("<III", 2, 3, 1) + task_bytes),
+        (
+            9,
+            RunDone("run-1", 12.75, p, (record,), planning_bytes=1234),
+            _s("run-1") + struct.pack("<dQ", 12.75, 1234) + partial + struct.pack("<I", 1) + record_bytes,
+        ),
+        (10, RunFail("run-2", "no workers"), _s("run-2") + _s("no workers")),
+    ]
+    for kind, msg, payload in samples:
+        frame = struct.pack("<IHH", len(payload) + 4, kind, 8) + payload
+        assert encode(msg) == frame, type(msg).__name__
+        assert decode(frame) == msg, type(msg).__name__
+    path = tmp_path / "job5.res"
+    write_result_file(str(path), "graph-1", p)
+    assert path.read_bytes() == _s("graph-1") + partial
+    assert read_result_file(str(path)) == ("graph-1", p)
+    assert PROTO_VERSION == 8
+
+
 class TestFramingRules:
     def test_frame_header_layout(self):
         raw = encode(Heartbeat("w"))
