@@ -295,12 +295,7 @@ def cmd_legacy(args) -> int:
         _err("--payload-bytes needs --payload-uri to fetch from")
         return EXIT_USAGE
     try:
-        plan_legacy_jobs(
-            document,
-            files,
-            Phase.PRESELECTION if pre else Phase.POSTSELECTION,
-            args.payload_bytes if pre else 0,
-        )
+        plan_legacy_jobs(document, files, Phase.PRESELECTION if pre else Phase.POSTSELECTION)
     except LegacyError as e:
         _err(str(e))
         return EXIT_USAGE

@@ -49,19 +49,9 @@ class LegacyJobSpec:
     job_id: int
     file: str
     phase: Phase
-    payload_bytes: int = 0
-
-    def __post_init__(self):
-        if self.payload_bytes < 0:
-            raise LegacyError("payload_bytes must be >= 0")
 
 
-def plan_legacy_jobs(
-    document: str,
-    files: list[str],
-    phase: Phase,
-    payload_bytes: int = 0,
-) -> list[LegacyJobSpec]:
+def plan_legacy_jobs(document: str, files: list[str], phase: Phase) -> list[LegacyJobSpec]:
     """One job per file.
 
     A preselection document must snapshot and may not vary: its jobs are
@@ -75,9 +65,7 @@ def plan_legacy_jobs(
             raise LegacyError("preselection pipeline must contain a snapshot stage")
         if any(isinstance(s, VaryStage) for s in spec.stages):
             raise LegacyError("preselection pipeline must not contain vary stages")
-    else:
-        payload_bytes = 0  # sandboxes are a preselection cost only
-    return [LegacyJobSpec(i, f, phase, payload_bytes) for i, f in enumerate(files)]
+    return [LegacyJobSpec(i, f, phase) for i, f in enumerate(files)]
 
 
 def _size_inputs(files: list[str]) -> tuple[list[int], int]:
@@ -140,18 +128,22 @@ def run_legacy_preselection(
 ) -> tuple[list[str], RunResult]:
     """Skim every file through its own single-loop job.
 
+    Every job first downloads ``payload_bytes`` from ``payload_uri``: the
+    sandbox is a setting of the whole run, and a preselection cost only.
     Returns the skim files (one per job, in job order) and the run outcome.
     """
-    jobs = plan_legacy_jobs(document, files, Phase.PRESELECTION, payload_bytes)
+    if payload_bytes < 0:
+        raise LegacyError("payload_bytes must be >= 0")
     if payload_bytes > 0 and not payload_uri:
         raise LegacyError("payload_bytes set but no payload_uri to fetch from")
+    jobs = plan_legacy_jobs(document, files, Phase.PRESELECTION)
     totals, meta = _size_inputs(files)
     tasks = [
         Task(
             j.job_id,
             EntryRange(j.file, 0, n),
-            payload_uri=payload_uri if j.payload_bytes else "",
-            payload_bytes=j.payload_bytes,
+            payload_uri=payload_uri if payload_bytes else "",
+            payload_bytes=payload_bytes,
         )
         for j, n in zip(jobs, totals)
     ]

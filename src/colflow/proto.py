@@ -1,38 +1,29 @@
 """Scheduler/worker/client messages and the result payloads they carry.
 
-Every message travels as one ``wire`` frame (u32 length, u16 kind, u16
-version, payload); this module owns the payload layouts on top of it,
-including those of PartialResult and JobRecord, which also make up the
-legacy jobs' result files. Version mismatches, unknown kinds, malformed
-payloads and payloads with bytes past their last field are ProtoErrors;
-the connection must be dropped. Messages are self-delimiting, so a stream cut
-at arbitrary boundaries reads back as the same message sequence.
+Every message travels as one self-delimiting ``wire`` frame. ``LAYOUTS`` is
+the wire spec of the payloads: each kind's class and fields in wire order,
+with the codec that both ``encode`` and ``decode`` use. PartialResult and
+JobRecord, which also make up the legacy jobs' result files, are laid out the
+same way; a PartialResult's tables, one per result stage whose row u is
+universe u (see ``hist``), follow its other fields, each with its entries,
+sumw and sumw2 arrays whole.
 
-Kinds 1..7 form the worker channel (REGISTER, GRAPH, TASK, RESULT, FAIL,
-HEARTBEAT, SHUTDOWN). Kinds 8..10 form the client channel (SUBMIT,
-RUN_DONE, RUN_FAIL): a client submits a planned run and eventually receives
-the merged result with its per-task records.
-
-A worker opens its channel with REGISTER, which carries only its name
-(since version 6: a worker process is one slot, so there is no slot
-count), and the scheduler echoes that frame back once it has recorded
-the worker (since version 5): a worker that has read the echo takes part
-in every run submitted after it.
-
-The worker channel is scoped to runs: GRAPH carries the run number, the
-document and the schema the scheduler typed it against ((name, u8
-ValueType) pairs in file order); TASK names its run; RESULT and FAIL echo it.
-
-Since version 7 a PartialResult travels as its universe labels once, then
-one table per result stage whose row u is universe u (see ``hist``):
-name, kind byte, axis, and the entries, sumw and sumw2 arrays whole.
+Kinds 1..7 form the worker channel: a worker sends REGISTER and takes part in
+every run submitted after the scheduler echoes it; GRAPH, TASK, RESULT and
+FAIL carry their run's number. Kinds 8..10 form the client channel. Version
+mismatches, unknown kinds, malformed values, repeated column, universe or
+table names, and bytes past the last field are ProtoErrors; the connection
+must be dropped.
 """
 
 from __future__ import annotations
 
 import socket
 import struct
+from collections import Counter
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -42,17 +33,6 @@ from .hist import ResultKind, ResultTable
 from .metrics import JobRecord, MetricsError
 # PROTO_VERSION and ProtoError are re-exported for the cluster side
 from .wire import PROTO_VERSION, ProtoError, Reader, pack_frame, pack_str, parse_header, recv_frame
-
-MSG_REGISTER = 1
-MSG_GRAPH = 2
-MSG_TASK = 3
-MSG_RESULT = 4
-MSG_FAIL = 5
-MSG_HEARTBEAT = 6
-MSG_SHUTDOWN = 7
-MSG_SUBMIT = 8
-MSG_RUN_DONE = 9
-MSG_RUN_FAIL = 10
 
 
 @dataclass(frozen=True)
@@ -105,12 +85,8 @@ class Shutdown:
 
 @dataclass(frozen=True)
 class Submit:
-    """A run request.
-
-    Two flavors: tasks empty means the scheduler partitions the document's
-    dataset itself (factor x the live workers); a non-empty task list is
-    dispatched exactly as given (the baseline's one-job-per-file runs).
-    """
+    """A run request: with no tasks the scheduler partitions the document's dataset itself (factor x the
+    live workers); a task list is dispatched exactly as given (the baseline's one-job-per-file runs)."""
 
     run_id: str
     document: str
@@ -134,191 +110,173 @@ class RunFail:
     error: str
 
 
-Message = (
-    Register | Graph | Task | Result | Fail | Heartbeat | Shutdown | Submit | RunDone | RunFail
+Message = Register | Graph | Task | Result | Fail | Heartbeat | Shutdown | Submit | RunDone | RunFail
+
+
+# --- codecs: one field type each, packed and unpacked ---------------------------
+
+class Codec(NamedTuple):
+    pack: Callable[[Any], bytes]
+    unpack: Callable[[Reader], Any]  # raises ProtoError on a malformed value
+
+
+Layout = tuple[tuple[str, Codec], ...]  # (field name, codec) pairs in wire order
+
+
+def _scalar(fmt: str) -> Codec:
+    return Codec(struct.Struct(fmt).pack, lambda r: r.unpack(fmt)[0])
+
+
+U32, U64, F64 = _scalar("<I"), _scalar("<Q"), _scalar("<d")
+STR = Codec(pack_str, Reader.string)
+
+
+def _byte(values: dict[int, Any], what: str) -> Codec:
+    """A u8 that stands for one of ``values``; any other byte is a ProtoError."""
+    byte_of = {v: b for b, v in values.items()}
+
+    def unpack(r: Reader) -> Any:
+        (byte,) = r.unpack("<B")
+        if byte not in values:
+            raise ProtoError(f"{what} byte {byte}")
+        return values[byte]
+    return Codec(lambda v: struct.pack("<B", byte_of[v]), unpack)
+
+
+FLAG = _byte({0: False, 1: True}, "flag")
+DTYPE = _byte({t.value: t for t in ValueType if t.storable}, "unknown dtype")
+RESULT_KIND = _byte({k.value: k for k in ResultKind}, "unknown result kind")
+
+
+def _by_name(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """Columns, universes and tables are keyed by name: a repeat would silently replace the first."""
+    named = dict(pairs)
+    if len(named) < len(pairs):
+        raise ProtoError(f"duplicate name {next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)!r}")
+    return named
+
+
+def _list(item: Codec, make: Callable[[Iterable], Any] = tuple) -> Codec:
+    """A u32 count, then that many items, collected by ``make``."""
+    return Codec(
+        lambda xs: struct.pack("<I", len(xs)) + b"".join(map(item.pack, xs)),
+        lambda r: make(item.unpack(r) for _ in range(r.u32())),
+    )
+
+
+SCHEMA = Codec(  # (column name, dtype) pairs in file order
+    lambda schema: struct.pack("<I", len(schema)) + b"".join(STR.pack(c) + DTYPE.pack(t) for c, t in schema.items()),
+    lambda r: _by_name([(r.string(), DTYPE.unpack(r)) for _ in range(r.u32())]),
 )
 
-_KIND_OF = {
-    Register: MSG_REGISTER,
-    Graph: MSG_GRAPH,
-    Task: MSG_TASK,
-    Result: MSG_RESULT,
-    Fail: MSG_FAIL,
-    Heartbeat: MSG_HEARTBEAT,
-    Shutdown: MSG_SHUTDOWN,
-    Submit: MSG_SUBMIT,
-    RunDone: MSG_RUN_DONE,
-    RunFail: MSG_RUN_FAIL,
-}
+
+def _pack(layout: Layout, value: Any) -> bytes:
+    return b"".join([codec.pack(getattr(value, name)) for name, codec in layout])
 
 
-# --- result payloads ----------------------------------------------------------
+def _read(cls: type, layout: Layout, r: Reader) -> dict[str, Any]:
+    values = {}
+    for name, codec in layout:
+        try:
+            values[name] = codec.unpack(r)
+        except ProtoError as e:
+            raise ProtoError(f"bad {cls.__name__}.{name}: {e}") from None
+    return values
+
+
+def _unpack(cls: type, layout: Layout, r: Reader) -> Any:
+    values = _read(cls, layout, r)
+    try:
+        return cls(**values)
+    except (ValueError, MetricsError) as e:  # field values the constructor rejects
+        raise ProtoError(f"bad {cls.__name__}: {e}") from None
+
+
+def _record(cls: type, layout: Layout) -> Codec:
+    return Codec(lambda value: _pack(layout, value), lambda r: _unpack(cls, layout, r))
+
+
+_PARTIAL: Layout = (
+    ("events", U64), ("t_loop", F64), ("bytes_read", U64), ("chunk_bytes", U64), ("mem_peak", U64),
+    ("snapshots", _list(STR, list)), ("labels", _list(STR, lambda labels: list(_by_name([(u, u) for u in labels])))),
+)
+_TABLE: Layout = (("name", STR), ("kind", RESULT_KIND), ("nbins", U32), ("xmin", F64), ("xmax", F64))
+
 
 def pack_partial(p: PartialResult) -> bytes:
-    out = [
-        struct.pack("<QdQQQI", p.events, p.t_loop, p.bytes_read, p.chunk_bytes, p.mem_peak, len(p.snapshots)),
-        *map(pack_str, p.snapshots),
-        struct.pack("<I", len(p.labels)),
-        *map(pack_str, p.labels),
-        struct.pack("<I", len(p.tables)),
-    ]
-    for name, t in p.tables.items():
-        out += (pack_str(name), struct.pack("<BIdd", t.kind.value, t.nbins, t.xmin, t.xmax))
-        out += (t.entries.tobytes(), t.sumw.tobytes(), t.sumw2.tobytes())
+    out = [_pack(_PARTIAL, p), struct.pack("<I", len(p.tables))]
+    for t in p.tables.values():
+        out += (_pack(_TABLE, t), t.entries.tobytes(), t.sumw.tobytes(), t.sumw2.tobytes())
     return b"".join(out)
 
 
 def unpack_partial(r: Reader) -> PartialResult:
-    events, t_loop, bytes_read, chunk_bytes, mem_peak, n_snaps = r.unpack("<QdQQQI")
-    snapshots = [r.string() for _ in range(n_snaps)]
-    labels = [r.string() for _ in range(r.u32())]
-    tables = {}
-    for _ in range(r.u32()):
-        name = r.string()
-        tag, nbins, xmin, xmax = r.unpack("<BIdd")
-        try:
-            kind = ResultKind(tag)
-        except ValueError:
-            raise ProtoError(f"unknown result kind byte {tag}") from None
-        width = nbins + 2 if kind is ResultKind.HISTO else 1
-        raw = r.take(len(labels) * (8 + 16 * width))  # the declared size, checked before allocating
-        t = tables[name] = ResultTable(name, kind, len(labels), nbins, xmin, xmax)
-        at = 0
-        for a in (t.entries, t.sumw, t.sumw2):
-            a[...] = np.frombuffer(raw, a.dtype, a.size, at).reshape(a.shape)
-            at += a.nbytes
-    return PartialResult(events, t_loop, bytes_read, chunk_bytes, mem_peak, snapshots, labels, tables)
+    p = _unpack(PartialResult, _PARTIAL, r)
+    rows, tables = len(p.labels), []
+    try:
+        for _ in range(r.u32()):
+            head = _read(ResultTable, _TABLE, r)
+            width = head["nbins"] + 2 if head["kind"] is ResultKind.HISTO else 1
+            raw = r.take(rows * (8 + 16 * width))  # the declared size, checked before allocating
+            t = ResultTable(rows=rows, **head)  # ValueError: an axis it rejects
+            at = 0
+            for a in (t.entries, t.sumw, t.sumw2):
+                a[...] = np.frombuffer(raw, a.dtype, a.size, at).reshape(a.shape)
+                at += a.nbytes
+            tables.append((t.name, t))
+        p.tables = _by_name(tables)
+    except (ProtoError, ValueError) as e:
+        raise ProtoError(f"bad PartialResult.tables: {e}") from None
+    return p
 
 
-def _pack_record(rec: JobRecord) -> bytes:
-    return b"".join(
-        (
-            struct.pack("<I", rec.task_id),
-            pack_str(rec.worker),
-            struct.pack("<QddQQI", rec.events, rec.t_total, rec.t_loop, rec.bytes_read, rec.chunk_bytes, rec.attempt),
-            pack_str(rec.phase),
-            struct.pack("<IQ", rec.passes, rec.mem_peak),
-        )
-    )
+PARTIAL = Codec(pack_partial, unpack_partial)
 
 
-def _unpack_record(r: Reader) -> JobRecord:
-    task_id = r.u32()
-    worker = r.string()
-    events, t_total, t_loop, bytes_read, chunk_bytes, attempt = r.unpack("<QddQQI")
-    phase = r.string()
-    passes, mem_peak = r.unpack("<IQ")
-    return JobRecord(task_id, worker, events, t_total, t_loop, bytes_read, chunk_bytes, attempt, phase, passes, mem_peak)
+_TASK: Layout = (
+    ("task_id", U32), ("run", U32), ("entry_range", _record(EntryRange, (("file", STR), ("begin", U64), ("end", U64)))),
+    ("multi_pass", FLAG), ("payload_uri", STR), ("payload_bytes", U64), ("result_file", STR),
+)
+_JOB_RECORDS = _list(_record(JobRecord, (
+    ("task_id", U32), ("worker", STR), ("events", U64), ("t_total", F64), ("t_loop", F64), ("bytes_read", U64),
+    ("chunk_bytes", U64), ("attempt", U32), ("phase", STR), ("passes", U32), ("mem_peak", U64),
+)))
 
-
-# --- messages ---------------------------------------------------------------
-
-
-def _pack_task(t: Task) -> bytes:
-    return b"".join(
-        (
-            struct.pack("<II", t.task_id, t.run),
-            pack_str(t.entry_range.file),
-            struct.pack("<QQB", t.entry_range.begin, t.entry_range.end, t.multi_pass),
-            pack_str(t.payload_uri),
-            struct.pack("<Q", t.payload_bytes),
-            pack_str(t.result_file),
-        )
-    )
-
-
-def _unpack_task(r: Reader) -> Task:
-    task_id, run = r.unpack("<II")
-    file = r.string()
-    begin, end, multi_pass = r.unpack("<QQB")
-    if multi_pass > 1:
-        raise ProtoError(f"bad multi_pass byte {multi_pass}")
-    payload_uri = r.string()
-    (payload_bytes,) = r.unpack("<Q")
-    result_file = r.string()
-    return Task(
-        task_id, EntryRange(file, begin, end), bool(multi_pass), payload_uri, payload_bytes, result_file, run
-    )
-
-
-def _encode_payload(msg: Message) -> bytes:
-    if isinstance(msg, Register):
-        return pack_str(msg.name)
-    if isinstance(msg, Graph):
-        head = struct.pack("<I", msg.run) + pack_str(msg.document) + struct.pack("<I", len(msg.schema))
-        return head + b"".join(pack_str(c) + struct.pack("<B", t) for c, t in msg.schema.items())
-    if isinstance(msg, Task):
-        return _pack_task(msg)
-    if isinstance(msg, Result):
-        return struct.pack("<IId", msg.task_id, msg.run, msg.t_total) + pack_partial(msg.partial)
-    if isinstance(msg, Fail):
-        return struct.pack("<II", msg.task_id, msg.run) + pack_str(msg.error)
-    if isinstance(msg, Heartbeat):
-        return pack_str(msg.name)
-    if isinstance(msg, Shutdown):
-        return b""
-    if isinstance(msg, Submit):
-        head = pack_str(msg.run_id) + pack_str(msg.document)
-        head += struct.pack("<III", msg.max_retries, msg.factor, len(msg.tasks))
-        return head + b"".join(map(_pack_task, msg.tasks))
-    if isinstance(msg, RunDone):
-        head = pack_str(msg.run_id) + struct.pack("<dQ", msg.wall_time, msg.planning_bytes)
-        head += pack_partial(msg.partial) + struct.pack("<I", len(msg.records))
-        return head + b"".join(map(_pack_record, msg.records))
-    if isinstance(msg, RunFail):
-        return pack_str(msg.run_id) + pack_str(msg.error)
-    raise ProtoError(f"cannot encode {type(msg).__name__}")
+LAYOUTS: dict[int, tuple[type, Layout]] = {
+    1: (Register, (("name", STR),)),
+    2: (Graph, (("run", U32), ("document", STR), ("schema", SCHEMA))),
+    3: (Task, _TASK),
+    4: (Result, (("task_id", U32), ("run", U32), ("t_total", F64), ("partial", PARTIAL))),
+    5: (Fail, (("task_id", U32), ("run", U32), ("error", STR))),
+    6: (Heartbeat, (("name", STR),)),
+    7: (Shutdown, ()),
+    8: (Submit, (
+        ("run_id", STR), ("document", STR), ("max_retries", U32), ("factor", U32),
+        ("tasks", _list(_record(Task, _TASK))),
+    )),
+    9: (RunDone, (
+        ("run_id", STR), ("wall_time", F64), ("planning_bytes", U64), ("partial", PARTIAL), ("records", _JOB_RECORDS),
+    )),
+    10: (RunFail, (("run_id", STR), ("error", STR))),
+}
+_KIND_OF = {cls: (kind, layout) for kind, (cls, layout) in LAYOUTS.items()}
 
 
 def encode(msg: Message) -> bytes:
     """Message to one self-delimiting frame."""
     try:
-        payload = _encode_payload(msg)
-    except struct.error as e:
+        kind, layout = _KIND_OF[type(msg)]
+        payload = _pack(layout, msg)
+    except (KeyError, struct.error) as e:  # KeyError: not a message, or a value no byte stands for
         raise ProtoError(f"cannot encode {type(msg).__name__}: {e}") from None
-    return pack_frame(_KIND_OF[type(msg)], payload)
+    return pack_frame(kind, payload)
 
 
 def _decode_payload(kind: int, payload: bytes) -> Message:
+    if kind not in LAYOUTS:
+        raise ProtoError(f"unknown message kind {kind}")
     r = Reader(payload)
-    try:
-        if kind == MSG_REGISTER:
-            msg = Register(r.string())
-        elif kind == MSG_GRAPH:
-            run, document = r.u32(), r.string()
-            schema = {r.string(): ValueType(r.unpack("<B")[0]) for _ in range(r.u32())}  # ValueError: unknown code
-            if not all(t.storable for t in schema.values()):
-                raise ProtoError(f"GRAPH schema holds a non-storable type: {schema}")
-            msg = Graph(run, document, schema)
-        elif kind == MSG_TASK:
-            msg = _unpack_task(r)
-        elif kind == MSG_RESULT:
-            task_id, run, t_total = r.unpack("<IId")
-            msg = Result(task_id, t_total, unpack_partial(r), run)
-        elif kind == MSG_FAIL:
-            task_id, run = r.unpack("<II")
-            msg = Fail(task_id, r.string(), run)
-        elif kind == MSG_HEARTBEAT:
-            msg = Heartbeat(r.string())
-        elif kind == MSG_SHUTDOWN:
-            msg = Shutdown()
-        elif kind == MSG_SUBMIT:
-            run_id, document = r.string(), r.string()
-            max_retries, factor, n_tasks = r.unpack("<III")
-            tasks = tuple(_unpack_task(r) for _ in range(n_tasks))
-            msg = Submit(run_id, document, max_retries, factor, tasks)
-        elif kind == MSG_RUN_DONE:
-            run_id = r.string()
-            wall_time, planning_bytes = r.unpack("<dQ")
-            partial = unpack_partial(r)
-            records = tuple(_unpack_record(r) for _ in range(r.u32()))
-            msg = RunDone(run_id, wall_time, partial, records, planning_bytes)
-        elif kind == MSG_RUN_FAIL:
-            msg = RunFail(r.string(), r.string())
-        else:
-            raise ProtoError(f"unknown message kind {kind}")
-    except (ValueError, MetricsError) as e:  # field values a constructor rejects
-        raise ProtoError(f"malformed payload for kind {kind}: {e}") from None
+    msg = _unpack(*LAYOUTS[kind], r)
     r.finish()
     return msg
 

@@ -1,5 +1,6 @@
 import struct
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,27 +141,27 @@ def test_range_validation(make_dataset):
 
 def test_bad_magic_rejected(make_dataset):
     path = make_dataset(n=10)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[:4] = b"XXXX"
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="magic"):
         open_dataset(path)
 
 
 def test_truncated_footer_rejected(make_dataset):
     path = make_dataset(n=10)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[: len(raw) - TAIL_SIZE - 3])
+    raw = Path(path).read_bytes()
+    Path(path).write_bytes(raw[: len(raw) - TAIL_SIZE - 3])
     with pytest.raises(FormatError):
         open_dataset(path)
 
 
 def test_footer_crc_mismatch_rejected(make_dataset):
     path = make_dataset(n=10)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     (footer_offset,) = struct.unpack_from("<Q", raw, len(raw) - TAIL_SIZE)
     raw[footer_offset] ^= 0xFF
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with pytest.raises(FormatError, match="CRC"):
         open_dataset(path)
 
@@ -169,9 +170,9 @@ def test_chunk_corruption_is_hard_error(make_dataset):
     path = make_dataset(n=100, cluster_size=100)
     with open_dataset(path) as h:
         ref = h.clusters[0].chunks[1]  # MET_pt chunk
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[ref.offset + 4] ^= 0x01
-    open(path, "wb").write(bytes(raw))
+    Path(path).write_bytes(bytes(raw))
     with open_dataset(path) as h:
         with pytest.raises(FormatError, match="chunk CRC"):
             list(h.read_range(["MET_pt"], 0, 100))
@@ -181,7 +182,7 @@ def test_chunk_corruption_is_hard_error(make_dataset):
 
 def test_footer_chunk_crcs_match_file_contents(make_dataset):
     path = make_dataset(n=100, cluster_size=40)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     with open_dataset(path) as h:
         for cl in h.clusters:
             for ref in cl.chunks:
@@ -254,7 +255,7 @@ def test_dtype_codes_are_pinned(tmp_path):
     columns = {"F64": [1.5], "I64": [2], "BOOL": [True], "VEC_F64": [[1.0]], "VEC_I64": [[3]]}
     path = str(tmp_path / "codes.col")
     write_dataset(path, schema, columns)
-    _, body = _footer(open(path, "rb").read())
+    _, body = _footer(Path(path).read_bytes())
     codes, pos = [], 4
     for _ in range(struct.unpack_from("<I", body)[0]):
         (name_len,) = struct.unpack_from("<H", body, pos)
@@ -270,11 +271,11 @@ def test_dtype_codes_are_pinned(tmp_path):
 def test_footer_with_unstorable_or_unknown_code_rejected(tmp_path, code):
     path = str(tmp_path / "x.col")
     write_dataset(path, {"x": ValueType.F64}, {"x": [1.0]})
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     _, body = _footer(raw)
     code_pos = 4 + 2 + 1  # n_columns, name_len, name "x"
     body = body[:code_pos] + bytes([code]) + body[code_pos + 1 :]
-    open(path, "wb").write(_restamp(raw, body))
+    Path(path).write_bytes(_restamp(raw, body))
     with pytest.raises(FormatError):
         open_dataset(path)
 
@@ -305,12 +306,12 @@ def test_non_utf8_column_name_rejected():
 
 def test_chunk_ref_outside_data_region_rejected(make_dataset):
     path = make_dataset(n=10, cluster_size=10)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     schema, total, clusters = decode_footer(_footer(raw)[1])
     (cl,) = clusters
     huge = ChunkRef(HEADER_SIZE, 2**40, cl.chunks[0].crc32)
     bad = ClusterInfo(cl.entry_start, cl.entry_count, (huge,) + cl.chunks[1:])
-    open(path, "wb").write(_restamp(raw, encode_footer(schema, total, (bad,))))
+    Path(path).write_bytes(_restamp(raw, encode_footer(schema, total, (bad,))))
     with pytest.raises(FormatError, match="outside the data region"):
         open_dataset(path)
 
@@ -350,7 +351,7 @@ def test_altered_footer_raises_only_format_error(small_file_bytes, edits):
     for pos, value in edits:
         body[pos % len(body)] = value
     path = str(folder / "altered.col")
-    open(path, "wb").write(_restamp(raw, bytes(body)))
+    Path(path).write_bytes(_restamp(raw, bytes(body)))
     try:
         _read_everything(path)
     except FormatError:
@@ -376,7 +377,7 @@ def test_crc_matching_chunk_refs_raise_only_format_error(small_file_bytes, data)
             chunks.append(ch)
         altered.append(ClusterInfo(cl.entry_start, cl.entry_count, tuple(chunks)))
     path = str(folder / "refs.col")
-    open(path, "wb").write(_restamp(raw, encode_footer(schema, total, tuple(altered))))
+    Path(path).write_bytes(_restamp(raw, encode_footer(schema, total, tuple(altered))))
     try:
         _read_everything(path)
     except FormatError:

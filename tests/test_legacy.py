@@ -13,7 +13,6 @@ from colflow.exprlang import Jagged
 from colflow.graph import build, load_spec, schema_types
 from colflow.legacy import (
     LegacyError,
-    LegacyJobSpec,
     Phase,
     merge_outputs,
     plan_legacy_jobs,
@@ -115,10 +114,9 @@ def read_rows(path, columns):
 class TestPlanning:
     def test_one_job_per_file(self, files, tmp_path):
         doc = pre_doc(files, str(tmp_path / "skim"))
-        jobs = plan_legacy_jobs(doc, files, Phase.PRESELECTION, payload_bytes=500)
+        jobs = plan_legacy_jobs(doc, files, Phase.PRESELECTION)
         assert len(jobs) == len(files)
         assert [j.job_id for j in jobs] == [0, 1, 2]
-        assert all(j.payload_bytes == 500 for j in jobs)
 
     def test_preselection_requires_snapshot(self, files):
         with pytest.raises(LegacyError, match="snapshot"):
@@ -135,10 +133,6 @@ class TestPlanning:
         doc = pre_doc(files, str(tmp_path / "skim"))
         with pytest.raises(LegacyError, match="no input files"):
             plan_legacy_jobs(doc, [], Phase.PRESELECTION)
-
-    def test_jobspec_invariants(self, files):
-        with pytest.raises(LegacyError, match="payload_bytes"):
-            LegacyJobSpec(0, files[0], Phase.PRESELECTION, payload_bytes=-1)
 
 
 class TestPreselection:
@@ -221,6 +215,12 @@ class TestPreselection:
                 reads[label] = report.network_read
             assert reads["with"] - reads["without"] == len(files) * payload
             assert server.total_bytes_served == len(files) * payload
+
+    def test_negative_payload_rejected(self, files, tmp_path):
+        doc = pre_doc(files, str(tmp_path / "skim"))
+        with pytest.raises(LegacyError, match="payload_bytes must be >= 0"):
+            # nothing listens at port 1: the check comes before any scheduler contact
+            run_legacy_preselection(doc, files, scheduler_address="127.0.0.1:1", payload_bytes=-1)
 
     def test_payload_needs_uri(self, cluster, files, tmp_path):
         doc = pre_doc(files, str(tmp_path / "skim"))

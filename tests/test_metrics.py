@@ -1,6 +1,7 @@
 """Rate formulas and CSV bookkeeping."""
 
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -139,7 +140,7 @@ class TestCsv:
         ]
         path = str(tmp_path / "tasks.csv")
         write_records_csv(path, records)
-        header, post, task = open(path).read().splitlines()
+        header, post, task = Path(path).read_text().splitlines()
         assert header == "task_id,worker,events,t_total_s,t_loop_s,bytes_read,attempt,phase,passes"
         assert post.endswith("post,9")
         assert task.endswith("task,1")  # a distributed task's defaults

@@ -359,6 +359,41 @@ class TestHostileResults:
             decode(wire.pack_frame(4, bytes(payload)))
 
 
+class TestDuplicateNames:
+    """Column, universe and table names key what they label: a repeat is a ProtoError, not an overwrite."""
+
+    def test_graph_column_listed_twice(self):
+        payload = (
+            struct.pack("<I", 1) + _s("{}") + struct.pack("<I", 2)
+            + _s("x") + struct.pack("<B", ValueType.F64) + _s("x") + struct.pack("<B", ValueType.I64)
+        )
+        with pytest.raises(ProtoError, match="bad Graph.schema: duplicate name 'x'"):
+            decode(wire.pack_frame(2, payload))
+
+    def test_universe_label_listed_twice(self, tmp_path):
+        p = sample_partial(3)
+        p.labels = ["nominal", "nominal", "u2"]
+        for msg in (Result(1, 2.0, p), RunDone("run-1", 1.0, p)):
+            with pytest.raises(ProtoError, match="bad PartialResult.labels: duplicate name 'nominal'"):
+                decode(encode(msg))
+        path = str(tmp_path / "job0.res")
+        write_result_file(path, "graph-1", p)
+        with pytest.raises(ProtoError, match="duplicate name 'nominal'"):
+            read_result_file(path)
+
+    def test_table_listed_twice(self, tmp_path):
+        payload = encode(Result(1, 2.0, sample_partial(3)))[8:]
+        n_head = _s("n") + struct.pack("<B", ResultKind.COUNT.value)
+        assert payload.count(n_head) == 1
+        payload = payload.replace(n_head, _s("s") + struct.pack("<B", ResultKind.COUNT.value))
+        with pytest.raises(ProtoError, match="bad PartialResult.tables: duplicate name 's'"):
+            decode(wire.pack_frame(4, payload))
+        path = tmp_path / "job0.res"
+        path.write_bytes(_s("graph-1") + payload[16:])  # the partial follows task_id, run and t_total
+        with pytest.raises(ProtoError, match="duplicate name 's'"):
+            read_result_file(str(path))
+
+
 def read_messages(pieces):
     """recv_message over a socketpair whose far end sends the given pieces."""
     a, b = socket.socketpair()
