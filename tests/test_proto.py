@@ -358,6 +358,15 @@ class TestHostileResults:
         with pytest.raises(ProtoError, match=f"unknown result kind byte {tag}"):
             decode(wire.pack_frame(4, bytes(payload)))
 
+    def test_axis_the_table_rejects_fails_a_result_file(self, tmp_path):
+        payload = bytearray(encode(Result(1, 2.0, sample_partial(3)))[8:])
+        at = self.first_table_axis(payload)
+        payload[at + 1 : at + 5] = struct.pack("<I", 0)  # a histogram with no bins
+        path = tmp_path / "job0.res"
+        path.write_bytes(_s("graph-1") + bytes(payload[16:]))  # the partial follows task_id, run and t_total
+        with pytest.raises(ProtoError, match="nbins must be >= 1"):
+            read_result_file(str(path))
+
 
 class TestDuplicateNames:
     """Column, universe and table names key what they label: a repeat is a ProtoError, not an overwrite."""
