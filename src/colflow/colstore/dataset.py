@@ -6,6 +6,13 @@ one transport and one ReadAccount; opening reads only the header and footer.
 Reads are chunk-granular: one transport read per needed chunk, no
 coalescing, so the account's chunk_bytes is exactly the sum of the fetched
 chunks' byte lengths.
+
+A fetched chunk is copied once on its way to the decoded arrays: from the
+kernel into one buffer (the data server's reply frame, received in place
+by ``wire.recv_frame``, or the bytes a local read returns). Scalar
+columns and a vector column's values are read-only numpy views of that
+buffer; only a vector column's u32 lengths are copied again, widened to
+int64, and a BOOL column is copied once more as it becomes numpy bools.
 """
 
 from __future__ import annotations

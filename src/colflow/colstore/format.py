@@ -96,26 +96,35 @@ def encode_chunk(dtype: ValueType, values) -> bytes:
     return lengths.tobytes() + packed.tobytes()
 
 
-def decode_chunk(dtype: ValueType, raw: bytes, entry_count: int):
-    """Decode a chunk back into arrays.
+def decode_chunk(dtype: ValueType, raw, entry_count: int):
+    """Decode a chunk back into read-only arrays.
 
     Scalar/bool columns return one ndarray of length entry_count; vector
-    columns return a Jagged.
+    columns return a Jagged. Scalar columns and a Jagged's values are
+    views of ``raw`` (any bytes-like object), not copies.
     """
+    raw = memoryview(raw).cast("B")
     if dtype in _SCALAR_NP:
         if len(raw) != 8 * entry_count:
             raise FormatError("chunk length does not match entry count")
-        return np.frombuffer(raw, dtype=_SCALAR_NP[dtype])
+        return _read_only(np.frombuffer(raw, dtype=_SCALAR_NP[dtype]))
     if dtype is ValueType.BOOL:
         if len(raw) != entry_count:
             raise FormatError("chunk length does not match entry count")
-        return np.frombuffer(raw, dtype=np.uint8).astype(bool)
+        return _read_only(np.frombuffer(raw, dtype=np.uint8).astype(bool))
     if len(raw) < 4 * entry_count:
         raise FormatError("vector chunk shorter than its lengths array")
     lengths = np.frombuffer(raw[: 4 * entry_count], dtype="<u4")
     if len(raw) != 4 * entry_count + 8 * int(lengths.sum()):
         raise FormatError("vector chunk lengths do not match value count")
-    return Jagged(lengths.astype(np.int64), np.frombuffer(raw[4 * entry_count :], dtype=_VEC_NP[dtype]))
+    values = np.frombuffer(raw[4 * entry_count :], dtype=_VEC_NP[dtype])
+    return Jagged(_read_only(lengths.astype(np.int64)), _read_only(values))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, no longer writable: decoded values are shared, so nothing may write to them."""
+    arr.flags.writeable = False
+    return arr
 
 
 def encode_footer(schema: dict[str, ValueType], total_entries: int, clusters: tuple[ClusterInfo, ...]) -> bytes:

@@ -26,6 +26,7 @@ and joins that thread.
 
 from __future__ import annotations
 
+import os
 import socket
 import struct
 import threading
@@ -126,7 +127,12 @@ class DataServer:
             raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")
         return open(target, "rb")
 
-    def _read(self, file, payload: bytes) -> bytes:
+    def _read(self, file, payload: bytes) -> bytearray:
+        """The requested span, read into one buffer that is then sent as it is.
+
+        The buffer is sized to what the file holds past ``off`` now, and
+        cut to what ``readinto`` filled if the file shrank meanwhile.
+        """
         if len(payload) != 12:
             raise ServerError(ERR_BAD_REQUEST, "READ payload must be off+len")
         if file is None:
@@ -136,8 +142,9 @@ class DataServer:
             raise ServerError(
                 ERR_BAD_REQUEST, f"READ of {length} bytes exceeds MAX_FRAME ({wire.MAX_FRAME} bytes)"
             )
+        data = bytearray(max(0, min(length, os.fstat(file.fileno()).st_size - off)))
         file.seek(off)
-        data = file.read(length)
+        del data[file.readinto(data) :]
         with self._lock:
             self.total_bytes_served += len(data)
             self.total_read_calls += 1

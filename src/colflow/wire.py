@@ -34,14 +34,25 @@ PROTO_VERSION = 8
 MAX_FRAME = 256 * 1024 * 1024
 """The largest payload, in bytes, one frame may carry.
 
-A receiver buffers a whole frame before decoding it, so without a bound
-one header could make it allocate up to 4 GiB. 256 MiB sits about three
+A receiver holds a whole frame before decoding it, so without a bound
+one peer could make it hold up to 4 GiB. 256 MiB sits about three
 orders of magnitude above the largest frames colflow sends: a
 data-server READ of one column chunk (~350 KiB for a vector column at
 10k-entry clusters) or of a payload slice (256 KiB), and a RESULT or
 RUN_DONE (~80 KiB for the 31-universe benchmark document). Senders check
 it too, so an oversized message fails at encode, naming its size.
+
+Each side moves a frame through one buffer. The receiver fills the body
+in place with ``recv_into``, into a buffer that starts at no more than
+``RECV_STEP`` bytes and grows by at most that much past the bytes that
+have arrived, so a header that declares a large frame and then stops
+costs at most one step of memory; the payload it returns is a read-only
+view of that buffer. The sender puts the header and the payload on the
+socket in one scatter-gather ``sendmsg``, without joining them.
 """
+
+RECV_STEP = 1 << 20
+"""How far, in bytes, a receive buffer may run ahead of the bytes that have arrived."""
 
 HEADER = struct.Struct("<IHH")
 
@@ -50,11 +61,16 @@ class ProtoError(Exception):
     """Malformed or oversized frame or payload."""
 
 
+def pack_header(kind: int, size: int) -> bytes:
+    """The 8-byte header of a frame with a ``size``-byte payload: the only place a frame header is written."""
+    if size > MAX_FRAME:
+        raise ProtoError(f"frame payload of {size} bytes exceeds MAX_FRAME ({MAX_FRAME} bytes)")
+    return HEADER.pack(size + 4, kind, PROTO_VERSION)
+
+
 def pack_frame(kind: int, payload: bytes) -> bytes:
-    """Header plus payload: the only place a frame header is written."""
-    if len(payload) > MAX_FRAME:
-        raise ProtoError(f"frame payload of {len(payload)} bytes exceeds MAX_FRAME ({MAX_FRAME} bytes)")
-    return HEADER.pack(len(payload) + 4, kind, PROTO_VERSION) + payload
+    """Header plus payload as one bytes object."""
+    return pack_header(kind, len(payload)) + payload
 
 
 def parse_header(head: bytes, limit: int | None = None) -> tuple[int, int]:
@@ -77,7 +93,7 @@ def parse_header(head: bytes, limit: int | None = None) -> tuple[int, int]:
 
 
 def connect(address: str, timeout: float | None = None) -> socket.socket:
-    """A TCP connection to ``HOST:PORT`` with Nagle's algorithm off: every frame goes out in one sendall."""
+    """A TCP connection to ``HOST:PORT`` with Nagle's algorithm off: every frame goes out in one send call."""
     host, _, port = address.rpartition(":")
     sock = socket.create_connection((host, int(port)), timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
@@ -115,34 +131,53 @@ def address_of(sock: socket.socket) -> str:
     return "%s:%d" % sock.getsockname()[:2]
 
 
-def send_frame(sock: socket.socket, kind: int, payload: bytes) -> None:
-    sock.sendall(pack_frame(kind, payload))
+def send_frame(sock: socket.socket, kind: int, payload) -> None:
+    """Send one frame: its header and ``payload`` (any bytes-like object) in one
+    scatter-gather ``sendmsg``, looping on a partial send; nothing is joined or copied."""
+    body = memoryview(payload).cast("B")
+    parts = [memoryview(pack_header(kind, len(body))), body]
+    while parts:
+        sent = sock.sendmsg(parts)
+        while parts and sent >= len(parts[0]):
+            sent -= len(parts.pop(0))
+        if parts:
+            parts[0] = parts[0][sent:]
 
 
-def recv_frame(sock: socket.socket, limit: int | None = None) -> tuple[int, bytes] | None:
-    """(kind, payload) of the next frame; None on clean EOF between frames."""
-    head = _recv_exact(sock, HEADER.size)
-    if head is None:
+def recv_frame(sock: socket.socket, limit: int | None = None) -> tuple[int, memoryview] | None:
+    """(kind, payload) of the next frame; None on clean EOF between frames.
+
+    The body is received in place into one buffer, grown ``RECV_STEP``
+    bytes at a time, and the payload is a read-only memoryview over it:
+    arrays decoded from it share its bytes and are read-only too.
+    """
+    head = bytearray(HEADER.size)
+    got = _fill(sock, memoryview(head))
+    if got == 0:
         return None
-    size, kind = parse_header(head, limit)
-    body = _recv_exact(sock, size) if size else b""
-    if body is None:
+    if got < HEADER.size:
         raise ProtoError("connection closed mid-frame")
-    return kind, body
+    size, kind = parse_header(head, limit)
+    body = bytearray(min(size, RECV_STEP))
+    got = 0
+    while True:
+        got += _fill(sock, memoryview(body)[got:])
+        if got < len(body):
+            raise ProtoError("connection closed mid-frame")
+        if got == size:
+            return kind, memoryview(body).toreadonly()
+        body += bytes(min(size - got, RECV_STEP))  # full, and more is declared: grow by one step
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    """Exactly n bytes; None if the peer closed before sending any."""
-    buf = bytearray()
-    while len(buf) < n:
-        # capped, so a large declared size is never allocated ahead of its bytes
-        part = sock.recv(min(n - len(buf), 1 << 20))
-        if not part:
-            if buf:
-                raise ProtoError("connection closed mid-frame")
-            return None
-        buf += part
-    return bytes(buf)
+def _fill(sock: socket.socket, view: memoryview) -> int:
+    """Receive into all of ``view``; the count is short only if the peer hung up first."""
+    got = 0
+    while got < len(view):
+        n = sock.recv_into(view[got:])
+        if n == 0:
+            break
+        got += n
+    return got
 
 
 def pack_str(s: str) -> bytes:
@@ -180,7 +215,7 @@ class Reader:
 
     def string(self) -> str:
         try:
-            return self.take(self.u32()).decode("utf-8")
+            return str(self.take(self.u32()), "utf-8")
         except UnicodeDecodeError as e:
             raise ProtoError(f"string is not UTF-8: {e}") from None
 

@@ -283,3 +283,61 @@ def test_read_over_max_frame_rejected(served_dir, monkeypatch):
 def test_bad_port_is_malformed_uri(uri):
     with pytest.raises(TransportError, match="malformed remote URI"):
         open_dataset(uri)
+
+
+ALL_TYPES = {
+    "f": ValueType.F64,
+    "i": ValueType.I64,
+    "b": ValueType.BOOL,
+    "vf": ValueType.VEC_F64,
+    "vi": ValueType.VEC_I64,
+}
+
+
+def dataset_uri(root, server, where: str, name: str) -> str:
+    return f"colsrv://{server.address}/{name}" if where == "remote" else str(root / name)
+
+
+@pytest.mark.parametrize("where", ["local", "remote"])
+def test_decoded_arrays_are_read_only(served_dir, where):
+    """Decoded values are shared with the fetched bytes, so no reader may write to them."""
+    root, server = served_dir
+    lengths = np.arange(300) % 4
+    write_dataset(
+        str(root / "all.col"),
+        ALL_TYPES,
+        {
+            "f": np.linspace(0.0, 1.0, 300),
+            "i": np.arange(300),
+            "b": np.arange(300) % 3 == 0,
+            "vf": [[0.5] * k for k in lengths],
+            "vi": [[7] * k for k in lengths],
+        },
+        cluster_size=128,
+    )
+    with open_dataset(dataset_uri(root, server, where, "all.col")) as h:
+        batches = list(h.read_range(list(ALL_TYPES), 10, 290))
+    assert len(batches) == 3
+    for batch in batches:
+        c = batch.columns
+        for arr in (c["f"], c["i"], c["b"], c["vf"].values, c["vf"].lengths, c["vi"].values, c["vi"].lengths):
+            assert arr.flags.writeable is False
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:1] = 0
+
+
+@pytest.mark.parametrize("where", ["local", "remote"])
+def test_a_file_that_shrinks_after_open_is_a_short_read(served_dir, where):
+    root, server = served_dir
+    with open_dataset(dataset_uri(root, server, where, "d.col")) as h:
+        first = h.clusters[0].chunks[0]
+        (root / "d.col").write_bytes((root / "d.col").read_bytes()[: first.offset + first.length // 2])
+        served0 = server_totals(server.address)[0]
+        before = h.account.bytes_read
+        with pytest.raises(TransportError, match=f"short read: wanted {first.length} bytes at {first.offset}"):
+            list(h.read_range(["x"], 0, 10))
+        got = h.account.bytes_read - before
+        assert got == first.length // 2  # the reply carried only the bytes still in the file
+        if where == "remote":
+            assert server_totals(server.address)[0] - served0 == got
+    assert_still_serving(server)
