@@ -18,8 +18,10 @@ bad inputs), 1 runtime failure (lost cluster, failed run).
 
 Long-running services print exactly one announcement line ending in
 their bound address, so wrappers can parse it. A worker prints its line
-only once the scheduler has confirmed its REGISTER, so a run submitted
-after the line plans with that worker.
+only once the scheduler has confirmed its REGISTER. The scheduler plans a
+run when its SUBMIT arrives, with the workers registered then, so a run
+submitted after the line plans with that worker, and a run submitted
+while no worker is registered fails at once ("no workers registered").
 
 A worker process is one slot and reads each task's file as the task
 names it; more slots are more `colflow worker` processes (`bench
@@ -185,7 +187,7 @@ def cmd_scheduler(args) -> int:
     from .cluster.scheduler import Scheduler
 
     try:
-        sched = Scheduler(args.startup_timeout, _listener(args.listen)).start()
+        sched = Scheduler(_listener(args.listen)).start()
     except OSError as e:
         _err(str(e))
         return EXIT_RUNTIME
@@ -418,7 +420,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("scheduler", help="start the run coordinator")
     c.add_argument("--listen", type=_listen, default=("127.0.0.1", 0))
-    c.add_argument("--startup-timeout", type=_number(float, 0, strict=True), default=10.0)
     c.set_defaults(func=cmd_scheduler)
 
     w = sub.add_parser("worker", help="start a task executor")

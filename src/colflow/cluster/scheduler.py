@@ -18,21 +18,25 @@ the answer comes from a worker already declared lost; such a worker's
 FAIL is dropped, since its loss requeued the task. An answer for a task
 its connection was not sent is dropped.
 
-Planning types each run once, against the first file of its dataset, and
-checks the column types of every file it opened. Each worker gets one
-GRAPH (run number, document, that schema) before its first TASK of the
-run. An answer from another run only frees its worker; a RESULT
-whose shape does not fit the run's graph fails its task.
+A run is planned in the state-loop step that handles its SUBMIT, with
+the workers registered at that moment, or it is refused with a RUN_FAIL
+and never exists: a SUBMIT that arrives with no worker registered is
+refused at once. Planning types the run once, against the first file of
+its dataset, and checks the column types of every file it opened. Each
+worker gets one GRAPH (run number, document, that schema) before its
+first TASK of the run. An answer from another run only frees its worker;
+a RESULT whose shape does not fit the run's graph fails its task.
 
 A worker is recorded, and its REGISTER echoed back, in one step of the
 state loop, so every SUBMIT that reaches the scheduler after a worker has
 read its echo plans with that worker.
 
 Workers are declared lost after 3 missed heartbeat intervals or on
-disconnect; their inflight tasks are requeued, each requeue consuming one
-attempt from the task's budget of max_retries + 1. Heartbeat loss is
-judged only once the event queue is drained, so beats that queued up
-while a long step (planning a large dataset) held the state loop count.
+disconnect; a lost worker's task in flight is requeued, each requeue
+consuming one attempt from the task's budget of max_retries + 1.
+Heartbeat loss is judged only once the event queue is drained, so beats
+that queued up while a long step (planning a large dataset) held the
+state loop count.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ class _Worker:
     conn_id: int
     sock: socket.socket
     name: str
-    inflight: set[tuple[int, int]] = field(default_factory=set)  # (run, task_id): at most one
+    task: tuple[int, int] | None = None  # (run, task_id) in flight
     last_beat: float = field(default_factory=time.monotonic)
     graph_run: int = 0  # the run whose GRAPH this worker was sent last
 
@@ -89,22 +93,19 @@ class _Run:
     client_conn: int
     spec: PipelineSpec
     max_retries: int
-    factor: int
-    cut: tuple[Task, ...]  # the client's explicit tasks, or () to have planning cut them
     t0: float
-    deadline: float
-    graph: ComputationGraph | None = None  # set by planning
-    tasks: dict[int, Task] = field(default_factory=dict)  # task_id -> TASK, set by planning
-    shape: tuple = ()  # the PartialResult.shape() every RESULT must have
-    planning_bytes: int = 0
-    pending: deque = field(default_factory=deque)
+    graph: ComputationGraph
+    tasks: dict[int, Task]  # task_id -> TASK
+    shape: tuple  # the PartialResult.shape() every RESULT must have
+    planning_bytes: int
+    pending: deque
+    merge_order: list  # ascending task ids
     attempts: dict = field(default_factory=dict)  # task_id -> attempts started
     assigned: dict = field(default_factory=dict)  # (conn_id, task_id) -> (worker name, attempt) until answered
     done: set = field(default_factory=set)
     records: list = field(default_factory=list)
     buffer: dict = field(default_factory=dict)  # task_id -> PartialResult
     merged: PartialResult | None = None
-    merge_order: list = field(default_factory=list)  # ascending task ids
     next_merge: int = 0  # index into merge_order
 
 
@@ -115,10 +116,9 @@ class Scheduler:
     else on a fresh one at 127.0.0.1 on a free port.
     """
 
-    def __init__(self, startup_timeout: float = 10.0, listener: socket.socket | None = None):
+    def __init__(self, listener: socket.socket | None = None):
         self._listener = listener or socket.create_server(("127.0.0.1", 0))
         self.address = address_of(self._listener)
-        self._startup_timeout = startup_timeout
         self._events: queue.Queue = queue.Queue()
         self._conns: dict[int, socket.socket] = {}
         self._workers: dict[int, _Worker] = {}
@@ -215,18 +215,7 @@ class Scheduler:
             for worker in list(self._workers.values()):
                 if now - worker.last_beat > HEARTBEAT_INTERVAL * LOSS_FACTOR:
                     self._lose_worker(worker, "heartbeat timeout")
-        run = self._run
-        if run is not None:
-            if run.graph is None:
-                if self._workers:
-                    self._plan_run(run)
-                elif now >= run.deadline:
-                    self._fail_run("no workers registered within startup timeout")
-            run = self._run  # planning may have failed the run
-            if run is not None and run.graph is not None and not run.tasks:
-                self._finish_run(run)  # nothing to read: every file was empty
-                return
-            self._dispatch()
+        self._dispatch()
 
     def _on_message(self, conn_id: int, msg: Message) -> None:
         if isinstance(msg, Register):
@@ -260,68 +249,66 @@ class Scheduler:
     # -- run lifecycle ---------------------------------------------------------
 
     def _on_submit(self, conn_id: int, msg: Submit) -> None:
+        """Check, type and cut the run into tasks with the registered workers,
+        or refuse it. A run with explicit tasks opens only its first file, the
+        one it is typed against, since its tasks are already cut and each
+        worker checks its own task's file."""
+
+        def refuse(error: str) -> None:
+            self._send(conn_id, RunFail(msg.run_id, error))
+
         if self._run is not None:
-            self._send(conn_id, RunFail(msg.run_id, "another run is active"))
-            return
+            return refuse("another run is active")
         if msg.factor < 1:
-            self._send(conn_id, RunFail(msg.run_id, f"partition factor must be >= 1, got {msg.factor}"))
-            return
+            return refuse(f"partition factor must be >= 1, got {msg.factor}")
         try:
             spec = load_spec(msg.document)
         except PipelineError as e:
-            self._send(conn_id, RunFail(msg.run_id, f"bad pipeline document: {e}"))
-            return
+            return refuse(f"bad pipeline document: {e}")
         ids = [t.task_id for t in msg.tasks]
         if len(set(ids)) != len(ids):
-            self._send(conn_id, RunFail(msg.run_id, "task ids must be unique"))
-            return
-        self._runs_started += 1
-        now = time.monotonic()
-        self._run = _Run(
-            run_id=msg.run_id,
-            number=self._runs_started,
-            client_conn=conn_id,
-            spec=spec,
-            max_retries=msg.max_retries,
-            factor=msg.factor,
-            cut=msg.tasks,
-            t0=now,
-            deadline=now + self._startup_timeout,
-        )
-
-    def _plan_run(self, run: _Run) -> None:
-        """Type the run and cut it into tasks, unless the client sent them: such a
-        run opens only its first file, the one it is typed against, since its
-        tasks are already cut and each worker checks its own task's file."""
-        spec = run.spec
+            return refuse("task ids must be unique")
+        if not self._workers:
+            return refuse("no workers registered")
+        t0 = time.monotonic()  # the run's wall time includes its planning
         handles = []
         try:
-            for uri in spec.dataset[:1] if run.cut else spec.dataset:
+            for uri in spec.dataset[:1] if msg.tasks else spec.dataset:
                 with open_dataset(uri) as h:  # planning reads only h.uri, h.schema and h.clusters
                     handles.append(h)
             graph = build(spec, handles[0].schema)
             for h in handles:
                 check_columns(graph, h.uri, h.schema)
-            tasks = run.cut or plan_partitions(handles, len(self._workers), run.factor)
+            tasks = msg.tasks or plan_partitions(handles, len(self._workers), msg.factor)
         except PipelineError as e:
-            self._fail_run(f"bad pipeline document: {e}")
-            return
+            return refuse(f"bad pipeline document: {e}")
         except EngineError as e:
-            self._fail_run(f"bad dataset: {e}")
-            return
+            return refuse(f"bad dataset: {e}")
         except Exception as e:
-            self._fail_run(f"planning failed: {e}")
-            return
-        run.tasks = {t.task_id: replace(t, run=run.number) for t in tasks}
-        run.planning_bytes = sum(h.account.bytes_read for h in handles)
-        run.graph = graph
-        run.shape = PartialResult.empty(graph).shape()
-        run.pending = deque(sorted(run.tasks))
-        run.merge_order = sorted(run.tasks)
+            return refuse(f"planning failed: {e}")
+        self._runs_started += 1
+        number = self._runs_started
+        order = sorted(t.task_id for t in tasks)
+        run = self._run = _Run(
+            run_id=msg.run_id,
+            number=number,
+            client_conn=conn_id,
+            spec=spec,
+            max_retries=msg.max_retries,
+            t0=t0,
+            graph=graph,
+            tasks={t.task_id: replace(t, run=number) for t in tasks},
+            shape=PartialResult.empty(graph).shape(),
+            planning_bytes=sum(h.account.bytes_read for h in handles),
+            pending=deque(order),
+            merge_order=order,
+        )
+        if not tasks:
+            self._finish_run(run)  # nothing to read: every file was empty
 
     def _dispatch(self) -> None:
         run = self._run
-        if run is None or run.graph is None:
+        if run is None:
             return
         while run.pending and self._run is run:  # a failed send may end the run
             worker = self._pick_worker()
@@ -333,19 +320,20 @@ class Scheduler:
                 worker.graph_run = run.number
             run.attempts[task_id] = run.attempts.get(task_id, 0) + 1
             run.assigned[(worker.conn_id, task_id)] = (worker.name, run.attempts[task_id])
-            worker.inflight.add((run.number, task_id))
+            worker.task = (run.number, task_id)
             self._send(worker.conn_id, run.tasks[task_id])
 
     def _pick_worker(self) -> _Worker | None:
-        return next((w for w in self._workers.values() if not w.inflight), None)
+        return next((w for w in self._workers.values() if w.task is None), None)
 
     def _on_answer(self, conn_id: int, msg: Result | Fail) -> None:
         worker = self._workers.get(conn_id)
         if worker is not None:
-            worker.inflight.discard((msg.run, msg.task_id))
+            if worker.task == (msg.run, msg.task_id):
+                worker.task = None
             worker.last_beat = time.monotonic()
         run = self._run
-        if run is None or run.graph is None or msg.run != run.number:
+        if run is None or msg.run != run.number:
             return  # another run's answer
         assigned = run.assigned.pop((conn_id, msg.task_id), None)
         if assigned is None or msg.task_id in run.done:
@@ -404,18 +392,15 @@ class Scheduler:
         except OSError:
             pass
         run = self._run
-        if run is None:
-            return
-        for number, task_id in sorted(worker.inflight):
-            if self._run is not run:
-                return  # a requeue failed the run
+        if run is not None and worker.task is not None:
+            number, task_id = worker.task
             if number == run.number and task_id not in run.done:
                 self._retry(run, task_id, f"worker {worker.name} {why}")
 
     def _finish_run(self, run: _Run) -> None:
         wall = time.monotonic() - run.t0
         records = sorted(run.records, key=lambda r: r.task_id)
-        merged = run.merged if run.merged is not None else PartialResult()
+        merged = run.merged if run.merged is not None else PartialResult.empty(run.graph)
         self._send(
             run.client_conn,
             RunDone(run.run_id, wall, merged, tuple(records), run.planning_bytes),

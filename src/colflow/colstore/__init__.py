@@ -17,7 +17,6 @@ _HOME = {
     "ReadAccount": ".dataset",
     "TransportError": ".dataset",
     "open_dataset": ".dataset",
-    "read_range": ".dataset",
     "server_totals": ".dataset",
     "DataServer": ".server",
     "ValueType": "..exprlang",

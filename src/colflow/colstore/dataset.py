@@ -171,7 +171,39 @@ class DatasetHandle:
         return sum(cl.chunks[i].length for cl in self.clusters for i in idx)
 
     def read_range(self, columns, begin: int, end: int):
-        return read_range(self, columns, begin, end)
+        """Yield one trimmed ColumnBatch per cluster overlapping [begin, end).
+
+        Only the requested columns' chunks inside overlapped clusters are
+        fetched; the handle's account grows by exactly those chunk lengths.
+        """
+        names = list(columns)
+        for name in names:
+            if name not in self._col_index:
+                raise KeyError(f"unknown column: {name}")
+        if not 0 <= begin <= end <= self.total_entries:
+            raise ValueError(f"range [{begin}, {end}) outside [0, {self.total_entries})")
+        if begin == end:
+            return
+
+        for cl in self.clusters:
+            cl_end = cl.entry_start + cl.entry_count
+            if cl_end <= begin or cl.entry_start >= end:
+                continue
+            lo = max(begin, cl.entry_start) - cl.entry_start
+            hi = min(end, cl_end) - cl.entry_start
+            decoded: dict[str, np.ndarray | Jagged] = {}
+            for name in names:
+                ref = cl.chunks[self._col_index[name]]
+                raw = _tracked_read(self._transport, self.account, ref.offset, ref.length)
+                if len(raw) != ref.length:
+                    raise TransportError(
+                        f"short read: wanted {ref.length} bytes at {ref.offset}, got {len(raw)}"
+                    )
+                self.account.chunk_bytes += len(raw)
+                if zlib.crc32(raw) != ref.crc32:
+                    raise FormatError(f"{self.uri}: chunk CRC mismatch in column {name}")
+                decoded[name] = decode_chunk(self.schema[name], raw, cl.entry_count)[lo:hi]
+            yield ColumnBatch(cl.entry_start + lo, hi - lo, decoded)
 
     def close(self) -> None:
         self._transport.close()
@@ -233,39 +265,3 @@ def open_dataset(uri: str) -> DatasetHandle:
         transport.close()
         raise
     return DatasetHandle(uri, transport, schema, total_entries, clusters, account)
-
-
-def read_range(handle: DatasetHandle, columns, begin: int, end: int):
-    """Yield one trimmed ColumnBatch per cluster overlapping [begin, end).
-
-    Only the requested columns' chunks inside overlapped clusters are
-    fetched; the handle's account grows by exactly those chunk lengths.
-    """
-    names = list(columns)
-    for name in names:
-        if name not in handle._col_index:
-            raise KeyError(f"unknown column: {name}")
-    if not 0 <= begin <= end <= handle.total_entries:
-        raise ValueError(f"range [{begin}, {end}) outside [0, {handle.total_entries})")
-    if begin == end:
-        return
-
-    for cl in handle.clusters:
-        cl_end = cl.entry_start + cl.entry_count
-        if cl_end <= begin or cl.entry_start >= end:
-            continue
-        lo = max(begin, cl.entry_start) - cl.entry_start
-        hi = min(end, cl_end) - cl.entry_start
-        decoded: dict[str, np.ndarray | Jagged] = {}
-        for name in names:
-            ref = cl.chunks[handle._col_index[name]]
-            raw = _tracked_read(handle._transport, handle.account, ref.offset, ref.length)
-            if len(raw) != ref.length:
-                raise TransportError(
-                    f"short read: wanted {ref.length} bytes at {ref.offset}, got {len(raw)}"
-                )
-            handle.account.chunk_bytes += len(raw)
-            if zlib.crc32(raw) != ref.crc32:
-                raise FormatError(f"{handle.uri}: chunk CRC mismatch in column {name}")
-            decoded[name] = decode_chunk(handle.schema[name], raw, cl.entry_count)[lo:hi]
-        yield ColumnBatch(cl.entry_start + lo, hi - lo, decoded)

@@ -127,11 +127,13 @@ class DataServer:
             raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")
         return open(target, "rb")
 
-    def _read(self, file, payload: bytes) -> bytearray:
-        """The requested span, read into one buffer that is then sent as it is.
+    def _read(self, file, payload: bytes) -> bytes:
+        """The requested span in one ``pread``, sent as it is.
 
-        The buffer is sized to what the file holds past ``off`` now, and
-        cut to what ``readinto`` filled if the file shrank meanwhile.
+        The read is sized to what the file holds past ``off`` now, so it
+        never allocates more than that, and comes back short if the file
+        shrank meanwhile. At or past EOF the reply is empty and the file is
+        not read.
         """
         if len(payload) != 12:
             raise ServerError(ERR_BAD_REQUEST, "READ payload must be off+len")
@@ -142,9 +144,8 @@ class DataServer:
             raise ServerError(
                 ERR_BAD_REQUEST, f"READ of {length} bytes exceeds MAX_FRAME ({wire.MAX_FRAME} bytes)"
             )
-        data = bytearray(max(0, min(length, os.fstat(file.fileno()).st_size - off)))
-        file.seek(off)
-        del data[file.readinto(data) :]
+        n = min(length, os.fstat(file.fileno()).st_size - off)
+        data = os.pread(file.fileno(), n, off) if n > 0 else b""
         with self._lock:
             self.total_bytes_served += len(data)
             self.total_read_calls += 1

@@ -321,7 +321,7 @@ def test_c08_killing_a_worker_mid_run_loses_nothing(tmp_path):
                 holder = next(
                     (w for w in sched._workers.values() if w.name == "victim"), None
                 )
-                if holder is not None and holder.inflight:
+                if holder is not None and holder.task is not None:
                     break
                 time.sleep(0.002)
             victim._sock.close()  # hard death: no failure message, no goodbye

@@ -149,6 +149,11 @@ class TestValidationExits:
         assert main(["worker", "--scheduler", "h:1", flag, "2"]) == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    def test_scheduler_takes_no_startup_timeout(self, capsys):
+        # a run is planned when it is submitted or refused, so nothing waits for workers
+        assert main(["scheduler", "--startup-timeout", "5"]) == 2
+        assert "unrecognized arguments: --startup-timeout" in capsys.readouterr().err
+
     def test_port_range_edges_accepted(self):
         parser = build_parser()
         assert parser.parse_args(["scheduler", "--listen", "h:0"]).listen == ("h", 0)
@@ -244,7 +249,6 @@ class TestValidationExits:
             ("legacy pre", "--parallel-jobs", "0"),
             ("legacy pre", "--payload-bytes", "-1"),
             ("legacy post", "--timeout", "0"),
-            ("scheduler", "--startup-timeout", "0"),
             ("bench", "--timeout", "-1"),
         ],
     )
@@ -252,7 +256,6 @@ class TestValidationExits:
         required = {
             "run": ["--spec", "d.json", "--scheduler", "h:1", "--out", "o"],
             "legacy": ["--spec", "d.json", "--scheduler", "h:1", "--out", "o"],
-            "scheduler": [],
             "bench": ["--out", "o"],
         }
         argv = command.split() + required[command.split()[0]] + [flag, value]

@@ -67,6 +67,16 @@ def wait_for_workers(scheduler, n, timeout=5.0):
     raise TimeoutError(f"only {len(scheduler._workers)} of {n} workers registered")
 
 
+def wait_for_names(scheduler, names, timeout=5.0):
+    """Wait until exactly the named workers are registered, in that order."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if [w.name for w in list(scheduler._workers.values())] == names:
+            return
+        time.sleep(0.01)
+    raise TimeoutError(f"registered {[w.name for w in scheduler._workers.values()]}, not {names}")
+
+
 @pytest.fixture
 def dataset_files(tmp_path):
     files = []
@@ -238,26 +248,24 @@ class TestDistributedRuns:
         assert result.partial.chunk_bytes == 3 * single.chunk_bytes
 
     def test_run_rejected_while_another_active(self, dataset_files):
-        # no workers yet: the first run parks in deferred planning, holding
-        # the single run slot until the worker arrives
-        doc = make_doc(dataset_files)
-        with Scheduler(startup_timeout=30.0) as sched:
+        # the first run holds the single run slot while its one task sits
+        # unanswered on a registered worker
+        doc = make_doc(dataset_files[:1])
+        graph = _build_graph(doc, dataset_files)
+        task = Task(0, EntryRange(dataset_files[0], 0, 10))
+        with Scheduler() as sched, FakeWorker(sched.address) as fake:
             outcome = {}
-
-            def first():
-                outcome["result"] = run_distributed(doc, sched.address)
-
-            t = threading.Thread(target=first)
-            t.start()
-            deadline = time.monotonic() + 5.0
-            while sched._run is None and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert sched._run is not None
+            thread = threading.Thread(target=lambda: outcome.update(
+                result=submit_run(sched.address, doc, tasks=(task,), timeout=20)))
+            thread.start()
+            run = fake.recv(Graph).run
+            assert fake.recv(Task).task_id == 0
             with pytest.raises(ClusterError, match="another run is active"):
                 submit_run(sched.address, doc, timeout=5.0)
-            spawn_worker(sched.address, name="w0")
-            t.join(timeout=30.0)
-            assert outcome["result"].total_events == 750
+            fake.send(Result(0, 0.1, run_range(graph, task.entry_range), run))
+            thread.join(30)
+            assert not thread.is_alive()
+        assert outcome["result"].total_events == 10
 
     def test_bad_document_rejected(self, dataset_files):
         with Scheduler() as sched:
@@ -292,11 +300,33 @@ class TestDistributedRuns:
             with pytest.raises(ClusterError, match="planning failed"):
                 submit_run(sched.address, doc, timeout=5.0)
 
-    def test_no_workers_times_out(self, dataset_files):
+    def test_no_workers_refused_at_once(self, dataset_files):
         doc = make_doc(dataset_files)
-        with Scheduler(startup_timeout=0.4) as sched:
-            with pytest.raises(ClusterError, match="no workers"):
+        with Scheduler() as sched:
+            t0 = time.monotonic()
+            with pytest.raises(ClusterError, match="^no workers registered$"):
                 submit_run(sched.address, doc, timeout=5.0)
+            assert time.monotonic() - t0 < 1.0
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            result = run_distributed(doc, sched.address, timeout=30)  # the same scheduler, once a worker is in
+        assert result.total_events == 750
+
+    def test_all_empty_dataset_returns_empty_tables(self, tmp_path):
+        path = str(tmp_path / "empty.col")
+        write_dataset(path, STANDARD_SCHEMA, standard_columns(0), 64)
+        doc = json.dumps({"dataset": [path], "stages": [
+            {"op": "count", "name": "n"},
+            {"op": "histo1d", "name": "h", "column": "MET_pt", "nbins": 10, "xmin": 0.0, "xmax": 100.0}]})
+        local = run_local(_build_graph(doc, [path]), [path])
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            result = run_distributed(doc, sched.address, timeout=30)
+        assert result.records == ()  # no task: the run finished when it was planned
+        assert list(local.universes) == ["nominal"] and list(local.tables) == ["n", "h"]
+        assert result.partial.universes == local.universes
+        assert result.partial.shape() == local.shape()
 
     def test_duplicate_task_ids_rejected(self, dataset_files):
         doc = make_doc(dataset_files)
@@ -356,7 +386,7 @@ class TestFaultTolerance:
                     holder = next(
                         (w for w in sched._workers.values() if w.name == "victim"), None
                     )
-                    if holder is not None and holder.inflight:
+                    if holder is not None and holder.task is not None:
                         break
                     time.sleep(0.002)
                 victim._sock.close()  # hard kill: no FAIL, no goodbye
@@ -401,14 +431,17 @@ def payload_size(msg) -> int:
 class TestSlotBookkeeping:
     """The state loop's methods driven directly: no reader threads, sends recorded."""
 
-    @staticmethod
-    def scheduler(files, max_retries):
+    @classmethod
+    def scheduler(cls, files, max_retries):
+        """A scheduler with worker a registered on connection 1 and a planned
+        two-task run submitted on connection 99."""
         sched = Scheduler()
         sent = []
         sched._send = lambda conn_id, msg: sent.append((conn_id, msg))
+        a = cls.register(sched, 1, "a")
         tasks = tuple(Task(i, EntryRange(files[0], 0, 10)) for i in range(2))
         sched._on_submit(99, Submit("r", make_doc(files[:1]), max_retries, tasks=tasks))
-        return sched, sent
+        return sched, sent, a
 
     @staticmethod
     def register(sched, conn_id, name):
@@ -425,30 +458,26 @@ class TestSlotBookkeeping:
         sched.stop()
 
     def test_late_answer_of_a_lost_worker_frees_no_other_slot(self, dataset_files):
-        sched, sent = self.scheduler(dataset_files, max_retries=2)
+        sched, sent, a = self.scheduler(dataset_files, max_retries=2)
         try:
-            a = self.register(sched, 1, "a")
             run = sched._run
-            sched._plan_run(run)
             sched._dispatch()  # task 0 to a; task 1 waits
             sched._lose_worker(a, "heartbeat timeout")
             b = self.register(sched, 2, "b")
             sched._dispatch()  # task 0 again, to b
-            assert b.inflight == {(run.number, 0)}
+            assert b.task == (run.number, 0)
             sched._on_answer(1, Result(0, 0.1, PartialResult.empty(run.graph), run.number))  # a's late answer
-            assert 0 in run.done and b.inflight == {(run.number, 0)}
+            assert 0 in run.done and b.task == (run.number, 0)
             sched._dispatch()  # b is still busy with task 0
-            assert b.inflight == {(run.number, 0)} and list(run.pending) == [1]
+            assert b.task == (run.number, 0) and list(run.pending) == [1]
             assert [m.task_id for c, m in sent if c == 2 and isinstance(m, Task)] == [0]
         finally:
             self.stop(sched)
 
     def test_late_answer_of_a_lost_worker_names_who_ran_it(self, dataset_files):
-        sched, _ = self.scheduler(dataset_files, max_retries=2)
+        sched, _, a = self.scheduler(dataset_files, max_retries=2)
         try:
-            a = self.register(sched, 1, "a")
             run = sched._run
-            sched._plan_run(run)
             sched._dispatch()  # task 0 to a, attempt 1
             sched._lose_worker(a, "heartbeat timeout")
             self.register(sched, 2, "b")
@@ -460,11 +489,9 @@ class TestSlotBookkeeping:
             self.stop(sched)
 
     def test_late_fail_of_a_lost_worker_requeues_nothing(self, dataset_files):
-        sched, _ = self.scheduler(dataset_files, max_retries=2)
+        sched, _, a = self.scheduler(dataset_files, max_retries=2)
         try:
-            a = self.register(sched, 1, "a")
             run = sched._run
-            sched._plan_run(run)
             sched._dispatch()  # task 0 to a
             sched._lose_worker(a, "heartbeat timeout")  # requeues task 0 once
             assert list(run.pending) == [0, 1]
@@ -474,10 +501,8 @@ class TestSlotBookkeeping:
             self.stop(sched)
 
     def test_losing_a_worker_spends_an_attempt(self, dataset_files):
-        sched, sent = self.scheduler(dataset_files, max_retries=0)
+        sched, sent, a = self.scheduler(dataset_files, max_retries=0)
         try:
-            a = self.register(sched, 1, "a")
-            sched._plan_run(sched._run)
             sched._dispatch()
             sched._lose_worker(a, "disconnected")
             assert sched._run is None
@@ -788,6 +813,7 @@ class TestRunScoping:
             assert outcome["seconds"] < 5
             fake.sock.close()
             spawn_worker(sched.address, name="w0")
+            wait_for_names(sched, ["w0"])
             result = run_distributed(doc, sched.address, timeout=30)  # the state loop survived
         assert result.total_events == 450
 

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from colflow.colstore import open_dataset, read_range
+from colflow.colstore import open_dataset
 from colflow.datagen import (
     MANIFEST_NAME,
     GenConfig,
@@ -96,7 +96,7 @@ class TestShape:
         with open_dataset(path) as h:
             names = list(h.schema)
             assert names == ["event_weight", "MET_pt", "nJet", "Jet_pt", "Jet_eta", "Jet_phi"]
-            for batch in read_range(h, names, 0, h.total_entries):
+            for batch in h.read_range(names, 0, h.total_entries):
                 njet = batch.columns["nJet"]
                 assert njet.min() >= 0 and njet.max() <= 8
                 assert np.array_equal(batch.columns["Jet_pt"].lengths, njet)
@@ -114,7 +114,7 @@ class TestShape:
         kept = total = 0
         for path in manifest_files(manifest):
             with open_dataset(path) as h:
-                for batch in read_range(h, ["MET_pt", "nJet"], 0, h.total_entries):
+                for batch in h.read_range(["MET_pt", "nJet"], 0, h.total_entries):
                     met = batch.columns["MET_pt"]
                     njet = batch.columns["nJet"]
                     kept += int(((met > 96.0) & (njet >= 2)).sum())

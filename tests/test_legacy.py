@@ -7,7 +7,7 @@ import pytest
 
 from colflow.cluster import Scheduler, Worker
 from colflow.cluster.client import RunResult
-from colflow.colstore import DataServer, open_dataset, read_range, write_dataset
+from colflow.colstore import DataServer, open_dataset, write_dataset
 from colflow.engine import SINGLE_PASS, EntryRange, run_local, run_range
 from colflow.exprlang import Jagged
 from colflow.graph import build, load_spec, schema_types
@@ -99,7 +99,7 @@ def files(tmp_path):
 def read_rows(path, columns):
     rows = []
     with open_dataset(path) as h:
-        for batch in read_range(h, columns, 0, h.total_entries):
+        for batch in h.read_range(columns, 0, h.total_entries):
             cols = []
             for name in columns:
                 data = batch.columns[name]

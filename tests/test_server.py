@@ -125,6 +125,19 @@ def test_short_read_at_eof(served_dir):
     t.close()
 
 
+def test_read_at_or_past_eof_answers_empty(served_dir):
+    root, server = served_dir
+    (root / "hundred.bin").write_bytes(bytes(range(100)))
+    with wire.connect(server.address, timeout=10) as sock:
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("hundred.bin"))
+        assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", 100))
+        for off in (100, 2**63 - 1, 2**64 - 1):
+            wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", off, 10))
+            assert wire.recv_frame(sock) == (srv.OP_READ, b"")
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 50, 80))
+        assert wire.recv_frame(sock) == (srv.OP_READ, bytes(range(50, 100)))
+
+
 def test_missing_file_is_error(served_dir):
     root, server = served_dir
     host, port = server.address.split(":")
