@@ -7,12 +7,14 @@ Four scenarios run strictly in sequence on a self-hosted local facility:
     legacy-post   per-file multi-pass histogram jobs over the legacy skim
     new-post      one distributed single-loop run over the new skim
 
-Each scenario repeats a configurable number of times; every repeat's
-byte accounting is checked for exact closure against the data server's
-own served-byte counter, and the postselection results of the two
-workflows are checked for per-universe agreement before the comparison
-table is rendered. metrics.csv is rewritten after every repeat, so an
-aborted benchmark still leaves the completed rows behind.
+The legacy scenarios submit their jobs in waves as wide as the facility
+has worker processes. Each scenario repeats a configurable number of
+times; every repeat's byte accounting is checked for exact closure
+against the data server's own served-byte counter, and the postselection
+results of the two workflows are checked for per-universe agreement
+before the comparison table is rendered. metrics.csv is rewritten after
+every repeat, so an aborted benchmark still leaves the completed rows
+behind.
 """
 
 from __future__ import annotations
@@ -30,14 +32,7 @@ from .engine import PartialResult
 from .facility import MiniFacility
 from .hist import ResultKind
 from .legacy import run_legacy_postselection, run_legacy_preselection
-from .metrics import (
-    JobRecord,
-    RunMetrics,
-    aggregate,
-    metrics_row,
-    write_metrics_csv,
-    write_records_csv,
-)
+from .metrics import JobRecord, RunMetrics, aggregate, write_metrics_csv, write_records_csv
 from .report import BenchReport, render_report, summarize
 
 
@@ -63,14 +58,13 @@ class BenchConfig:
     repeats: int = 3
     factor: int = 3
     payload_bytes: int = 1_000_000
-    parallel_jobs: int = 4
     timeout: float = 600.0
 
     def __post_init__(self):
         for field_name in ("n_files", "events_per_file", "cluster_size"):
             if getattr(self, field_name) < 0:
                 raise BenchError(f"{field_name} must be >= 0")
-        for field_name in ("workers", "repeats", "factor", "parallel_jobs"):
+        for field_name in ("workers", "repeats", "factor"):
             if getattr(self, field_name) < 1:
                 raise BenchError(f"{field_name} must be >= 1")
         if self.payload_bytes < 0:
@@ -184,9 +178,6 @@ def _first_bad(labels: list[str], name: str, what: str, x: np.ndarray, y: np.nda
 class ScenarioRun:
     """One repeat of one scenario, with its run-level accounting."""
 
-    run_id: str
-    mode: str
-    phase: str
     metrics: RunMetrics
     records: tuple[JobRecord, ...]
     partial: PartialResult
@@ -218,33 +209,29 @@ class _Harness:
         self.data_dir = os.path.abspath(config.data_dir or os.path.join(self.out_dir, "data"))
         self.records_dir = os.path.join(self.out_dir, "records")
         self.metrics_path = os.path.join(self.out_dir, "metrics.csv")
-        self.rows: list[dict] = []
         self.runs: list[ScenarioRun] = []
         self.facility: MiniFacility | None = None
 
     def record(self, run: ScenarioRun) -> None:
-        if run.metrics.network_read != run.served_delta:
+        m = run.metrics
+        if m.network_read_bytes != run.served_delta:
             raise BenchError(
-                f"{run.run_id}: client-side byte accounting ({run.metrics.network_read}) "
+                f"{m.run_id}: client-side byte accounting ({m.network_read_bytes}) "
                 f"does not match the data server ({run.served_delta})"
             )
         self.runs.append(run)
-        self.rows.append(metrics_row(run.run_id, run.mode, run.phase, run.metrics))
         # rewrite after every repeat: an aborted run keeps completed rows
-        write_metrics_csv(self.metrics_path, self.rows)
-        write_records_csv(
-            os.path.join(self.records_dir, f"{run.run_id}.csv"), list(run.records)
-        )
+        write_metrics_csv(self.metrics_path, [r.metrics for r in self.runs])
+        write_records_csv(os.path.join(self.records_dir, f"{m.run_id}.csv"), list(run.records))
 
     def repeat(self, mode: str, phase: str, k: int, fn) -> ScenarioRun:
         before, _ = server_totals(self.facility.data_address)
         result: RunResult = fn()
         after, _ = server_totals(self.facility.data_address)
         run = ScenarioRun(
-            run_id=f"{mode}-{phase}-r{k}",
-            mode=mode,
-            phase=phase,
-            metrics=aggregate(list(result.records), result.total_time, result.network_read),
+            metrics=aggregate(
+                f"{mode}-{phase}-r{k}", mode, phase, list(result.records), result.total_time, result.network_read
+            ),
             records=result.records,
             partial=result.partial,
             served_delta=after - before,
@@ -282,7 +269,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                 scheduler_address=facility.scheduler_address,
                 payload_bytes=config.payload_bytes,
                 payload_uri=payload_uri,
-                parallel_jobs=config.parallel_jobs,
+                parallel_jobs=config.workers,
                 timeout=config.timeout,
             )
             legacy_skims[:] = skims
@@ -326,7 +313,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
                 legacy_skim_uris,
                 scheduler_address=facility.scheduler_address,
                 out_dir=jobs_dir,
-                parallel_jobs=config.parallel_jobs,
+                parallel_jobs=config.workers,
                 timeout=config.timeout,
             )[1]
 
@@ -347,7 +334,7 @@ def run_bench(config: BenchConfig) -> BenchResult:
 
         check_equivalence(legacy_post_run.partial, new_post_run.partial)
 
-    report = summarize(h.rows)
+    report = summarize([r.metrics for r in h.runs])
     table = render_report(report)
     with open(os.path.join(h.out_dir, "table.txt"), "w") as f:
         f.write(table)

@@ -10,8 +10,9 @@
     colflow report      comparison table from metrics.csv files
 
 `run` writes tasks.csv and `legacy` appends to jobs.csv, both one row per
-task in the same columns; metrics.csv rows carry every run-level figure,
-the memory proxy included.
+task in the same columns. A metrics.csv row is a `metrics.RunMetrics`:
+every run-level figure, the memory proxy included. `run` and `legacy`
+create their --out directory before they submit anything.
 
 Exit codes: 0 success, 2 validation error (bad flags, bad documents,
 bad inputs), 1 runtime failure (lost cluster, failed run).
@@ -25,7 +26,8 @@ while no worker is registered fails at once ("no workers registered").
 
 A worker process is one slot and reads each task's file as the task
 names it; more slots are more `colflow worker` processes (`bench
---workers` starts that many).
+--workers` starts that many, and its legacy scenarios submit jobs in
+waves of that width).
 
 Each command imports the modules it runs in its own body: starting a
 service loads that service's code and nothing of the benchmark, the
@@ -122,6 +124,15 @@ def _number(kind: type, lowest: float, strict: bool = False):
         return value
 
     return parse
+
+
+def _make_out_dir(path: str) -> bool:
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as e:
+        _err(f"cannot create output directory {path}: {e}")
+        return False
+    return True
 
 
 def _read_document(path: str) -> str | None:
@@ -221,7 +232,7 @@ def cmd_run(args) -> int:
     from .cluster.client import run_distributed
     from .cluster.worker import write_result_file
     from .graph import PipelineError, load_spec, spec_graph_id
-    from .metrics import aggregate, metrics_row, write_metrics_csv, write_records_csv
+    from .metrics import aggregate, write_metrics_csv, write_records_csv
 
     document = _read_document(args.spec)
     if document is None:
@@ -230,6 +241,8 @@ def cmd_run(args) -> int:
         spec = load_spec(document)
     except PipelineError as e:
         _err(str(e))
+        return EXIT_USAGE
+    if not _make_out_dir(args.out):
         return EXIT_USAGE
     try:
         result = run_distributed(
@@ -242,15 +255,11 @@ def cmd_run(args) -> int:
     except _runtime_errors() as e:
         _err(str(e))
         return EXIT_RUNTIME
-    os.makedirs(args.out, exist_ok=True)
     write_records_csv(os.path.join(args.out, "tasks.csv"), list(result.records))
     write_result_file(os.path.join(args.out, "result.res"), spec_graph_id(spec), result.partial)
     if result.records:
-        m = aggregate(list(result.records), result.wall_time, result.network_read)
-        write_metrics_csv(
-            os.path.join(args.out, "metrics.csv"),
-            [metrics_row(result.run_id, "new", "run", m)],
-        )
+        m = aggregate(result.run_id, "new", "run", list(result.records), result.wall_time, result.network_read)
+        write_metrics_csv(os.path.join(args.out, "metrics.csv"), [m])
     print(
         f"run {result.run_id}: {result.total_events} events in {result.wall_time:.2f}s "
         f"over {len(result.records)} tasks"
@@ -302,7 +311,8 @@ def cmd_legacy(args) -> int:
         _err(str(e))
         return EXIT_USAGE
 
-    os.makedirs(args.out, exist_ok=True)
+    if not _make_out_dir(args.out):
+        return EXIT_USAGE
     try:
         if pre:
             skims, result = run_legacy_preselection(
@@ -362,7 +372,6 @@ def cmd_bench(args) -> int:
             repeats=args.repeats,
             factor=args.factor,
             payload_bytes=args.payload_bytes,
-            parallel_jobs=args.parallel_jobs,
             timeout=args.timeout,
         )
     except BenchError as e:
@@ -383,7 +392,7 @@ def cmd_report(args) -> int:
     from .metrics import MetricsError, read_metrics_csv
     from .report import ReportError, render
 
-    rows: list[dict] = []
+    rows = []
     try:
         for path in args.metrics:
             rows.extend(read_metrics_csv(path))
@@ -466,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--factor", type=int, default=3)
     b.add_argument("--payload-bytes", type=int, default=1_000_000)
-    b.add_argument("--parallel-jobs", type=int, default=4)
     b.add_argument("--timeout", type=_number(float, 0, strict=True), default=600.0)
     b.set_defaults(func=cmd_bench)
 

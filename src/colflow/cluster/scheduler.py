@@ -50,7 +50,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 
 from ..colstore import open_dataset
-from ..engine import EngineError, PartialResult, check_columns
+from ..engine import EngineError, PartialResult, check_columns, pass_plan
 from ..graph import ComputationGraph, PipelineError, PipelineSpec, build, load_spec
 from ..metrics import JobRecord
 from ..proto import (
@@ -349,7 +349,7 @@ class Scheduler:
         run.done.add(msg.task_id)
         name, attempt = assigned
         task = run.tasks[msg.task_id]
-        passes = 1 + len(run.graph.topology_tags()) if task.multi_pass else 1
+        passes = len(pass_plan(run.graph)) if task.multi_pass else 1
         partial = msg.partial
         run.records.append(
             JobRecord(

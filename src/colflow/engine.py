@@ -334,6 +334,12 @@ def _write_snapshot(compiled: CompiledPipeline, batches: list[list], range_id: s
     return path
 
 
+def pass_plan(graph: ComputationGraph) -> list[list[str]]:
+    """The baseline's passes, each a list of universes: nominal with every WEIGHT
+    universe (weight substitution costs no extra reads), then one per TOPOLOGY tag."""
+    return [["nominal", *graph.weight_tags()], *([tag] for tag in graph.topology_tags())]
+
+
 def run_multi_pass(
     graph: ComputationGraph,
     entry_range: EntryRange,
@@ -341,19 +347,17 @@ def run_multi_pass(
     range_id: str = "0",
     compiled: CompiledPipeline | None = None,
 ) -> PartialResult:
-    """The baseline's sequential traversals: 1 + one per topology tag.
+    """The baseline's sequential traversals, one per entry of pass_plan(graph).
 
-    The first pass covers nominal and all WEIGHT universes (weight
-    substitution costs no extra reads); each TOPOLOGY universe then re-reads
-    the range in full with a fresh handle. Events are counted once; time and
-    byte counters accumulate across passes.
+    Each pass re-reads the range in full with a fresh handle. Events are
+    counted once; time and byte counters accumulate across passes.
     """
     if compiled is None:
         compiled = CompiledPipeline(graph)
-    first = ["nominal", *graph.weight_tags()]
+    first, *rest = pass_plan(graph)
     combined = run_range(graph, entry_range, first, range_id=range_id, compiled=compiled)
-    for tag in graph.topology_tags():
-        p = run_range(graph, entry_range, [tag], range_id=range_id, compiled=compiled)
+    for universes in rest:
+        p = run_range(graph, entry_range, universes, range_id=range_id, compiled=compiled)
         p.events = 0  # every pass visits the same events
         combined.merge_in(p)
     return combined

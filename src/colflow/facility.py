@@ -40,6 +40,7 @@ import time
 from .cluster.client import shutdown_cluster
 from .wire import address_of
 
+STARTUP_TIMEOUT = 30.0  # seconds: one deadline for every child's announcement line
 _LOG_TAIL_LINES = 10
 
 
@@ -76,7 +77,6 @@ class MiniFacility:
         log_dir: str,
         n_workers: int = 4,
         slots: int = 1,
-        startup_timeout: float = 30.0,
     ):
         if n_workers < 1 or slots < 1:
             raise FacilityError("need at least one worker of at least one slot")
@@ -84,7 +84,6 @@ class MiniFacility:
         self.log_dir = os.path.abspath(log_dir)
         self.n_workers = n_workers
         self.slots = slots
-        self.startup_timeout = startup_timeout
         self.data_address = ""
         self.scheduler_address = ""
         self.data_proc: subprocess.Popen | None = None
@@ -116,13 +115,13 @@ class MiniFacility:
     def _await(self) -> None:
         """Wait until every child has announced itself.
 
-        They share one startup_timeout; the first that exits or times out
+        They share one STARTUP_TIMEOUT; the first that exits or times out
         without announcing raises FacilityError.
         """
-        deadline = time.monotonic() + self.startup_timeout
+        deadline = time.monotonic() + STARTUP_TIMEOUT
         for child in self._children:
             if not child.answered.wait(max(0.0, deadline - time.monotonic())):
-                raise FacilityError(f"{child.what} did not announce itself within {self.startup_timeout}s")
+                raise FacilityError(f"{child.what} did not announce itself within {STARTUP_TIMEOUT}s")
             if not child.line:
                 raise self._exited(child)
 

@@ -1,5 +1,8 @@
 """Run bookkeeping: per-job records, rate formulas, CSV outputs.
 
+A metrics.csv row is a RunMetrics, whose fields are the file's columns;
+tasks.csv and jobs.csv share one table of JobRecord columns.
+
 Two rates, deliberately distinct:
 
     job rate      = sum(events_i) / sum(t_i)        t_i = whole job duration
@@ -12,8 +15,10 @@ is never below job rate since t_loop <= t per record.
 from __future__ import annotations
 
 import csv
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
+from typing import get_type_hints
 
 
 class MetricsError(Exception):
@@ -59,65 +64,71 @@ def overall_rate(total_events: int, wall_seconds: float) -> float:
     return total_events / wall_seconds
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunMetrics:
-    overall_time: float
-    overall_rate: float
-    job_rate: float
-    job_loop_rate: float
-    network_read: int
+    """One metrics.csv row: a run's identity and its run-level figures, each field typed as its column."""
+
+    run_id: str
+    mode: str
+    phase: str
+    overall_time_s: float
+    overall_rate_hz: float
+    job_rate_hz: float
+    job_loop_rate_hz: float
+    network_read_bytes: int
     total_events: int
     n_jobs: int
-    mem_peak: int = 0
+    mem_peak_bytes: int  # a proxy: peak engine column-buffer bytes of one task, not RSS
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if not isinstance(value, str) and not math.isfinite(value):
+                raise MetricsError(f"{name} must be finite, got {value}")
 
 
-def aggregate(records: list[JobRecord], wall_time: float, network_read: int) -> RunMetrics:
-    """Run-level figures; network_read is the run's own total, planning included."""
+METRICS_COLUMNS = [f.name for f in fields(RunMetrics)]
+_METRICS_TYPES = get_type_hints(RunMetrics)
+
+
+def aggregate(
+    run_id: str, mode: str, phase: str, records: list[JobRecord], wall_time: float, network_read: int
+) -> RunMetrics:
+    """The run's metrics row; network_read is the run's own total, planning included."""
     total_events = sum(r.events for r in records)
     return RunMetrics(
-        overall_time=wall_time,
-        overall_rate=overall_rate(total_events, wall_time),
-        job_rate=job_rate(records),
-        job_loop_rate=job_rate(records, use_loop_time=True),
-        network_read=network_read,
+        run_id=run_id,
+        mode=mode,
+        phase=phase,
+        overall_time_s=wall_time,
+        overall_rate_hz=overall_rate(total_events, wall_time),
+        job_rate_hz=job_rate(records),
+        job_loop_rate_hz=job_rate(records, use_loop_time=True),
+        network_read_bytes=network_read,
         total_events=total_events,
         n_jobs=len(records),
-        mem_peak=max((r.mem_peak for r in records), default=0),
+        mem_peak_bytes=max((r.mem_peak for r in records), default=0),
     )
 
 
 # --- CSV outputs ------------------------------------------------------------
 
-RECORD_COLUMNS = [
-    "task_id", "worker", "events", "t_total_s", "t_loop_s", "bytes_read", "attempt", "phase", "passes"
-]
-METRICS_COLUMNS = [
-    "run_id",
-    "mode",
-    "phase",
-    "overall_time_s",
-    "overall_rate_hz",
-    "job_rate_hz",
-    "job_loop_rate_hz",
-    "network_read_bytes",
-    "total_events",
-    "n_jobs",
-    "mem_peak_bytes",  # a proxy: peak engine column-buffer bytes of one task, not RSS
-]
+# tasks.csv and jobs.csv: (column, JobRecord attribute), in column order
+_RECORD_LAYOUT = (
+    ("task_id", "task_id"),
+    ("worker", "worker"),
+    ("events", "events"),
+    ("t_total_s", "t_total"),
+    ("t_loop_s", "t_loop"),
+    ("bytes_read", "bytes_read"),
+    ("attempt", "attempt"),
+    ("phase", "phase"),
+    ("passes", "passes"),
+)
+RECORD_COLUMNS = [column for column, _ in _RECORD_LAYOUT]
 
 
 def _record_row(r: JobRecord) -> dict:
-    return {
-        "task_id": r.task_id,
-        "worker": r.worker,
-        "events": r.events,
-        "t_total_s": repr(r.t_total),
-        "t_loop_s": repr(r.t_loop),
-        "bytes_read": r.bytes_read,
-        "attempt": r.attempt,
-        "phase": r.phase,
-        "passes": r.passes,
-    }
+    return {column: getattr(r, attr) for column, attr in _RECORD_LAYOUT}
 
 
 def write_records_csv(path: str, records: list[JobRecord]) -> None:
@@ -128,34 +139,19 @@ def append_records_csv(path: str, records: list[JobRecord]) -> None:
     """Append record rows, writing the header only when the file is new."""
     new = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=RECORD_COLUMNS, extrasaction="ignore")
+        writer = csv.DictWriter(f, fieldnames=RECORD_COLUMNS)
         if new:
             writer.writeheader()
         writer.writerows(_record_row(r) for r in records)
 
 
-def metrics_row(run_id: str, mode: str, phase: str, m: RunMetrics) -> dict:
-    return {
-        "run_id": run_id,
-        "mode": mode,
-        "phase": phase,
-        "overall_time_s": repr(m.overall_time),
-        "overall_rate_hz": repr(m.overall_rate),
-        "job_rate_hz": repr(m.job_rate),
-        "job_loop_rate_hz": repr(m.job_loop_rate),
-        "network_read_bytes": m.network_read,
-        "total_events": m.total_events,
-        "n_jobs": m.n_jobs,
-        "mem_peak_bytes": m.mem_peak,
-    }
+def write_metrics_csv(path: str, rows: list[RunMetrics]) -> None:
+    _write(path, METRICS_COLUMNS, [asdict(row) for row in rows])
 
 
-def write_metrics_csv(path: str, rows: list[dict]) -> None:
-    _write(path, METRICS_COLUMNS, rows)
-
-
-def read_metrics_csv(path: str) -> list[dict]:
-    """Rows with numeric fields parsed back to int/float."""
+def read_metrics_csv(path: str) -> list[RunMetrics]:
+    """The file's rows, each value typed as its RunMetrics field; a malformed
+    file raises MetricsError naming it."""
     out = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
@@ -163,20 +159,18 @@ def read_metrics_csv(path: str) -> list[dict]:
         if missing:
             raise MetricsError(f"{path}: missing columns {sorted(missing)}")
         for row in reader:
-            parsed = dict(row)
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():
+                raise MetricsError(f"{where}: field count differs from the header's {len(reader.fieldnames)}")
             try:
-                for key in ("overall_time_s", "overall_rate_hz", "job_rate_hz", "job_loop_rate_hz"):
-                    parsed[key] = float(row[key])
-                for key in ("network_read_bytes", "total_events", "n_jobs", "mem_peak_bytes"):
-                    parsed[key] = int(row[key])
-            except ValueError as e:
-                raise MetricsError(f"{path}: bad numeric field: {e}") from None
-            out.append(parsed)
+                out.append(RunMetrics(**{c: _METRICS_TYPES[c](row[c]) for c in METRICS_COLUMNS}))
+            except (ValueError, MetricsError) as e:
+                raise MetricsError(f"{where}: {e}") from None
     return out
 
 
 def _write(path: str, columns: list[str], rows: list[dict]) -> None:
     with open(path, "w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=columns, extrasaction="ignore")
+        writer = csv.DictWriter(f, fieldnames=columns)
         writer.writeheader()
         writer.writerows(rows)

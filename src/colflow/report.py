@@ -1,10 +1,11 @@
 """Comparison tables over benchmark metrics rows.
 
-Everything here is a pure function of metrics.csv rows (as produced by
-``metrics.write_metrics_csv`` and parsed back by ``read_metrics_csv``).
-Repeated runs of one scenario are grouped by (mode, phase) and reduced to
-mean +- maximum semi-dispersion, i.e. (max - min) / 2 — the error bar is a
-spread estimate over repeats, not a standard deviation.
+Everything here is a pure function of metrics.csv rows, each a
+``metrics.RunMetrics`` (``read_metrics_csv`` returns them typed).
+Repeated runs of one scenario are grouped by (mode, phase), and each
+measured column is reduced to mean +- maximum semi-dispersion, i.e.
+(max - min) / 2 — the error bar is a spread estimate over repeats, not a
+standard deviation.
 
 Derived figures compare the two workflows end to end:
 
@@ -18,6 +19,8 @@ time column happens to be in.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+from .metrics import RunMetrics
 
 
 class ReportError(Exception):
@@ -40,6 +43,12 @@ class Estimate:
         return cls(mean=min(max(sum(values) / len(values), lo), hi), err=(hi - lo) / 2.0)
 
 
+# the metrics.csv columns reduced to one Estimate each over a scenario's repeats
+MEASURED_COLUMNS = (
+    "overall_time_s", "overall_rate_hz", "job_rate_hz", "job_loop_rate_hz", "network_read_bytes", "mem_peak_bytes"
+)
+
+
 @dataclass(frozen=True)
 class ScenarioSummary:
     """One (mode, phase) cell of the comparison: estimates over repeats."""
@@ -47,13 +56,8 @@ class ScenarioSummary:
     mode: str
     phase: str
     repeats: int
-    overall_time: Estimate
-    overall_rate: Estimate
-    job_rate: Estimate
-    job_loop_rate: Estimate
-    network_read: Estimate
-    mem_peak: Estimate
-    total_events: int
+    estimates: dict[str, Estimate]  # by MEASURED_COLUMNS entry
+    total_events: int  # of the first repeat, as is n_jobs
     n_jobs: int
 
 
@@ -82,36 +86,25 @@ class BenchReport:
             )
 
 
-def summarize(rows: list[dict]) -> BenchReport:
+def summarize(rows: list[RunMetrics]) -> BenchReport:
     """Reduce metrics rows to per-scenario estimates and derived ratios."""
     if not rows:
         raise ReportError("no metrics rows")
-    groups: dict[tuple[str, str], list[dict]] = {}
+    groups: dict[tuple[str, str], list[RunMetrics]] = {}
     for row in rows:
-        try:
-            key = (str(row["mode"]), str(row["phase"]))
-        except KeyError as e:
-            raise ReportError(f"metrics row missing column: {e}") from None
-        groups.setdefault(key, []).append(row)
+        groups.setdefault((row.mode, row.phase), []).append(row)
 
-    scenarios: dict[tuple[str, str], ScenarioSummary] = {}
-    for (mode, phase), rs in groups.items():
-        try:
-            scenarios[(mode, phase)] = ScenarioSummary(
-                mode=mode,
-                phase=phase,
-                repeats=len(rs),
-                overall_time=Estimate.of([float(r["overall_time_s"]) for r in rs]),
-                overall_rate=Estimate.of([float(r["overall_rate_hz"]) for r in rs]),
-                job_rate=Estimate.of([float(r["job_rate_hz"]) for r in rs]),
-                job_loop_rate=Estimate.of([float(r["job_loop_rate_hz"]) for r in rs]),
-                network_read=Estimate.of([float(r["network_read_bytes"]) for r in rs]),
-                mem_peak=Estimate.of([float(r["mem_peak_bytes"]) for r in rs]),
-                total_events=int(rs[0]["total_events"]),
-                n_jobs=int(rs[0]["n_jobs"]),
-            )
-        except (KeyError, ValueError, TypeError) as e:
-            raise ReportError(f"bad metrics row for {mode}/{phase}: {e}") from None
+    scenarios = {
+        (mode, phase): ScenarioSummary(
+            mode=mode,
+            phase=phase,
+            repeats=len(rs),
+            estimates={c: Estimate.of([getattr(r, c) for r in rs]) for c in MEASURED_COLUMNS},
+            total_events=rs[0].total_events,
+            n_jobs=rs[0].n_jobs,
+        )
+        for (mode, phase), rs in groups.items()
+    }
 
     legacy_time = _mode_time(scenarios, "legacy")
     new_time = _mode_time(scenarios, "new")
@@ -126,9 +119,9 @@ def summarize(rows: list[dict]) -> BenchReport:
     for mode, phase in scenarios:
         if mode != "new" or ("legacy", phase) not in scenarios:
             continue
-        legacy_net = scenarios[("legacy", phase)].network_read.mean
+        legacy_net = scenarios[("legacy", phase)].estimates["network_read_bytes"].mean
         if legacy_net > 0.0:
-            ratios[phase] = scenarios[("new", phase)].network_read.mean / legacy_net
+            ratios[phase] = scenarios[("new", phase)].estimates["network_read_bytes"].mean / legacy_net
 
     return BenchReport(
         scenarios=scenarios,
@@ -141,7 +134,7 @@ def summarize(rows: list[dict]) -> BenchReport:
 
 
 def _mode_time(scenarios: dict, mode: str) -> float | None:
-    times = [s.overall_time.mean for (m, _), s in scenarios.items() if m == mode]
+    times = [s.estimates["overall_time_s"].mean for (m, _), s in scenarios.items() if m == mode]
     return sum(times) if times else None
 
 
@@ -180,15 +173,15 @@ def _fmt_bytes(e: Estimate) -> str:
 
 
 _METRIC_ROWS = [
-    ("Overall time", "overall_time", _fmt_seconds),
-    ("Overall rate", "overall_rate", _fmt_hz),
-    ("Job rate", "job_rate", _fmt_hz),
-    ("Job event-loop rate", "job_loop_rate", _fmt_hz),
-    ("Network read", "network_read", _fmt_bytes),
+    ("Overall time", "overall_time_s", _fmt_seconds),
+    ("Overall rate", "overall_rate_hz", _fmt_hz),
+    ("Job rate", "job_rate_hz", _fmt_hz),
+    ("Job event-loop rate", "job_loop_rate_hz", _fmt_hz),
+    ("Network read", "network_read_bytes", _fmt_bytes),
 ]
 
 
-def render(rows: list[dict]) -> str:
+def render(rows: list[RunMetrics]) -> str:
     """Format metrics rows as a fixed-width comparison table."""
     return render_report(summarize(rows))
 
@@ -198,8 +191,8 @@ def render_report(report: BenchReport) -> str:
     headers = [f"{mode}/{phase}" for mode, phase in keys]
 
     table: list[list[str]] = []
-    for label, attr, fmt in _METRIC_ROWS:
-        cells = [fmt(getattr(report.scenarios[k], attr)) for k in keys]
+    for label, column, fmt in _METRIC_ROWS:
+        cells = [fmt(report.scenarios[k].estimates[column]) for k in keys]
         table.append([label] + cells)
     table.append(["Events"] + [str(report.scenarios[k].total_events) for k in keys])
     table.append(["Jobs"] + [str(report.scenarios[k].n_jobs) for k in keys])
@@ -233,6 +226,6 @@ def render_report(report: BenchReport) -> str:
     lines.append("")
     lines.append("Memory proxy (peak engine column-buffer bytes; not comparable to process RSS):")
     for header, key in zip(headers, keys):
-        lines.append(f"  {header}: {_fmt_bytes(report.scenarios[key].mem_peak)}")
+        lines.append(f"  {header}: {_fmt_bytes(report.scenarios[key].estimates['mem_peak_bytes'])}")
 
     return "\n".join(lines) + "\n"

@@ -31,7 +31,7 @@ from colflow.engine import SINGLE_PASS, EntryRange, run_local, run_multi_pass, r
 from colflow.facility import MiniFacility
 from colflow.graph import build, load_spec, schema_types
 from colflow.legacy import run_legacy_postselection
-from colflow.metrics import JobRecord, RunMetrics, job_rate, metrics_row
+from colflow.metrics import JobRecord, RunMetrics, job_rate
 from colflow.report import summarize
 from conftest import STANDARD_SCHEMA, standard_columns
 from test_engine import NaiveHist, close, naive_run, read_all_rows
@@ -106,7 +106,7 @@ def bench(tmp_path_factory):
     return SimpleNamespace(
         result=result,
         elapsed=elapsed,
-        runs={(r.mode, r.phase): r for r in result.runs},
+        runs={(r.metrics.mode, r.metrics.phase): r for r in result.runs},
         data_dir=os.path.join(out, "data"),
     )
 
@@ -193,8 +193,8 @@ def test_c02_legacy_postselection_reads_exactly_nine_times_the_bytes(bench, arms
 
 
 def test_c03_preselection_network_gap_is_the_payload_total(bench):
-    legacy = bench.runs[("legacy", "pre")].metrics.network_read
-    new = bench.runs[("new", "pre")].metrics.network_read
+    legacy = bench.runs[("legacy", "pre")].metrics.network_read_bytes
+    new = bench.runs[("new", "pre")].metrics.network_read_bytes
     assert abs((legacy - new) - PAYLOAD_TOTAL) <= 0.01 * PAYLOAD_TOTAL
 
 
@@ -226,10 +226,9 @@ def test_c04_rate_formula_and_loop_rate_ordering(bench, arms):
 
 def test_c05_published_totals_reproduce_speedup_and_reduction():
     def totals_row(run_id, mode, minutes):
-        m = RunMetrics(
-            overall_time=minutes, overall_rate=0.0, job_rate=0.0,
-            job_loop_rate=0.0, network_read=0, total_events=0, n_jobs=1)
-        return metrics_row(run_id, mode, "total", m)
+        return RunMetrics(
+            run_id, mode, "total", overall_time_s=minutes, overall_rate_hz=0.0, job_rate_hz=0.0,
+            job_loop_rate_hz=0.0, network_read_bytes=0, total_events=0, n_jobs=1, mem_peak_bytes=0)
 
     report = summarize([
         totals_row("published-legacy", "legacy", 210.88),
@@ -340,7 +339,7 @@ def test_c08_killing_a_worker_mid_run_loses_nothing(tmp_path):
 def test_c09_client_bytes_equal_server_bytes_in_every_scenario(bench, arms):
     for run in bench.result.runs:
         assert run.served_delta > 0
-        assert run.metrics.network_read == run.served_delta, run.run_id
+        assert run.metrics.network_read_bytes == run.served_delta, run.metrics.run_id
     for tag, claimed, served in arms.closures:
         assert served > 0
         assert claimed == served, tag

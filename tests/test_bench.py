@@ -116,17 +116,12 @@ class TestClosureGuard:
         h = _Harness(BenchConfig(out_dir=str(tmp_path)))
         os.makedirs(h.records_dir, exist_ok=True)
         m = RunMetrics(
-            overall_time=1.0,
-            overall_rate=1.0,
-            job_rate=1.0,
-            job_loop_rate=1.0,
-            network_read=100,
-            total_events=1,
-            n_jobs=1,
+            run_id="x", mode="new", phase="pre", overall_time_s=1.0, overall_rate_hz=1.0, job_rate_hz=1.0,
+            job_loop_rate_hz=1.0, network_read_bytes=100, total_events=1, n_jobs=1, mem_peak_bytes=0,
         )
         from colflow.engine import PartialResult
 
-        run = ScenarioRun("x", "new", "pre", m, (), PartialResult(), served_delta=99)
+        run = ScenarioRun(m, (), PartialResult(), served_delta=99)
         with pytest.raises(BenchError, match="does not match the data server"):
             h.record(run)
 
@@ -142,7 +137,6 @@ def bench_result(tmp_path_factory) -> BenchResult:
         workers=2,
         repeats=2,
         payload_bytes=50_000,
-        parallel_jobs=2,
     )
     return run_bench(config)
 
@@ -153,7 +147,8 @@ class TestBenchRun:
         assert os.path.exists(bench_result.metrics_path)
         assert not os.path.exists(os.path.join(out, "mem.csv"))  # memory is a metrics column
         rows = read_metrics_csv(bench_result.metrics_path)
-        assert len(rows) == 8 and all(r["mem_peak_bytes"] > 0 for r in rows)
+        assert rows == [r.metrics for r in bench_result.runs]
+        assert len(rows) == 8 and all(r.mem_peak_bytes > 0 for r in rows)
         assert os.path.exists(os.path.join(out, "table.txt"))
         names = sorted(os.listdir(os.path.join(out, "records")))
         assert len(names) == 8  # 4 scenarios x 2 repeats
@@ -177,19 +172,19 @@ class TestBenchRun:
         assert rep.network_ratio["post"] < 0.2
 
     def test_skim_keeps_about_five_percent(self, bench_result):
-        runs = {r.run_id: r for r in bench_result.runs}
+        runs = {r.metrics.run_id: r for r in bench_result.runs}
         post = runs["new-post-r0"]
         assert 0.03 <= post.partial.events / 12000 <= 0.07
 
     def test_pass_count_law_on_chunk_bytes(self, bench_result):
-        runs = {r.run_id: r for r in bench_result.runs}
+        runs = {r.metrics.run_id: r for r in bench_result.runs}
         legacy = runs["legacy-post-r0"].partial.chunk_bytes
         new = runs["new-post-r0"].partial.chunk_bytes
         assert new > 0
         assert legacy == 9 * new
 
     def test_repeats_are_deterministic(self, bench_result):
-        runs = {r.run_id: r for r in bench_result.runs}
+        runs = {r.metrics.run_id: r for r in bench_result.runs}
         check_equivalence(
             runs["new-post-r0"].partial, runs["new-post-r1"].partial, rtol=0.0
         )
@@ -198,7 +193,7 @@ class TestBenchRun:
         )
 
     def test_workflows_agree_per_universe(self, bench_result):
-        runs = {r.run_id: r for r in bench_result.runs}
+        runs = {r.metrics.run_id: r for r in bench_result.runs}
         check_equivalence(
             runs["legacy-post-r1"].partial, runs["new-post-r1"].partial, rtol=1e-9
         )
@@ -207,10 +202,10 @@ class TestBenchRun:
         )
 
     def test_payload_shows_up_in_pre_delta(self, bench_result):
-        runs = {r.run_id: r for r in bench_result.runs}
+        runs = {r.metrics.run_id: r for r in bench_result.runs}
         delta = (
-            runs["legacy-pre-r0"].metrics.network_read
-            - runs["new-pre-r0"].metrics.network_read
+            runs["legacy-pre-r0"].metrics.network_read_bytes
+            - runs["new-pre-r0"].metrics.network_read_bytes
         )
         expected = 3 * 50_000
         assert abs(delta - expected) <= 0.05 * expected
@@ -249,9 +244,8 @@ class TestScenarioFailure:
             workers=2,
             repeats=1,
             payload_bytes=0,
-            parallel_jobs=2,
         )
         with pytest.raises(ClusterError, match="injected"):
             run_bench(config)
         rows = read_metrics_csv(os.path.join(out, "metrics.csv"))
-        assert [(r["mode"], r["phase"]) for r in rows] == [("legacy", "pre")]
+        assert [(r.mode, r.phase) for r in rows] == [("legacy", "pre")]

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from colflow import facility as facility_module
 from colflow.bench import default_post_document, default_pre_document
 from colflow.cli import build_parser, main
 from colflow.cluster.client import run_distributed, submit_run
@@ -18,7 +19,7 @@ from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
 from colflow.facility import FacilityError, MiniFacility
 from colflow.graph import load_spec, spec_graph_id
-from colflow.metrics import RunMetrics, metrics_row, write_metrics_csv
+from colflow.metrics import RunMetrics, read_metrics_csv, write_metrics_csv
 
 
 def colflow(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
@@ -118,6 +119,25 @@ class TestValidationExits:
         assert r.returncode == 2
         assert "payload-uri" in r.stderr
 
+    @pytest.mark.parametrize("command", ["run", "legacy pre", "legacy post"])
+    def test_out_that_cannot_be_made_fails_before_submitting(self, tmp_path, command, capsys):
+        spec = tmp_path / "doc.json"
+        files = ["f.col"]
+        pre = command == "legacy pre"
+        spec.write_text(default_pre_document(files, str(tmp_path / "skim")) if pre else simple_document(files))
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        with socket.create_server(("127.0.0.1", 0)) as scheduler:
+            address = f"127.0.0.1:{scheduler.getsockname()[1]}"
+            argv = command.split() + ["--spec", str(spec), "--scheduler", address, "--out", str(out)]
+            assert main(argv) == 2
+            scheduler.setblocking(False)
+            with pytest.raises(BlockingIOError):  # nobody connected: no run was submitted
+                scheduler.accept()
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create output directory {out}: ")
+        assert "Traceback" not in err
+
     def test_worker_rejects_bad_address(self):
         r = colflow("worker", "--scheduler", "nonsense")
         assert r.returncode == 2
@@ -153,6 +173,11 @@ class TestValidationExits:
         # a run is planned when it is submitted or refused, so nothing waits for workers
         assert main(["scheduler", "--startup-timeout", "5"]) == 2
         assert "unrecognized arguments: --startup-timeout" in capsys.readouterr().err
+
+    def test_bench_takes_no_parallel_jobs(self, capsys):
+        # the legacy scenarios' waves are as wide as --workers
+        assert main(["bench", "--out", "o", "--parallel-jobs", "2"]) == 2
+        assert "unrecognized arguments: --parallel-jobs" in capsys.readouterr().err
 
     def test_port_range_edges_accepted(self):
         parser = build_parser()
@@ -308,17 +333,21 @@ class TestGenAndReport:
             ("legacy", "post", 70.0),
             ("new", "post", 5.0),
         ):
-            m = RunMetrics(
-                overall_time=t,
-                overall_rate=1000.0 / t,
-                job_rate=50.0,
-                job_loop_rate=60.0,
-                network_read=1000,
-                total_events=1000,
-                n_jobs=4,
-                mem_peak=2000 if mode == "legacy" else 1000,
+            rows.append(
+                RunMetrics(
+                    run_id=f"{mode}-{phase}",
+                    mode=mode,
+                    phase=phase,
+                    overall_time_s=t,
+                    overall_rate_hz=1000.0 / t,
+                    job_rate_hz=50.0,
+                    job_loop_rate_hz=60.0,
+                    network_read_bytes=1000,
+                    total_events=1000,
+                    n_jobs=4,
+                    mem_peak_bytes=2000 if mode == "legacy" else 1000,
+                )
             )
-            rows.append(metrics_row(f"{mode}-{phase}", mode, phase, m))
         write_metrics_csv(path, rows)
 
     def test_report_renders_table(self, tmp_path):
@@ -347,6 +376,24 @@ class TestGenAndReport:
         r = colflow("report", str(bad))
         assert r.returncode == 2
         assert "missing columns" in r.stderr
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("new-post,new,post,5.0,200.0", "field count differs from the header's 11"),
+            ("new-post,new,post,nan,200.0,50.0,60.0,1000,1000,4,1000", "overall_time_s must be finite, got nan"),
+            ("new-post,new,post,inf,200.0,50.0,60.0,1000,1000,4,1000", "overall_time_s must be finite, got inf"),
+        ],
+    )
+    def test_report_rejects_malformed_row(self, tmp_path, row, message, capsys):
+        path = tmp_path / "metrics.csv"
+        self.make_metrics(str(path))
+        with open(path, "a") as f:
+            f.write(row + "\r\n")
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line 6: {message}")
+        assert "Traceback" not in err
 
 
 @pytest.fixture(scope="module")
@@ -381,6 +428,11 @@ class TestFacilityRuns:
             lines = f.read().strip().splitlines()
         assert lines[0].startswith("task_id")
         assert len(lines) > 1
+        (m,) = read_metrics_csv(str(out / "metrics.csv"))
+        assert (m.mode, m.phase, m.total_events, m.n_jobs) == ("new", "run", 4500, len(lines) - 1)
+        report = colflow("report", str(out / "metrics.csv"))
+        assert report.returncode == 0, report.stderr
+        assert report.stdout.split("\n")[0].split() == ["metric", "new/run"]
         graph_id, partial = read_result_file(str(out / "result.res"))
         assert graph_id == spec_graph_id(load_spec(document))
         assert partial.events == 4500
@@ -524,8 +576,9 @@ class TestFacilityLifecycle:
         assert "is not a readable directory" in str(info.value)
         assert_nothing_left(fac, handed_off)
 
-    def test_start_timeout_leaves_no_child_running(self, tmp_path, handed_off):
-        fac = MiniFacility(str(tmp_path), str(tmp_path / "logs"), n_workers=1, startup_timeout=0.01)
+    def test_start_timeout_leaves_no_child_running(self, tmp_path, handed_off, monkeypatch):
+        monkeypatch.setattr(facility_module, "STARTUP_TIMEOUT", 0.01)
+        fac = MiniFacility(str(tmp_path), str(tmp_path / "logs"), n_workers=1)
         with pytest.raises(FacilityError, match="data server did not announce itself within 0.01s"):
             fac.start()
         assert_nothing_left(fac, handed_off)

@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 
 from colflow.metrics import (
     JobRecord,
+    METRICS_COLUMNS,
     MetricsError,
+    RunMetrics,
     aggregate,
     job_rate,
-    metrics_row,
     overall_rate,
     read_metrics_csv,
     write_metrics_csv,
@@ -86,52 +87,42 @@ class TestRates:
 class TestAggregate:
     def test_single_job(self):
         r = rec(1000, 4.0, t_loop=3.0, bytes_read=8192)
-        m = aggregate([r], wall_time=5.0, network_read=8192 + 300)
+        m = aggregate("r", "new", "pre", [r], wall_time=5.0, network_read=8192 + 300)
+        assert (m.run_id, m.mode, m.phase) == ("r", "new", "pre")
         assert m.total_events == 1000
-        assert m.overall_time == 5.0
-        assert m.overall_rate == 200.0
-        assert m.job_rate == 250.0
-        assert m.job_loop_rate == pytest.approx(1000 / 3.0)
-        assert m.network_read == 8192 + 300  # the run's total, planning reads included
+        assert m.overall_time_s == 5.0
+        assert m.overall_rate_hz == 200.0
+        assert m.job_rate_hz == 250.0
+        assert m.job_loop_rate_hz == pytest.approx(1000 / 3.0)
+        assert m.network_read_bytes == 8192 + 300  # the run's total, planning reads included
         assert m.n_jobs == 1
 
     def test_order_invariant(self):
         records = [rec(i * 10, 1.0 + i, bytes_read=i, task_id=i) for i in range(1, 6)]
-        a = aggregate(records, 10.0, 15)
-        b = aggregate(list(reversed(records)), 10.0, 15)
+        a = aggregate("r", "new", "pre", records, 10.0, 15)
+        b = aggregate("r", "new", "pre", list(reversed(records)), 10.0, 15)
         assert a == b
 
 
 class TestCsv:
     def test_metrics_round_trip(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        records = [rec(100, 2.0, t_loop=1.5, bytes_read=4096), rec(300, 3.0, bytes_read=512)]
-        m = aggregate(records, 7.25, 4608)
-        m.mem_peak = 123_456
-        rows = [metrics_row("run-1", "new", "pre", m)]
-        write_metrics_csv(path, rows)
-        back = read_metrics_csv(path)
-        assert len(back) == 1
-        row = back[0]
-        assert row["run_id"] == "run-1"
-        assert row["mode"] == "new"
-        assert row["phase"] == "pre"
-        assert row["overall_time_s"] == 7.25
-        assert row["overall_rate_hz"] == m.overall_rate
-        assert row["job_rate_hz"] == m.job_rate
-        assert row["job_loop_rate_hz"] == m.job_loop_rate
-        assert row["network_read_bytes"] == 4608
-        assert row["total_events"] == 400
-        assert row["n_jobs"] == 2
-        assert row["mem_peak_bytes"] == 123_456
+        records = [
+            rec(100, 2.0, t_loop=1.5, bytes_read=4096, mem_peak=123_456),
+            rec(300, 3.0, bytes_read=512, mem_peak=1000),
+        ]
+        m = aggregate("run-1", "new", "pre", records, 7.25, 4608)
+        write_metrics_csv(path, [m])
+        assert read_metrics_csv(path) == [m]
+        assert m == RunMetrics("run-1", "new", "pre", 7.25, 400 / 7.25, 80.0, 400 / 4.5, 4608, 400, 2, 123_456)
 
     def test_float_fields_survive_exactly(self, tmp_path):
         path = str(tmp_path / "metrics.csv")
-        m = aggregate([rec(7, math.pi, t_loop=math.e)], math.tau, 0)
-        write_metrics_csv(path, [metrics_row("r", "m", "p", m)])
+        m = aggregate("r", "m", "p", [rec(7, math.pi, t_loop=math.e)], math.tau, 0)
+        write_metrics_csv(path, [m])
         row = read_metrics_csv(path)[0]
-        assert row["overall_time_s"] == math.tau
-        assert row["job_rate_hz"] == 7 / math.pi
+        assert row.overall_time_s == math.tau
+        assert row.job_rate_hz == 7 / math.pi
 
     def test_tasks_and_jobs_columns(self, tmp_path):
         records = [
@@ -150,3 +141,33 @@ class TestCsv:
         path.write_text("run_id,mode\nx,y\n")
         with pytest.raises(MetricsError, match="missing columns"):
             read_metrics_csv(str(path))
+
+    GOOD_ROW = "r,new,pre,7.25,55.0,80.0,88.5,4608,400,2,123456"
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("r,new,pre,7.25,55.0", "field count differs from the header's 11"),
+            (GOOD_ROW + ",extra", "field count differs from the header's 11"),
+            ("r,new,pre,nan,55.0,80.0,88.5,4608,400,2,123456", "overall_time_s must be finite, got nan"),
+            ("r,new,pre,inf,55.0,80.0,88.5,4608,400,2,123456", "overall_time_s must be finite, got inf"),
+            ("r,new,pre,7.25,55.0,80.0,-inf,4608,400,2,123456", "job_loop_rate_hz must be finite"),
+            ("r,new,pre,7.25,55.0,80.0,88.5,4608.5,400,2,123456", "invalid literal for int"),
+            ("r,new,pre,fast,55.0,80.0,88.5,4608,400,2,123456", "could not convert string to float"),
+        ],
+    )
+    def test_malformed_row_rejected_naming_the_file(self, tmp_path, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(METRICS_COLUMNS) + "\n" + self.GOOD_ROW + "\n" + row + "\n")
+        with pytest.raises(MetricsError) as info:
+            read_metrics_csv(str(path))
+        assert str(info.value).startswith(f"{path}, line 3: ")
+        assert message in str(info.value)
+
+    def test_columns_are_the_fields_of_a_row(self):
+        assert METRICS_COLUMNS == [
+            "run_id", "mode", "phase", "overall_time_s", "overall_rate_hz", "job_rate_hz",
+            "job_loop_rate_hz", "network_read_bytes", "total_events", "n_jobs", "mem_peak_bytes",
+        ]
+        with pytest.raises(MetricsError, match="network_read_bytes must be finite"):
+            RunMetrics("r", "new", "pre", 1.0, 1.0, 1.0, 1.0, math.inf, 1, 1, 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,9 +12,9 @@ from colflow.metrics import (
     JobRecord,
     RunMetrics,
     append_records_csv,
-    metrics_row,
     read_metrics_csv,
     write_metrics_csv,
+    write_records_csv,
 )
 from colflow.report import (
     BenchReport,
@@ -26,17 +28,19 @@ from colflow.report import (
 def run_row(
     mode, phase, time_s, *, rate=1000.0, net=10_000, events=100, jobs=4, run_id="r", mem=0
 ):
-    m = RunMetrics(
-        overall_time=time_s,
-        overall_rate=events / time_s,
-        job_rate=rate,
-        job_loop_rate=rate * 1.5,
-        network_read=net,
+    return RunMetrics(
+        run_id=run_id,
+        mode=mode,
+        phase=phase,
+        overall_time_s=time_s,
+        overall_rate_hz=events / time_s,
+        job_rate_hz=rate,
+        job_loop_rate_hz=rate * 1.5,
+        network_read_bytes=net,
         total_events=events,
         n_jobs=jobs,
-        mem_peak=mem,
+        mem_peak_bytes=mem,
     )
-    return metrics_row(run_id, mode, phase, m)
 
 
 class TestEstimate:
@@ -67,8 +71,8 @@ class TestSummarize:
         rep = summarize(rows)
         s = rep.scenarios[("new", "post")]
         assert s.repeats == 3
-        assert s.overall_time.mean == pytest.approx(11.0)
-        assert s.overall_time.err == pytest.approx(1.0)
+        assert s.estimates["overall_time_s"].mean == pytest.approx(11.0)
+        assert s.estimates["overall_time_s"].err == pytest.approx(1.0)
 
     def test_single_mode_has_no_comparison(self):
         rep = summarize([run_row("new", "post", 10.0)])
@@ -121,10 +125,6 @@ class TestSummarize:
     def test_empty_rows_rejected(self):
         with pytest.raises(ReportError):
             summarize([])
-
-    def test_missing_column_rejected(self):
-        with pytest.raises(ReportError):
-            summarize([{"mode": "new"}])
 
     def test_invariant_guards_degenerate_input(self):
         with pytest.raises(ReportError):
@@ -219,3 +219,83 @@ class TestAppendJobsCsv:
         assert lines[1].split(",")[0] == "0"
         assert lines[2].split(",")[0] == "1"
         assert lines[2].split(",")[-1] == "3"  # passes column survives append
+
+
+# Written by metrics.write_metrics_csv and write_records_csv, whose csv
+# module ends each line with "\r\n".
+PINNED_METRICS_CSV = "\r\n".join([
+    "run_id,mode,phase,overall_time_s,overall_rate_hz,job_rate_hz,job_loop_rate_hz,"
+    "network_read_bytes,total_events,n_jobs,mem_peak_bytes",
+    "legacy-pre-r0,legacy,pre,221.24749975213697,8502.726594006765,27202.181885426195,"
+    "41169.90624067211,496471436,1881207,3,2807325",
+    "legacy-pre-r1,legacy,pre,330.71772661769137,2795.804172507693,13485.265520360357,"
+    "29434.694970519933,5212925657,924622,3,6157194",
+    "new-pre-r0,new,pre,47.70379095233073,39752.501051645406,25244.35077899082,"
+    "77604.12330494114,9252551838,1896345,3,8213161",
+    "new-pre-r1,new,pre,157.38238281247922,6539.575660296784,21914.160664869556,"
+    "46192.05354141251,5284520294,1029214,3,4378164",
+    "legacy-post-r0,legacy,post,17.845238267047435,52761.24565613777,12532.590921022156,"
+    "16157.064385831054,8036004880,941537,3,9636112",
+    "new-post-r0,new,post,419.28995375468537,3358.923788629558,27067.345253953394,"
+    "55196.34396087336,5504942126,1408363,3,6646619",
+    "",
+])
+
+PINNED_TABLE = """\
+metric               legacy/pre         new/pre             legacy/post        new/post
+-------------------  -----------------  ------------------  -----------------  -----------------
+Overall time         275.98 +- 54.74 s  102.54 +- 54.84 s   17.85 +- 0.00 s    419.29 +- 0.00 s
+Overall rate         5.65 +- 2.85 kHz   23.15 +- 16.61 kHz  52.76 +- 0.00 kHz  3.36 +- 0.00 kHz
+Job rate             20.34 +- 6.86 kHz  23.58 +- 1.67 kHz   12.53 +- 0.00 kHz  27.07 +- 0.00 kHz
+Job event-loop rate  35.30 +- 5.87 kHz  61.90 +- 15.71 kHz  16.16 +- 0.00 kHz  55.20 +- 0.00 kHz
+Network read         2.85 +- 2.36 GB    7.27 +- 1.98 GB     8.04 +- 0.00 GB    5.50 +- 0.00 GB
+Events               1881207            1896345             941537             1408363
+Jobs                 3                  3                   3                  3
+Repeats              2                  2                   1                  1
+
+Total time legacy/new: 293.83 / 521.83
+Speedup (legacy / new): 0.56
+Time reduction: -77.6%
+Network read ratio (new / legacy): pre 2.546, post 0.685
+
+Memory proxy (peak engine column-buffer bytes; not comparable to process RSS):
+  legacy/pre: 4.48 +- 1.67 MB
+  new/pre: 6.30 +- 1.92 MB
+  legacy/post: 9.64 +- 0.00 MB
+  new/post: 6.65 +- 0.00 MB
+"""
+
+PINNED_RECORDS_CSV = "\r\n".join([
+    "task_id,worker,events,t_total_s,t_loop_s,bytes_read,attempt,phase,passes",
+    "0,w0,1200,3.141592653589793,2.718281828459045,4096,1,pre,1",
+    "7,w1,0,0.30000000000000004,0.0,0,1,task,1",
+    "3,w2,1000000000,1e+22,1e-07,1099511627776,3,post,9",
+    "",
+])
+
+
+class TestPinnedOutputs:
+    """metrics.csv, tasks.csv/jobs.csv and the rendered table, byte for byte."""
+
+    def test_metrics_csv_round_trips_byte_for_byte(self, tmp_path):
+        src, out = tmp_path / "in.csv", tmp_path / "out.csv"
+        src.write_bytes(PINNED_METRICS_CSV.encode())
+        write_metrics_csv(str(out), read_metrics_csv(str(src)))
+        assert out.read_bytes() == PINNED_METRICS_CSV.encode()
+
+    def test_rendered_table(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(PINNED_METRICS_CSV.encode())
+        assert render(read_metrics_csv(str(path))) == PINNED_TABLE
+
+    def test_tasks_and_jobs_csv(self, tmp_path):
+        records = [
+            JobRecord(0, "w0", 1200, math.pi, math.e, 4096, 4000, 1, "pre", 1, 777),
+            JobRecord(7, "w1", 0, 0.1 + 0.2, 0.0, 0),
+            JobRecord(3, "w2", 10**9, 1e22, 1e-7, 2**40, attempt=3, phase="post", passes=9),
+        ]
+        write_records_csv(str(tmp_path / "tasks.csv"), records)
+        append_records_csv(str(tmp_path / "jobs.csv"), records[:2])
+        append_records_csv(str(tmp_path / "jobs.csv"), records[2:])
+        for name in ("tasks.csv", "jobs.csv"):
+            assert (tmp_path / name).read_bytes() == PINNED_RECORDS_CSV.encode()
