@@ -279,7 +279,7 @@ def cmd_legacy(args) -> int:
         run_legacy_postselection,
         run_legacy_preselection,
     )
-    from .metrics import append_records_csv
+    from .metrics import MetricsError, append_records_csv, check_records_csv
 
     document = _read_document(args.spec)
     if document is None:
@@ -313,6 +313,12 @@ def cmd_legacy(args) -> int:
 
     if not _make_out_dir(args.out):
         return EXIT_USAGE
+    jobs_csv = os.path.join(args.out, "jobs.csv")
+    try:
+        check_records_csv(jobs_csv)  # before the run, not after it
+    except (MetricsError, OSError) as e:
+        _err(str(e))
+        return EXIT_USAGE
     try:
         if pre:
             skims, result = run_legacy_preselection(
@@ -337,7 +343,7 @@ def cmd_legacy(args) -> int:
         _err(str(e))
         return EXIT_RUNTIME
 
-    append_records_csv(os.path.join(args.out, "jobs.csv"), list(result.records))
+    append_records_csv(jobs_csv, list(result.records))
     write_result_file(
         os.path.join(args.out, f"{args.phase}_result.res"),
         spec_graph_id(spec),

@@ -30,6 +30,7 @@ from ..colstore.dataset import open_transport
 from ..engine import CompiledPipeline, run_multi_pass, run_range
 from ..graph import build, load_spec
 from ..proto import (
+    RESULT_FILE,
     Fail,
     Graph,
     Heartbeat,
@@ -38,12 +39,10 @@ from ..proto import (
     Result,
     Shutdown,
     Task,
-    pack_partial,
     recv_message,
     send_message,
-    unpack_partial,
 )
-from ..wire import Reader, connect, pack_str
+from ..wire import connect, unpack_whole
 from .scheduler import HEARTBEAT_INTERVAL
 
 _DOWNLOAD_CHUNK = 256 * 1024
@@ -174,16 +173,13 @@ class Worker:
 
 
 def write_result_file(path: str, graph_id: str, partial) -> None:
-    """Job output file: the graph id as a wire string, then the partial."""
+    """Job output file: ``proto.RESULT_FILE``."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "wb") as f:
-        f.write(pack_str(graph_id) + pack_partial(partial))
+        f.write(RESULT_FILE.pack((graph_id, partial)))
 
 
 def read_result_file(path: str):
     """Returns (graph_id, PartialResult)."""
     with open(path, "rb") as f:
-        r = Reader(f.read())
-    graph_id, partial = r.string(), unpack_partial(r)
-    r.finish()
-    return graph_id, partial
+        return unpack_whole(RESULT_FILE, f.read())

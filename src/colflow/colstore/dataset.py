@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import socket
-import struct
 import zlib
 from dataclasses import dataclass
 
@@ -28,17 +27,7 @@ import numpy as np
 from .. import wire
 from ..exprlang import Jagged, ValueType
 from . import server as srv
-from .format import (
-    FOOTER_MAGIC,
-    HEADER_SIZE,
-    MAGIC,
-    TAIL_SIZE,
-    VERSION,
-    ClusterInfo,
-    FormatError,
-    decode_chunk,
-    decode_footer,
-)
+from .format import HEADER, HEADER_SIZE, TAIL, TAIL_SIZE, ClusterInfo, FormatError, decode_chunk, decode_footer
 
 REMOTE_SCHEME = "colsrv://"
 
@@ -82,23 +71,23 @@ def _connect(address: str) -> socket.socket:
         raise TransportError(f"cannot connect to data server {address}: {e}") from None
 
 
-def _exchange(sock: socket.socket, opcode: int, payload: bytes) -> bytes:
-    """One request and its reply's payload; every failure is a TransportError."""
+def _exchange(sock: socket.socket, opcode: int, request):
+    """Send ``request`` and return the reply, each as ``srv.LAYOUTS`` lays it out; every failure is a TransportError."""
+    request_layout, reply_layout = srv.LAYOUTS[opcode]
     try:
-        wire.send_frame(sock, opcode, payload)
+        wire.send_frame(sock, opcode, request_layout.pack(request))
         frame = wire.recv_frame(sock)
         if frame is None:
             raise TransportError("data server closed the connection")
         reply_op, reply = frame
         if reply_op == srv.OP_ERROR:
-            r = wire.Reader(reply)
-            (code,) = r.unpack("<H")
-            raise TransportError(f"data server error {code}: {r.string()}")
+            code, message = wire.unpack_whole(srv.ERROR_REPLY, reply)
+            raise TransportError(f"data server error {code}: {message}")
+        if reply_op != opcode:
+            raise TransportError(f"unexpected reply opcode {reply_op} to request {opcode}")
+        return reply if reply_layout is None else wire.unpack_whole(reply_layout, reply)
     except (wire.ProtoError, OSError) as e:
         raise TransportError(f"data server connection failed: {e}") from None
-    if reply_op != opcode:
-        raise TransportError(f"unexpected reply opcode {reply_op} to request {opcode}")
-    return reply
 
 
 class RemoteTransport:
@@ -107,19 +96,16 @@ class RemoteTransport:
     def __init__(self, host: str, port: int, path: str):
         self._sock = _connect(f"{host}:{port}")
         try:
-            (self._size,) = struct.unpack("<Q", self._request(srv.OP_OPEN, wire.pack_str(path)))
-        except TransportError:
+            self._size = _exchange(self._sock, srv.OP_OPEN, path)
+        except Exception:
             self._sock.close()
             raise
-
-    def _request(self, opcode: int, payload: bytes) -> bytes:
-        return _exchange(self._sock, opcode, payload)
 
     def size(self) -> int:
         return self._size
 
     def read(self, offset: int, length: int) -> bytes:
-        return self._request(srv.OP_READ, struct.pack("<QI", offset, length))
+        return _exchange(self._sock, srv.OP_READ, (offset, length))
 
     def close(self) -> None:
         self._sock.close()  # the server closes the file when the connection ends
@@ -141,7 +127,7 @@ def server_totals(address: str) -> tuple[int, int]:
     counters it reports.
     """
     with _connect(address) as sock:
-        return struct.unpack("<QQ", _exchange(sock, srv.OP_METRICS, b""))
+        return _exchange(sock, srv.OP_METRICS, ())
 
 
 @dataclass
@@ -236,31 +222,28 @@ def open_dataset(uri: str) -> DatasetHandle:
     try:
         size = transport.size()
         if size < HEADER_SIZE + TAIL_SIZE:
-            raise FormatError(f"{uri}: file too small to be a columnar file")
-        header = _tracked_read(transport, account, 0, HEADER_SIZE)
-        if header[:4] != MAGIC:
-            raise FormatError(f"{uri}: bad magic")
-        if header[4] != VERSION:
-            raise FormatError(f"{uri}: unsupported version {header[4]}")
+            raise FormatError("file too small to be a columnar file")
+        wire.unpack_whole(HEADER, _tracked_read(transport, account, 0, HEADER_SIZE))  # checks magic and version
         tail = _tracked_read(transport, account, size - TAIL_SIZE, TAIL_SIZE)
-        if tail[12:] != FOOTER_MAGIC:
-            raise FormatError(f"{uri}: bad footer magic")
-        footer_offset, footer_crc = struct.unpack("<QI", tail[:12])
+        footer_offset, footer_crc, _ = wire.unpack_whole(TAIL, tail)
         if not HEADER_SIZE <= footer_offset <= size - TAIL_SIZE:
-            raise FormatError(f"{uri}: truncated footer")
+            raise FormatError("truncated footer")
         body = _tracked_read(transport, account, footer_offset, size - TAIL_SIZE - footer_offset)
         if zlib.crc32(body) != footer_crc:
-            raise FormatError(f"{uri}: footer CRC mismatch")
+            raise FormatError("footer CRC mismatch")
         schema, total_entries, clusters = decode_footer(body)
         pos = 0
         for cl in clusters:
             if cl.entry_start != pos or cl.entry_count < 1:
-                raise FormatError(f"{uri}: clusters not contiguous")
+                raise FormatError("clusters not contiguous")
             if not all(HEADER_SIZE <= ch.offset and ch.offset + ch.length <= footer_offset for ch in cl.chunks):
-                raise FormatError(f"{uri}: chunk outside the data region")
+                raise FormatError("chunk outside the data region")
             pos += cl.entry_count
         if pos != total_entries:
-            raise FormatError(f"{uri}: cluster entry counts do not sum to total")
+            raise FormatError("cluster entry counts do not sum to total")
+    except (FormatError, wire.ProtoError) as e:  # ProtoError: a malformed header or tail
+        transport.close()
+        raise FormatError(f"{uri}: {e}") from None
     except Exception:
         transport.close()
         raise

@@ -9,11 +9,13 @@ Layout (all integers little-endian):
 
 Footer body: u32 n_columns, per column (u16 name_len, UTF-8 name, u8 dtype),
 u64 total_entries, u32 n_clusters, per cluster (u64 entry_start,
-u32 entry_count, then per column u64 offset + u64 length + u32 crc32).
+u32 entry_count, then per column a ChunkRef: u64 offset + u64 length +
+u32 crc32), so a name is at most 65535 bytes. ``HEADER``, ``TAIL`` and the
+footer's codecs below declare these once, for the writer and the reader.
 
-The u8 dtype is the column's ``exprlang.ValueType`` value: 1=F64, 2=I64,
-3=BOOL, 4=VEC_F64, 5=VEC_I64. A schema is a ``dict[str, ValueType]`` in
-file order.
+The u8 dtype (``DTYPE``, the GRAPH schema's codec too) is the column's
+``exprlang.ValueType`` value: 1=F64, 2=I64, 3=BOOL, 4=VEC_F64, 5=VEC_I64.
+A schema is a ``dict[str, ValueType]`` in file order.
 
 Chunk encodings: F64/I64 packed 8-byte LE, BOOL one byte per entry,
 VEC_* as u32 lengths[entry_count] followed by the packed values.
@@ -22,13 +24,14 @@ No compression: chunk byte counts are data volume.
 
 from __future__ import annotations
 
+import os
 import re
-import struct
 import zlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .. import wire
 from ..exprlang import Jagged, ValueType
 
 MAGIC = b"CSTR"
@@ -53,12 +56,13 @@ def check_column(name: str, dtype: ValueType) -> None:
     """A stored column needs an identifier name and a storable type."""
     if not _NAME_RE.match(name):
         raise FormatError(f"invalid column name {name!r}")
+    if len(name.encode()) > 0xFFFF:
+        raise FormatError(f"column name of {len(name.encode())} bytes exceeds the footer's u16 length")
     if not dtype.storable:
         raise FormatError(f"column {name!r} has non-storable type {dtype.name}")
 
 
-@dataclass(frozen=True)
-class ChunkRef:
+class ChunkRef(NamedTuple):
     """Location of one column's data within one cluster."""
 
     offset: int
@@ -66,8 +70,7 @@ class ChunkRef:
     crc32: int
 
 
-@dataclass(frozen=True)
-class ClusterInfo:
+class ClusterInfo(NamedTuple):
     entry_start: int
     entry_count: int
     chunks: tuple[ChunkRef, ...]  # one per column, schema order
@@ -127,65 +130,39 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+HEADER = wire.fields(  # magic, version, 3 pad bytes
+    wire.enum(wire.scalar("4s"), {MAGIC: MAGIC}, "bad magic"),
+    wire.enum(wire.U8, {VERSION: VERSION}, "unsupported version"),
+    wire.scalar("3s"),
+)
+TAIL = wire.fields(  # footer offset, CRC32 of the footer body, magic
+    wire.U64, wire.U32, wire.enum(wire.scalar("4s"), {FOOTER_MAGIC: FOOTER_MAGIC}, "bad footer magic")
+)
+DTYPE = wire.enum(wire.U8, {t.value: t for t in ValueType if t.storable}, "unknown dtype byte")
+_COLUMNS = wire.mapping(wire.text(wire.U16), DTYPE)
+_CHUNK_REF = wire.fields(wire.U64, wire.U64, wire.U32, make=ChunkRef._make)
+
+
+def _clusters(n_columns: int) -> wire.Codec:
+    """The footer's clusters; each holds one ChunkRef per column, and no count of them."""
+    return wire.counted(wire.fields(wire.U64, wire.U32, wire.fields(*[_CHUNK_REF] * n_columns), make=ClusterInfo._make))
+
+
 def encode_footer(schema: dict[str, ValueType], total_entries: int, clusters: tuple[ClusterInfo, ...]) -> bytes:
-    out = bytearray()
-    out += struct.pack("<I", len(schema))
-    for name, dtype in schema.items():
-        raw = name.encode()
-        out += struct.pack("<H", len(raw)) + raw + struct.pack("<B", dtype)
-    out += struct.pack("<QI", total_entries, len(clusters))
-    for cl in clusters:
-        out += struct.pack("<QI", cl.entry_start, cl.entry_count)
-        for ch in cl.chunks:
-            out += struct.pack("<QQI", ch.offset, ch.length, ch.crc32)
-    return bytes(out)
+    return _COLUMNS.pack(schema) + wire.U64.pack(total_entries) + _clusters(len(schema)).pack(clusters)
 
 
 def decode_footer(raw: bytes) -> tuple[dict[str, ValueType], int, tuple[ClusterInfo, ...]]:
-    view = memoryview(raw)
-    pos = 0
-
-    def take(fmt: str):
-        nonlocal pos
-        size = struct.calcsize(fmt)
-        if pos + size > len(view):
-            raise FormatError("truncated footer")
-        vals = struct.unpack_from(fmt, view, pos)
-        pos += size
-        return vals
-
-    (n_columns,) = take("<I")
-    schema: dict[str, ValueType] = {}
-    for _ in range(n_columns):
-        (name_len,) = take("<H")
-        if pos + name_len > len(view):
-            raise FormatError("truncated footer")
-        try:
-            name = bytes(view[pos : pos + name_len]).decode()
-        except UnicodeDecodeError:
-            raise FormatError("column name is not UTF-8") from None
-        pos += name_len
-        (dtype_code,) = take("<B")
-        try:
-            dtype = ValueType(dtype_code)
-        except ValueError:
-            raise FormatError(f"unknown dtype code {dtype_code}") from None
-        if name in schema:
-            raise FormatError("duplicate column names in footer")
+    r = wire.Reader(raw)
+    try:
+        schema = _COLUMNS.unpack(r)
+        total_entries, clusters = wire.U64.unpack(r), _clusters(len(schema)).unpack(r)
+        r.finish()
+    except wire.ProtoError as e:
+        raise FormatError(f"bad footer: {e}") from None
+    for name, dtype in schema.items():
         check_column(name, dtype)
-        schema[name] = dtype
-    (total_entries, n_clusters) = take("<QI")
-    clusters = []
-    for _ in range(n_clusters):
-        (entry_start, entry_count) = take("<QI")
-        chunks = []
-        for _ in range(n_columns):
-            (offset, length, crc) = take("<QQI")
-            chunks.append(ChunkRef(offset, length, crc))
-        clusters.append(ClusterInfo(entry_start, entry_count, tuple(chunks)))
-    if pos != len(view):
-        raise FormatError("trailing bytes after footer body")
-    return schema, total_entries, tuple(clusters)
+    return schema, total_entries, clusters
 
 
 def write_dataset(
@@ -213,17 +190,22 @@ def write_dataset(
         raise FormatError(f"mismatched array lengths: {lengths}")
 
     clusters: list[ClusterInfo] = []
-    with open(path, "wb") as f:
-        f.write(MAGIC + struct.pack("<B", VERSION) + b"\x00\x00\x00")
-        for start in range(0, total, cluster_size):
-            count = min(cluster_size, total - start)
-            chunks = []
-            for name, dtype in schema.items():
-                raw = encode_chunk(dtype, columns[name][start : start + count])
-                chunks.append(ChunkRef(f.tell(), len(raw), zlib.crc32(raw)))
-                f.write(raw)
-            clusters.append(ClusterInfo(start, count, tuple(chunks)))
-        footer_offset = f.tell()
-        body = encode_footer(schema, total, tuple(clusters))
-        f.write(body)
-        f.write(struct.pack("<QI", footer_offset, zlib.crc32(body)) + FOOTER_MAGIC)
+    f = open(path, "wb")
+    try:
+        with f:
+            f.write(HEADER.pack((MAGIC, VERSION, bytes(3))))
+            for start in range(0, total, cluster_size):
+                count = min(cluster_size, total - start)
+                chunks = []
+                for name, dtype in schema.items():
+                    raw = encode_chunk(dtype, columns[name][start : start + count])
+                    chunks.append(ChunkRef(f.tell(), len(raw), zlib.crc32(raw)))
+                    f.write(raw)
+                clusters.append(ClusterInfo(start, count, tuple(chunks)))
+            footer_offset = f.tell()
+            body = encode_footer(schema, total, tuple(clusters))
+            f.write(body)
+            f.write(TAIL.pack((footer_offset, zlib.crc32(body), FOOTER_MAGIC)))
+    except BaseException:
+        os.remove(path)  # a file cut off part-way is no columnar file
+        raise

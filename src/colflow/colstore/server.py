@@ -2,14 +2,13 @@
 
 A connection is the session for one file. Requests and replies are
 ``wire`` frames whose kind is the opcode; a reply echoes its request's
-opcode. Opcodes: 1=OPEN(path)->u64 size, 2=READ(u64 off, u32 len)->bytes
-(short at EOF), 4=METRICS()->(u64 bytes_served, u64 read_calls) of the
-whole server; 3 and 5 are unassigned. An OPEN payload is one wire string,
-the path, and nothing after it; a METRICS payload is empty. Hanging up
-closes the file.
-Errors come back as opcode 0xFFFF with a u16 code and a wire string, and
-the connection keeps serving: a second OPEN, a READ before any OPEN and a
-METRICS with a payload are each answered with ERR_BAD_REQUEST.
+opcode. ``LAYOUTS`` declares their payloads once, for this server and its
+client in ``colstore.dataset``: 1=OPEN(path)->u64 size, 2=READ(u64 off,
+u32 len)->bytes (short at EOF), 4=METRICS()->(u64 bytes_served, u64
+read_calls) of the whole server; 3 and 5 are unassigned. Hanging up
+closes the file. Errors come back as opcode 0xFFFF with a u16 code and a
+wire string, and the connection keeps serving: a payload with trailing
+bytes, a second OPEN and a READ before any OPEN are each ERR_BAD_REQUEST.
 
 A request payload may be at most MAX_REQUEST bytes and a READ at most
 ``wire.MAX_FRAME``: a READ past that is answered with ERR_BAD_REQUEST,
@@ -28,7 +27,6 @@ from __future__ import annotations
 
 import os
 import socket
-import struct
 import threading
 from pathlib import Path
 
@@ -53,8 +51,12 @@ class ServerError(Exception):
         self.code = code
 
 
-def _error_reply(code: int, message: str) -> bytes:
-    return struct.pack("<H", code) + wire.pack_str(message)
+LAYOUTS = {  # opcode: (request payload, reply payload)
+    OP_OPEN: (wire.STR, wire.U64),  # the path -> the file's size
+    OP_READ: (wire.fields(wire.U64, wire.U32), None),  # offset, length -> the bytes themselves
+    OP_METRICS: (wire.fields(), wire.fields(wire.U64, wire.U64)),  # -> bytes_served, read_calls
+}
+ERROR_REPLY = wire.fields(wire.U16, wire.STR)  # code, message
 
 
 class DataServer:
@@ -87,27 +89,27 @@ class DataServer:
             while (frame := wire.recv_frame(sock, MAX_REQUEST)) is not None:
                 opcode, payload = frame
                 try:
+                    if opcode not in LAYOUTS:
+                        raise ServerError(ERR_BAD_REQUEST, f"unknown opcode {opcode}")
+                    request, reply_layout = LAYOUTS[opcode]
+                    args = wire.unpack_whole(request, payload)
                     if opcode == OP_OPEN:
                         if file is not None:
                             raise ServerError(ERR_BAD_REQUEST, "this connection has a file open already")
-                        file = self._open(payload)
-                        reply = struct.pack("<Q", file.seek(0, 2))
+                        file = self._open(args)
+                        reply = reply_layout.pack(file.seek(0, 2))
                     elif opcode == OP_READ:
-                        reply = self._read(file, payload)
-                    elif opcode == OP_METRICS:
-                        if payload:
-                            raise ServerError(ERR_BAD_REQUEST, "METRICS takes no payload")
-                        with self._lock:
-                            reply = struct.pack("<QQ", self.total_bytes_served, self.total_read_calls)
+                        reply = self._read(file, *args)
                     else:
-                        raise ServerError(ERR_BAD_REQUEST, f"unknown opcode {opcode}")
+                        with self._lock:
+                            reply = reply_layout.pack((self.total_bytes_served, self.total_read_calls))
                     reply_op = opcode
                 except ServerError as e:
-                    reply_op, reply = OP_ERROR, _error_reply(e.code, str(e))
-                except wire.ProtoError as e:  # a malformed OPEN payload
-                    reply_op, reply = OP_ERROR, _error_reply(ERR_BAD_REQUEST, str(e))
+                    reply_op, reply = OP_ERROR, ERROR_REPLY.pack((e.code, str(e)))
+                except wire.ProtoError as e:  # a malformed request payload
+                    reply_op, reply = OP_ERROR, ERROR_REPLY.pack((ERR_BAD_REQUEST, str(e)))
                 except Exception as e:  # defensive: never kill the connection silently
-                    reply_op, reply = OP_ERROR, _error_reply(ERR_INTERNAL, repr(e))
+                    reply_op, reply = OP_ERROR, ERROR_REPLY.pack((ERR_INTERNAL, repr(e)))
                 wire.send_frame(sock, reply_op, reply)
         except (wire.ProtoError, OSError):  # bad header, or the peer is gone
             pass
@@ -116,10 +118,7 @@ class DataServer:
             if file is not None:
                 file.close()
 
-    def _open(self, payload: bytes):
-        r = wire.Reader(payload)
-        path = r.string()
-        r.finish()  # a path and nothing after it
+    def _open(self, path: str):
         target = (self.root / path).resolve()
         if not target.is_relative_to(self.root):
             raise ServerError(ERR_DENIED, f"path escapes served root: {path}")
@@ -127,7 +126,7 @@ class DataServer:
             raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")
         return open(target, "rb")
 
-    def _read(self, file, payload: bytes) -> bytes:
+    def _read(self, file, off: int, length: int) -> bytes:
         """The requested span in one ``pread``, sent as it is.
 
         The read is sized to what the file holds past ``off`` now, so it
@@ -135,11 +134,8 @@ class DataServer:
         shrank meanwhile. At or past EOF the reply is empty and the file is
         not read.
         """
-        if len(payload) != 12:
-            raise ServerError(ERR_BAD_REQUEST, "READ payload must be off+len")
         if file is None:
             raise ServerError(ERR_BAD_REQUEST, "READ before OPEN")
-        off, length = struct.unpack("<QI", payload)
         if length > wire.MAX_FRAME:
             raise ServerError(
                 ERR_BAD_REQUEST, f"READ of {length} bytes exceeds MAX_FRAME ({wire.MAX_FRAME} bytes)"

@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import csv
 import math
-import os
 from dataclasses import asdict, dataclass, fields
 from typing import get_type_hints
 
 
-class MetricsError(Exception):
+class MetricsError(ValueError):
     pass
 
 
@@ -135,12 +134,23 @@ def write_records_csv(path: str, records: list[JobRecord]) -> None:
     _write(path, RECORD_COLUMNS, [_record_row(r) for r in records])
 
 
+def check_records_csv(path: str) -> bool:
+    """Whether records file ``path`` is new (missing or empty); one headed otherwise is a MetricsError."""
+    try:
+        with open(path, newline="") as f:
+            header = next(csv.reader(f), None)
+    except FileNotFoundError:
+        return True
+    if header not in (None, RECORD_COLUMNS):
+        raise MetricsError(f"{path}: header {','.join(header)} is not the record columns {','.join(RECORD_COLUMNS)}")
+    return header is None
+
+
 def append_records_csv(path: str, records: list[JobRecord]) -> None:
-    """Append record rows, writing the header only when the file is new."""
-    new = not os.path.exists(path) or os.path.getsize(path) == 0
+    """Append record rows under the file's header, writing it when the file is new."""
     with open(path, "a", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=RECORD_COLUMNS)
-        if new:
+        if check_records_csv(path):  # open, so it exists: new means empty
             writer.writeheader()
         writer.writerows(_record_row(r) for r in records)
 

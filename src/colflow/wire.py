@@ -1,4 +1,4 @@
-"""The one wire codec: framing and field layout for every colflow socket.
+"""The one wire codec: framing, and the codecs of every colflow byte layout.
 
 Both channels speak it: the data-server channel (``colstore.server`` and
 ``RemoteTransport``) and the cluster channel (``proto``). A frame is,
@@ -9,15 +9,18 @@ little-endian throughout:
     u16 version  == PROTO_VERSION
     payload
 
-Inside payloads, strings are u32-length-prefixed UTF-8 and every count and
-id is a u32. A frame whose length word is below 4, whose payload exceeds
-the receiver's bound, or whose version differs is a ProtoError, and the
+A frame whose length word is below 4, whose payload exceeds the
+receiver's bound, or whose version differs is a ProtoError, and the
 connection is no longer trustworthy.
 
-This module imports nothing from colflow, so the data server (below
-``engine``) and the message codecs in ``proto`` (above it) share it.
-Every colflow connection is opened by ``connect`` and accepted by
-``accept_forever``.
+Every byte layout is declared once with the ``Codec``s below, beside its
+owner: ``colstore.server`` (data-server payloads), ``colstore.format`` (file
+header, tail, footer), ``proto`` (cluster messages). ``STR`` is u32-length
+UTF-8. Malformed values, short payloads and trailing bytes are ProtoErrors.
+
+This module imports nothing from colflow and no numpy, so the data server
+(below ``engine``) and every layer above it share it. Every colflow
+connection is opened by ``connect`` and accepted by ``accept_forever``.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ import itertools
 import socket
 import struct
 import threading
-from collections.abc import Callable
+from collections import Counter
+from collections.abc import Callable, Iterable
+from typing import Any, NamedTuple
 
 PROTO_VERSION = 8
 
@@ -180,11 +185,6 @@ def _fill(sock: socket.socket, view: memoryview) -> int:
     return got
 
 
-def pack_str(s: str) -> bytes:
-    raw = s.encode("utf-8")
-    return struct.pack("<I", len(raw)) + raw
-
-
 class Reader:
     """Cursor over a payload; reading past its end raises ProtoError."""
 
@@ -194,16 +194,13 @@ class Reader:
         self.buf = buf
         self.off = off
 
-    def unpack(self, fmt: str) -> tuple:
+    def unpack(self, fixed: struct.Struct) -> tuple:
         try:
-            values = struct.unpack_from(fmt, self.buf, self.off)
+            values = fixed.unpack_from(self.buf, self.off)
         except struct.error as e:
             raise ProtoError(f"truncated payload at offset {self.off}: {e}") from None
-        self.off += struct.calcsize(fmt)
+        self.off += fixed.size
         return values
-
-    def u32(self) -> int:
-        return self.unpack("<I")[0]
 
     def take(self, n: int) -> bytes:
         """The next n bytes; n is checked against what is left before anything is copied."""
@@ -213,13 +210,118 @@ class Reader:
         self.off += n
         return self.buf[self.off - n : self.off]
 
-    def string(self) -> str:
-        try:
-            return str(self.take(self.u32()), "utf-8")
-        except UnicodeDecodeError as e:
-            raise ProtoError(f"string is not UTF-8: {e}") from None
-
     def finish(self) -> None:
         """The payload must end where its last field does."""
         if self.off != len(self.buf):
             raise ProtoError(f"{len(self.buf) - self.off} trailing bytes after the payload's last field")
+
+
+# --- codecs: one field type each, packed and unpacked ---------------------------
+
+class Codec(NamedTuple):
+    pack: Callable[[Any], bytes]
+    unpack: Callable[[Reader], Any]  # raises ProtoError on a malformed value
+    fmt: str = ""  # a scalar's struct format, without byte order; "" for any other codec
+
+
+Layout = tuple[tuple[str, Codec], ...]  # (field name, codec) pairs in wire order
+
+
+def scalar(fmt: str) -> Codec:
+    fixed = struct.Struct("<" + fmt)
+    return Codec(fixed.pack, lambda r: r.unpack(fixed)[0], fmt)
+
+
+U8, U16, U32, U64, F64 = map(scalar, "BHIQd")
+
+
+def text(length: Codec) -> Codec:
+    """UTF-8 after its byte count, packed by ``length``."""
+
+    def pack(s: str) -> bytes:
+        raw = s.encode("utf-8")
+        return length.pack(len(raw)) + raw
+
+    def unpack(r: Reader) -> str:
+        try:
+            return str(r.take(length.unpack(r)), "utf-8")
+        except UnicodeDecodeError as e:
+            raise ProtoError(f"string is not UTF-8: {e}") from None
+    return Codec(pack, unpack)
+
+
+STR = text(U32)
+pack_str = STR.pack
+
+
+def enum(code: Codec, values: dict[Any, Any], what: str) -> Codec:
+    """A ``code`` that stands for one of ``values``; any other is a ProtoError."""
+    code_of = {v: c for c, v in values.items()}
+
+    def unpack(r: Reader) -> Any:
+        c = code.unpack(r)
+        if c not in values:
+            raise ProtoError(f"{what} {c!r}")
+        return values[c]
+    return Codec(lambda v: code.pack(code_of[v]), unpack)
+
+
+FLAG = enum(U8, {0: False, 1: True}, "flag byte")
+
+
+def by_name(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """Columns, universes and tables are keyed by name: a repeat would silently replace the first."""
+    named = dict(pairs)
+    if len(named) < len(pairs):
+        raise ProtoError(f"duplicate name {next(k for k, n in Counter(k for k, _ in pairs).items() if n > 1)!r}")
+    return named
+
+
+def counted(item: Codec, make: Callable[[Iterable], Any] = tuple) -> Codec:
+    """A u32 count, then that many items, collected by ``make``."""
+    return Codec(
+        lambda xs: U32.pack(len(xs)) + b"".join(map(item.pack, xs)),
+        lambda r: make(item.unpack(r) for _ in range(U32.unpack(r))),
+    )
+
+
+def fields(*codecs: Codec, make: Callable[[Iterable], Any] = tuple) -> Codec:
+    """One value per codec, collected by ``make``; scalars alone pack and unpack through one ``struct.Struct``."""
+    if all(c.fmt for c in codecs):
+        fixed = struct.Struct("<" + "".join(c.fmt for c in codecs))
+        return Codec(lambda values: fixed.pack(*values), lambda r: make(r.unpack(fixed)))
+    return Codec(
+        lambda values: b"".join([c.pack(v) for c, v in zip(codecs, values)]),
+        lambda r: make([c.unpack(r) for c in codecs]),
+    )
+
+
+def mapping(key: Codec, value: Codec) -> Codec:
+    """A dict as its u32-counted (key, value) pairs, in order; a repeated key is a ProtoError."""
+    pairs = counted(fields(key, value), lambda items: by_name(list(items)))
+    return Codec(lambda d: pairs.pack(d.items()), pairs.unpack)
+
+
+def record(cls: type, layout: Layout) -> Codec:
+    """A ``cls`` as its fields in ``layout``, passed to ``cls`` by name."""
+
+    def unpack(r: Reader) -> Any:
+        values = {}
+        for name, codec in layout:
+            try:
+                values[name] = codec.unpack(r)
+            except ProtoError as e:
+                raise ProtoError(f"bad {cls.__name__}.{name}: {e}") from None
+        try:
+            return cls(**values)
+        except ValueError as e:  # field values the class rejects
+            raise ProtoError(f"bad {cls.__name__}: {e}") from None
+    return Codec(lambda value: b"".join([codec.pack(getattr(value, name)) for name, codec in layout]), unpack)
+
+
+def unpack_whole(codec: Codec, payload) -> Any:
+    """The one value ``payload`` holds, with nothing after it."""
+    r = Reader(payload)
+    value = codec.unpack(r)
+    r.finish()
+    return value

@@ -119,6 +119,14 @@ class TestValidationExits:
         assert r.returncode == 2
         assert "payload-uri" in r.stderr
 
+    def test_legacy_refuses_a_jobs_csv_of_other_columns_before_submitting(self, tmp_path, capsys):
+        spec = tmp_path / "doc.json"
+        spec.write_text(simple_document(["f.col"]))
+        (tmp_path / "jobs.csv").write_text("task_id,worker,events\n")
+        args = ["legacy", "post", "--spec", str(spec), "--scheduler", "127.0.0.1:1", "--out", str(tmp_path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {tmp_path / 'jobs.csv'}: header task_id,worker,events")
+
     @pytest.mark.parametrize("command", ["run", "legacy pre", "legacy post"])
     def test_out_that_cannot_be_made_fails_before_submitting(self, tmp_path, command, capsys):
         spec = tmp_path / "doc.json"
@@ -546,7 +554,9 @@ def test_the_data_server_loads_neither_numpy_nor_the_expression_language():
     assert r.returncode == 0, r.stderr
     loaded = set(r.stdout.split())
     assert "colflow.colstore.server" in loaded
-    assert not loaded & {"numpy", "colflow.exprlang", "colflow.colstore.dataset"}
+    assert not loaded & {
+        "numpy", "colflow.exprlang", "colflow.colstore.dataset", "colflow.proto", "colflow.metrics", "colflow.engine"
+    }
 
 
 def test_every_colstore_export_resolves():

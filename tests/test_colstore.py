@@ -292,6 +292,21 @@ def test_invalid_column_name_not_writable(tmp_path):
         write_dataset(str(tmp_path / "n.col"), {"2x": ValueType.F64}, {"2x": [1.0]})
 
 
+@pytest.mark.parametrize(
+    "name, values, message",
+    [
+        ("a" * 70_000, [1.0], "70000 bytes exceeds"),  # more bytes than the footer's u16 name length counts
+        ("x", np.zeros((3, 2)), "one-dimensional"),  # refused mid-write, after the header
+    ],
+    ids=["overlong-name", "2-d-column"],
+)
+def test_a_failed_write_leaves_no_file(tmp_path, name, values, message):
+    path = tmp_path / "f.col"
+    with pytest.raises(FormatError, match=message):
+        write_dataset(str(path), {name: ValueType.F64}, {name: values})
+    assert not path.exists()
+
+
 def test_misaligned_vector_values_rejected():
     raw = struct.pack("<I", 1) + b"\x00" * 7  # one entry of length 1, seven value bytes
     with pytest.raises(FormatError):

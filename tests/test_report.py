@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from colflow.metrics import (
     JobRecord,
+    MetricsError,
     RunMetrics,
     append_records_csv,
     read_metrics_csv,
@@ -219,6 +221,13 @@ class TestAppendJobsCsv:
         assert lines[1].split(",")[0] == "0"
         assert lines[2].split(",")[0] == "1"
         assert lines[2].split(",")[-1] == "3"  # passes column survives append
+
+    def test_a_file_headed_by_other_columns_is_refused(self, tmp_path):
+        path = tmp_path / "jobs.csv"
+        path.write_text("task_id,worker,events\n0,w0,10\n")
+        with pytest.raises(MetricsError, match=re.escape(f"{path}: header task_id,worker,events is not")):
+            append_records_csv(str(path), [JobRecord(1, "w0", 20, 2.0, 1.0, 200)])
+        assert path.read_text() == "task_id,worker,events\n0,w0,10\n"
 
 
 # Written by metrics.write_metrics_csv and write_records_csv, whose csv

@@ -1,6 +1,7 @@
 import socket
 import struct
 import threading
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -354,3 +355,53 @@ def test_a_file_that_shrinks_after_open_is_a_short_read(served_dir, where):
         if where == "remote":
             assert server_totals(server.address)[0] - served0 == got
     assert_still_serving(server)
+
+
+@contextmanager
+def answering(opcode: int, payload: bytes):
+    """A one-connection server that answers the first request with (opcode, payload).
+
+    Yields its address and an Event that is set once the client has hung up.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    hung_up = threading.Event()
+
+    def serve():
+        sock, _ = listener.accept()
+        with sock:
+            sock.settimeout(10)
+            wire.recv_frame(sock)
+            wire.send_frame(sock, opcode, payload)
+            if sock.recv(1) == b"":
+                hung_up.set()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield wire.address_of(listener), hung_up
+    finally:
+        thread.join(timeout=15)
+        listener.close()
+    assert not thread.is_alive()
+
+
+def open_remote(address: str):
+    return open_dataset(f"colsrv://{address}/d.col")
+
+
+@pytest.mark.parametrize(
+    "request_it, opcode, reply",
+    [
+        (open_remote, srv.OP_OPEN, bytes(9)),
+        (open_remote, srv.OP_OPEN, bytes(7)),
+        (open_remote, srv.OP_ERROR, struct.pack("<H", srv.ERR_NOT_FOUND)),
+        (server_totals, srv.OP_METRICS, bytes(8)),
+        (server_totals, srv.OP_METRICS, bytes(17)),
+    ],
+    ids=["open-long", "open-short", "error-without-message", "metrics-short", "metrics-long"],
+)
+def test_a_malformed_reply_is_a_transport_error_and_the_client_hangs_up(request_it, opcode, reply):
+    with answering(opcode, reply) as (address, hung_up):
+        with pytest.raises(TransportError, match="data server connection failed") as info:
+            request_it(address)
+        assert hung_up.wait(10), "the client kept its connection open"  # though `info` holds its frames
