@@ -322,6 +322,8 @@ class Scheduler:
             run.assigned[(worker.conn_id, task_id)] = (worker.name, run.attempts[task_id])
             worker.task = (run.number, task_id)
             self._send(worker.conn_id, run.tasks[task_id])
+            if self._run is not run:  # the TASK could not be framed, so the worker never got it
+                worker.task = None
 
     def _pick_worker(self) -> _Worker | None:
         return next((w for w in self._workers.values() if w.task is None), None)

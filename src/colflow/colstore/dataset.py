@@ -1,8 +1,20 @@
 """Opening and reading columnar files over local or remote transports.
 
 URIs: a plain filesystem path opens locally; ``colsrv://host:port/relpath``
-opens a data-server connection that reads that one file. Each handle owns
-one transport and one ReadAccount; opening reads only the header and footer.
+reads that file over a data-server connection. Each handle owns one
+transport and one ReadAccount; opening reads only the header and footer.
+
+A remote handle borrows its connection: closing it puts the socket into
+this process's idle pool, and the next open of a file on the same
+``host:port`` takes it from there and sends OPEN on it, so a process
+opening file after file keeps one TCP session per server. The pool holds
+at most ``POOL_SIZE`` idle sockets over all servers and closes the oldest
+when a newer one comes back; it is emptied at exit and in a forked child.
+A socket that failed at socket level (EOF, ``OSError`` or a malformed
+reply) is closed and never pooled; an error reply (a missing file, say)
+leaves it in step and poolable. If a pooled socket fails on its OPEN (the
+server restarted, say), the open is tried once more on a fresh connection.
+
 Reads are chunk-granular: one transport read per needed chunk, no
 coalescing, so the account's chunk_bytes is exactly the sum of the fetched
 chunks' byte lengths.
@@ -17,8 +29,10 @@ int64, and a BOOL column is copied once more as it becomes numpy bools.
 
 from __future__ import annotations
 
+import atexit
 import os
 import socket
+import threading
 import zlib
 from dataclasses import dataclass
 
@@ -34,6 +48,10 @@ REMOTE_SCHEME = "colsrv://"
 
 class TransportError(Exception):
     """Connection or protocol failure while talking to a data server."""
+
+
+class ConnectionLost(TransportError):
+    """The connection failed at socket level (EOF, OSError, a malformed reply) and is closed."""
 
 
 @dataclass
@@ -72,43 +90,115 @@ def _connect(address: str) -> socket.socket:
 
 
 def _exchange(sock: socket.socket, opcode: int, request):
-    """Send ``request`` and return the reply, each as ``srv.LAYOUTS`` lays it out; every failure is a TransportError."""
+    """Send ``request`` and return the reply, each as ``srv.LAYOUTS`` lays it out.
+
+    An error reply is a TransportError and leaves the connection in step;
+    any other failure closes ``sock`` and is a ConnectionLost.
+    """
     request_layout, reply_layout = srv.LAYOUTS[opcode]
     try:
         wire.send_frame(sock, opcode, request_layout.pack(request))
         frame = wire.recv_frame(sock)
         if frame is None:
-            raise TransportError("data server closed the connection")
+            raise ConnectionLost("data server closed the connection")
         reply_op, reply = frame
         if reply_op == srv.OP_ERROR:
             code, message = wire.unpack_whole(srv.ERROR_REPLY, reply)
-            raise TransportError(f"data server error {code}: {message}")
-        if reply_op != opcode:
-            raise TransportError(f"unexpected reply opcode {reply_op} to request {opcode}")
-        return reply if reply_layout is None else wire.unpack_whole(reply_layout, reply)
+        elif reply_op != opcode:
+            raise ConnectionLost(f"unexpected reply opcode {reply_op} to request {opcode}")
+        else:
+            return reply if reply_layout is None else wire.unpack_whole(reply_layout, reply)
     except (wire.ProtoError, OSError) as e:
-        raise TransportError(f"data server connection failed: {e}") from None
+        sock.close()
+        raise ConnectionLost(f"data server connection failed: {e}") from None
+    except BaseException:  # a request cut short leaves the stream out of step
+        sock.close()
+        raise
+    raise TransportError(f"data server error {code}: {message}")
+
+
+# The most idle sockets one process keeps over all servers. The engine, a
+# worker and the scheduler's planning each hold one handle open at a time.
+POOL_SIZE = 8
+
+
+class _Pool:
+    """This process's idle data-server sockets, oldest first."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._idle: list[tuple[str, socket.socket]] = []
+
+    def take(self, address: str) -> socket.socket | None:
+        """The newest idle socket to ``address``, or None."""
+        with self._lock:
+            for k in range(len(self._idle) - 1, -1, -1):
+                if self._idle[k][0] == address:
+                    return self._idle.pop(k)[1]
+        return None
+
+    def give(self, address: str, sock: socket.socket) -> None:
+        if sock.fileno() < 0:  # closed on a failure: never pooled
+            return
+        with self._lock:
+            self._idle.append((address, sock))
+            evicted = self._idle[:-POOL_SIZE]
+            del self._idle[:-POOL_SIZE]
+        for _, old in evicted:
+            old.close()
+
+    def clear(self) -> None:
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for _, sock in idle:
+            sock.close()
+
+    def forget(self) -> None:
+        """In a forked child: its copies of the parent's sockets are never used."""
+        self._lock = threading.Lock()  # another thread may have held it at the fork
+        self.clear()  # closes only this process's copies: the parent's connections stay up
+
+
+_POOL = _Pool()
+atexit.register(_POOL.clear)
+os.register_at_fork(after_in_child=_POOL.forget)
 
 
 class RemoteTransport:
-    """Client side of the data-server protocol: one connection reading one file."""
+    """Client side of the data-server protocol: one file read over a pooled connection."""
 
     def __init__(self, host: str, port: int, path: str):
-        self._sock = _connect(f"{host}:{port}")
+        self._address = f"{host}:{port}"
+        self._sock = _POOL.take(self._address)
+        if self._sock is not None:
+            try:
+                self._size = self._open(path)
+                return
+            except ConnectionLost:  # a stale socket: its server restarted, say
+                pass
+        self._sock = _connect(self._address)
+        self._size = self._open(path)
+
+    def _open(self, path: str) -> int:
         try:
-            self._size = _exchange(self._sock, srv.OP_OPEN, path)
-        except Exception:
-            self._sock.close()
+            return _exchange(self._sock, srv.OP_OPEN, path)
+        except TransportError:
+            self.close()  # pools the socket unless the failure closed it
             raise
 
     def size(self) -> int:
         return self._size
 
     def read(self, offset: int, length: int) -> bytes:
+        if self._sock is None:
+            raise TransportError("read on a closed transport")
         return _exchange(self._sock, srv.OP_READ, (offset, length))
 
     def close(self) -> None:
-        self._sock.close()  # the server closes the file when the connection ends
+        """Hand the connection back to the pool; the server keeps the file open until its next OPEN."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            _POOL.give(self._address, sock)
 
 
 def parse_remote_uri(uri: str) -> tuple[str, int, str]:

@@ -24,8 +24,11 @@ No compression: chunk byte counts are data volume.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import re
+import struct
 import zlib
 from typing import NamedTuple
 
@@ -140,12 +143,24 @@ TAIL = wire.fields(  # footer offset, CRC32 of the footer body, magic
 )
 DTYPE = wire.enum(wire.U8, {t.value: t for t in ValueType if t.storable}, "unknown dtype byte")
 _COLUMNS = wire.mapping(wire.text(wire.U16), DTYPE)
-_CHUNK_REF = wire.fields(wire.U64, wire.U64, wire.U32, make=ChunkRef._make)
 
 
+@functools.lru_cache(maxsize=16)
 def _clusters(n_columns: int) -> wire.Codec:
-    """The footer's clusters; each holds one ChunkRef per column, and no count of them."""
-    return wire.counted(wire.fields(wire.U64, wire.U32, wire.fields(*[_CHUNK_REF] * n_columns), make=ClusterInfo._make))
+    """The footer's clusters; each holds one ChunkRef per column, and no count of them.
+
+    A cluster row is all scalars, so it packs and unpacks through one
+    ``struct.Struct``, built once per column count.
+    """
+    row = struct.Struct("<QI" + "QQI" * n_columns)
+
+    def pack(cl: ClusterInfo) -> bytes:
+        return row.pack(cl.entry_start, cl.entry_count, *itertools.chain(*cl.chunks))
+
+    def unpack(r: wire.Reader) -> ClusterInfo:
+        v = r.unpack(row)
+        return ClusterInfo(v[0], v[1], tuple(itertools.starmap(ChunkRef, zip(v[2::3], v[3::3], v[4::3]))))
+    return wire.counted(wire.Codec(pack, unpack))
 
 
 def encode_footer(schema: dict[str, ValueType], total_entries: int, clusters: tuple[ClusterInfo, ...]) -> bytes:

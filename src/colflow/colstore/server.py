@@ -1,14 +1,17 @@
 """TCP data server for remote columnar file access.
 
-A connection is the session for one file. Requests and replies are
-``wire`` frames whose kind is the opcode; a reply echoes its request's
-opcode. ``LAYOUTS`` declares their payloads once, for this server and its
-client in ``colstore.dataset``: 1=OPEN(path)->u64 size, 2=READ(u64 off,
-u32 len)->bytes (short at EOF), 4=METRICS()->(u64 bytes_served, u64
-read_calls) of the whole server; 3 and 5 are unassigned. Hanging up
-closes the file. Errors come back as opcode 0xFFFF with a u16 code and a
-wire string, and the connection keeps serving: a payload with trailing
-bytes, a second OPEN and a READ before any OPEN are each ERR_BAD_REQUEST.
+A connection reads one file at a time, and may read many files one after
+another: an OPEN closes the file the connection has open, if any, then
+opens the new one (a failed OPEN leaves no file open). Requests and
+replies are ``wire`` frames whose kind is the opcode; a reply echoes its
+request's opcode. ``LAYOUTS`` declares their payloads once, for this
+server and its client in ``colstore.dataset``: 1=OPEN(path)->u64 size,
+2=READ(u64 off, u32 len)->bytes (short at EOF), 4=METRICS()->(u64
+bytes_served, u64 read_calls) of the whole server; 3 and 5 are
+unassigned. Hanging up closes the open file. Errors come back as opcode
+0xFFFF with a u16 code and a wire string, and the connection keeps
+serving: a payload with trailing bytes and a READ with no file open are
+each ERR_BAD_REQUEST.
 
 A request payload may be at most MAX_REQUEST bytes and a READ at most
 ``wire.MAX_FRAME``: a READ past that is answered with ERR_BAD_REQUEST,
@@ -19,8 +22,9 @@ Byte counters only grow on READ replies, so the bytes a client counts
 over its reads equal the growth of the server's bytes_served exactly.
 
 A server starts only through ``start()`` (or ``with``), which runs one
-``wire.accept_forever`` thread; ``stop()`` closes the listening socket
-and joins that thread.
+``wire.accept_forever`` thread; ``stop()`` closes the listening socket,
+shuts down every connection it still serves (idle ones that clients keep
+for their next open included) and joins all those threads.
 """
 
 from __future__ import annotations
@@ -73,6 +77,8 @@ class DataServer:
         self._lock = threading.Lock()
         self.total_bytes_served = 0
         self.total_read_calls = 0
+        self._conns: dict[socket.socket, threading.Thread] = {}  # the connections being served
+        self._stopped = False
         self._listener = listener or socket.create_server(("127.0.0.1", 0))
         self.address = wire.address_of(self._listener)
         self._thread = threading.Thread(
@@ -83,7 +89,12 @@ class DataServer:
         )
 
     def _serve(self, sock: socket.socket) -> None:
-        """One connection: OPEN one file, READ it, hang up."""
+        """One connection: OPEN a file and READ it, as often as the client asks, then hang up."""
+        with self._lock:
+            if self._stopped:
+                sock.close()
+                return
+            self._conns[sock] = threading.current_thread()
         file = None
         try:
             while (frame := wire.recv_frame(sock, MAX_REQUEST)) is not None:
@@ -94,8 +105,9 @@ class DataServer:
                     request, reply_layout = LAYOUTS[opcode]
                     args = wire.unpack_whole(request, payload)
                     if opcode == OP_OPEN:
-                        if file is not None:
-                            raise ServerError(ERR_BAD_REQUEST, "this connection has a file open already")
+                        if file is not None:  # the connection moves on to another file
+                            file.close()
+                            file = None
                         file = self._open(args)
                         reply = reply_layout.pack(file.seek(0, 2))
                     elif opcode == OP_READ:
@@ -114,6 +126,8 @@ class DataServer:
         except (wire.ProtoError, OSError):  # bad header, or the peer is gone
             pass
         finally:
+            with self._lock:  # so stop() never shuts down a socket closed under it
+                del self._conns[sock]
             sock.close()
             if file is not None:
                 file.close()
@@ -155,6 +169,16 @@ class DataServer:
         wire.stop_accepting(self._listener)
         if self._thread.is_alive():
             self._thread.join(timeout=5)
+        with self._lock:
+            self._stopped = True
+            conns = dict(self._conns)
+            for sock in conns:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)  # wakes its thread with EOF
+                except OSError:  # the peer reset it already
+                    pass
+        for thread in conns.values():
+            thread.join(timeout=5)
 
     def __enter__(self) -> "DataServer":
         return self.start()

@@ -193,7 +193,8 @@ def encode(msg: Message) -> bytes:
     try:
         kind = _KIND_OF[type(msg)]
         payload = _CODECS[kind].pack(msg)
-    except (KeyError, struct.error) as e:  # KeyError: not a message, or a value no byte stands for
+    except (KeyError, struct.error, UnicodeEncodeError) as e:  # KeyError: not a message, or a value no byte
+        # stands for; UnicodeEncodeError: a string strict UTF-8 cannot hold, such as a lone surrogate
         raise ProtoError(f"cannot encode {type(msg).__name__}: {e}") from None
     return pack_frame(kind, payload)
 

@@ -585,6 +585,18 @@ class TestWireLimits:
             again = submit_run(sched.address, doc, run_id="run-0", timeout=30)  # state loop alive
         assert again.partial.universes == ok.partial.universes
 
+    def test_unframeable_task_fails_the_run_and_the_scheduler_keeps_serving(self, dataset_files, tmp_path):
+        odd = str(tmp_path / "\udc80.col")  # on disk the byte 0x80, which strict UTF-8 cannot carry
+        write_dataset(odd, STANDARD_SCHEMA, standard_columns(100, seed=5), 64)
+        doc = make_doc([odd])  # json.dumps escapes the lone surrogate: the SUBMIT itself is ASCII
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            with pytest.raises(ClusterError, match="cannot send Task: cannot encode Task: .* surrogates"):
+                submit_run(sched.address, doc, timeout=30)
+            again = submit_run(sched.address, make_doc(dataset_files), timeout=30)  # on the same worker
+        assert again.total_events == 200 + 250 + 300
+
     def test_oversized_result_fails_the_task(self, dataset_files, monkeypatch):
         doc = make_doc(dataset_files)
         with Scheduler() as sched:

@@ -476,6 +476,14 @@ class TestLimits:
         with pytest.raises(ProtoError, match="cannot encode Task"):
             encode(Task(0, EntryRange("f.col", 0, 10), run=2**32))
 
+    @pytest.mark.parametrize(
+        "msg", [Register("\ud800"), Task(0, EntryRange(json.loads('"\\udc80.col"'), 0, 10))], ids=["name", "path"]
+    )
+    def test_a_string_utf8_cannot_hold_is_a_proto_error(self, msg):
+        """A lone surrogate: JSON may carry one, and a file name's undecodable byte becomes one."""
+        with pytest.raises(ProtoError, match=f"cannot encode {type(msg).__name__}: .* surrogates not allowed"):
+            encode(msg)
+
     def test_oversized_header_rejected_before_body(self):
         a, b = socket.socketpair()
         with a, b:

@@ -1,3 +1,4 @@
+import os
 import socket
 import struct
 import threading
@@ -16,7 +17,7 @@ from colflow.colstore import (
     write_dataset,
 )
 from colflow.cluster.scheduler import Scheduler
-from colflow.colstore import server as srv
+from colflow.colstore import dataset, server as srv
 from colflow.colstore.dataset import RemoteTransport
 
 
@@ -195,11 +196,10 @@ OPEN_BLOB = (srv.OP_OPEN, wire.pack_str("blob.bin"), None)
 @pytest.mark.parametrize(
     "requests",
     [
-        [OPEN_BLOB, (srv.OP_OPEN, wire.pack_str("d.col"), srv.ERR_BAD_REQUEST)],
         [(srv.OP_READ, struct.pack("<QI", 0, 4), srv.ERR_BAD_REQUEST), OPEN_BLOB],
         [OPEN_BLOB, (srv.OP_METRICS, b"\x01", srv.ERR_BAD_REQUEST)],
     ],
-    ids=["second-open", "read-before-open", "metrics-with-payload"],
+    ids=["read-before-open", "metrics-with-payload"],
 )
 def test_bad_request_leaves_the_connection_serving(served_dir, requests):
     """Each request gets its expected error code (None: none), then blob.bin is read on the same connection."""
@@ -210,6 +210,127 @@ def test_bad_request_leaves_the_connection_serving(served_dir, requests):
             assert reply_code(wire.recv_frame(sock)) == code
         wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
         assert wire.recv_frame(sock) == (srv.OP_READ, bytes([0, 1, 2, 3]))
+
+
+def files_open_under(root) -> list[str]:
+    """The names of the files under ``root`` this process (its data server) holds open."""
+    root = str(root.resolve())
+    names = []
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:  # closed meanwhile
+            continue
+        if target.startswith(root + os.sep):
+            names.append(os.path.basename(target))
+    return names
+
+
+def test_a_second_open_moves_the_connection_to_another_file(served_dir):
+    """Each OPEN closes the file the connection had open; READs then serve the new one."""
+    root, server = served_dir
+    with wire.connect(server.address, timeout=10) as sock:
+        for name in ("blob.bin", "d.col", "blob.bin"):
+            data = (root / name).read_bytes()
+            wire.send_frame(sock, srv.OP_OPEN, wire.pack_str(name))
+            assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", len(data)))
+            assert files_open_under(root) == [name]
+            wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 4, 8))
+            assert wire.recv_frame(sock) == (srv.OP_READ, data[4:12])
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("absent.bin"))
+        assert reply_code(wire.recv_frame(sock)) == srv.ERR_NOT_FOUND
+        assert files_open_under(root) == []  # a failed OPEN leaves no file open
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
+        assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST
+    assert_still_serving(server)
+
+
+@pytest.fixture
+def connects(monkeypatch):
+    """The addresses of every connection this process opens."""
+    made = []
+    real = wire.connect
+
+    def counting(address, *args, **kwargs):
+        made.append(address)
+        return real(address, *args, **kwargs)
+
+    monkeypatch.setattr(wire, "connect", counting)
+    return made
+
+
+def read_all(handle) -> int:
+    """Read every column of every entry; the number of chunks fetched."""
+    for _ in handle.read_range(list(handle.schema), 0, handle.total_entries):
+        pass
+    return len(handle.clusters) * len(handle.schema)
+
+
+def test_sequential_opens_share_one_connection(served_dir, connects):
+    root, server = served_dir
+    uri = f"colsrv://{server.address}/d.col"
+    size = (root / "d.col").stat().st_size
+    with open_dataset(uri) as h:
+        metadata = size - h.clusters[-1].chunks[-1].offset - h.clusters[-1].chunks[-1].length + 8
+    served0, calls0 = server_totals(server.address)
+    accounts = []
+    for _ in range(5):
+        with open_dataset(uri) as h:
+            chunks = read_all(h)
+            accounts.append(h.account)
+    assert connects == [server.address] * 2  # one session for every open, one for each server_totals
+    for account in accounts:  # header, tail and footer, then one read per chunk, as on a fresh connection
+        assert (account.bytes_read, account.read_calls) == (metadata + account.chunk_bytes, 3 + chunks)
+    served1, calls1 = server_totals(server.address)
+    assert served1 - served0 == sum(a.bytes_read for a in accounts)
+    assert calls1 - calls0 == sum(a.read_calls for a in accounts)
+
+
+def test_an_open_after_the_server_restarts_takes_a_fresh_connection(served_dir, connects):
+    root, server = served_dir
+    uri = f"colsrv://{server.address}/d.col"
+    with open_dataset(uri) as h:
+        first = [b.columns["x"] for b in h.read_range(["x"], 0, 1000)]
+    server.stop()  # the pooled socket is now stale
+    listener = socket.create_server(("127.0.0.1", int(server.address.rpartition(":")[2])))
+    with DataServer(str(root), listener=listener):
+        with open_dataset(uri) as h:
+            again = [b.columns["x"] for b in h.read_range(["x"], 0, 1000)]
+            assert h.account.read_calls == 3 + 4
+    assert connects == [server.address] * 2
+    assert all(np.array_equal(a, b) for a, b in zip(first, again, strict=True))
+
+
+def test_an_error_reply_on_a_pooled_connection_leaves_it_in_the_pool(served_dir, connects):
+    root, server = served_dir
+    open_dataset(f"colsrv://{server.address}/d.col").close()
+    with pytest.raises(TransportError, match=f"data server error {srv.ERR_NOT_FOUND}: no such file: absent.col"):
+        open_dataset(f"colsrv://{server.address}/absent.col")
+    with open_dataset(f"colsrv://{server.address}/d.col") as h:
+        assert read_all(h) == 4
+    assert connects == [server.address]
+
+
+def test_the_pool_closes_its_oldest_sockets_past_its_bound(served_dir):
+    root, server = served_dir
+    host, port = server.address.split(":")
+    transports = [RemoteTransport(host, int(port), "blob.bin") for _ in range(dataset.POOL_SIZE + 2)]
+    socks = [t._sock for t in transports]
+    for t in transports:
+        t.close()
+    assert [sock.fileno() < 0 for sock in socks] == [True] * 2 + [False] * dataset.POOL_SIZE
+    with pytest.raises(TransportError, match="read on a closed transport"):
+        transports[-1].read(0, 4)  # a closed handle never reads on the socket it gave back
+
+
+def test_a_stopped_server_joins_the_thread_of_a_pooled_connection(tmp_path):
+    (tmp_path / "f.bin").write_bytes(b"abc")
+    before = set(threading.enumerate())
+    with DataServer(str(tmp_path)) as server:
+        host, port = server.address.split(":")
+        RemoteTransport(host, int(port), "f.bin").close()  # pooled: its server thread waits for the next OPEN
+        assert len(set(threading.enumerate()) - before) == 2
+    assert set(threading.enumerate()) <= before
 
 
 def test_unknown_opcode_gets_error_reply(served_dir):
