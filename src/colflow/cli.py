@@ -31,7 +31,9 @@ waves of that width).
 
 Each command imports the modules it runs in its own body: starting a
 service loads that service's code and nothing of the benchmark, the
-baseline, the report or the dataset generator.
+baseline, the report or the dataset generator. Before any of it loads,
+`main` gives numpy one BLAS thread (OPENBLAS_NUM_THREADS=1) unless the
+environment names a count already.
 """
 
 from __future__ import annotations
@@ -99,9 +101,11 @@ def _inherited_listener(fd: str) -> socket.socket:
     return sock
 
 
-def _listener(listen: tuple[str, int] | socket.socket) -> socket.socket:
+def _listener(value: tuple[str, int] | socket.socket) -> socket.socket:
     """The socket a service accepts on: --listen's value, bound here when it is HOST:PORT."""
-    return listen if isinstance(listen, socket.socket) else socket.create_server(listen)
+    from .wire import listen
+
+    return value if isinstance(value, socket.socket) else listen(value)
 
 
 def _address(text: str) -> str:
@@ -492,6 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # one slot is one core and colflow calls no BLAS routine; a pool per CPU only spins at start-up
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -69,7 +69,7 @@ from ..proto import (
     encode,
     recv_message,
 )
-from ..wire import accept_forever, address_of, stop_accepting
+from ..wire import accept_forever, address_of, listen, stop_accepting
 from .planner import plan_partitions
 
 HEARTBEAT_INTERVAL = 2.0
@@ -117,7 +117,7 @@ class Scheduler:
     """
 
     def __init__(self, listener: socket.socket | None = None):
-        self._listener = listener or socket.create_server(("127.0.0.1", 0))
+        self._listener = listener or listen()
         self.address = address_of(self._listener)
         self._events: queue.Queue = queue.Queue()
         self._conns: dict[int, socket.socket] = {}

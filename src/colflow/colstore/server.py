@@ -79,7 +79,7 @@ class DataServer:
         self.total_read_calls = 0
         self._conns: dict[socket.socket, threading.Thread] = {}  # the connections being served
         self._stopped = False
-        self._listener = listener or socket.create_server(("127.0.0.1", 0))
+        self._listener = listener or wire.listen()
         self.address = wire.address_of(self._listener)
         self._thread = threading.Thread(
             target=wire.accept_forever,

@@ -557,23 +557,55 @@ class _Bad(Exception):
 _BY_ZERO = {"'/'": "integer division by zero", "'%'": "integer modulo by zero"}
 
 
-def _arith(label: str, f64, i64=None):
-    """An arithmetic kernel: f64 on F64; on I64, i64 (default f64) over Python
-    ints, so the result is exact and is checked to fit int64."""
+_PRODUCT_SAFE = math.isqrt(I64_MAX)  # two factors within +-this multiply inside int64
+
+
+def _sum_overflows(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return ((a ^ out) & (b ^ out)) < 0  # the wrapped sum's sign differs from both operands'
+
+
+def _difference_overflows(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return ((a ^ b) & (a ^ out)) < 0  # opposite signs, and the wrapped result's differs from a's
+
+
+def _product_overflows(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Rows whose exact product leaves int64, checked in Python ints only where a factor is large."""
+    bad = np.zeros(len(out), dtype=bool)
+    rows = np.flatnonzero((a > _PRODUCT_SAFE) | (a < -_PRODUCT_SAFE) | (b > _PRODUCT_SAFE) | (b < -_PRODUCT_SAFE))
+    bad[rows] = [not I64_MIN <= x * y <= I64_MAX for x, y in zip(a[rows].tolist(), b[rows].tolist())]
+    return bad
+
+
+def _negation_overflows(out: np.ndarray, a: np.ndarray) -> np.ndarray:
+    return a == I64_MIN  # the one int64 without a positive counterpart
+
+
+def _quotient_overflows(out: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a == I64_MIN) & (b == -1)  # floor division's one quotient past INT64_MAX
+
+
+def _arith(label: str, f64, i64=None, overflows=None):
+    """An arithmetic kernel: f64 on F64. On I64, i64 (default f64) runs in
+    wrapping int64; a row that divides by zero, or whose exact result leaves
+    int64 (as `overflows(out, *args)` marks it), is an eval error."""
+    by_zero = _BY_ZERO.get(label)
 
     def kernel(*args):
         if args[0].dtype != np.int64:
             return f64(*args)
-        exact = [a.astype(object) for a in args]
-        zero = args[1] == 0 if label in _BY_ZERO else np.zeros(len(args[0]), dtype=bool)
-        if zero.any():
-            exact[1][zero] = 1  # reported below; keeps the division itself defined
-        out = (i64 or f64)(*exact)
-        cases = ((zero, _BY_ZERO.get(label)), ((out < I64_MIN) | (out > I64_MAX), f"I64 overflow in {label}"))
+        cases = []
+        if by_zero:
+            zero = args[1] == 0
+            args = (args[0], np.where(zero, 1, args[1]))  # reported below; keeps the division itself defined
+            cases.append((zero, by_zero))
+        with np.errstate(over="ignore"):  # INT64_MIN // -1 wraps, and is reported below
+            out = (i64 or f64)(*args)
+        if overflows is not None:
+            cases.append((overflows(out, *args), f"I64 overflow in {label}"))
         firsts = [(int(np.argmax(bad)), message) for bad, message in cases if bad.any()]
         if firsts:
             raise _Bad(*min(firsts))  # the first bad element, whatever its kind
-        return out.astype(np.int64)
+        return out
 
     return kernel
 
@@ -597,9 +629,13 @@ def _exp(x: float) -> float:
 
 
 _KERNELS = {
-    "+": _arith("'+'", np.add), "-": _arith("'-'", np.subtract), "*": _arith("'*'", np.multiply),
-    "/": _arith("'/'", np.divide, np.floor_divide), "%": _arith("'%'", np.fmod, np.remainder),
-    "neg": _arith("unary '-'", np.negative), "abs": _arith("abs()", np.abs),
+    "+": _arith("'+'", np.add, overflows=_sum_overflows),
+    "-": _arith("'-'", np.subtract, overflows=_difference_overflows),
+    "*": _arith("'*'", np.multiply, overflows=_product_overflows),
+    "/": _arith("'/'", np.divide, np.floor_divide, overflows=_quotient_overflows),
+    "%": _arith("'%'", np.fmod, np.remainder),
+    "neg": _arith("unary '-'", np.negative, overflows=_negation_overflows),
+    "abs": _arith("abs()", np.abs, overflows=_negation_overflows),
     "<": np.less, "<=": np.less_equal, ">": np.greater, ">=": np.greater_equal,
     "==": np.equal, "!=": np.not_equal, "&&": np.logical_and, "||": np.logical_or, "!": np.logical_not,
     "sqrt": np.sqrt, "log": _per_element(_log), "exp": _per_element(_exp),

@@ -38,7 +38,7 @@ import threading
 import time
 
 from .cluster.client import shutdown_cluster
-from .wire import address_of
+from .wire import address_of, listen
 
 STARTUP_TIMEOUT = 30.0  # seconds: one deadline for every child's announcement line
 _LOG_TAIL_LINES = 10
@@ -147,8 +147,7 @@ class MiniFacility:
         return self
 
     def _start(self) -> None:
-        local = ("127.0.0.1", 0)
-        with socket.create_server(local) as data_sock, socket.create_server(local) as scheduler_sock:
+        with listen() as data_sock, listen() as scheduler_sock:
             self.data_address = address_of(data_sock)
             self.scheduler_address = address_of(scheduler_sock)
             self.data_proc = self._spawn(

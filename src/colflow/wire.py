@@ -20,7 +20,8 @@ UTF-8. Malformed values, short payloads and trailing bytes are ProtoErrors.
 
 This module imports nothing from colflow and no numpy, so the data server
 (below ``engine``) and every layer above it share it. Every colflow
-connection is opened by ``connect`` and accepted by ``accept_forever``.
+listening socket is bound by ``listen``, and every connection is opened by
+``connect`` and accepted by ``accept_forever``.
 """
 
 from __future__ import annotations
@@ -103,6 +104,17 @@ def connect(address: str, timeout: float | None = None) -> socket.socket:
     sock = socket.create_connection((host, int(port)), timeout=timeout)
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return sock
+
+
+def listen(address: tuple[str, int] = ("127.0.0.1", 0)) -> socket.socket:
+    """A TCP socket listening at ``(host, port)``, port 0 asking the OS for a free one.
+
+    Its backlog is the kernel's largest (``SOMAXCONN``): ``accept_forever``
+    starts a thread before it accepts the next connection, and a burst of
+    connects that overflows a shorter queue stalls some of them for a
+    SYN retransmission (~1 s).
+    """
+    return socket.create_server(address, backlog=socket.SOMAXCONN)
 
 
 def accept_forever(listener: socket.socket, handle: Callable[[socket.socket], None], name: str) -> None:

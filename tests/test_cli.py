@@ -20,6 +20,7 @@ from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
 from colflow.facility import FacilityError, MiniFacility
 from colflow.graph import load_spec, spec_graph_id
 from colflow.metrics import RunMetrics, read_metrics_csv, write_metrics_csv
+from colflow.proto import Register, recv_message
 
 
 def colflow(*args: str, timeout: float = 120.0) -> subprocess.CompletedProcess:
@@ -518,6 +519,39 @@ def test_services_import_none_of_the_client_side():
     loaded = set(r.stdout.split())
     assert "colflow.cluster.worker" in loaded
     assert not loaded & {f"colflow.{m}" for m in ("bench", "legacy", "report", "datagen", "facility")}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc")
+def test_a_worker_runs_numpy_on_one_blas_thread():
+    """A slot is one core: every colflow command starts numpy with one BLAS thread.
+
+    The worker has loaded numpy by the time it sends REGISTER, and it starts
+    its heartbeat thread only after the echo, so until then its only thread
+    is the main one. OpenBLAS makes one thread per CPU, so on a 1-CPU host
+    this test cannot fail.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(60)
+        address = "%s:%d" % listener.getsockname()[:2]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "colflow.cli", "worker", "--scheduler", address],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+        )
+        try:
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(60)
+                assert isinstance(recv_message(conn), Register)
+                threads = len(os.listdir(f"/proc/{proc.pid}/task"))
+            _, err = proc.communicate(timeout=60)  # no echo: the worker gives up
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+    assert proc.returncode == 1
+    assert "did not confirm registration" in err
+    assert threads == 1
 
 
 @pytest.fixture

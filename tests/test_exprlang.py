@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -501,6 +502,51 @@ def test_i64_overflow_in_a_vector_names_its_row():
     with pytest.raises(EvalError, match="I64 overflow") as e:
         ev_rows("h * 2", rows, {"h": ValueType.VEC_I64}, first_entry=7)
     assert e.value.entry == 9
+
+
+_I64_EDGES = [INT64_MIN, INT64_MIN + 1, INT64_MAX, INT64_MAX - 1, -1, 0, 1, 2**31, -(2**31),
+              3037000499, -3037000499, 3037000500, -3037000500, 2**32, -(2**32)]
+_I64_VALUES = st.one_of(st.sampled_from(_I64_EDGES), st.integers(INT64_MIN, INT64_MAX), st.integers(-100, 100))
+_I64_OPS = {
+    "a + b": ("'+'", lambda a, b: a + b),
+    "a - b": ("'-'", lambda a, b: a - b),
+    "a * b": ("'*'", lambda a, b: a * b),
+    "-a": ("unary '-'", lambda a, b: -a),
+    "abs(a)": ("abs()", lambda a, b: abs(a)),
+    "a / b": ("'/'", lambda a, b: a // b if b else None),
+    "a % b": ("'%'", lambda a, b: a % b if b else None),
+}
+
+
+def _check_i64(src: str, pairs: list[tuple[int, int]]) -> None:
+    """src over rows of (a, b) gives the exact Python-int results, or an error
+    naming the first row that divides by zero or whose result leaves int64."""
+    label, exact = _I64_OPS[src]
+    rows = [{"a": a, "b": b} for a, b in pairs]
+    want = [exact(a, b) for a, b in pairs]
+    bad = [i for i, x in enumerate(want) if x is None or not INT64_MIN <= x <= INT64_MAX]
+    schema = {"a": ValueType.I64, "b": ValueType.I64}
+    if bad:
+        message = "by zero" if want[bad[0]] is None else f"I64 overflow in {label}"
+        with pytest.raises(EvalError, match=re.escape(message)) as e:
+            ev_rows(src, rows, schema, first_entry=100)
+        assert e.value.entry == 100 + bad[0]
+    else:
+        got = ev_rows(src, rows, schema)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+
+@given(st.sampled_from(sorted(_I64_OPS)), st.lists(st.tuples(_I64_VALUES, _I64_VALUES), min_size=1, max_size=8))
+@settings(max_examples=400, deadline=None)
+def test_i64_arithmetic_matches_python_ints(src, pairs):
+    _check_i64(src, pairs)
+
+
+@pytest.mark.parametrize("src", sorted(_I64_OPS))
+def test_i64_arithmetic_matches_python_ints_on_every_pair_of_edges(src):
+    for a in _I64_EDGES:
+        for b in _I64_EDGES:
+            _check_i64(src, [(a, b)])
 
 
 def test_integer_literal_outside_i64_is_a_type_error():

@@ -1,7 +1,10 @@
 import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -331,6 +334,30 @@ def test_a_stopped_server_joins_the_thread_of_a_pooled_connection(tmp_path):
         RemoteTransport(host, int(port), "f.bin").close()  # pooled: its server thread waits for the next OPEN
         assert len(set(threading.enumerate()) - before) == 2
     assert set(threading.enumerate()) <= before
+
+
+def test_a_burst_of_connects_is_never_held_back(tmp_path):
+    """400 connects, each closed at once, against `colflow serve-data` in its
+    own process. A listen backlog shorter than the burst drops SYNs while the
+    server starts a thread per connection, and a dropped SYN waits ~1 s for
+    its retransmission."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "colflow.cli", "serve-data", "--root", str(tmp_path)],
+        stdout=subprocess.PIPE, text=True,
+    )
+    try:
+        line = proc.stdout.readline()
+        assert line.startswith("data server serving"), line
+        host, _, port = line.split()[-1].rpartition(":")
+        slowest = 0.0
+        for _ in range(400):
+            t0 = time.perf_counter()
+            socket.create_connection((host, int(port)), timeout=10).close()
+            slowest = max(slowest, time.perf_counter() - t0)
+    finally:
+        proc.terminate()
+        proc.communicate(timeout=30)
+    assert slowest < 0.5
 
 
 def test_unknown_opcode_gets_error_reply(served_dir):
