@@ -22,12 +22,13 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .cluster.client import RunResult, run_distributed
+from .cluster.client import run_distributed
 from .colstore.dataset import REMOTE_SCHEME, server_totals
-from .datagen import GenConfig, generate, load_manifest, manifest_files
+from .datagen import MANIFEST_NAME, GenConfig, generate, load_manifest, manifest_files
 from .engine import PartialResult
 from .facility import MiniFacility
 from .hist import ResultKind
@@ -50,10 +51,7 @@ PRE_SELECTION = "MET_pt > 96.0 && nJet >= 2"
 class BenchConfig:
     out_dir: str
     data_dir: str = ""  # default: <out_dir>/data
-    n_files: int = 8
-    events_per_file: int = 100_000
-    cluster_size: int = 10_000
-    seed: int = 2024
+    dataset: GenConfig = GenConfig()  # generated into data_dir when it holds no manifest
     workers: int = 4
     repeats: int = 3
     factor: int = 3
@@ -61,9 +59,6 @@ class BenchConfig:
     timeout: float = 600.0
 
     def __post_init__(self):
-        for field_name in ("n_files", "events_per_file", "cluster_size"):
-            if getattr(self, field_name) < 0:
-                raise BenchError(f"{field_name} must be >= 0")
         for field_name in ("workers", "repeats", "factor"):
             if getattr(self, field_name) < 1:
                 raise BenchError(f"{field_name} must be >= 1")
@@ -123,15 +118,8 @@ def default_post_document(files: list[str]) -> str:
 
 def ensure_dataset(config: BenchConfig, data_dir: str) -> dict:
     """Load the manifest in data_dir, generating the dataset if absent."""
-    manifest_path = os.path.join(data_dir, "manifest.json")
-    if not os.path.exists(manifest_path):
-        gen = GenConfig(
-            n_files=config.n_files,
-            events_per_file=config.events_per_file,
-            cluster_size=config.cluster_size,
-            seed=config.seed,
-        )
-        generate(gen, data_dir)
+    if not os.path.exists(os.path.join(data_dir, MANIFEST_NAME)):
+        generate(config.dataset, data_dir)
     return load_manifest(data_dir)
 
 
@@ -224,115 +212,67 @@ class _Harness:
         write_metrics_csv(self.metrics_path, [r.metrics for r in self.runs])
         write_records_csv(os.path.join(self.records_dir, f"{m.run_id}.csv"), list(run.records))
 
-    def repeat(self, mode: str, phase: str, k: int, fn) -> ScenarioRun:
-        before, _ = server_totals(self.facility.data_address)
-        result: RunResult = fn()
-        after, _ = server_totals(self.facility.data_address)
-        run = ScenarioRun(
-            metrics=aggregate(
-                f"{mode}-{phase}-r{k}", mode, phase, list(result.records), result.total_time, result.network_read
-            ),
-            records=result.records,
-            partial=result.partial,
-            served_delta=after - before,
-        )
-        self.record(run)
+    def repeat(self, mode: str, phase: str, fn) -> ScenarioRun:
+        """Run one scenario config.repeats times, recording each repeat as
+        {mode}-{phase}-r{k}; returns the last. fn runs the scenario once and
+        returns its RunResult, or the baseline's (files, RunResult)."""
+        for k in range(self.config.repeats):
+            before, _ = server_totals(self.facility.data_address)
+            result = fn()
+            after, _ = server_totals(self.facility.data_address)
+            if isinstance(result, tuple):
+                result = result[1]
+            run = ScenarioRun(
+                metrics=aggregate(
+                    f"{mode}-{phase}-r{k}", mode, phase, list(result.records), result.total_time, result.network_read
+                ),
+                records=result.records,
+                partial=result.partial,
+                served_delta=after - before,
+            )
+            self.record(run)
         return run
 
 
 def run_bench(config: BenchConfig) -> BenchResult:
     """Run all four scenarios and render the comparison."""
     h = _Harness(config)
-    os.makedirs(h.out_dir, exist_ok=True)
     os.makedirs(h.records_dir, exist_ok=True)
     manifest = ensure_dataset(config, h.data_dir)
 
-    log_dir = os.path.join(h.out_dir, "logs")
-    with MiniFacility(h.data_dir, log_dir, n_workers=config.workers) as facility:
+    with MiniFacility(h.data_dir, os.path.join(h.out_dir, "logs"), n_workers=config.workers) as facility:
         h.facility = facility
         files = manifest_files(manifest, base=facility.data_address)
-        payload_uri = files[0] if config.payload_bytes > 0 else ""
-        legacy_pre_doc = default_pre_document(
-            files, os.path.join(h.data_dir, "skim_legacy", "skim")
-        )
-        new_pre_doc = default_pre_document(
-            files, os.path.join(h.data_dir, "skim_new", "skim")
-        )
+        scheduler = facility.scheduler_address
+        legacy_opts = dict(scheduler_address=scheduler, parallel_jobs=config.workers, timeout=config.timeout)
+        new_opts = dict(scheduler_address=scheduler, factor=config.factor, timeout=config.timeout)
 
-        # scenario 1: legacy preselection
-        legacy_skims: list[str] = []
+        # scenarios 1 and 2: each workflow's preselection writes its own skim
+        legacy_pre = h.repeat("legacy", "pre", partial(
+            run_legacy_preselection,
+            default_pre_document(files, os.path.join(h.data_dir, "skim_legacy", "skim")),
+            files,
+            payload_bytes=config.payload_bytes,
+            payload_uri=files[0] if config.payload_bytes > 0 else "",
+            **legacy_opts,
+        ))
+        new_pre = h.repeat("new", "pre", partial(
+            run_distributed, default_pre_document(files, os.path.join(h.data_dir, "skim_new", "skim")), **new_opts
+        ))
+        check_equivalence(legacy_pre.partial, new_pre.partial)
 
-        def legacy_pre() -> RunResult:
-            skims, result = run_legacy_preselection(
-                legacy_pre_doc,
-                files,
-                scheduler_address=facility.scheduler_address,
-                payload_bytes=config.payload_bytes,
-                payload_uri=payload_uri,
-                parallel_jobs=config.workers,
-                timeout=config.timeout,
-            )
-            legacy_skims[:] = skims
-            return result
-
-        for k in range(config.repeats):
-            legacy_pre_run = h.repeat("legacy", "pre", k, legacy_pre)
-
-        # scenario 2: new preselection
-        new_skims: list[str] = []
-
-        def new_pre() -> RunResult:
-            result = run_distributed(
-                new_pre_doc,
-                facility.scheduler_address,
-                factor=config.factor,
-                timeout=config.timeout,
-            )
-            new_skims[:] = list(result.partial.snapshots)
-            return result
-
-        for k in range(config.repeats):
-            new_pre_run = h.repeat("new", "pre", k, new_pre)
-
-        check_equivalence(legacy_pre_run.partial, new_pre_run.partial)
-
-        legacy_skim_uris = [
-            _served_uri(p, h.data_dir, facility.data_address) for p in legacy_skims
-        ]
-        new_skim_uris = [
-            _served_uri(p, h.data_dir, facility.data_address) for p in new_skims
-        ]
-        legacy_post_doc = default_post_document(legacy_skim_uris)
-        new_post_doc = default_post_document(new_skim_uris)
-        jobs_dir = os.path.join(h.out_dir, "legacy_jobs")
-
-        # scenario 3: legacy postselection over the legacy skim
-        def legacy_post() -> RunResult:
-            return run_legacy_postselection(
-                legacy_post_doc,
-                legacy_skim_uris,
-                scheduler_address=facility.scheduler_address,
-                out_dir=jobs_dir,
-                parallel_jobs=config.workers,
-                timeout=config.timeout,
-            )[1]
-
-        for k in range(config.repeats):
-            legacy_post_run = h.repeat("legacy", "post", k, legacy_post)
-
-        # scenario 4: new postselection over the new skim
-        def new_post() -> RunResult:
-            return run_distributed(
-                new_post_doc,
-                facility.scheduler_address,
-                factor=config.factor,
-                timeout=config.timeout,
-            )
-
-        for k in range(config.repeats):
-            new_post_run = h.repeat("new", "post", k, new_post)
-
-        check_equivalence(legacy_post_run.partial, new_post_run.partial)
+        # scenarios 3 and 4: each workflow's postselection reads its own skim
+        legacy_skims = [_served_uri(p, h.data_dir, facility.data_address) for p in legacy_pre.partial.snapshots]
+        new_skims = [_served_uri(p, h.data_dir, facility.data_address) for p in new_pre.partial.snapshots]
+        legacy_post = h.repeat("legacy", "post", partial(
+            run_legacy_postselection,
+            default_post_document(legacy_skims),
+            legacy_skims,
+            out_dir=os.path.join(h.out_dir, "legacy_jobs"),
+            **legacy_opts,
+        ))
+        new_post = h.repeat("new", "post", partial(run_distributed, default_post_document(new_skims), **new_opts))
+        check_equivalence(legacy_post.partial, new_post.partial)
 
     report = summarize([r.metrics for r in h.runs])
     table = render_report(report)

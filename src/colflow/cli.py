@@ -29,6 +29,11 @@ names it; more slots are more `colflow worker` processes (`bench
 --workers` starts that many, and its legacy scenarios submit jobs in
 waves of that width).
 
+`gen` and `bench` share the dataset flags --files, --events,
+--cluster-size and --seed, which build a `datagen.GenConfig` (bench's
+`BenchConfig.dataset`) under its rules: files >= 1, events >= 0, cluster
+size >= 1, seed >= 0. A bad value is exit 2 before anything is written.
+
 Each command imports the modules it runs in its own body: starting a
 service loads that service's code and nothing of the benchmark, the
 baseline, the report or the dataset generator. Before any of it loads,
@@ -139,28 +144,46 @@ def _make_out_dir(path: str) -> bool:
     return True
 
 
-def _read_document(path: str) -> str | None:
+def _load_document(path: str):
+    """The pipeline document at path and its spec, or None once the reason is printed."""
+    from .graph import PipelineError, load_spec
+
     try:
         with open(path) as f:
-            return f.read()
+            document = f.read()
     except OSError as e:
         _err(f"cannot read pipeline document: {e}")
         return None
+    try:
+        return document, load_spec(document)
+    except PipelineError as e:
+        _err(str(e))
+        return None
+
+
+def _dataset_flags(p: argparse.ArgumentParser) -> None:
+    """The dataset flags `gen` and `bench` share; `_gen_config` reads them."""
+    p.add_argument("--files", type=int, default=8)
+    p.add_argument("--events", type=int, default=100_000, help="events per file")
+    p.add_argument("--cluster-size", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=2024)
+
+
+def _gen_config(args):
+    """The GenConfig of the dataset flags; ValueError when one is out of range."""
+    from .datagen import GenConfig
+
+    return GenConfig(n_files=args.files, events_per_file=args.events, cluster_size=args.cluster_size, seed=args.seed)
 
 
 # --- subcommands ---------------------------------------------------------------
 
 
 def cmd_gen(args) -> int:
-    from .datagen import GenConfig, generate, load_manifest
+    from .datagen import generate, load_manifest
 
     try:
-        config = GenConfig(
-            n_files=args.files,
-            events_per_file=args.events,
-            cluster_size=args.cluster_size,
-            seed=args.seed,
-        )
+        config = _gen_config(args)
     except ValueError as e:
         _err(str(e))
         return EXIT_USAGE
@@ -235,17 +258,13 @@ def cmd_worker(args) -> int:
 def cmd_run(args) -> int:
     from .cluster.client import run_distributed
     from .cluster.worker import write_result_file
-    from .graph import PipelineError, load_spec, spec_graph_id
+    from .graph import spec_graph_id
     from .metrics import aggregate, write_metrics_csv, write_records_csv
 
-    document = _read_document(args.spec)
-    if document is None:
+    loaded = _load_document(args.spec)
+    if loaded is None:
         return EXIT_USAGE
-    try:
-        spec = load_spec(document)
-    except PipelineError as e:
-        _err(str(e))
-        return EXIT_USAGE
+    document, spec = loaded
     if not _make_out_dir(args.out):
         return EXIT_USAGE
     try:
@@ -275,7 +294,7 @@ def cmd_run(args) -> int:
 
 def cmd_legacy(args) -> int:
     from .cluster.worker import write_result_file
-    from .graph import PipelineError, load_spec, spec_graph_id
+    from .graph import spec_graph_id
     from .legacy import (
         LegacyError,
         Phase,
@@ -285,14 +304,10 @@ def cmd_legacy(args) -> int:
     )
     from .metrics import MetricsError, append_records_csv, check_records_csv
 
-    document = _read_document(args.spec)
-    if document is None:
+    loaded = _load_document(args.spec)
+    if loaded is None:
         return EXIT_USAGE
-    try:
-        spec = load_spec(document)
-    except PipelineError as e:
-        _err(str(e))
-        return EXIT_USAGE
+    document, spec = loaded
 
     pre = args.phase == "pre"
     files = list(spec.dataset)
@@ -374,17 +389,14 @@ def cmd_bench(args) -> int:
         config = BenchConfig(
             out_dir=args.out,
             data_dir=args.data_dir,
-            n_files=args.files,
-            events_per_file=args.events,
-            cluster_size=args.cluster_size,
-            seed=args.seed,
+            dataset=_gen_config(args),
             workers=args.workers,
             repeats=args.repeats,
             factor=args.factor,
             payload_bytes=args.payload_bytes,
             timeout=args.timeout,
         )
-    except BenchError as e:
+    except (BenchError, ValueError) as e:
         _err(str(e))
         return EXIT_USAGE
     try:
@@ -426,10 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("gen", help="generate a synthetic dataset")
     g.add_argument("--out", required=True, help="output directory")
-    g.add_argument("--files", type=int, default=8)
-    g.add_argument("--events", type=int, default=100_000, help="events per file")
-    g.add_argument("--cluster-size", type=int, default=10_000)
-    g.add_argument("--seed", type=int, default=2024)
+    _dataset_flags(g)
     g.set_defaults(func=cmd_gen)
 
     s = sub.add_parser("serve-data", help="serve a dataset directory over sockets")
@@ -477,10 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bench", help="four-scenario comparison on a local facility")
     b.add_argument("--out", required=True)
     b.add_argument("--data-dir", default="", help="dataset directory (default: <out>/data)")
-    b.add_argument("--files", type=int, default=8)
-    b.add_argument("--events", type=int, default=100_000, help="events per file")
-    b.add_argument("--cluster-size", type=int, default=10_000)
-    b.add_argument("--seed", type=int, default=2024)
+    _dataset_flags(b)
     b.add_argument("--workers", type=int, default=4)
     b.add_argument("--repeats", type=int, default=3)
     b.add_argument("--factor", type=int, default=3)

@@ -54,6 +54,7 @@ from ..engine import EngineError, PartialResult, check_columns, pass_plan
 from ..graph import ComputationGraph, PipelineError, PipelineSpec, build, load_spec
 from ..metrics import JobRecord
 from ..proto import (
+    HEARTBEAT_INTERVAL,
     Fail,
     Graph,
     Heartbeat,
@@ -72,7 +73,6 @@ from ..proto import (
 from ..wire import accept_forever, address_of, listen, stop_accepting
 from .planner import plan_partitions
 
-HEARTBEAT_INTERVAL = 2.0
 LOSS_FACTOR = 3.0  # silent for > interval * factor -> lost
 
 

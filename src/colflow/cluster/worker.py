@@ -30,6 +30,7 @@ from ..colstore.dataset import open_transport
 from ..engine import CompiledPipeline, run_multi_pass, run_range
 from ..graph import build, load_spec
 from ..proto import (
+    HEARTBEAT_INTERVAL,
     RESULT_FILE,
     Fail,
     Graph,
@@ -43,7 +44,6 @@ from ..proto import (
     send_message,
 )
 from ..wire import connect, unpack_whole
-from .scheduler import HEARTBEAT_INTERVAL
 
 _DOWNLOAD_CHUNK = 256 * 1024
 

@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .colstore import ValueType, write_dataset
+from .colstore.dataset import REMOTE_SCHEME
 
 MANIFEST_NAME = "manifest.json"
 
@@ -43,6 +44,8 @@ class GenConfig:
             raise ValueError("events_per_file must be >= 0")
         if self.cluster_size < 1:
             raise ValueError("cluster_size must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def event_columns(rng: np.random.Generator, n: int) -> dict:
@@ -114,4 +117,4 @@ def manifest_files(manifest: dict, base: str | None = None) -> list[str]:
     names = [e["name"] for e in manifest["files"]]
     if base is None:
         return [os.path.join(manifest["dir"], n) for n in names]
-    return [f"colsrv://{base}/{n}" for n in names]
+    return [f"{REMOTE_SCHEME}{base}/{n}" for n in names]

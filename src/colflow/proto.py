@@ -75,6 +75,9 @@ class Fail:
     run: int = 0
 
 
+HEARTBEAT_INTERVAL = 2.0  # seconds between a worker's HEARTBEATs
+
+
 @dataclass(frozen=True)
 class Heartbeat:
     name: str

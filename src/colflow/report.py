@@ -149,35 +149,22 @@ def _scenario_sort_key(key: tuple[str, str]):
     return (_PHASE_ORDER.get(phase, 99), phase, _WORKFLOW_ORDER.get(mode, 99), mode)
 
 
-def _si(x: float, digits: int = 2) -> tuple[float, str]:
-    for factor, prefix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
-        if abs(x) >= factor:
-            return x / factor, prefix
-    return x, ""
-
-
-def _fmt_seconds(e: Estimate) -> str:
-    return f"{e.mean:.2f} +- {e.err:.2f} s"
-
-
-def _fmt_hz(e: Estimate) -> str:
-    scaled, prefix = _si(e.mean)
-    div = {"G": 1e9, "M": 1e6, "k": 1e3, "": 1.0}[prefix]
-    return f"{scaled:.2f} +- {e.err / div:.2f} {prefix}Hz"
-
-
-def _fmt_bytes(e: Estimate) -> str:
-    scaled, prefix = _si(e.mean)
-    div = {"G": 1e9, "M": 1e6, "k": 1e3, "": 1.0}[prefix]
-    return f"{scaled:.2f} +- {e.err / div:.2f} {prefix}B"
+def _fmt(e: Estimate, unit: str) -> str:
+    """mean +- err in unit; rates and bytes take an SI prefix, seconds never do."""
+    factor, prefix = 1.0, ""
+    for f, p in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
+        if unit != "s" and abs(e.mean) >= f:
+            factor, prefix = f, p
+            break
+    return f"{e.mean / factor:.2f} +- {e.err / factor:.2f} {prefix}{unit}"
 
 
 _METRIC_ROWS = [
-    ("Overall time", "overall_time_s", _fmt_seconds),
-    ("Overall rate", "overall_rate_hz", _fmt_hz),
-    ("Job rate", "job_rate_hz", _fmt_hz),
-    ("Job event-loop rate", "job_loop_rate_hz", _fmt_hz),
-    ("Network read", "network_read_bytes", _fmt_bytes),
+    ("Overall time", "overall_time_s", "s"),
+    ("Overall rate", "overall_rate_hz", "Hz"),
+    ("Job rate", "job_rate_hz", "Hz"),
+    ("Job event-loop rate", "job_loop_rate_hz", "Hz"),
+    ("Network read", "network_read_bytes", "B"),
 ]
 
 
@@ -191,8 +178,8 @@ def render_report(report: BenchReport) -> str:
     headers = [f"{mode}/{phase}" for mode, phase in keys]
 
     table: list[list[str]] = []
-    for label, column, fmt in _METRIC_ROWS:
-        cells = [fmt(report.scenarios[k].estimates[column]) for k in keys]
+    for label, column, unit in _METRIC_ROWS:
+        cells = [_fmt(report.scenarios[k].estimates[column], unit) for k in keys]
         table.append([label] + cells)
     table.append(["Events"] + [str(report.scenarios[k].total_events) for k in keys])
     table.append(["Jobs"] + [str(report.scenarios[k].n_jobs) for k in keys])
@@ -226,6 +213,6 @@ def render_report(report: BenchReport) -> str:
     lines.append("")
     lines.append("Memory proxy (peak engine column-buffer bytes; not comparable to process RSS):")
     for header, key in zip(headers, keys):
-        lines.append(f"  {header}: {_fmt_bytes(report.scenarios[key].estimates['mem_peak_bytes'])}")
+        lines.append(f"  {header}: {_fmt(report.scenarios[key].estimates['mem_peak_bytes'], 'B')}")
 
     return "\n".join(lines) + "\n"

@@ -21,6 +21,7 @@ from colflow.bench import (
     run_bench,
 )
 from colflow.cluster.client import ClusterError
+from colflow.datagen import GenConfig
 from colflow.graph import SnapshotStage, VariationKind, VaryStage, load_spec
 from colflow.hist import ResultKind, ResultTable
 from colflow.metrics import RunMetrics, read_metrics_csv
@@ -131,9 +132,7 @@ def bench_result(tmp_path_factory) -> BenchResult:
     out = str(tmp_path_factory.mktemp("bench"))
     config = BenchConfig(
         out_dir=out,
-        n_files=3,
-        events_per_file=4000,
-        cluster_size=1000,
+        dataset=GenConfig(n_files=3, events_per_file=4000, cluster_size=1000),
         workers=2,
         repeats=2,
         payload_bytes=50_000,
@@ -238,9 +237,7 @@ class TestScenarioFailure:
         config = BenchConfig(
             out_dir=out,
             data_dir=os.path.join(bench_result.out_dir, "data"),
-            n_files=3,
-            events_per_file=4000,
-            cluster_size=1000,
+            dataset=GenConfig(n_files=3, events_per_file=4000, cluster_size=1000),
             workers=2,
             repeats=1,
             payload_bytes=0,

@@ -321,6 +321,23 @@ class TestValidationExits:
         r = colflow("bench", "--out", str(tmp_path), "--repeats", "0")
         assert r.returncode == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen", "--seed", "-1"],
+            ["bench", "--files", "0"],
+            ["bench", "--cluster-size", "0"],
+            ["bench", "--seed", "-1"],
+        ],
+    )
+    def test_bad_dataset_flag_is_usage_error_before_anything_is_written(self, argv, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGenAndReport:
     def test_gen_writes_manifest(self, tmp_path):
