@@ -258,7 +258,6 @@ def cmd_worker(args) -> int:
 def cmd_run(args) -> int:
     from .cluster.client import run_distributed
     from .cluster.worker import write_result_file
-    from .graph import spec_graph_id
     from .metrics import aggregate, write_metrics_csv, write_records_csv
 
     loaded = _load_document(args.spec)
@@ -279,7 +278,7 @@ def cmd_run(args) -> int:
         _err(str(e))
         return EXIT_RUNTIME
     write_records_csv(os.path.join(args.out, "tasks.csv"), list(result.records))
-    write_result_file(os.path.join(args.out, "result.res"), spec_graph_id(spec), result.partial)
+    write_result_file(os.path.join(args.out, "result.res"), spec.graph_id, result.partial)
     if result.records:
         m = aggregate(result.run_id, "new", "run", list(result.records), result.wall_time, result.network_read)
         write_metrics_csv(os.path.join(args.out, "metrics.csv"), [m])
@@ -294,7 +293,6 @@ def cmd_run(args) -> int:
 
 def cmd_legacy(args) -> int:
     from .cluster.worker import write_result_file
-    from .graph import spec_graph_id
     from .legacy import (
         LegacyError,
         Phase,
@@ -365,7 +363,7 @@ def cmd_legacy(args) -> int:
     append_records_csv(jobs_csv, list(result.records))
     write_result_file(
         os.path.join(args.out, f"{args.phase}_result.res"),
-        spec_graph_id(spec),
+        spec.graph_id,
         result.partial,
     )
     if pre:

@@ -280,6 +280,7 @@ class Scheduler:
             for h in handles:
                 check_columns(graph, h.uri, h.schema)
             tasks = msg.tasks or plan_partitions(handles, len(self._workers), msg.factor)
+            shape = PartialResult.empty(graph).shape()
         except PipelineError as e:
             return refuse(f"bad pipeline document: {e}")
         except EngineError as e:
@@ -298,7 +299,7 @@ class Scheduler:
             t0=t0,
             graph=graph,
             tasks={t.task_id: replace(t, run=number) for t in tasks},
-            shape=PartialResult.empty(graph).shape(),
+            shape=shape,
             planning_bytes=sum(h.account.bytes_read for h in handles),
             pending=deque(order),
             merge_order=order,

@@ -46,7 +46,7 @@ from .graph import (
     SnapshotStage,
     SumStage,
 )
-from .hist import ResultKind, ResultTable
+from .hist import ResultTable
 
 
 class EngineError(Exception):
@@ -81,11 +81,8 @@ class PartialResult:
         labels = graph.universes()
         tables = {}
         for name, stage in graph.result_stages.items():
-            if isinstance(stage, HistoStage):
-                tables[name] = ResultTable(name, ResultKind.HISTO, len(labels), stage.nbins, stage.xmin, stage.xmax)
-            else:
-                kind = ResultKind.SUM if isinstance(stage, SumStage) else ResultKind.COUNT
-                tables[name] = ResultTable(name, kind, len(labels))
+            axis = (stage.nbins, stage.xmin, stage.xmax) if isinstance(stage, HistoStage) else ()
+            tables[name] = ResultTable(name, stage.table, len(labels), *axis)
         return cls(labels=labels, tables=tables)
 
     @property

@@ -8,8 +8,10 @@ strings in a C-flavored syntax::
 Values are F64/I64/BOOL scalars or vectors of them. `ValueType` is also
 the one column type of the file format: its values 1-5 are the footer's u8
 dtype codes. VEC_BOOL (6) arises only transiently (vector comparisons
-feeding `where` or boolean algebra) and is not `storable`. Precedence, tightest first: unary, `* / %`,
-`+ -`, comparisons (non-associative), `&&`, `||`, `?:`.
+feeding `where` or boolean algebra) and is not `storable`. Precedence:
+`?:` loosest, then the binary tiers of `_TIERS` from loosest to tightest
+(comparisons non-associative), then unary. `parse` refuses an expression
+nested deeper than `MAX_DEPTH`.
 
 The public surface is `parse`, `typecheck`, `compile_expr`, `to_text`
 (canonical printing), `columns_used` and `Jagged`. Past the parser the
@@ -222,12 +224,22 @@ def _lex(text: str) -> list[_Token]:
 # Parser (recursive descent, one level per precedence tier)
 
 _CMP_OPS = ("<", "<=", ">", ">=", "==", "!=")
+_TIERS = (("||",), ("&&",), _CMP_OPS, ("+", "-"), ("*", "/", "%"))  # binary operators, loosest first
+
+MAX_DEPTH = 64
+"""The deepest expression `parse` accepts: in tree levels, and in levels the
+parser opens (each parenthesis, bracket, argument list and ternary branch;
+so a parenthesized ternary takes two). The parser takes ~10 Python frames
+per level it opens, and typing, evaluating, printing or walking the tree at
+most 2 per tree level, so none comes near Python's default recursion limit
+of 1000."""
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
+        self._nesting = 0  # expr() calls open on the stack
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -256,48 +268,28 @@ class _Parser:
         return expr
 
     def expr(self) -> Expr:
-        cond = self.or_level()
+        self._nesting += 1
+        if self._nesting > MAX_DEPTH:
+            raise ExprSyntaxError(self._peek().span, f"expression nests deeper than MAX_DEPTH ({MAX_DEPTH})")
+        node = self.binary()
         if self._at_op("?"):
             span = self._next().span
             then = self.expr()
             self._expect(":")
-            other = self.expr()
-            return Ternary(cond, then, other, span)
-        return cond
-
-    def or_level(self) -> Expr:
-        node = self.and_level()
-        while self._at_op("||"):
-            span = self._next().span
-            node = Binary("||", node, self.and_level(), span)
+            node = Ternary(node, then, self.expr(), span)
+        self._nesting -= 1
         return node
 
-    def and_level(self) -> Expr:
-        node = self.cmp_level()
-        while self._at_op("&&"):
-            span = self._next().span
-            node = Binary("&&", node, self.cmp_level(), span)
-        return node
-
-    def cmp_level(self) -> Expr:
-        node = self.add_level()
-        if self._at_op(*_CMP_OPS):  # single optional comparison: a < b < c rejected
+    def binary(self, tier: int = 0) -> Expr:
+        """Operators of _TIERS[tier] and tighter, left-associative; one comparison at most."""
+        if tier == len(_TIERS):
+            return self.unary_level()
+        node = self.binary(tier + 1)
+        while self._at_op(*_TIERS[tier]):
             tok = self._next()
-            node = Binary(tok.text, node, self.add_level(), tok.span)
-        return node
-
-    def add_level(self) -> Expr:
-        node = self.mul_level()
-        while self._at_op("+", "-"):
-            tok = self._next()
-            node = Binary(tok.text, node, self.mul_level(), tok.span)
-        return node
-
-    def mul_level(self) -> Expr:
-        node = self.unary_level()
-        while self._at_op("*", "/", "%"):
-            tok = self._next()
-            node = Binary(tok.text, node, self.unary_level(), tok.span)
+            node = Binary(tok.text, node, self.binary(tier + 1), tok.span)
+            if _TIERS[tier] is _CMP_OPS:  # a < b < c is rejected
+                break
         return node
 
     def unary_level(self) -> Expr:
@@ -345,10 +337,31 @@ class _Parser:
         raise ExprSyntaxError(tok.span, f"expected an expression, found {shown!r}")
 
 
+def _children(node: Expr) -> tuple[Expr, ...]:
+    if isinstance(node, Unary):
+        return (node.operand,)
+    if isinstance(node, Binary):
+        return node.left, node.right
+    if isinstance(node, Ternary):
+        return node.cond, node.then, node.other
+    if isinstance(node, Call):
+        return node.args
+    if isinstance(node, Index):
+        return node.base, node.index
+    return ()
+
+
 @functools.lru_cache(maxsize=4096)  # ASTs are immutable; scheduler and worker load each document
 def parse(text: str) -> Expr:
-    """Parse source text into an AST; raises ExprSyntaxError with line:col."""
-    return _Parser(_lex(text)).parse()
+    """Parse source text into an AST; raises ExprSyntaxError with line:col,
+    also for a tree deeper than MAX_DEPTH."""
+    expr = _Parser(_lex(text)).parse()
+    level = [expr]
+    for _ in range(MAX_DEPTH):
+        level = [c for node in level for c in _children(node)]
+    if level:
+        raise ExprSyntaxError(level[0].span, f"expression nests deeper than MAX_DEPTH ({MAX_DEPTH})")
+    return expr
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +369,8 @@ def parse(text: str) -> Expr:
 
 
 def to_text(expr: Expr) -> str:
-    """Canonical text form; reparsing yields a structurally identical AST."""
+    """Canonical text form; reparsing yields a structurally identical AST
+    (where its parentheses stay within MAX_DEPTH)."""
     if isinstance(expr, Literal):
         if expr.type is ValueType.BOOL:
             return "true" if expr.value else "false"
@@ -378,25 +392,9 @@ def to_text(expr: Expr) -> str:
 
 def columns_used(expr: Expr) -> set[str]:
     """Names of all columns the expression reads."""
-    out: set[str] = set()
-
-    def walk(node: Expr) -> None:
-        if isinstance(node, ColumnRef):
-            out.add(node.name)
-        elif isinstance(node, Unary):
-            walk(node.operand)
-        elif isinstance(node, Binary):
-            walk(node.left), walk(node.right)
-        elif isinstance(node, Ternary):
-            walk(node.cond), walk(node.then), walk(node.other)
-        elif isinstance(node, Call):
-            for a in node.args:
-                walk(a)
-        elif isinstance(node, Index):
-            walk(node.base), walk(node.index)
-
-    walk(expr)
-    return out
+    if isinstance(expr, ColumnRef):
+        return {expr.name}
+    return set().union(*map(columns_used, _children(expr)))
 
 
 # ---------------------------------------------------------------------------

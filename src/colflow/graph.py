@@ -1,21 +1,20 @@
 """Pipeline documents and their validated computation graphs.
 
-A pipeline is a JSON document: {"dataset": [uris], "stages": [...]} where
-each stage is one of
+A pipeline is a JSON document: {"dataset": [uris], "stages": [...]}, each
+stage an object {"op": OP, ...}. The document grammar is declared once:
+`_KINDS` names each op's stage dataclass, whose fields are the op's fields
+(required, or optional where the field has a default), and `_FIELDS`
+holds each field's one rule (what its JSON value must be, and what it
+becomes). A stage's cross-field rules are its dataclass's
+`__post_init__`. For example:
 
-    {"op": "define",   "name": N, "expr": E}
-    {"op": "filter",   "expr": E, "label": L?}
-    {"op": "vary",     "column": C, "kind": "weight"|"topology",
-                       "tags": [...], "exprs": [...]}
-    {"op": "histo1d",  "name": N, "column": C, "weight": W?,
-                       "nbins": B, "xmin": LO, "xmax": HI}
-    {"op": "sum",      "name": N, "column": C}
-    {"op": "count",    "name": N}
-    {"op": "snapshot", "columns": [...], "out": PREFIX}
+    {"op": "histo1d", "name": "h_ht", "column": "ht", "nbins": 50,
+     "xmin": 0.0, "xmax": 1000.0, "weight": "event_weight"}
 
 Stages form one linear chain: a filter cuts everything declared after it.
-`load_spec` checks document shape and parses expressions; `build` resolves
-names against a file schema and typechecks every expression, producing an
+`load_spec` checks a document against the grammar and parses its
+expressions, and fails only with PipelineError; `build` resolves names
+against a file schema and typechecks every expression, producing an
 immutable ComputationGraph that executors share across threads and tasks.
 
 Variations: each vary stage declares alternative expressions for one
@@ -32,10 +31,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import reprlib
+import sys
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from typing import ClassVar
 
 from .exprlang import Expr, ExprError, ValueType, columns_used, parse, typecheck
+from .hist import ResultKind, check_axis, table_bytes
+from .wire import MAX_FRAME
 
 
 class PipelineError(Exception):
@@ -61,6 +65,7 @@ class DefineStage:
 @dataclass(frozen=True)
 class FilterStage:
     expr: Expr
+    label: str = ""
 
 
 @dataclass(frozen=True)
@@ -70,26 +75,36 @@ class VaryStage:
     tags: tuple[str, ...]
     exprs: tuple[Expr, ...]
 
+    def __post_init__(self):
+        if len(self.exprs) != len(self.tags):
+            raise ValueError("'exprs' must list one expression per tag")
+
 
 @dataclass(frozen=True)
 class HistoStage:
     name: str
     column: str
-    weight: str | None
     nbins: int
     xmin: float
     xmax: float
+    weight: str | None = None
+    table: ClassVar = ResultKind.HISTO
+
+    def __post_init__(self):
+        check_axis(self.nbins, self.xmin, self.xmax)
 
 
 @dataclass(frozen=True)
 class SumStage:
     name: str
     column: str
+    table: ClassVar = ResultKind.SUM
 
 
 @dataclass(frozen=True)
 class CountStage:
     name: str
+    table: ClassVar = ResultKind.COUNT
 
 
 @dataclass(frozen=True)
@@ -100,20 +115,54 @@ class SnapshotStage:
 
 Stage = DefineStage | FilterStage | VaryStage | HistoStage | SumStage | CountStage | SnapshotStage
 
-_RESULT_OPS = ("histo1d", "sum", "count", "snapshot")
-
-_REQUIRED_FIELDS = {
-    "define": {"name", "expr"},
-    "filter": {"expr"},
-    "vary": {"column", "kind", "tags", "exprs"},
-    "histo1d": {"name", "column", "nbins", "xmin", "xmax"},
-    "sum": {"name", "column"},
-    "count": {"name"},
-    "snapshot": {"columns", "out"},
+_KINDS = {
+    "define": DefineStage,
+    "filter": FilterStage,
+    "vary": VaryStage,
+    "histo1d": HistoStage,
+    "sum": SumStage,
+    "count": CountStage,
+    "snapshot": SnapshotStage,
 }
-_OPTIONAL_FIELDS = {
-    "filter": {"label"},
-    "histo1d": {"weight"},
+
+
+def _expr(text: str) -> Expr:
+    try:
+        return parse(text)
+    except ExprError as e:
+        raise ValueError(f"bad expression {text!r}: {e}") from None
+
+
+def _string(v) -> bool:
+    return isinstance(v, str)
+
+
+def _name(v) -> bool:
+    return isinstance(v, str) and v != ""
+
+
+def _list(each, least: int = 0):
+    return lambda v: isinstance(v, list) and len(v) >= least and all(map(each, v))
+
+
+def _finite(v) -> bool:
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max  # exact for any int; false for nan
+
+
+_FIELDS = {  # field name: (what its JSON value must be, the test of that, what it becomes)
+    "name": ("a non-empty string", _name, str),
+    "expr": ("an expression string", _string, _expr),
+    "label": ("a string", _string, str),
+    "column": ("a column name", _string, str),
+    "kind": ("'weight' or 'topology'", lambda v: v in ("weight", "topology"), VariationKind),
+    "tags": ("a non-empty list of names", _list(_name, 1), tuple),
+    "exprs": ("a list of expression strings", _list(_string), lambda v: tuple(map(_expr, v))),
+    "weight": ("a column name or null", lambda v: v is None or _string(v), lambda v: v),
+    "nbins": ("an integer", lambda v: type(v) is int, int),
+    "xmin": ("a finite number", _finite, float),
+    "xmax": ("a finite number", _finite, float),
+    "columns": ("a non-empty list of column names", _list(_string, 1), tuple),
+    "out": ("a non-empty path prefix", _name, str),
 }
 
 
@@ -121,29 +170,55 @@ _OPTIONAL_FIELDS = {
 class PipelineSpec:
     dataset: tuple[str, ...]
     stages: tuple[Stage, ...]
-    document: str  # canonical JSON; identity for graph_id
+    document: str  # canonical JSON
+
+    @property
+    def graph_id(self) -> str:
+        """Content identity of the document (schema-independent)."""
+        return hashlib.sha256(self.document.encode()).hexdigest()[:16]
 
 
 def _err(i: int, message: str) -> PipelineError:
     return PipelineError(f"stage {i}: {message}")
 
 
-def _parse_expr(i: int, text) -> Expr:
-    if not isinstance(text, str):
-        raise _err(i, f"expression must be a string, got {type(text).__name__}")
+def _stage(i: int, raw) -> Stage:
+    """Stage i of a document: its op's class, each field by its rule, then the class's own checks."""
+    if not isinstance(raw, dict) or "op" not in raw:
+        raise _err(i, "each stage must be an object with an 'op' field")
+    op = raw["op"]
+    kind = _KINDS.get(op) if isinstance(op, str) else None
+    if kind is None:
+        raise _err(i, f"unknown stage kind {reprlib.repr(op)}")
+    declared = fields(kind)
+    missing = [f.name for f in declared if f.default is MISSING and f.name not in raw]
+    if missing:
+        raise _err(i, f"{op} stage missing fields: {sorted(missing)}")
+    extra = set(raw) - {"op", *(f.name for f in declared)}
+    if extra:
+        raise _err(i, f"{op} stage has unknown fields: {sorted(extra)}")
+    values = {}
     try:
-        return parse(text)
-    except ExprError as e:
-        raise _err(i, f"bad expression {text!r}: {e}") from None
+        for name in (f.name for f in declared if f.name in raw):
+            what, test, convert = _FIELDS[name]
+            if not test(raw[name]):
+                raise ValueError(f"{name!r} must be {what}, got {reprlib.repr(raw[name])}")
+            values[name] = convert(raw[name])
+        return kind(**values)
+    except ValueError as e:
+        raise _err(i, str(e)) from None
 
 
 def load_spec(document: str | dict) -> PipelineSpec:
-    """Validate document shape and parse all expressions (no typechecking)."""
+    """Check a document (JSON text, or what json.loads makes of it) against
+    the grammar and parse its expressions, without typechecking them."""
     if isinstance(document, str):
         try:
             doc = json.loads(document)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # malformed, or an integer past int's digit limit
             raise PipelineError(f"pipeline document is not valid JSON: {e}") from None
+        except RecursionError:
+            raise PipelineError("pipeline document nests too deeply to read") from None
     else:
         doc = document
     if not isinstance(doc, dict):
@@ -162,93 +237,24 @@ def load_spec(document: str | dict) -> PipelineSpec:
     stages: list[Stage] = []
     result_names: set[str] = set()
     all_tags: set[str] = set()
-    n_result_stages = 0
-    n_snapshots = 0
-
     for i, raw in enumerate(raw_stages):
-        if not isinstance(raw, dict) or "op" not in raw:
-            raise _err(i, "each stage must be an object with an 'op' field")
-        op = raw["op"]
-        if op not in _REQUIRED_FIELDS:
-            raise _err(i, f"unknown stage kind {op!r}")
-        required = _REQUIRED_FIELDS[op]
-        allowed = required | _OPTIONAL_FIELDS.get(op, set()) | {"op"}
-        missing = required - set(raw)
-        if missing:
-            raise _err(i, f"{op} stage missing fields: {sorted(missing)}")
-        extra = set(raw) - allowed
-        if extra:
-            raise _err(i, f"{op} stage has unknown fields: {sorted(extra)}")
-
-        if op in ("define", "histo1d", "sum", "count"):
-            name = raw["name"]
-            if not isinstance(name, str) or not name:
-                raise _err(i, "'name' must be a non-empty string")
-        if op in _RESULT_OPS:
-            n_result_stages += 1
-        if op in ("histo1d", "sum", "count"):
-            if raw["name"] in result_names:
-                raise _err(i, f"duplicate result name {raw['name']!r}")
-            result_names.add(raw["name"])
-
-        if op == "define":
-            stages.append(DefineStage(raw["name"], _parse_expr(i, raw["expr"])))
-        elif op == "filter":
-            if not isinstance(raw.get("label", ""), str):
-                raise _err(i, "'label' must be a string")
-            stages.append(FilterStage(_parse_expr(i, raw["expr"])))
-        elif op == "vary":
-            try:
-                kind = VariationKind(raw["kind"])
-            except ValueError:
-                raise _err(i, f"vary kind must be 'weight' or 'topology', got {raw['kind']!r}") from None
-            tags, exprs = raw["tags"], raw["exprs"]
-            if not isinstance(tags, list) or not tags or not all(isinstance(t, str) and t for t in tags):
-                raise _err(i, "'tags' must be a non-empty list of names")
-            if not isinstance(exprs, list) or len(exprs) != len(tags):
-                raise _err(i, "'exprs' must list one expression per tag")
-            for t in tags:
+        stage = _stage(i, raw)
+        if isinstance(stage, (HistoStage, SumStage, CountStage)):
+            if stage.name in result_names:
+                raise _err(i, f"duplicate result name {stage.name!r}")
+            result_names.add(stage.name)
+        elif isinstance(stage, VaryStage):
+            for t in stage.tags:
                 if t == "nominal":
                     raise _err(i, "'nominal' is a reserved universe name")
                 if t in all_tags:
                     raise _err(i, f"duplicate variation tag {t!r}")
                 all_tags.add(t)
-            if not isinstance(raw["column"], str):
-                raise _err(i, "'column' must be a string")
-            stages.append(
-                VaryStage(
-                    raw["column"],
-                    kind,
-                    tuple(tags),
-                    tuple(_parse_expr(i, e) for e in exprs),
-                )
-            )
-        elif op == "histo1d":
-            nbins, xmin, xmax = raw["nbins"], raw["xmin"], raw["xmax"]
-            if not isinstance(nbins, int) or nbins < 1:
-                raise _err(i, f"'nbins' must be a positive integer, got {nbins!r}")
-            if not isinstance(xmin, (int, float)) or not isinstance(xmax, (int, float)) or not xmin < xmax:
-                raise _err(i, f"need xmin < xmax, got [{xmin!r}, {xmax!r})")
-            weight = raw.get("weight")
-            if weight is not None and not isinstance(weight, str):
-                raise _err(i, "'weight' must be a column name")
-            stages.append(HistoStage(raw["name"], raw["column"], weight, nbins, float(xmin), float(xmax)))
-        elif op == "sum":
-            stages.append(SumStage(raw["name"], raw["column"]))
-        elif op == "count":
-            stages.append(CountStage(raw["name"]))
-        else:  # snapshot
-            cols = raw["columns"]
-            if not isinstance(cols, list) or not cols or not all(isinstance(c, str) for c in cols):
-                raise _err(i, "'columns' must be a non-empty list of column names")
-            if not isinstance(raw["out"], str) or not raw["out"]:
-                raise _err(i, "'out' must be a non-empty path prefix")
-            n_snapshots += 1
-            if n_snapshots > 1:
-                raise _err(i, "at most one snapshot stage per pipeline")
-            stages.append(SnapshotStage(tuple(cols), raw["out"]))
+        elif isinstance(stage, SnapshotStage) and any(isinstance(s, SnapshotStage) for s in stages):
+            raise _err(i, "at most one snapshot stage per pipeline")
+        stages.append(stage)
 
-    if n_result_stages == 0:
+    if not result_names and not any(isinstance(s, SnapshotStage) for s in stages):
         raise PipelineError("pipeline needs at least one result stage (histo1d/sum/count/snapshot)")
 
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
@@ -290,7 +296,7 @@ class ComputationGraph:
         self.spec = spec
         self.base_schema = dict(base_schema)
         self.stages = spec.stages
-        self.graph_id = spec_graph_id(spec)
+        self.graph_id = spec.graph_id
 
         working = dict(base_schema)
         self.defines: dict[str, ValueType] = {}
@@ -306,6 +312,10 @@ class ComputationGraph:
                 raise _err(i, str(e)) from None
 
         self.columns_needed = self._compute_columns_needed()
+        rows = len(self.universes())
+        size = sum(table_bytes(s.table, rows, getattr(s, "nbins", 0)) for s in self.result_stages.values())
+        if size > MAX_FRAME:
+            raise PipelineError(f"the empty result takes {size} bytes, more than one frame holds ({MAX_FRAME})")
 
     def _check_stage(self, i: int, stage: Stage, working: dict) -> None:
         if isinstance(stage, DefineStage):
@@ -410,11 +420,6 @@ class ComputationGraph:
             raise PipelineError(f"unknown universe {tag!r}") from None
 
 
-def spec_graph_id(spec: PipelineSpec) -> str:
-    """Content identity of a pipeline document (schema-independent)."""
-    return hashlib.sha256(spec.document.encode()).hexdigest()[:16]
-
-
 def build(spec: PipelineSpec, schema: dict[str, ValueType]) -> ComputationGraph:
-    """Typecheck the pipeline against a file schema."""
+    """Typecheck the pipeline against a file schema; refuse a result too large for one frame."""
     return ComputationGraph(spec, schema)

@@ -16,6 +16,7 @@ reading a result universe by universe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,21 +33,35 @@ class ResultKind(Enum):
     SUM = 3
 
 
+def check_axis(nbins: int, xmin: float, xmax: float) -> None:
+    """The one histogram axis rule: nbins >= 1, and finite xmin < xmax a finite width apart."""
+    if nbins < 1:
+        raise ValueError(f"nbins must be >= 1, got {nbins}")
+    if not (xmin < xmax and math.isfinite(xmax - xmin)):
+        raise ValueError(f"need finite xmin < xmax a finite width apart, got [{xmin}, {xmax})")
+
+
+def _width(kind: ResultKind, nbins: int) -> int:
+    return nbins + 2 if kind is ResultKind.HISTO else 1
+
+
+def table_bytes(kind: ResultKind, rows: int, nbins: int = 0) -> int:
+    """The size of a table's entries, sumw and sumw2, computed without allocating them."""
+    return rows * (8 + 16 * _width(kind, nbins))
+
+
 class ResultTable:
     __slots__ = ("name", "kind", "nbins", "xmin", "xmax", "entries", "sumw", "sumw2")
 
     def __init__(self, name: str, kind: ResultKind, rows: int, nbins: int = 0, xmin: float = 0.0, xmax: float = 0.0):
         if kind is ResultKind.HISTO:
-            if nbins < 1:
-                raise ValueError(f"nbins must be >= 1, got {nbins}")
-            if not xmin < xmax:
-                raise ValueError(f"need xmin < xmax, got [{xmin}, {xmax})")
+            check_axis(nbins, xmin, xmax)
         self.name = name
         self.kind = kind
         self.nbins = nbins
         self.xmin = float(xmin)
         self.xmax = float(xmax)
-        width = nbins + 2 if kind is ResultKind.HISTO else 1
+        width = _width(kind, nbins)
         self.entries = np.zeros(rows, "<i8")
         self.sumw = np.zeros((rows, width), "<f8")
         self.sumw2 = np.zeros((rows, width), "<f8")

@@ -28,7 +28,7 @@ import numpy as np
 from .colstore.format import DTYPE
 from .engine import EntryRange, PartialResult
 from .exprlang import ValueType
-from .hist import ResultKind, ResultTable
+from .hist import ResultKind, ResultTable, table_bytes
 from .metrics import JobRecord
 # PROTO_VERSION and ProtoError are re-exported for the cluster side
 from .wire import (
@@ -143,8 +143,7 @@ def unpack_partial(r: Reader) -> PartialResult:
     try:
         for _ in range(U32.unpack(r)):
             name, kind, nbins, xmin, xmax = _TABLE.unpack(r)
-            width = nbins + 2 if kind is ResultKind.HISTO else 1
-            raw = r.take(rows * (8 + 16 * width))  # the declared size, checked before allocating
+            raw = r.take(table_bytes(kind, rows, nbins))  # the declared size, checked before allocating
             t = ResultTable(name, kind, rows, nbins, xmin, xmax)  # ValueError: an axis it rejects
             at = 0
             for a in (t.entries, t.sumw, t.sumw2):

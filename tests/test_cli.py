@@ -18,7 +18,7 @@ from colflow.cluster.client import run_distributed, submit_run
 from colflow.cluster.worker import read_result_file
 from colflow.datagen import GenConfig, generate, load_manifest, manifest_files
 from colflow.facility import FacilityError, MiniFacility
-from colflow.graph import load_spec, spec_graph_id
+from colflow.graph import load_spec
 from colflow.metrics import RunMetrics, read_metrics_csv, write_metrics_csv
 from colflow.proto import Register, recv_message
 
@@ -83,6 +83,14 @@ class TestValidationExits:
         )
         assert r.returncode == 2
         assert "not valid JSON" in r.stderr
+
+    @pytest.mark.parametrize("command", ["run", "legacy post"])
+    def test_a_malformed_stage_is_one_error_line(self, tmp_path, command, capsys):
+        spec = tmp_path / "doc.json"
+        spec.write_text(json.dumps({"dataset": ["f.col"], "stages": [{"op": ["x"]}]}))
+        argv = command.split() + ["--spec", str(spec), "--scheduler", "127.0.0.1:1", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: stage 0: unknown stage kind ['x']\n"
 
     def test_legacy_post_rejects_payload(self, tmp_path):
         spec = tmp_path / "doc.json"
@@ -460,7 +468,7 @@ class TestFacilityRuns:
         assert report.returncode == 0, report.stderr
         assert report.stdout.split("\n")[0].split() == ["metric", "new/run"]
         graph_id, partial = read_result_file(str(out / "result.res"))
-        assert graph_id == spec_graph_id(load_spec(document))
+        assert graph_id == load_spec(document).graph_id
         assert partial.events == 4500
         assert partial.universes["nominal"]["n"].value == 4500
 

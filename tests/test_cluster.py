@@ -284,6 +284,31 @@ class TestDistributedRuns:
                 submit_run(sched.address, doc, timeout=5.0)
         assert received == []
 
+    def test_malformed_documents_fail_at_once_and_the_scheduler_keeps_serving(self, dataset_files):
+        def document(stage):
+            return json.dumps({"dataset": dataset_files, "stages": [stage, {"op": "count", "name": "n"}]})
+
+        histo = {"op": "histo1d", "name": "h", "column": "MET_pt", "nbins": 10, "xmin": 0.0, "xmax": 1.0}
+        malformed = [
+            document({"op": ["x"]}),
+            document(histo).replace('"xmax": 1.0', '"xmax": 1' + "0" * 400),
+            document(dict(histo, nbins=10**30)),
+            "[" * 100_000,
+            document({"op": "filter", "expr": "(" * 3000 + "nJet > 0" + ")" * 3000}),
+            document({"op": "sum", "name": "s", "column": ["x"]}),
+            document(dict(histo, xmin=float("-inf"), xmax=float("inf"))),
+        ]
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            for doc in malformed:
+                t0 = time.monotonic()
+                with pytest.raises(ClusterError, match="bad pipeline document"):
+                    submit_run(sched.address, doc, timeout=5.0)
+                assert time.monotonic() - t0 < 1.0
+            result = run_distributed(make_doc(dataset_files), sched.address, timeout=30)
+        assert result.total_events == 750
+
     def test_zero_partition_factor_rejected(self, dataset_files):
         with Scheduler() as sched:
             with pytest.raises(ClusterError, match="partition factor"):

@@ -1,5 +1,7 @@
+import inspect
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from colflow.exprlang import (
     EvalError,
     ExprSyntaxError,
     ExprTypeError,
+    MAX_DEPTH,
     Index,
     Jagged,
     Literal,
@@ -83,7 +86,7 @@ def test_ternary_binds_loosest():
 
 
 def test_comparison_not_associative():
-    with pytest.raises(ExprSyntaxError):
+    with pytest.raises(ExprSyntaxError, match="1:7: unexpected '<' after expression"):
         parse("1 < 2 < 3")
 
 
@@ -295,6 +298,52 @@ def test_determinism():
 def test_columns_used():
     ast = parse("sum(where(Jet_pt, Jet_eta < 2.4)) > MET_pt ? 1 : nJet")
     assert columns_used(ast) == {"Jet_pt", "Jet_eta", "MET_pt", "nJet"}
+
+
+# --- depth bound ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "src, value",
+    [
+        (" + ".join(["x"] * MAX_DEPTH), MAX_DEPTH),  # a left-nested chain of MAX_DEPTH tree levels
+        ("abs(" * (MAX_DEPTH - 2) + "-x" + ")" * (MAX_DEPTH - 2), 1.0),  # calls, then a unary, then x
+        ("c ? " * (MAX_DEPTH - 1) + "x" + " : x" * (MAX_DEPTH - 1), 1.0),  # ternaries in then-branches
+        ("(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), 1.0),  # parentheses opening MAX_DEPTH levels
+    ],
+)
+def test_an_expression_at_max_depth_builds_and_evaluates_far_below_the_recursion_limit(src, value):
+    schema = {"x": ValueType.F64, "c": ValueType.BOOL}
+    ast = parse(src)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 300)  # about 4 frames per level, with room to spare
+    try:
+        result = as_python(compile_expr(ast, schema)(batch_of([{"x": 1.0, "c": True}], schema)))
+        text = to_text(ast)
+        used = columns_used(ast)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert result == value
+    assert used == {n for n in schema if n in src}
+    assert text.count("x") == src.count("x")
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        " + ".join(["x"] * (MAX_DEPTH + 1)),  # one tree level past the bound
+        "abs(" * (MAX_DEPTH - 1) + "-x" + ")" * (MAX_DEPTH - 1),
+        "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,  # one parenthesis past it
+        "(c ? " * (MAX_DEPTH // 2) + "x" + " : x)" * (MAX_DEPTH // 2),  # ( and ? each open a level
+        "c ? x : " * MAX_DEPTH + "x",
+        " + ".join(["x"] * 3000) + " > 0",
+        "(" * 3000 + "x" + ")" * 3000,
+        "x[" * 3000 + "0" + "]" * 3000,
+    ],
+)
+def test_an_expression_past_max_depth_is_a_syntax_error_naming_the_bound(src):
+    with pytest.raises(ExprSyntaxError, match=rf"deeper than MAX_DEPTH \({MAX_DEPTH}\)"):
+        parse(src)
 
 
 # --- print/parse fixpoint -----------------------------------------------------

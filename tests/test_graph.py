@@ -3,12 +3,16 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colflow import exprlang
 from colflow.exprlang import ValueType
+from colflow import wire
 from colflow.graph import (
     ComputationGraph,
     DefineStage,
+    FilterStage,
     HistoStage,
     PipelineError,
     VariationKind,
@@ -171,6 +175,103 @@ class TestLoadSpec:
                   "nbins": 5, "xmin": 2.0, "xmax": 2.0}])
         with pytest.raises(PipelineError, match="xmin < xmax"):
             load_spec(d)
+
+
+    def test_filter_label_is_kept_and_optional_fields_default(self):
+        d = minimal()
+        d["stages"][1]["label"] = "two jets"
+        d["stages"][2].pop("weight")
+        spec = load_spec(d)
+        assert spec.stages[1] == FilterStage(exprlang.parse("nJet >= 2"), "two jets")
+        assert spec.stages[2].weight is None
+        d["stages"][1].pop("label")
+        d["stages"][2]["weight"] = None
+        assert load_spec(d).stages[1:3] == (FilterStage(exprlang.parse("nJet >= 2")), spec.stages[2])
+
+    @pytest.mark.parametrize(
+        "stage, message",
+        [
+            ({"op": ["x"]}, "stage 0: unknown stage kind ['x']"),
+            ({"op": {"a": 1}}, "stage 0: unknown stage kind {'a': 1}"),
+            ({"op": "sum", "name": "s", "column": ["x"]}, "stage 0: 'column' must be a column name, got ['x']"),
+            ({"op": "count", "name": ""}, "stage 0: 'name' must be a non-empty string, got ''"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": 2.0, "xmin": 0, "xmax": 1},
+             "stage 0: 'nbins' must be an integer, got 2.0"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": True, "xmin": 0, "xmax": 1},
+             "stage 0: 'nbins' must be an integer, got True"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": 2, "xmin": float("-inf"), "xmax": 1},
+             "stage 0: 'xmin' must be a finite number, got -inf"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": 2, "xmin": 0, "xmax": float("nan")},
+             "stage 0: 'xmax' must be a finite number, got nan"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": 2, "xmin": 0, "xmax": 10**400},
+             "stage 0: 'xmax' must be a finite number, got 100000000000000000...0000000000000000000"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": 2, "xmin": 0, "xmax": 1, "weight": 3},
+             "stage 0: 'weight' must be a column name or null, got 3"),
+            ({"op": "histo1d", "name": "h", "column": "x", "nbins": 2, "xmin": -1.7e308, "xmax": 1.7e308},
+             "stage 0: need finite xmin < xmax a finite width apart, got [-1.7e+308, 1.7e+308)"),
+            ({"op": "vary", "column": "x", "kind": "weight", "tags": ["t"], "exprs": "x"},
+             "stage 0: 'exprs' must be a list of expression strings, got 'x'"),
+            ({"op": "vary", "column": "x", "kind": "weight", "tags": ["t"], "exprs": [1]},
+             "stage 0: 'exprs' must be a list of expression strings, got [1]"),
+            ({"op": "snapshot", "columns": [], "out": "o"},
+             "stage 0: 'columns' must be a non-empty list of column names, got []"),
+        ],
+    )
+    def test_each_field_has_one_rule(self, stage, message):
+        with pytest.raises(PipelineError) as e:
+            load_spec(doc([stage, {"op": "count", "name": "n"}]))
+        assert str(e.value) == message
+
+    @pytest.mark.parametrize(
+        "text, fragment",
+        [
+            ("[" * 100_000, "nests too deeply"),
+            ('{"dataset": [' + "1" * 5000 + "]}", "not valid JSON"),
+        ],
+    )
+    def test_json_the_reader_refuses_is_a_pipeline_error(self, text, fragment):
+        with pytest.raises(PipelineError, match=fragment):
+            load_spec(text)
+
+
+# Every kind of stage, valid as it stands; the property test below puts
+# arbitrary JSON in each field in turn.
+VALID_STAGES = [
+    {"op": "define", "name": "ht", "expr": "sum(Jet_pt)"},
+    {"op": "filter", "expr": "nJet >= 2", "label": "two jets"},
+    {"op": "vary", "column": "MET_pt", "kind": "topology", "tags": ["up"], "exprs": ["MET_pt * 1.1"]},
+    {"op": "histo1d", "name": "h", "column": "MET_pt", "nbins": 5, "xmin": 0.0, "xmax": 1.0,
+     "weight": "event_weight"},
+    {"op": "sum", "name": "s", "column": "MET_pt"},
+    {"op": "count", "name": "c"},
+    {"op": "snapshot", "columns": ["MET_pt"], "out": "skim/out"},
+]
+FIELDS = [(i, name) for i, stage in enumerate(VALID_STAGES) for name in stage]
+
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**24, 2**63, 10**30, 10**400, -(10**400)])
+    | st.floats()  # nan and +-inf included
+    | st.sampled_from([1.7e308, -1.7e308, 5e-324])
+    | st.text(max_size=6)
+    | st.sampled_from(["", "nominal", "weight", "MET_pt", "nJet", "histo1d", "1 +", "(" * 200 + "1" + ")" * 200]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=10,
+)
+
+
+@given(st.sampled_from(FIELDS), JSON_VALUES)
+@settings(max_examples=400, deadline=None)
+def test_any_json_in_any_field_is_a_spec_a_graph_or_a_pipeline_error(field, value):
+    i, name = field
+    stage = dict(VALID_STAGES[i], **{name: value})
+    text = json.dumps(doc([stage, {"op": "count", "name": "n_all"}]))
+    try:
+        build(load_spec(text), SCHEMA)
+    except PipelineError:
+        pass
 
 
 class TestBuild:
@@ -411,6 +512,22 @@ class TestBuild:
         missing = doc([{"op": "snapshot", "columns": ["nope"], "out": "x"}])
         with pytest.raises(PipelineError, match="snapshot column 'nope'"):
             build(load_spec(missing), SCHEMA)
+
+    def test_graph_id_is_the_spec_s(self):
+        spec = load_spec(minimal())
+        assert build(spec, SCHEMA).graph_id == spec.graph_id
+        assert spec.graph_id == load_spec(json.dumps(minimal(), indent=2)).graph_id
+
+    @pytest.mark.parametrize("nbins, fits", [(2**24 - 3, True), (2**24, False)])
+    def test_an_empty_result_over_one_frame_is_refused(self, nbins, fits):
+        # one universe: 8 + 16 * (nbins + 2) bytes, against MAX_FRAME = 256 MiB; build allocates nothing
+        d = doc([{"op": "histo1d", "name": "h", "column": "MET_pt", "nbins": nbins, "xmin": 0.0, "xmax": 1.0}])
+        assert (8 + 16 * (nbins + 2) <= wire.MAX_FRAME) == fits
+        if fits:
+            assert list(build(load_spec(d), SCHEMA).result_stages) == ["h"]
+        else:
+            with pytest.raises(PipelineError, match=r"268435496 bytes, more than one frame holds \(268435456\)"):
+                build(load_spec(d), SCHEMA)
 
     def test_rebuild_is_deterministic(self):
         d = doc(

@@ -73,8 +73,9 @@ def test_nonfinite_weight_rejected():
 def test_bad_axis_rejected():
     with pytest.raises(ValueError):
         histo(0, 0.0, 1.0)
-    with pytest.raises(ValueError):
-        histo(5, 1.0, 1.0)
+    for xmin, xmax in ((1.0, 1.0), (-math.inf, math.inf), (0.0, math.nan), (-1.7e308, 1.7e308)):
+        with pytest.raises(ValueError, match="finite xmin < xmax"):
+            histo(5, xmin, xmax)
 
 
 def test_merge_identity_and_commutativity():
