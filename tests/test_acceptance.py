@@ -90,10 +90,10 @@ def _spawn_worker(address, name=None):
 def _wait_for_workers(scheduler, n, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if len(scheduler._workers) >= n:
+        if len(scheduler._core.workers) >= n:
             return
         time.sleep(0.01)
-    raise TimeoutError(f"only {len(scheduler._workers)} of {n} workers registered")
+    raise TimeoutError(f"only {len(scheduler._core.workers)} of {n} workers registered")
 
 
 @pytest.fixture(scope="module")
@@ -318,7 +318,7 @@ def test_c08_killing_a_worker_mid_run_loses_nothing(tmp_path):
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
                 holder = next(
-                    (w for w in sched._workers.values() if w.name == "victim"), None
+                    (w for w in sched._core.workers.values() if w.name == "victim"), None
                 )
                 if holder is not None and holder.task is not None:
                     break

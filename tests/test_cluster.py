@@ -31,6 +31,7 @@ from colflow.graph import build, load_spec, schema_types
 from colflow.proto import (
     Fail,
     Graph,
+    Heartbeat,
     ProtoError,
     Register,
     Result,
@@ -39,6 +40,7 @@ from colflow.proto import (
     Shutdown,
     Submit,
     Task,
+    decode,
     encode,
     recv_message,
     send_message,
@@ -61,20 +63,20 @@ def spawn_worker(address, name=None):
 def wait_for_workers(scheduler, n, timeout=5.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if len(scheduler._workers) >= n:
+        if len(scheduler._core.workers) >= n:
             return
         time.sleep(0.01)
-    raise TimeoutError(f"only {len(scheduler._workers)} of {n} workers registered")
+    raise TimeoutError(f"only {len(scheduler._core.workers)} of {n} workers registered")
 
 
 def wait_for_names(scheduler, names, timeout=5.0):
     """Wait until exactly the named workers are registered, in that order."""
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
-        if [w.name for w in list(scheduler._workers.values())] == names:
+        if [w.name for w in list(scheduler._core.workers.values())] == names:
             return
         time.sleep(0.01)
-    raise TimeoutError(f"registered {[w.name for w in scheduler._workers.values()]}, not {names}")
+    raise TimeoutError(f"registered {[w.name for w in scheduler._core.workers.values()]}, not {names}")
 
 
 @pytest.fixture
@@ -409,7 +411,7 @@ class TestFaultTolerance:
                 deadline = time.monotonic() + 10.0
                 while time.monotonic() < deadline:
                     holder = next(
-                        (w for w in sched._workers.values() if w.name == "victim"), None
+                        (w for w in sched._core.workers.values() if w.name == "victim"), None
                     )
                     if holder is not None and holder.task is not None:
                         break
@@ -453,88 +455,92 @@ def payload_size(msg) -> int:
     return len(encode(msg)) - wire.HEADER.size
 
 
+def explicit_plan(spec, tasks, n_workers, factor):
+    """A planner that opens no file: the run's own tasks, typed by the standard schema."""
+    return build(spec, STANDARD_SCHEMA), tasks, 0
+
+
+def step(core, kind, conn_id=None, payload=None, now=0.0):
+    """One step of ``core``: its effects, each frame decoded and a close as None."""
+    return [(c, None if frame is None else decode(frame)) for c, frame in core.step(now, (kind, conn_id, payload))]
+
+
+def submitted(max_retries, n_tasks=2):
+    """A core with worker a registered on connection 1 and a run of n_tasks
+    submitted on connection 99, at time 0."""
+    core = scheduler.Core(explicit_plan)
+    step(core, "msg", 1, Register("a"))
+    tasks = tuple(Task(i, EntryRange("f.col", 0, 10)) for i in range(n_tasks))
+    assert step(core, "msg", 99, Submit("r", make_doc(["f.col"]), max_retries, tasks=tasks)) == []
+    return core
+
+
+def tasks_to(effects, conn_id):
+    return [m.task_id for c, m in effects if c == conn_id and isinstance(m, Task)]
+
+
+LOSS_TIME = scheduler.HEARTBEAT_INTERVAL * scheduler.LOSS_FACTOR + 0.01  # silent past the limit
+
+
 class TestSlotBookkeeping:
-    """The state loop's methods driven directly: no reader threads, sends recorded."""
+    """The core driven by events alone: a lost worker is one silent past the
+    heartbeat limit on an idle tick, or one that hung up."""
 
-    @classmethod
-    def scheduler(cls, files, max_retries):
-        """A scheduler with worker a registered on connection 1 and a planned
-        two-task run submitted on connection 99."""
-        sched = Scheduler()
-        sent = []
-        sched._send = lambda conn_id, msg: sent.append((conn_id, msg))
-        a = cls.register(sched, 1, "a")
-        tasks = tuple(Task(i, EntryRange(files[0], 0, 10)) for i in range(2))
-        sched._on_submit(99, Submit("r", make_doc(files[:1]), max_retries, tasks=tasks))
-        return sched, sent, a
+    def test_late_answer_of_a_lost_worker_frees_no_other_slot(self):
+        core = submitted(max_retries=2)
+        run = core.run
+        step(core, "tick", payload=True)  # task 0 to a; task 1 waits
+        step(core, "tick", payload=True, now=LOSS_TIME)  # a is lost
+        step(core, "msg", 2, Register("b"), now=LOSS_TIME)
+        sent = step(core, "tick", payload=True, now=LOSS_TIME)  # task 0 again, to b
+        b = core.workers[2]
+        assert b.task == (run.number, 0)
+        step(core, "msg", 1, Result(0, 0.1, PartialResult.empty(run.graph), run.number), now=LOSS_TIME)  # a's late answer
+        assert 0 in run.accepted and b.task == (run.number, 0)
+        sent += step(core, "tick", payload=True, now=LOSS_TIME)  # b is still busy with task 0
+        assert b.task == (run.number, 0) and list(run.pending) == [1]
+        assert tasks_to(sent, 2) == [0]
 
-    @staticmethod
-    def register(sched, conn_id, name):
-        a, b = socket.socketpair()
-        b.close()
-        sched._workers[conn_id] = scheduler._Worker(conn_id, a, name)
-        return sched._workers[conn_id]
+    def test_late_answer_of_a_lost_worker_names_who_ran_it(self):
+        core = submitted(max_retries=2)
+        run = core.run
+        step(core, "tick", payload=True)  # task 0 to a, attempt 1
+        step(core, "tick", payload=True, now=LOSS_TIME)  # a is lost
+        step(core, "msg", 2, Register("b"), now=LOSS_TIME)
+        step(core, "tick", payload=True, now=LOSS_TIME)  # task 0 to b, attempt 2
+        step(core, "msg", 1, Result(0, 0.1, PartialResult.empty(run.graph), run.number), now=LOSS_TIME)
+        [(record, _)] = run.accepted.values()
+        assert (record.task_id, record.worker, record.attempt) == (0, "a", 1)
 
-    @staticmethod
-    def stop(sched):
-        """No state loop runs to close the workers' sockets, so close them here."""
-        for worker in sched._workers.values():
-            worker.sock.close()
-        sched.stop()
+    def test_late_fail_of_a_lost_worker_requeues_nothing(self):
+        core = submitted(max_retries=2)
+        run = core.run
+        step(core, "tick", payload=True)  # task 0 to a
+        step(core, "tick", payload=True, now=LOSS_TIME)  # a is lost: requeues task 0 once
+        assert list(run.pending) == [0, 1]
+        step(core, "msg", 1, Fail(0, "too late", run.number), now=LOSS_TIME)
+        assert list(run.pending) == [0, 1] and run.attempts == {0: 1}
 
-    def test_late_answer_of_a_lost_worker_frees_no_other_slot(self, dataset_files):
-        sched, sent, a = self.scheduler(dataset_files, max_retries=2)
-        try:
-            run = sched._run
-            sched._dispatch()  # task 0 to a; task 1 waits
-            sched._lose_worker(a, "heartbeat timeout")
-            b = self.register(sched, 2, "b")
-            sched._dispatch()  # task 0 again, to b
-            assert b.task == (run.number, 0)
-            sched._on_answer(1, Result(0, 0.1, PartialResult.empty(run.graph), run.number))  # a's late answer
-            assert 0 in run.done and b.task == (run.number, 0)
-            sched._dispatch()  # b is still busy with task 0
-            assert b.task == (run.number, 0) and list(run.pending) == [1]
-            assert [m.task_id for c, m in sent if c == 2 and isinstance(m, Task)] == [0]
-        finally:
-            self.stop(sched)
+    def test_losing_a_worker_spends_an_attempt(self):
+        core = submitted(max_retries=0)
+        step(core, "tick", payload=True)
+        sent = step(core, "gone", 1)
+        assert core.run is None
+        assert [m.error for c, m in sent if c == 99 and isinstance(m, RunFail)] == [
+            "task 0 exhausted retries: worker a disconnected"
+        ]
 
-    def test_late_answer_of_a_lost_worker_names_who_ran_it(self, dataset_files):
-        sched, _, a = self.scheduler(dataset_files, max_retries=2)
-        try:
-            run = sched._run
-            sched._dispatch()  # task 0 to a, attempt 1
-            sched._lose_worker(a, "heartbeat timeout")
-            self.register(sched, 2, "b")
-            sched._dispatch()  # task 0 to b, attempt 2
-            sched._on_answer(1, Result(0, 0.1, PartialResult.empty(run.graph), run.number))
-            [record] = run.records
-            assert (record.task_id, record.worker, record.attempt) == (0, "a", 1)
-        finally:
-            self.stop(sched)
-
-    def test_late_fail_of_a_lost_worker_requeues_nothing(self, dataset_files):
-        sched, _, a = self.scheduler(dataset_files, max_retries=2)
-        try:
-            run = sched._run
-            sched._dispatch()  # task 0 to a
-            sched._lose_worker(a, "heartbeat timeout")  # requeues task 0 once
-            assert list(run.pending) == [0, 1]
-            sched._on_answer(1, Fail(0, "too late", run.number))
-            assert list(run.pending) == [0, 1] and run.attempts == {0: 1}
-        finally:
-            self.stop(sched)
-
-    def test_losing_a_worker_spends_an_attempt(self, dataset_files):
-        sched, sent, a = self.scheduler(dataset_files, max_retries=0)
-        try:
-            sched._dispatch()
-            sched._lose_worker(a, "disconnected")
-            assert sched._run is None
-            fails = [m for c, m in sent if c == 99 and isinstance(m, RunFail)]
-            assert [f.error for f in fails] == ["task 0 exhausted retries: worker a disconnected"]
-        finally:
-            self.stop(sched)
+    def test_accepted_task_is_not_dispatched_again(self):
+        # a's late RESULT is accepted while its task waits, requeued, for a worker
+        core = submitted(max_retries=2)
+        run = core.run
+        step(core, "tick", payload=True)  # task 0 to a
+        step(core, "tick", payload=True, now=LOSS_TIME)  # a is lost: task 0 requeued
+        step(core, "msg", 1, Result(0, 0.1, PartialResult.empty(run.graph), run.number), now=LOSS_TIME)
+        assert list(run.pending) == [1]
+        step(core, "msg", 2, Register("b"), now=LOSS_TIME)
+        sent = step(core, "tick", payload=True, now=LOSS_TIME)
+        assert tasks_to(sent, 2) == [1] and run.attempts == {0: 1, 1: 1}
 
 
 class TestHeartbeats:
@@ -548,18 +554,51 @@ class TestHeartbeats:
             doc = json.dumps({"dataset": [f"colsrv://{server.address}/small.col"] * 1000,
                               "stages": [{"op": "count", "name": "n"}]})
             with Scheduler() as sched:
-                lost = []
-                lose = sched._lose_worker
-                sched._lose_worker = lambda w, why: (lost.append((w.name, why)), lose(w, why))
+                core, lost = sched._core, []
+                lose = core._lose
+
+                def spy(conn_id, why):
+                    if conn_id in core.workers:  # a client hanging up loses no worker
+                        lost.append((core.workers[conn_id].name, why))
+                    lose(conn_id, why)
+
+                core._lose = spy
                 spawn_worker(sched.address, name="w0")
                 spawn_worker(sched.address, name="w1")
                 wait_for_workers(sched, 2)
                 result = run_distributed(doc, sched.address, factor=1, timeout=120)
-                registered = len(sched._workers)
+                registered = len(core.workers)
         assert lost == []
         assert result.total_events == 200_000
         assert all(r.attempt == 1 for r in result.records)
         assert registered == 2
+
+    def test_beat_handled_after_a_long_step_keeps_its_worker(self):
+        core = submitted(max_retries=0, n_tasks=1)
+        step(core, "tick", payload=True)
+        late = 100 * LOSS_TIME  # a step held the loop this long; a's beats wait in the queue
+        assert step(core, "tick", payload=False, now=late) == []
+        assert step(core, "msg", 1, Heartbeat("a"), now=late) == []
+        assert step(core, "tick", payload=True, now=late) == []
+        assert list(core.workers) == [1] and core.run.attempts == {0: 1}
+
+    @pytest.mark.parametrize("max_retries", [0, 1])
+    def test_silent_worker_is_lost_on_an_idle_tick(self, max_retries):
+        core = scheduler.Core(explicit_plan)
+        step(core, "msg", 1, Register("w0"))
+        task = Task(0, EntryRange("f.col", 0, 10))
+        step(core, "msg", 99, Submit("r", make_doc(["f.col"]), max_retries, tasks=(task,)))
+        assert tasks_to(step(core, "tick", payload=True), 1) == [0]
+        step(core, "msg", 1, Heartbeat("w0"), now=1.0)
+        limit = 1.0 + scheduler.HEARTBEAT_INTERVAL * scheduler.LOSS_FACTOR
+        assert step(core, "tick", payload=True, now=limit) == []  # silent for the limit, not past it
+        assert step(core, "tick", payload=False, now=limit + 0.01) == []  # the queue is not empty
+        sent = step(core, "tick", payload=True, now=limit + 0.01)
+        assert sent[0] == (1, None) and 1 not in core.workers
+        if max_retries:
+            assert list(core.run.pending) == [0] and core.run.attempts == {0: 1}
+        else:
+            assert sent[1:] == [(99, RunFail("r", "task 0 exhausted retries: worker w0 heartbeat timeout"))]
 
 
 class TestWireLimits:
@@ -814,7 +853,7 @@ class TestRegistration:
             with socket.create_connection((host, int(port)), timeout=10) as sock:
                 send_message(sock, Register("w7"))
                 assert recv_message(sock) == Register("w7")
-                [worker] = sched._workers.values()
+                [worker] = sched._core.workers.values()
                 assert worker.name == "w7"
 
 
@@ -886,7 +925,7 @@ class TestRunScoping:
             run = fake.recv(Graph).run
             for task_id in range(3):
                 assert fake.recv(Task).task_id == task_id
-                assert list(sched._run.pending) == list(range(task_id + 1, 3))
+                assert list(sched._core.run.pending) == list(range(task_id + 1, 3))
                 fake.sock.settimeout(0.3)
                 with pytest.raises(TimeoutError):
                     recv_message(fake.sock)  # the next task waits for this one's answer

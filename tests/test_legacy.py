@@ -78,7 +78,7 @@ def cluster():
         deadline = 100
         import time
 
-        while len(sched._workers) < 2 and deadline:
+        while len(sched._core.workers) < 2 and deadline:
             time.sleep(0.05)
             deadline -= 1
         yield sched
@@ -202,7 +202,7 @@ class TestPreselection:
                     threading.Thread(target=worker.run, daemon=True).start()
                     import time
 
-                    while not sched._workers:
+                    while not sched._core.workers:
                         time.sleep(0.02)
                     _, report = run_legacy_preselection(
                         doc,
