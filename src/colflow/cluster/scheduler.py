@@ -35,7 +35,9 @@ once. Planning types the run once, against the first file of its
 dataset, and checks the column types of every file it opened. Each
 worker gets one GRAPH (run number, document, that schema) before its
 first TASK of the run. An answer from another run only frees its worker;
-a RESULT whose shape does not fit the run's graph fails its task.
+a RESULT whose shape does not fit the run's graph, or whose record
+``JobRecord`` refuses (a ``t_loop`` past its ``t_total``, say), fails its
+task.
 
 A worker is recorded, and its REGISTER echoed back, in one step, so every
 SUBMIT that reaches the scheduler after a worker has read its echo plans
@@ -62,7 +64,7 @@ from dataclasses import dataclass, field, replace
 from ..colstore import open_dataset
 from ..engine import EngineError, PartialResult, check_columns, pass_plan
 from ..graph import ComputationGraph, PipelineError, PipelineSpec, build, load_spec
-from ..metrics import JobRecord
+from ..metrics import JobRecord, MetricsError
 from ..proto import (
     HEARTBEAT_INTERVAL,
     Fail,
@@ -265,18 +267,24 @@ class Core:
         assigned = run.assigned.pop((conn_id, msg.task_id), None)
         if assigned is None or msg.task_id in run.accepted:
             return  # not this connection's task, or a duplicate after reassignment: first result wins
+        error = msg.error if isinstance(msg, Fail) else "result does not fit the run's graph"
         if isinstance(msg, Result) and msg.partial.shape() == run.shape:
-            self._accept(run, assigned, msg)
-        elif worker is not None:  # a lost worker's tasks were requeued when it was lost
-            error = msg.error if isinstance(msg, Fail) else "result does not fit the run's graph"
+            try:
+                record = self._record(run, assigned, msg)
+            except MetricsError as e:  # a record no run may hold: t_loop past t_total, say
+                error = f"result refused: {e}"
+            else:
+                self._accept(run, msg, record)
+                return
+        if worker is not None:  # a lost worker's tasks were requeued when it was lost
             self._retry(run, msg.task_id, error)
 
-    def _accept(self, run: _Run, assigned: tuple[str, int], msg: Result) -> None:
-        """Record a result; assigned names the worker that ran it and the attempt."""
+    @staticmethod
+    def _record(run: _Run, assigned: tuple[str, int], msg: Result) -> JobRecord:
+        """A result's record; assigned names the worker that ran it and the attempt."""
         name, attempt = assigned
-        task = run.tasks[msg.task_id]
         partial = msg.partial
-        record = JobRecord(
+        return JobRecord(
             task_id=msg.task_id,
             worker=name,
             events=partial.events,
@@ -286,10 +294,12 @@ class Core:
             chunk_bytes=partial.chunk_bytes,
             attempt=attempt,
             phase="task",
-            passes=len(pass_plan(run.graph)) if task.multi_pass else 1,
+            passes=len(pass_plan(run.graph)) if run.tasks[msg.task_id].multi_pass else 1,
             mem_peak=partial.mem_peak,
         )
-        run.accepted[msg.task_id] = (record, partial)
+
+    def _accept(self, run: _Run, msg: Result, record: JobRecord) -> None:
+        run.accepted[msg.task_id] = (record, msg.partial)
         if msg.task_id in run.pending:  # a lost worker's late answer: its task was requeued
             run.pending.remove(msg.task_id)
         if len(run.accepted) == len(run.tasks):

@@ -15,13 +15,22 @@ reply) is closed and never pooled; an error reply (a missing file, say)
 leaves it in step and poolable. If a pooled socket fails on its OPEN (the
 server restarted, say), the open is tried once more on a fresh connection.
 
-Reads are chunk-granular: one transport read per needed chunk, no
-coalescing, so the account's chunk_bytes is exactly the sum of the fetched
-chunks' byte lengths.
+Reads are chunk-granular: a handle asks its transport for each needed
+chunk with one ``read``, and never joins adjacent chunks, so the account's
+chunk_bytes is exactly the sum of the fetched chunks' byte lengths. A
+remote transport hands out each span the server sends only through
+``read``, so the account also counts every byte and span the server served
+it. Over a data server, a cluster's needed chunks come in one vector READ
+(more than one only past ``MAX_SPANS`` chunks or one frame's bytes), and
+an open is two requests: OPEN, whose reply brings the header and tail,
+and a READ of the footer. A handle reads all of a cluster's chunks before
+it checks any, and the header and the tail before it checks either, so a
+check that fails leaves every served byte counted.
 
 A fetched chunk is copied once on its way to the decoded arrays: from the
-kernel into one buffer (the data server's reply frame, received in place
-by ``wire.recv_frame``, or the bytes a local read returns). Scalar
+kernel into a buffer of its own (the data server sends it from the page
+cache with ``sendfile``, and the client receives each span of the reply in
+place with ``wire.recv_into``; or the bytes a local read returns). Scalar
 columns and a vector column's values are read-only numpy views of that
 buffer; only a vector column's u32 lengths are copied again, widened to
 int64, and a BOOL column is copied once more as it becomes numpy bools.
@@ -30,10 +39,12 @@ int64, and a BOOL column is copied once more as it becomes numpy bools.
 from __future__ import annotations
 
 import atexit
+import functools
 import os
 import socket
 import threading
 import zlib
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,6 +85,9 @@ class LocalTransport:
     def size(self) -> int:
         return self._size
 
+    def will_read(self, spans) -> None:
+        """Nothing to fetch ahead: each read is one ``read`` of the file."""
+
     def read(self, offset: int, length: int) -> bytes:
         self._f.seek(offset)
         return self._f.read(length)
@@ -89,25 +103,29 @@ def _connect(address: str) -> socket.socket:
         raise TransportError(f"cannot connect to data server {address}: {e}") from None
 
 
-def _exchange(sock: socket.socket, opcode: int, request):
+def _exchange(sock: socket.socket, opcode: int, request, receive=None):
     """Send ``request`` and return the reply, each as ``srv.LAYOUTS`` lays it out.
 
-    An error reply is a TransportError and leaves the connection in step;
-    any other failure closes ``sock`` and is a ConnectionLost.
+    ``receive(size)``, if given, takes the reply's ``size`` payload bytes
+    off ``sock`` and returns what they hold. An error reply is a
+    TransportError and leaves the connection in step; any other failure
+    closes ``sock`` and is a ConnectionLost.
     """
     request_layout, reply_layout = srv.LAYOUTS[opcode]
     try:
         wire.send_frame(sock, opcode, request_layout.pack(request))
-        frame = wire.recv_frame(sock)
-        if frame is None:
+        header = wire.recv_header(sock)
+        if header is None:
             raise ConnectionLost("data server closed the connection")
-        reply_op, reply = frame
+        size, reply_op = header
         if reply_op == srv.OP_ERROR:
-            code, message = wire.unpack_whole(srv.ERROR_REPLY, reply)
+            code, message = wire.unpack_whole(srv.ERROR_REPLY, wire.recv_body(sock, size))
         elif reply_op != opcode:
             raise ConnectionLost(f"unexpected reply opcode {reply_op} to request {opcode}")
+        elif receive is None:
+            return wire.unpack_whole(reply_layout, wire.recv_body(sock, size))
         else:
-            return reply if reply_layout is None else wire.unpack_whole(reply_layout, reply)
+            return receive(size)
     except (wire.ProtoError, OSError) as e:
         sock.close()
         raise ConnectionLost(f"data server connection failed: {e}") from None
@@ -115,6 +133,44 @@ def _exchange(sock: socket.socket, opcode: int, request):
         sock.close()
         raise
     raise TransportError(f"data server error {code}: {message}")
+
+
+def _batches(spans: list[tuple[int, int]]):
+    """``spans`` in order, in READs of at most ``srv.MAX_SPANS`` spans whose
+    lengths fit one frame; a span longer than a frame goes alone, and is refused."""
+    batch, room = [], 0
+    for span in spans:
+        if batch and (len(batch) == srv.MAX_SPANS or room + span[1] > wire.MAX_FRAME):
+            yield batch
+            batch, room = [], 0
+        batch.append(span)
+        room += span[1]
+    if batch:
+        yield batch
+
+
+def _cut_lengths(spans: list[tuple[int, int]], total: int, size: int) -> list[int]:
+    """The lengths the server cut ``spans`` to, from the ``total`` it sent.
+
+    The server cuts every span of one reply at the one file size it saw,
+    normally ``size``, the file's size at OPEN. Each cut length grows with
+    that size, so ``total`` fixes them all: if the file has changed size
+    since, the least size that gives ``total`` is bisected for.
+    """
+
+    def cut(at: int) -> list[int]:
+        return [max(0, min(n, at - off)) for off, n in spans]
+
+    lengths = cut(size)
+    if sum(lengths) != total:
+        lo, hi = 0, max(off + n for off, n in spans)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if sum(cut(mid)) < total else (lo, mid)
+        lengths = cut(lo)
+        if sum(lengths) != total:
+            raise wire.ProtoError(f"a READ reply of {total} bytes fits no cut of its {len(spans)} spans")
+    return lengths
 
 
 # The most idle sockets one process keeps over all servers. The engine, a
@@ -165,23 +221,44 @@ os.register_at_fork(after_in_child=_POOL.forget)
 
 
 class RemoteTransport:
-    """Client side of the data-server protocol: one file read over a pooled connection."""
+    """Client side of the data-server protocol: one file read over a pooled connection.
 
-    def __init__(self, host: str, port: int, path: str):
+    OPEN asks for the file's first ``head_len`` and last ``tail_len``
+    bytes, and a caller names the spans it reads next with ``will_read``:
+    the first ``read`` of them fetches them all in one vector READ. The
+    transport holds the spans it receives, and ``read`` hands them out in
+    the order they came, so every span the server sends reaches a reader
+    through ``read``; any other span is a one-span READ. Each span is
+    received into a buffer of its own.
+    """
+
+    def __init__(self, host: str, port: int, path: str, head_len: int = 0, tail_len: int = 0):
         self._address = f"{host}:{port}"
+        self._held: deque[tuple[tuple[int, int], memoryview]] = deque()  # received, not yet read
+        self._wanted: list[tuple[int, int]] = []  # named by will_read, not yet fetched
         self._sock = _POOL.take(self._address)
         if self._sock is not None:
             try:
-                self._size = self._open(path)
+                self._size = self._open(path, head_len, tail_len)
                 return
             except ConnectionLost:  # a stale socket: its server restarted, say
                 pass
         self._sock = _connect(self._address)
-        self._size = self._open(path)
+        self._size = self._open(path, head_len, tail_len)
 
-    def _open(self, path: str) -> int:
+    def _open(self, path: str, head_len: int, tail_len: int) -> int:
+        def receive(n: int) -> int:
+            reply = wire.Reader(wire.recv_body(self._sock, n))
+            size = srv.LAYOUTS[srv.OP_OPEN][1].unpack(reply)
+            for off, length in ((0, head_len), (max(size - tail_len, 0), tail_len)):
+                if length:
+                    self._held.append(((off, length), reply.take(min(length, size - off))))
+            reply.finish()
+            return size
+
+        self._held.clear()
         try:
-            return _exchange(self._sock, srv.OP_OPEN, path)
+            return _exchange(self._sock, srv.OP_OPEN, (path, head_len, tail_len), receive)
         except TransportError:
             self.close()  # pools the socket unless the failure closed it
             raise
@@ -189,14 +266,38 @@ class RemoteTransport:
     def size(self) -> int:
         return self._size
 
-    def read(self, offset: int, length: int) -> bytes:
+    def will_read(self, spans) -> None:
+        """The spans the next reads ask for, in that order."""
+        self._wanted = list(spans)
+
+    def read(self, offset: int, length: int) -> memoryview:
         if self._sock is None:
             raise TransportError("read on a closed transport")
-        return _exchange(self._sock, srv.OP_READ, (offset, length))
+        span = (offset, length)
+        if not self._held and self._wanted[:1] == [span]:
+            self._held.extend(zip(self._wanted, self._fetch(self._wanted)))
+            self._wanted = []
+        if self._held and self._held[0][0] == span:
+            return self._held.popleft()[1]
+        return self._fetch([span])[0]
+
+    def _fetch(self, spans: list[tuple[int, int]]) -> list[memoryview]:
+        """Each span's bytes, in as few READs as the request and frame bounds allow."""
+        got = []
+        for batch in _batches(spans):
+            got += _exchange(self._sock, srv.OP_READ, batch, functools.partial(self._receive, batch))
+        return got
+
+    def _receive(self, spans: list[tuple[int, int]], total: int) -> list[memoryview]:
+        buffers = [bytearray(n) for n in _cut_lengths(spans, total, self._size)]
+        wire.recv_into(self._sock, buffers)
+        return [memoryview(b).toreadonly() for b in buffers]
 
     def close(self) -> None:
         """Hand the connection back to the pool; the server keeps the file open until its next OPEN."""
         sock, self._sock = self._sock, None
+        self._held.clear()
+        self._wanted = []
         if sock is not None:
             _POOL.give(self._address, sock)
 
@@ -267,10 +368,12 @@ class DatasetHandle:
                 continue
             lo = max(begin, cl.entry_start) - cl.entry_start
             hi = min(end, cl_end) - cl.entry_start
+            refs = [cl.chunks[self._col_index[name]] for name in names]
+            self._transport.will_read([(ref.offset, ref.length) for ref in refs])
+            # every chunk the cluster's READ brought is counted before any is checked
+            raws = [_tracked_read(self._transport, self.account, ref.offset, ref.length) for ref in refs]
             decoded: dict[str, np.ndarray | Jagged] = {}
-            for name in names:
-                ref = cl.chunks[self._col_index[name]]
-                raw = _tracked_read(self._transport, self.account, ref.offset, ref.length)
+            for name, ref, raw in zip(names, refs, raws):
                 if len(raw) != ref.length:
                     raise TransportError(
                         f"short read: wanted {ref.length} bytes at {ref.offset}, got {len(raw)}"
@@ -298,23 +401,26 @@ def _tracked_read(transport, account: ReadAccount, offset: int, length: int) -> 
     return data
 
 
-def open_transport(uri: str):
-    """The byte source a URI names: a file on a data server or a local file."""
+def open_transport(uri: str, head_len: int = 0, tail_len: int = 0):
+    """The byte source a URI names: a file on a data server, whose OPEN also
+    brings its first ``head_len`` and last ``tail_len`` bytes, or a local file."""
     if uri.startswith(REMOTE_SCHEME):
-        return RemoteTransport(*parse_remote_uri(uri))
+        return RemoteTransport(*parse_remote_uri(uri), head_len, tail_len)
     return LocalTransport(uri)
 
 
 def open_dataset(uri: str) -> DatasetHandle:
     """Open a columnar file, reading only its header and footer."""
-    transport = open_transport(uri)
+    transport = open_transport(uri, HEADER_SIZE, TAIL_SIZE)
     account = ReadAccount()
     try:
         size = transport.size()
+        # the header and tail came with a remote OPEN: both are counted before either is checked
+        head = _tracked_read(transport, account, 0, HEADER_SIZE)
+        tail = _tracked_read(transport, account, max(size - TAIL_SIZE, 0), TAIL_SIZE)
         if size < HEADER_SIZE + TAIL_SIZE:
             raise FormatError("file too small to be a columnar file")
-        wire.unpack_whole(HEADER, _tracked_read(transport, account, 0, HEADER_SIZE))  # checks magic and version
-        tail = _tracked_read(transport, account, size - TAIL_SIZE, TAIL_SIZE)
+        wire.unpack_whole(HEADER, head)  # checks magic and version
         footer_offset, footer_crc, _ = wire.unpack_whole(TAIL, tail)
         if not HEADER_SIZE <= footer_offset <= size - TAIL_SIZE:
             raise FormatError("truncated footer")

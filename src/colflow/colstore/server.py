@@ -5,21 +5,35 @@ another: an OPEN closes the file the connection has open, if any, then
 opens the new one (a failed OPEN leaves no file open). Requests and
 replies are ``wire`` frames whose kind is the opcode; a reply echoes its
 request's opcode. ``LAYOUTS`` declares their payloads once, for this
-server and its client in ``colstore.dataset``: 1=OPEN(path)->u64 size,
-2=READ(u64 off, u32 len)->bytes (short at EOF), 4=METRICS()->(u64
-bytes_served, u64 read_calls) of the whole server; 3 and 5 are
-unassigned. Hanging up closes the open file. Errors come back as opcode
-0xFFFF with a u16 code and a wire string, and the connection keeps
-serving: a payload with trailing bytes and a READ with no file open are
-each ERR_BAD_REQUEST.
+server and its client in ``colstore.dataset``:
 
-A request payload may be at most MAX_REQUEST bytes and a READ at most
-``wire.MAX_FRAME``: a READ past that is answered with ERR_BAD_REQUEST,
-and a connection that sends an oversized header or a wrong protocol
-version is dropped.
+- 1=OPEN(path, u32 head_len, u32 tail_len) -> u64 size, then the file's
+  first head_len and last tail_len bytes (each cut at the file's size; a
+  length of 0 asks for nothing), so a client reads a file's header and
+  tail with its OPEN;
+- 2=READ(u32-counted (u64 offset, u32 length) spans) -> the spans' bytes
+  back to back, each cut short at EOF (empty at or past it);
+- 4=METRICS() -> (u64 bytes_served, u64 read_calls) of the whole server;
+- 3 and 5 are unassigned.
 
-Byte counters only grow on READ replies, so the bytes a client counts
-over its reads equal the growth of the server's bytes_served exactly.
+Hanging up closes the open file. Errors come back as opcode 0xFFFF with a
+u16 code and a wire string, and the connection keeps serving: a payload
+with trailing bytes, a READ with no file open, and spans that would not
+fit in one frame are each ERR_BAD_REQUEST.
+
+A request payload may be at most MAX_REQUEST bytes (a READ holds at most
+MAX_SPANS spans) and a reply at most ``wire.MAX_FRAME``, counting the
+spans' requested lengths; a connection that sends an oversized header or
+a wrong protocol version is dropped.
+
+Each span served, OPEN's head and tail included, counts one read call and
+its bytes; nothing else counts, so the bytes and calls a client counts
+over the spans it receives equal the growth of the server's totals
+exactly. The server cuts every span of a reply at the size one ``fstat``
+gives, writes the frame header, and then sends each span with
+``os.sendfile`` from the page cache, so no span is copied into this
+process. A file that shrinks while its spans are sent cannot finish the
+frame its header declared, so the connection is dropped.
 
 A server starts only through ``start()`` (or ``with``), which runs one
 ``wire.accept_forever`` thread; ``stop()`` closes the listening socket,
@@ -46,7 +60,10 @@ ERR_BAD_REQUEST = 2
 ERR_DENIED = 3
 ERR_INTERNAL = 5
 
-MAX_REQUEST = 4 + 4096  # the largest request: a wire string holding a PATH_MAX path
+MAX_REQUEST = 4 + 4096 + 8  # the largest OPEN: a PATH_MAX path as a wire string, then head_len and tail_len
+
+SPAN = wire.fields(wire.U64, wire.U32)  # offset, length
+MAX_SPANS = (MAX_REQUEST - 4) // len(SPAN.pack((0, 0)))  # the most spans one READ request holds
 
 
 class ServerError(Exception):
@@ -55,9 +72,9 @@ class ServerError(Exception):
         self.code = code
 
 
-LAYOUTS = {  # opcode: (request payload, reply payload)
-    OP_OPEN: (wire.STR, wire.U64),  # the path -> the file's size
-    OP_READ: (wire.fields(wire.U64, wire.U32), None),  # offset, length -> the bytes themselves
+LAYOUTS = {  # opcode: (request payload, reply payload before the spans' bytes)
+    OP_OPEN: (wire.fields(wire.STR, wire.U32, wire.U32), wire.U64),  # path, head_len, tail_len -> size
+    OP_READ: (wire.counted(SPAN), wire.fields()),  # spans -> nothing but their bytes
     OP_METRICS: (wire.fields(), wire.fields(wire.U64, wire.U64)),  # -> bytes_served, read_calls
 }
 ERROR_REPLY = wire.fields(wire.U16, wire.STR)  # code, message
@@ -99,19 +116,28 @@ class DataServer:
         try:
             while (frame := wire.recv_frame(sock, MAX_REQUEST)) is not None:
                 opcode, payload = frame
+                spans = ()
                 try:
                     if opcode not in LAYOUTS:
                         raise ServerError(ERR_BAD_REQUEST, f"unknown opcode {opcode}")
                     request, reply_layout = LAYOUTS[opcode]
                     args = wire.unpack_whole(request, payload)
                     if opcode == OP_OPEN:
+                        path, head_len, tail_len = args
                         if file is not None:  # the connection moves on to another file
                             file.close()
                             file = None
-                        file = self._open(args)
-                        reply = reply_layout.pack(file.seek(0, 2))
+                        _check_fits("OPEN", 8 + head_len + tail_len)  # the u64 size, then head and tail
+                        file = self._open(path)
+                        size = os.fstat(file.fileno()).st_size
+                        spans = _cut(size, [s for s in ((0, head_len), (max(size - tail_len, 0), tail_len)) if s[1]])
+                        reply = reply_layout.pack(size)
                     elif opcode == OP_READ:
-                        reply = self._read(file, *args)
+                        if file is None:
+                            raise ServerError(ERR_BAD_REQUEST, "READ before OPEN")
+                        _check_fits("READ", sum(n for _, n in args))
+                        spans = _cut(os.fstat(file.fileno()).st_size, args)
+                        reply = b""
                     else:
                         with self._lock:
                             reply = reply_layout.pack((self.total_bytes_served, self.total_read_calls))
@@ -122,8 +148,8 @@ class DataServer:
                     reply_op, reply = OP_ERROR, ERROR_REPLY.pack((ERR_BAD_REQUEST, str(e)))
                 except Exception as e:  # defensive: never kill the connection silently
                     reply_op, reply = OP_ERROR, ERROR_REPLY.pack((ERR_INTERNAL, repr(e)))
-                wire.send_frame(sock, reply_op, reply)
-        except (wire.ProtoError, OSError):  # bad header, or the peer is gone
+                self._reply(sock, reply_op, reply, file, spans)
+        except (wire.ProtoError, OSError):  # bad header, the peer is gone, or the file shrank mid-reply
             pass
         finally:
             with self._lock:  # so stop() never shuts down a socket closed under it
@@ -140,26 +166,26 @@ class DataServer:
             raise ServerError(ERR_NOT_FOUND, f"no such file: {path}")
         return open(target, "rb")
 
-    def _read(self, file, off: int, length: int) -> bytes:
-        """The requested span in one ``pread``, sent as it is.
+    def _reply(self, sock: socket.socket, opcode: int, head: bytes, file, spans) -> None:
+        """One reply frame: ``head``, then the bytes of each (already cut) span of ``file``.
 
-        The read is sized to what the file holds past ``off`` now, so it
-        never allocates more than that, and comes back short if the file
-        shrank meanwhile. At or past EOF the reply is empty and the file is
-        not read.
+        The frame header and ``head`` go out with ``MSG_MORE`` when spans
+        follow, so they leave in the spans' first segment; each span goes
+        from the page cache to the socket with ``os.sendfile``.
         """
-        if file is None:
-            raise ServerError(ERR_BAD_REQUEST, "READ before OPEN")
-        if length > wire.MAX_FRAME:
-            raise ServerError(
-                ERR_BAD_REQUEST, f"READ of {length} bytes exceeds MAX_FRAME ({wire.MAX_FRAME} bytes)"
-            )
-        n = min(length, os.fstat(file.fileno()).st_size - off)
-        data = os.pread(file.fileno(), n, off) if n > 0 else b""
-        with self._lock:
-            self.total_bytes_served += len(data)
-            self.total_read_calls += 1
-        return data
+        total = sum(n for _, n in spans)
+        if spans:
+            with self._lock:
+                self.total_bytes_served += total
+                self.total_read_calls += len(spans)
+        sock.sendall(wire.pack_header(opcode, len(head) + total) + head, socket.MSG_MORE if total else 0)
+        for off, n in spans:
+            while n:
+                sent = os.sendfile(sock.fileno(), file.fileno(), off, n)
+                if sent == 0:
+                    raise OSError("the file shrank while its spans were sent")
+                off += sent
+                n -= sent
 
     def start(self) -> "DataServer":
         self._thread.start()
@@ -185,3 +211,14 @@ class DataServer:
 
     def __exit__(self, *exc) -> None:
         self.stop()
+
+
+def _check_fits(what: str, size: int) -> None:
+    """A reply of ``size`` bytes, counting its spans' requested lengths, must fit in one frame."""
+    if size > wire.MAX_FRAME:
+        raise ServerError(ERR_BAD_REQUEST, f"{what} of {size} bytes exceeds MAX_FRAME ({wire.MAX_FRAME} bytes)")
+
+
+def _cut(size: int, spans) -> list[tuple[int, int]]:
+    """Each span cut short at ``size``, the file's size now (to nothing at or past it)."""
+    return [(off, max(0, min(n, size - off))) for off, n in spans]

@@ -35,7 +35,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable
 from typing import Any, NamedTuple
 
-PROTO_VERSION = 8
+PROTO_VERSION = 9
 
 MAX_FRAME = 256 * 1024 * 1024
 """The largest payload, in bytes, one frame may carry.
@@ -43,10 +43,11 @@ MAX_FRAME = 256 * 1024 * 1024
 A receiver holds a whole frame before decoding it, so without a bound
 one peer could make it hold up to 4 GiB. 256 MiB sits about three
 orders of magnitude above the largest frames colflow sends: a
-data-server READ of one column chunk (~350 KiB for a vector column at
-10k-entry clusters) or of a payload slice (256 KiB), and a RESULT or
-RUN_DONE (~80 KiB for the 31-universe benchmark document). Senders check
-it too, so an oversized message fails at encode, naming its size.
+data-server READ reply of one cluster's chunks (~0.6 MiB for the skim's
+four columns at 10k-entry clusters, one vector column among them) or of a
+payload slice (256 KiB), and a RESULT or RUN_DONE (~80 KiB for the
+31-universe benchmark document). Senders check it too, so an oversized
+message fails at encode, naming its size.
 
 Each side moves a frame through one buffer. The receiver fills the body
 in place with ``recv_into``, into a buffer that starts at no more than
@@ -54,7 +55,12 @@ in place with ``recv_into``, into a buffer that starts at no more than
 have arrived, so a header that declares a large frame and then stops
 costs at most one step of memory; the payload it returns is a read-only
 view of that buffer. The sender puts the header and the payload on the
-socket in one scatter-gather ``sendmsg``, without joining them.
+socket in one scatter-gather ``sendmsg``, without joining them. Data
+channel replies that carry file bytes are the exception: the data server
+sends each span from the page cache with ``sendfile`` after the header,
+and its client, which knows the spans it asked for, receives a READ
+reply's header with ``recv_header`` and each span into its own buffer
+with ``recv_into``.
 """
 
 RECV_STEP = 1 << 20
@@ -168,13 +174,26 @@ def recv_frame(sock: socket.socket, limit: int | None = None) -> tuple[int, memo
     bytes at a time, and the payload is a read-only memoryview over it:
     arrays decoded from it share its bytes and are read-only too.
     """
+    header = recv_header(sock, limit)
+    if header is None:
+        return None
+    size, kind = header
+    return kind, recv_body(sock, size)
+
+
+def recv_header(sock: socket.socket, limit: int | None = None) -> tuple[int, int] | None:
+    """(payload size, kind) of the next frame, its body left on the socket; None on clean EOF between frames."""
     head = bytearray(HEADER.size)
     got = _fill(sock, memoryview(head))
     if got == 0:
         return None
     if got < HEADER.size:
         raise ProtoError("connection closed mid-frame")
-    size, kind = parse_header(head, limit)
+    return parse_header(head, limit)
+
+
+def recv_body(sock: socket.socket, size: int) -> memoryview:
+    """The next ``size`` bytes, as ``recv_frame`` receives a body."""
     body = bytearray(min(size, RECV_STEP))
     got = 0
     while True:
@@ -182,8 +201,22 @@ def recv_frame(sock: socket.socket, limit: int | None = None) -> tuple[int, memo
         if got < len(body):
             raise ProtoError("connection closed mid-frame")
         if got == size:
-            return kind, memoryview(body).toreadonly()
+            return memoryview(body).toreadonly()
         body += bytes(min(size - got, RECV_STEP))  # full, and more is declared: grow by one step
+
+
+def recv_into(sock: socket.socket, buffers: list[bytearray]) -> None:
+    """Fill ``buffers`` in order, each ``recvmsg_into`` scattering into all that are not yet full;
+    a hang-up before they are full is a ProtoError."""
+    views = [memoryview(b) for b in buffers if b]
+    while views:
+        n = sock.recvmsg_into(views)[0]
+        if n == 0:
+            raise ProtoError("connection closed mid-frame")
+        while views and n >= len(views[0]):
+            n -= len(views.pop(0))
+        if views:
+            views[0] = views[0][n:]
 
 
 def _fill(sock: socket.socket, view: memoryview) -> int:

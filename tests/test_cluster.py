@@ -530,6 +530,20 @@ class TestSlotBookkeeping:
             "task 0 exhausted retries: worker a disconnected"
         ]
 
+    @pytest.mark.parametrize("t_total", [0.1, float("nan")], ids=["loop-past-total", "nan-total"])
+    def test_a_result_whose_record_is_refused_is_retried_then_fails_the_run(self, t_total):
+        core = submitted(max_retries=1, n_tasks=1)
+        run = core.run
+        bad = PartialResult.empty(run.graph)
+        bad.t_loop = 0.5
+        for attempt in (1, 2):
+            assert tasks_to(step(core, "tick", payload=True), 1) == [0]
+            sent = step(core, "msg", 1, Result(0, t_total, bad, run.number))
+        assert run.accepted == {} and core.run is None and core.workers[1].task is None
+        [(client, fail)] = sent
+        assert client == 99 and isinstance(fail, RunFail)
+        assert fail.error.startswith("task 0 exhausted retries: result refused: ")
+
     def test_accepted_task_is_not_dispatched_again(self):
         # a's late RESULT is accepted while its task waits, requeued, for a worker
         core = submitted(max_retries=2)

@@ -219,14 +219,14 @@ def test_cluster_channel_layout(tmp_path):
         (10, RunFail("run-2", "no workers"), _s("run-2") + _s("no workers")),
     ]
     for kind, msg, payload in samples:
-        frame = struct.pack("<IHH", len(payload) + 4, kind, 8) + payload
+        frame = struct.pack("<IHH", len(payload) + 4, kind, 9) + payload
         assert encode(msg) == frame, type(msg).__name__
         assert decode(frame) == msg, type(msg).__name__
     path = tmp_path / "job5.res"
     write_result_file(str(path), "graph-1", p)
     assert path.read_bytes() == _s("graph-1") + partial
     assert read_result_file(str(path)) == ("graph-1", p)
-    assert PROTO_VERSION == 8
+    assert PROTO_VERSION == 9
 
 
 class TestFramingRules:
@@ -251,7 +251,7 @@ class TestFramingRules:
 
     def test_version_mismatch_rejected(self):
         raw = bytearray(encode(Shutdown()))
-        raw[6] = 9
+        raw[6] = 10
         with pytest.raises(ProtoError, match="version"):
             decode(bytes(raw))
 

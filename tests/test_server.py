@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from colflow import wire
+from colflow.bench import default_post_document
 from colflow.colstore import (
     DataServer,
+    FormatError,
     TransportError,
     ValueType,
     open_dataset,
@@ -22,6 +24,9 @@ from colflow.colstore import (
 from colflow.cluster.scheduler import Scheduler
 from colflow.colstore import dataset, server as srv
 from colflow.colstore.dataset import RemoteTransport
+from colflow.engine import EntryRange, run_multi_pass
+from colflow.graph import build, load_spec, schema_types
+from conftest import STANDARD_SCHEMA, standard_columns
 
 
 @pytest.fixture
@@ -134,12 +139,12 @@ def test_read_at_or_past_eof_answers_empty(served_dir):
     root, server = served_dir
     (root / "hundred.bin").write_bytes(bytes(range(100)))
     with wire.connect(server.address, timeout=10) as sock:
-        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("hundred.bin"))
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("hundred.bin") + struct.pack("<II", 0, 0))
         assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", 100))
         for off in (100, 2**63 - 1, 2**64 - 1):
-            wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", off, 10))
+            wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, off, 10))
             assert wire.recv_frame(sock) == (srv.OP_READ, b"")
-        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 50, 80))
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, 50, 80))
         assert wire.recv_frame(sock) == (srv.OP_READ, bytes(range(50, 100)))
 
 
@@ -172,34 +177,35 @@ def test_open_with_trailing_bytes_opens_nothing(served_dir):
     root, server = served_dir
     host, port = server.address.split(":")
     with socket.create_connection((host, int(port)), timeout=10) as sock:
-        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin") + b"junk")
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin") + struct.pack("<II", 0, 0) + b"junk")
         assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST
-        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, 0, 4))
         assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST  # no file is open
     assert_still_serving(server)
 
 
 def test_data_channel_layout(served_dir):
-    """Since version 8: OPEN answers the size alone, READ is offset+length, METRICS is empty."""
+    """Since version 9: OPEN is path+head_len+tail_len and answers the size and those bytes, READ is
+    counted offset+length spans answered back to back, METRICS is empty."""
     root, server = served_dir
     with wire.connect(server.address, timeout=10) as sock:
-        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin"))
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("blob.bin") + struct.pack("<II", 0, 0))
         assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", 256 * 64))
-        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 3, 2))
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, 3, 2))
         assert wire.recv_frame(sock) == (srv.OP_READ, bytes([3, 4]))
         served, calls = server_totals(server.address)
         wire.send_frame(sock, srv.OP_METRICS, b"")
         assert wire.recv_frame(sock) == (srv.OP_METRICS, struct.pack("<QQ", served, calls))
-    assert wire.PROTO_VERSION == 8
+    assert wire.PROTO_VERSION == 9
 
 
-OPEN_BLOB = (srv.OP_OPEN, wire.pack_str("blob.bin"), None)
+OPEN_BLOB = (srv.OP_OPEN, wire.pack_str("blob.bin") + struct.pack("<II", 0, 0), None)
 
 
 @pytest.mark.parametrize(
     "requests",
     [
-        [(srv.OP_READ, struct.pack("<QI", 0, 4), srv.ERR_BAD_REQUEST), OPEN_BLOB],
+        [(srv.OP_READ, struct.pack("<IQI", 1, 0, 4), srv.ERR_BAD_REQUEST), OPEN_BLOB],
         [OPEN_BLOB, (srv.OP_METRICS, b"\x01", srv.ERR_BAD_REQUEST)],
     ],
     ids=["read-before-open", "metrics-with-payload"],
@@ -211,7 +217,7 @@ def test_bad_request_leaves_the_connection_serving(served_dir, requests):
         for opcode, payload, code in requests:
             wire.send_frame(sock, opcode, payload)
             assert reply_code(wire.recv_frame(sock)) == code
-        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, 0, 4))
         assert wire.recv_frame(sock) == (srv.OP_READ, bytes([0, 1, 2, 3]))
 
 
@@ -235,15 +241,15 @@ def test_a_second_open_moves_the_connection_to_another_file(served_dir):
     with wire.connect(server.address, timeout=10) as sock:
         for name in ("blob.bin", "d.col", "blob.bin"):
             data = (root / name).read_bytes()
-            wire.send_frame(sock, srv.OP_OPEN, wire.pack_str(name))
+            wire.send_frame(sock, srv.OP_OPEN, wire.pack_str(name) + struct.pack("<II", 0, 0))
             assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", len(data)))
             assert files_open_under(root) == [name]
-            wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 4, 8))
+            wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, 4, 8))
             assert wire.recv_frame(sock) == (srv.OP_READ, data[4:12])
-        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("absent.bin"))
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("absent.bin") + struct.pack("<II", 0, 0))
         assert reply_code(wire.recv_frame(sock)) == srv.ERR_NOT_FOUND
         assert files_open_under(root) == []  # a failed OPEN leaves no file open
-        wire.send_frame(sock, srv.OP_READ, struct.pack("<QI", 0, 4))
+        wire.send_frame(sock, srv.OP_READ, struct.pack("<IQI", 1, 0, 4))
         assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST
     assert_still_serving(server)
 
@@ -553,3 +559,166 @@ def test_a_malformed_reply_is_a_transport_error_and_the_client_hangs_up(request_
         with pytest.raises(TransportError, match="data server connection failed") as info:
             request_it(address)
         assert hung_up.wait(10), "the client kept its connection open"  # though `info` holds its frames
+
+
+@pytest.fixture
+def requests(served_dir, monkeypatch):
+    """The opcodes of the request frames this process sends to the served_dir server, in order."""
+    sent = []
+    real = wire.send_frame
+    port = int(served_dir[1].address.rpartition(":")[2])
+
+    def counting(sock, kind, payload):
+        if sock.getpeername()[1] == port:
+            sent.append(kind)
+        return real(sock, kind, payload)
+
+    monkeypatch.setattr(wire, "send_frame", counting)
+    return sent
+
+
+def test_a_remote_open_is_two_requests_and_a_cluster_one(served_dir, requests):
+    root, server = served_dir
+    write_dataset(str(root / "three.col"), {"a": ValueType.F64, "b": ValueType.I64, "c": ValueType.F64},
+                  {"a": np.arange(500.0), "b": np.arange(500), "c": -np.arange(500.0)}, cluster_size=250)
+    with open_dataset(f"colsrv://{server.address}/three.col") as h:
+        assert requests == [srv.OP_OPEN, srv.OP_READ]  # OPEN brings header and tail; one READ for the footer
+        [batch] = h.read_range(["a", "b", "c"], 250, 500)
+        assert requests[2:] == [srv.OP_READ]  # one READ for the cluster's three chunks
+        assert np.array_equal(batch.columns["c"], -np.arange(250.0, 500.0))
+        assert (h.account.read_calls, h.account.chunk_bytes) == (3 + 3, 3 * 250 * 8)
+
+
+def test_a_legacy_job_over_one_cluster_is_nine_passes_of_three_requests(served_dir, requests):
+    root, server = served_dir
+    write_dataset(str(root / "one.col"), STANDARD_SCHEMA, standard_columns(100, seed=3), cluster_size=100)
+    uri = f"colsrv://{server.address}/one.col"
+    with open_dataset(uri) as h:
+        graph = build(load_spec(default_post_document([uri])), schema_types(h))
+    del requests[:]
+    partial = run_multi_pass(graph, EntryRange(uri, 0, 100))
+    assert partial.events == 100
+    assert requests == [srv.OP_OPEN, srv.OP_READ, srv.OP_READ] * 9  # open, footer, the one cluster; nine times
+
+
+def read_request(*spans) -> bytes:
+    return struct.pack("<I", len(spans)) + b"".join(struct.pack("<QI", off, n) for off, n in spans)
+
+
+def test_vector_read_edges(served_dir):
+    """Zero spans, a span past EOF, and spans past MAX_FRAME, on one connection."""
+    root, server = served_dir
+    (root / "hundred.bin").write_bytes(bytes(range(100)))
+    with wire.connect(server.address, timeout=10) as sock:
+        wire.send_frame(sock, srv.OP_READ, read_request((0, 4), (8, 4)))
+        assert reply_code(wire.recv_frame(sock)) == srv.ERR_BAD_REQUEST  # READ before OPEN
+        wire.send_frame(sock, srv.OP_OPEN, wire.pack_str("hundred.bin") + struct.pack("<II", 3, 2))
+        assert wire.recv_frame(sock) == (srv.OP_OPEN, struct.pack("<Q", 100) + bytes([0, 1, 2, 98, 99]))
+        before = server_totals(server.address)
+        wire.send_frame(sock, srv.OP_READ, read_request())
+        assert wire.recv_frame(sock) == (srv.OP_READ, b"")
+        assert server_totals(server.address) == before  # no span, no read call
+        wire.send_frame(sock, srv.OP_READ, read_request((90, 4), (96, 10), (200, 3), (0, 2)))
+        assert wire.recv_frame(sock) == (srv.OP_READ, bytes([90, 91, 92, 93, 96, 97, 98, 99, 0, 1]))
+        assert server_totals(server.address) == (before[0] + 10, before[1] + 4)  # a call per span
+        wire.send_frame(sock, srv.OP_READ, read_request((0, wire.MAX_FRAME // 2), (0, wire.MAX_FRAME // 2 + 1)))
+        frame = wire.recv_frame(sock)
+        assert reply_code(frame) == srv.ERR_BAD_REQUEST and b"exceeds MAX_FRAME" in bytes(frame[1])
+        wire.send_frame(sock, srv.OP_READ, read_request((5, 3)))
+        assert wire.recv_frame(sock) == (srv.OP_READ, bytes([5, 6, 7]))  # still serving
+    assert server_totals(server.address)[1] == before[1] + 5
+
+
+def test_a_cluster_of_more_chunks_than_one_request_holds_is_split(served_dir, requests):
+    root, server = served_dir
+    n = srv.MAX_SPANS + 3
+    names = [f"c{k}" for k in range(n)]
+    write_dataset(str(root / "wide.col"), {name: ValueType.I64 for name in names},
+                  {name: np.arange(k, k + 20) for k, name in enumerate(names)}, cluster_size=20)
+    with open_dataset(f"colsrv://{server.address}/wide.col") as h:
+        served0 = server_totals(server.address)
+        del requests[:]
+        [batch] = h.read_range(names, 5, 20)
+        assert requests == [srv.OP_READ, srv.OP_READ]
+        assert all(np.array_equal(batch.columns[name], np.arange(k + 5, k + 20)) for k, name in enumerate(names))
+        served1 = server_totals(server.address)
+        assert h.account.chunk_bytes == n * 20 * 8 == served1[0] - served0[0]
+        assert served1[1] - served0[1] == n
+
+
+def test_a_file_truncated_between_open_and_read_serves_no_wrong_byte(served_dir):
+    root, server = served_dir
+    data = bytes(range(100))
+    (root / "hundred.bin").write_bytes(data)
+    host, port = server.address.split(":")
+    t = RemoteTransport(host, int(port), "hundred.bin")
+    sock = t._sock
+    (root / "hundred.bin").write_bytes(data[:55])
+    served0 = server_totals(server.address)
+    spans = [(90, 10), (0, 10), (50, 10), (60, 1)]
+    t.will_read(spans)
+    got = [bytes(t.read(off, n)) for off, n in spans]
+    assert got == [b"", data[:10], data[50:55], b""]  # each cut at the new size, none shifted
+    assert server_totals(server.address) == (served0[0] + 15, served0[1] + 4)
+    t.close()
+    assert sock.fileno() >= 0  # the reply was whole, so the socket stays in step and is pooled
+    assert_still_serving(server)
+    write_dataset(str(root / "t.col"), {"x": ValueType.F64, "y": ValueType.F64},
+                  {"x": np.arange(100.0), "y": np.arange(100.0)}, cluster_size=100)
+    with open_dataset(f"colsrv://{server.address}/t.col") as h:
+        x = h.clusters[0].chunks[0]
+        (root / "t.col").write_bytes((root / "t.col").read_bytes()[: x.offset + x.length + 8])
+        served0, before = server_totals(server.address)[0], h.account.bytes_read
+        with pytest.raises(TransportError, match=f"short read: wanted 800 bytes at {x.offset + x.length}, got 8"):
+            list(h.read_range(["x", "y"], 0, 100))
+        assert h.account.bytes_read - before == server_totals(server.address)[0] - served0 == 800 + 8
+    assert_still_serving(server)
+
+
+def test_a_file_that_shrinks_mid_reply_drops_the_connection(served_dir, monkeypatch):
+    """The frame header promised bytes the file no longer holds: the server
+    hangs up, and the client never pools the socket."""
+    root, server = served_dir
+    host, port = server.address.split(":")
+    t = RemoteTransport(host, int(port), "blob.bin")
+    sock = t._sock
+    monkeypatch.setattr(os, "sendfile", lambda out, fd, off, n: 0)  # what sendfile returns past EOF
+    with pytest.raises(TransportError, match="data server connection failed"):
+        t.read(0, 100)
+    t.close()
+    assert sock.fileno() < 0
+    monkeypatch.undo()
+    assert_still_serving(server)
+
+
+def test_byte_closure_when_an_open_finds_a_bad_header(served_dir, monkeypatch):
+    root, server = served_dir
+    raw = bytearray((root / "d.col").read_bytes())
+    raw[:4] = b"XXXX"
+    (root / "bad.col").write_bytes(bytes(raw))
+    made, account_type = [], dataset.ReadAccount
+    monkeypatch.setattr(dataset, "ReadAccount", lambda: made.append(account_type()) or made[-1])
+    served0, calls0 = server_totals(server.address)
+    with pytest.raises(FormatError, match="bad magic"):
+        open_dataset(f"colsrv://{server.address}/bad.col")
+    [account] = made  # the failed open's account
+    served1, calls1 = server_totals(server.address)
+    assert (account.bytes_read, account.read_calls) == (served1 - served0, calls1 - calls0) == (8 + 16, 2)
+
+
+def test_byte_closure_when_a_chunk_fails_its_crc_mid_cluster(served_dir):
+    root, server = served_dir
+    schema = {"a": ValueType.F64, "b": ValueType.F64, "c": ValueType.F64}
+    write_dataset(str(root / "crc.col"), schema, {k: np.arange(100.0) for k in schema}, cluster_size=100)
+    with open_dataset(str(root / "crc.col")) as h:
+        b = h.clusters[0].chunks[1]
+    raw = bytearray((root / "crc.col").read_bytes())
+    raw[b.offset + 3] ^= 0xFF
+    (root / "crc.col").write_bytes(bytes(raw))
+    served0, calls0 = server_totals(server.address)
+    with open_dataset(f"colsrv://{server.address}/crc.col") as h:
+        with pytest.raises(FormatError, match="chunk CRC mismatch in column b"):
+            list(h.read_range(["a", "b", "c"], 0, 100))
+        served1, calls1 = server_totals(server.address)
+        assert (h.account.bytes_read, h.account.read_calls) == (served1 - served0, calls1 - calls0)
+        assert h.account.read_calls == 3 + 3  # header, tail, footer, and all three chunks
