@@ -13,7 +13,9 @@ time, with a fake planner.
 nothing but decode frames and push events into a queue. One thread (the
 state loop) hands each event to the core with the clock's time and
 carries out the effects, so it is the only writer on any socket and no
-lock discipline is needed beyond the queue itself.
+lock discipline is needed beyond the queue itself. Should a step raise,
+the shell carries out the effects that step made before it raised, fails
+the active run with a RUN_FAIL naming the exception, and keeps serving.
 
 A run is finished when every task id has exactly one accepted RESULT.
 The accepted results are merged once, in task-id order, when the last one
@@ -141,14 +143,22 @@ class Core:
         self.workers: dict[int, _Worker] = {}  # by connection, in registration order
         self.run: _Run | None = None
         self.runs_started = 0
+        self.effects: list = []  # of the step under way, or of one that raised
 
     def step(self, now: float, event: tuple) -> list:
         """Handle ``event`` at time ``now``. An event is ``("msg", conn_id,
-        message)``, ``("gone", conn_id, None)``, ``("stop", None, None)`` or
-        ``("tick", None, idle)``, where idle says the shell's queue is empty:
-        a beat still queued is not a missed beat."""
+        message)``, ``("gone", conn_id, None)``, ``("stop", None, None)``,
+        ``("fault", None, (error, event))`` or ``("tick", None, idle)``, where
+        idle says the shell's queue is empty: a beat still queued is not a
+        missed beat. A fault is the shell's report that the step of ``event``
+        raised: the active run fails with the error, a SUBMIT that is not the
+        active run gets a RUN_FAIL too, a hang-up's connection is lost, and a
+        worker's answer frees that worker, as another run's answer does. A
+        worker busy with the failed run stays busy until it answers. The
+        effects a step made before it raised are returned by the next step,
+        ahead of its own."""
         kind, conn_id, payload = event
-        self.now, self.effects = now, []
+        self.now = now
         if kind == "msg":
             self._on_message(conn_id, payload)
         elif kind == "gone":
@@ -159,12 +169,24 @@ class Core:
             for conn_id in self.workers:
                 self._send(conn_id, Shutdown())
             self.workers.clear()
+        elif kind == "fault":
+            error, (raised, conn_id, msg) = payload
+            run = self.run
+            self._fail_run(error)
+            if isinstance(msg, Submit):
+                if run is None or (run.client_conn, run.run_id) != (conn_id, msg.run_id):
+                    self._send(conn_id, RunFail(msg.run_id, error))  # refused, or lost before it was planned
+            elif raised == "gone":
+                self._lose(conn_id, "disconnected")
+            elif isinstance(msg, (Result, Fail)):
+                self._on_answer(conn_id, msg)  # with no run active, it only frees its worker
         else:
             for conn_id, worker in list(self.workers.items()):
                 if payload and now - worker.last_beat > HEARTBEAT_INTERVAL * LOSS_FACTOR:
                     self._lose(conn_id, "heartbeat timeout")
             self._dispatch()
-        return self.effects
+        effects, self.effects = self.effects, []
+        return effects
 
     def _send(self, conn_id: int, msg: Message) -> None:
         try:
@@ -250,10 +272,9 @@ class Core:
                 worker.graph_run = run.number
             run.attempts[task_id] = run.attempts.get(task_id, 0) + 1
             run.assigned[(conn_id, task_id)] = (worker.name, run.attempts[task_id])
-            worker.task = (run.number, task_id)
             self._send(conn_id, run.tasks[task_id])
-            if self.run is not run:  # the TASK could not be framed, so the worker never got it
-                worker.task = None
+            if self.run is run:  # else the TASK could not be framed, so the worker never got it
+                worker.task = (run.number, task_id)  # a busy slot's TASK is always among the effects
 
     def _on_answer(self, conn_id: int, msg: Result | Fail) -> None:
         worker = self.workers.get(conn_id)
@@ -333,9 +354,9 @@ class Core:
 
     def _fail_run(self, error: str) -> None:
         run = self.run
-        self.run = None
         if run is not None:
-            self._send(run.client_conn, RunFail(run.run_id, error))
+            self._send(run.client_conn, RunFail(run.run_id, error))  # should this raise, the run stays to fail
+        self.run = None
 
 
 class Scheduler:
@@ -415,8 +436,23 @@ class Scheduler:
                 self._apply(("tick", None, self._events.empty()))
 
     def _apply(self, event: tuple) -> None:
-        """Step the core with the clock's time and carry out its effects."""
-        for conn_id, frame in self._core.step(time.monotonic(), event):
+        """Step the core with the clock's time and carry out its effects. The
+        last resort: should a step raise, its traceback goes to stderr and the
+        core is stepped once more with a fault naming the exception, so the
+        active run's client gets a RUN_FAIL and the scheduler keeps serving.
+        That step also returns the effects the raising step made, each of
+        which goes with a state change already made, so they are carried out
+        too."""
+        now = time.monotonic()
+        try:
+            effects = self._core.step(now, event)
+        except Exception as e:
+            import traceback  # only here: it costs a start ~13 ms to import
+
+            traceback.print_exc()
+            error = f"scheduler fault: {type(e).__name__}: {e}"
+            effects = self._core.step(now, ("fault", None, (error, event)))
+        for conn_id, frame in effects:
             sock = self._conns.pop(conn_id, None) if frame is None else self._conns.get(conn_id)
             if sock is None:
                 continue  # closed already

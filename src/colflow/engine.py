@@ -153,10 +153,12 @@ class _Rows:
         return value
 
     def where(self, mask, nominal=None) -> "_Rows":
-        """The rows mask keeps; a universe view's nominal companion is sliced too."""
+        """The rows mask keeps; a universe view's nominal companion is sliced too,
+        and the view shares its companion's entry numbers."""
         if nominal is None and self._nominal is not None:
             nominal = self._nominal.where(mask)
-        return _Rows(self._pipe, self.ids[mask], {}, (self._held, self._up, mask), nominal, self._tag)
+        ids = self.ids[mask] if nominal is None else nominal.ids
+        return _Rows(self._pipe, ids, {}, (self._held, self._up, mask), nominal, self._tag)
 
     def filtered(self, i: int) -> "_Rows":
         """The rows that pass filter stage i, kept so that every universe reuses nominal's."""

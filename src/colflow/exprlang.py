@@ -22,8 +22,9 @@ entry number), `column(name)` and `where(mask)` (the rows a boolean mask
 keeps, as the same kind of object). A scalar value is a numpy array, a
 vector value a `Jagged`. Each node is evaluated once per batch, only on
 the rows where it is live: a ternary's branches under `cond` and `~cond`,
-the right side of a scalar `&&`/`||` only where it decides the result.
-The evaluator checks and promotes nothing the type pass did not record.
+the right side of a scalar `&&`/`||` only where it decides the result. A
+branch or right side with no live row is not evaluated at all. The
+evaluator checks and promotes nothing the type pass did not record.
 
 Semantics chosen once and kept fixed:
   - mixed I64/F64 arithmetic and comparison promote to F64; I64/I64
@@ -36,10 +37,11 @@ Semantics chosen once and kept fixed:
     fmod (nan for y = 0); the sign of a NaN result is not pinned
   - `log` and `exp` are Python's `math` functions per element, so their
     bits are the C library's (numpy's SIMD versions differ by up to 1 ulp)
-  - `sum` always yields F64, left to right (an empty vector sums to 0.0);
-    a VEC_I64 sums exactly and rounds once. `min`/`max` keep the first of
-    equal values and a leading NaN, as Python's do; on an empty vector they
-    are an eval error; `len` yields I64
+  - `sum` always yields F64, left to right from +0.0 (an empty vector sums
+    to 0.0): a VEC_F64 sums with `np.bincount`, which adds each value into
+    its row's bin in input order; a VEC_I64 sums exactly and rounds once.
+    `min`/`max` keep the first of equal values and a leading NaN, as
+    Python's do; on an empty vector they are an eval error; `len` yields I64
   - elementwise ops require equal vector lengths; `v[i]` requires
     0 <= i < len(v) (negative indices are out of range)
   - scalar `&&`/`||` short-circuit; on VEC_BOOL they are elementwise
@@ -100,11 +102,11 @@ class ValueType(IntEnum):
 
     @property
     def is_vector(self) -> bool:
-        return self.name.startswith("VEC_")
+        return _IS_VECTOR[self]
 
     @property
     def element(self) -> "ValueType":
-        return ValueType[self.name.removeprefix("VEC_")] if self.is_vector else self
+        return _ELEMENT[self]
 
     @property
     def vector(self) -> "ValueType":
@@ -112,7 +114,13 @@ class ValueType(IntEnum):
 
     @property
     def is_numeric(self) -> bool:
-        return self.element in (ValueType.F64, ValueType.I64)
+        return _IS_NUMERIC[self]
+
+
+# The properties above by value, built once: a batch asks for them ~150 times.
+_IS_VECTOR = (None, *(t.name.startswith("VEC_") for t in ValueType))
+_ELEMENT = (None, *(ValueType[t.name.removeprefix("VEC_")] for t in ValueType))
+_IS_NUMERIC = (None, *(_ELEMENT[t] in (ValueType.F64, ValueType.I64) for t in ValueType))
 
 
 I64_MIN, I64_MAX = -(2**63), 2**63 - 1
@@ -535,12 +543,26 @@ class Jagged:
         return out
 
     def __getitem__(self, rows) -> "Jagged":
-        """The rows a slice (step 1) or a boolean mask selects."""
+        """The rows a slice (step 1) or a boolean mask selects. A mask over at
+        least 4096 rows that keeps under a quarter of them gathers the kept
+        rows' elements by index; any other mask masks every element, in fewer
+        numpy calls. Timed on generated Jet_pt (four elements a row on
+        average) with random masks, the gather took 0.3-0.75x the mask's time
+        at 5k-20k rows keeping 2-25% (the skim's 10k-row clusters keep 5%),
+        broke even near 4k rows, and took 1.1-1.9x at 1k-3.5k rows keeping
+        2-10%, at 10k or 20k rows keeping 60%, and 2.5x at 2.4k rows keeping
+        94% (the post workload's batches)."""
         if isinstance(rows, slice):
             lo, hi, _ = rows.indices(len(self.lengths))
             offsets = self.offsets()
             return Jagged(self.lengths[lo:hi], self.values[offsets[lo] : offsets[max(lo, hi)]])
-        return Jagged(self.lengths[rows], self.values[np.repeat(rows, self.lengths)])
+        if len(rows) < 4096 or 4 * np.count_nonzero(rows) >= len(rows):
+            return Jagged(self.lengths[rows], self.values[np.repeat(rows, self.lengths)])
+        kept = np.flatnonzero(rows)
+        lengths = self.lengths[kept]
+        ends = np.cumsum(lengths)  # where each kept row ends in the result
+        shift = np.repeat(self.offsets()[kept] - (ends - lengths), lengths)  # result position -> source position
+        return Jagged(lengths, self.values[np.arange(len(shift)) + shift])
 
 
 Value = np.ndarray | Jagged
@@ -686,31 +708,11 @@ def _elementwise(node: Expr, rows, kernel, *args: Value) -> Value:
 
 
 def _fold(v: Jagged, acc: np.ndarray, step, first: int = 0) -> np.ndarray:
-    """Fold element k into the rows longer than k, for k = first, first + 1, ... in turn.
-
-    This keeps each row's left-to-right order; numpy's add.reduce would
-    not (it sums pairwise once a row has more than 8 elements).
-    """
+    """Fold element k into the rows longer than k, for k = first, first + 1, ... in turn."""
     starts = v.offsets()[:-1]
     for k in range(first, int(v.lengths.max(initial=0))):
         longer = v.lengths > k
         acc[longer] = step(acc[longer], v.values[starts[longer] + k])
-    return acc
-
-
-def _ordered_sum(v: Jagged) -> np.ndarray:
-    """Each F64 row's sum from 0.0, left to right, with _fold's bits: element k
-    of every row is added in turn from a zero-padded grid. A sum from +0.0
-    never becomes -0.0, so a pad's +0.0 leaves it as it is. Where a few long
-    rows would make the grid mostly pads, _fold sums instead."""
-    width = int(v.lengths.max(initial=0))
-    if len(v) * width > 8 * len(v.values) + 64:
-        return _fold(v, np.zeros(len(v)), np.add)
-    grid = np.zeros((len(v), width))
-    grid[v.lengths[:, None] > np.arange(width)] = v.values
-    acc = np.zeros(len(v))
-    for elements in grid.T:
-        acc += elements
     return acc
 
 
@@ -749,6 +751,9 @@ def _eval(node: Expr, types: dict[int, ValueType], rows) -> Value:
     if isinstance(node, Ternary):
         t = types[id(node)]
         cond = _eval(node.cond, types, rows)
+        every = cond.all()
+        if every or not cond.any():  # one branch takes every row, and the other has none to evaluate
+            return _cast(_eval(node.then if every else node.other, types, rows), t)
         then = _cast(_under(node.then, types, rows, cond), t)
         other = _cast(_under(node.other, types, rows, ~cond), t)
         return _merge(cond, then, other)
@@ -779,7 +784,9 @@ def _eval_call(node: Call, types: dict[int, ValueType], rows) -> Value:
         if arg.values.dtype == np.int64:  # exact in Python ints, then rounded once
             exact = _fold(Jagged(arg.lengths, arg.values.astype(object)), np.zeros(len(arg), object), np.add)
             return exact.astype(np.float64)
-        return _ordered_sum(arg)
+        # bincount adds each value into its row's bin in input order, from +0.0: _fold's bits
+        row_of = np.repeat(np.arange(len(arg)), arg.lengths)
+        return np.bincount(row_of, weights=arg.values, minlength=len(arg)).astype(np.float64, copy=False)
 
     if name in ("min", "max"):
         empty = arg.lengths == 0

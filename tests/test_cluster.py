@@ -755,6 +755,74 @@ class TestShutdown:
         sched.stop()
 
 
+class TestCoreFault:
+    def test_a_raising_step_fails_the_run_at_once_and_the_scheduler_keeps_serving(self, dataset_files, monkeypatch):
+        doc = make_doc(dataset_files)
+        real_step = scheduler.Core.step
+        raised = []
+
+        def step_raising_on_the_first_result(core, now, event):
+            if not raised and event[0] == "msg" and isinstance(event[2], Result):
+                raised.append(time.monotonic())
+                raise RuntimeError("injected")
+            return real_step(core, now, event)
+
+        with Scheduler() as sched:
+            spawn_worker(sched.address, name="w0")
+            wait_for_workers(sched, 1)
+            monkeypatch.setattr(scheduler.Core, "step", step_raising_on_the_first_result)
+            with pytest.raises(ClusterError, match="^scheduler fault: RuntimeError: injected$"):
+                submit_run(sched.address, doc, timeout=30)
+            assert time.monotonic() - raised[0] < 1.0
+            again = submit_run(sched.address, doc, timeout=30)  # the same state loop, worker and slot
+        assert again.total_events == 200 + 250 + 300
+        assert len(raised) == 1
+
+    def test_a_fault_frees_the_slot_whose_answer_raised_and_no_busy_one(self, dataset_files, monkeypatch):
+        doc = make_doc(dataset_files[:1])
+        graph = _build_graph(doc, dataset_files)
+        tasks = tuple(Task(i, EntryRange(dataset_files[0], 0, 10)) for i in range(2))
+        real_step = scheduler.Core.step
+        raised, outcome = [], {}
+
+        def step_raising_on_the_first_result(core, now, event):
+            if not raised and event[0] == "msg" and isinstance(event[2], Result):
+                raised.append(time.monotonic())
+                raise RuntimeError("injected")
+            return real_step(core, now, event)
+
+        def submit(key):
+            try:
+                outcome[key] = submit_run(sched.address, doc, tasks=tasks, max_retries=0, timeout=20)
+            except ClusterError as e:
+                outcome[key] = e
+
+        with Scheduler() as sched, FakeWorker(sched.address, "a") as a, FakeWorker(sched.address, "b") as b:
+            wait_for_names(sched, ["a", "b"])
+            monkeypatch.setattr(scheduler.Core, "step", step_raising_on_the_first_result)
+            first = threading.Thread(target=submit, args=("first",))
+            first.start()
+            run = a.recv(Graph).run
+            assert a.recv(Task).task_id == 0 and b.recv(Graph).run == run and b.recv(Task).task_id == 1
+            a.send(Result(0, 0.1, PartialResult.empty(graph), run))  # its step raises; b is mid-task
+            first.join(1.0)
+            assert str(outcome["first"]) == "scheduler fault: RuntimeError: injected"
+            second = threading.Thread(target=submit, args=("second",))
+            second.start()
+            assert a.recv(Graph).run == run + 1 and a.recv(Task).task_id == 0
+            b.sock.settimeout(0.3)
+            with pytest.raises(TimeoutError):
+                recv_message(b.sock)  # b's slot still holds the failed run's task
+            b.sock.settimeout(10)
+            b.send(Result(1, 0.1, PartialResult.empty(graph), run))  # another run's answer frees it
+            assert b.recv(Graph).run == run + 1 and b.recv(Task).task_id == 1
+            for fake, task_id in ((a, 0), (b, 1)):
+                fake.send(Result(task_id, 0.1, PartialResult.empty(graph), run + 1))
+            second.join(20)
+        assert [(r.task_id, r.worker) for r in outcome["second"].records] == [(0, "a"), (1, "b")]
+        assert len(raised) == 1
+
+
 def x_file(path, x_type, z_type=ValueType.I64):
     """Three events: x 7, 8, 9 (halves added when F64) and an unused column z."""
     x = [7.5, 8.5, 9.5] if x_type is ValueType.F64 else [7, 8, 9]
@@ -821,11 +889,11 @@ def test_first_task_reads_only_its_range(dataset_files):
 class FakeWorker:
     """A worker socket driven by the test: it registers and answers by hand."""
 
-    def __init__(self, address):
+    def __init__(self, address, name="fake"):
         host, _, port = address.rpartition(":")
         self.sock = socket.create_connection((host, int(port)), timeout=10)
-        send_message(self.sock, Register("fake"))
-        assert self.recv(Register) == Register("fake")  # the scheduler's echo
+        send_message(self.sock, Register(name))
+        assert self.recv(Register) == Register(name)  # the scheduler's echo
 
     def recv(self, kind):
         msg = recv_message(self.sock)

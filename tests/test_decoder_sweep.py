@@ -53,10 +53,10 @@ def mutants(data: bytes, rng: random.Random):
             yield f"bytes {pos}-{pos + 3} set to {word:#x}", bytes(m)
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
-    """name -> (bytes, decoder, its typed error)."""
-    path = tmp_path_factory.mktemp("sweep") / "small.col"
+def sweep_inputs(directory) -> tuple[dict, str]:
+    """A small file's footer and the GRAPH, RESULT and RUN_DONE frames of a
+    document over it (name -> bytes), and that document."""
+    path = directory / "small.col"
     write_dataset(str(path), STANDARD_SCHEMA, standard_columns(60, seed=9), cluster_size=16)
     raw = path.read_bytes()
     (footer_offset,) = struct.unpack_from("<Q", raw, len(raw) - TAIL_SIZE)
@@ -72,12 +72,21 @@ def inputs(tmp_path_factory):
     ]})
     partial = run_local(build(load_spec(document), STANDARD_SCHEMA), [str(path)], factor=1)
     record = JobRecord(0, "w0", partial.events, 0.5, 0.25, partial.bytes_read, partial.chunk_bytes)
-    return {
-        "footer": (raw[footer_offset : len(raw) - TAIL_SIZE], decode_footer, FormatError),
-        "GRAPH": (encode(Graph(1, document, STANDARD_SCHEMA)), decode, ProtoError),
-        "RESULT": (encode(Result(0, 0.5, partial, run=1)), decode, ProtoError),
-        "RUN_DONE": (encode(RunDone("run-1", 1.5, partial, (record,), planning_bytes=4096)), decode, ProtoError),
+    frames = {
+        "footer": raw[footer_offset : len(raw) - TAIL_SIZE],
+        "GRAPH": encode(Graph(1, document, STANDARD_SCHEMA)),
+        "RESULT": encode(Result(0, 0.5, partial, run=1)),
+        "RUN_DONE": encode(RunDone("run-1", 1.5, partial, (record,), planning_bytes=4096)),
     }
+    return frames, document
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """name -> (bytes, decoder, its typed error)."""
+    frames, _ = sweep_inputs(tmp_path_factory.mktemp("sweep"))
+    footer = frames.pop("footer")
+    return {"footer": (footer, decode_footer, FormatError), **{name: (data, decode, ProtoError) for name, data in frames.items()}}
 
 
 @pytest.mark.parametrize("name", ["footer", "GRAPH", "RESULT", "RUN_DONE"])

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colflow.exprlang import (
@@ -29,7 +29,7 @@ from colflow.exprlang import (
     to_text,
     typecheck,
 )
-from conftest import as_python, batch_of, eval_row, vector_rows
+from conftest import Batch, as_batch_column, as_python, batch_of, eval_row, vector_rows
 
 SCHEMA = {
     "MET_pt": ValueType.F64,
@@ -273,9 +273,9 @@ def test_sum_is_left_to_right():
 
 @pytest.mark.parametrize("long_rows", [0, 1])
 def test_sum_equals_the_element_by_element_fold(long_rows):
-    """sum() over a padded grid gives _fold's bits: signed zeros, NaN, infinities,
-    empty rows and rows past numpy's 8-element pairwise block. One 400-element
-    row among short ones takes the fold itself."""
+    """sum() gives _fold's bits: signed zeros, NaN, infinities, empty rows, rows
+    past numpy's 8-element pairwise block, and one 400-element row among short
+    ones."""
     rng = np.random.default_rng(5)
     rows = [[], [-0.0], [-0.0, -0.0], [0.0, -0.0], [math.nan, 1.0], [1.0, math.inf, -math.inf], [-math.inf, 2.0],
             [1e16, 1.0, -1e16, 1.0], list(rng.normal(0.0, 1e8, 13)), list(rng.normal(0.0, 1.0, 9)) + [-0.0], []]
@@ -670,6 +670,72 @@ def test_vector_ternary_merges_rows_in_order():
     got = ev_rows("passed ? hits : Jet_pt", rows, SCHEMA)
     assert vector_rows(got) == [[1.0, 2.0], [1.5, 2.5, 3.5], [7.0]]
     assert got.values.dtype == np.float64
+
+
+def no_rows(schema: dict) -> Batch:
+    """A batch of zero rows holding every column of schema."""
+    return Batch([], {n: as_batch_column([], t) for n, t in schema.items()})
+
+
+def test_sum_of_no_rows_and_of_empty_rows_is_f64_zero():
+    none = compile_expr(parse("sum(v)"), VF)(no_rows(VF))
+    assert none.dtype == np.float64 and none.shape == (0,)
+    empty = ev_rows("sum(v)", [{"v": []}] * 3, VF)
+    assert empty.dtype == np.float64 and empty.tobytes() == np.zeros(3).tobytes()
+
+
+TERNARY = {"n": ValueType.I64, "passed": ValueType.BOOL}
+
+
+@pytest.mark.parametrize("passed", [True, False])
+def test_a_ternary_whose_condition_is_uniform_evaluates_only_the_taken_branch(passed):
+    def ternary(taken: str, untaken: str) -> str:
+        return f"passed ? {taken} : {untaken}" if passed else f"passed ? {untaken} : {taken}"
+
+    rows = [{"n": n, "passed": passed} for n in (3, 0, -2)]
+    got = ev_rows(ternary("n * 2", "7 / n"), rows, TERNARY)  # the untaken branch would divide by zero
+    assert got.tolist() == [6, 0, -4] and got.dtype == np.int64
+    widened = ev_rows(ternary("n", "0.5"), rows, TERNARY)
+    assert widened.tolist() == [3.0, 0.0, -2.0] and widened.dtype == np.float64
+    with pytest.raises(EvalError) as e:
+        ev_rows(ternary("7 / n", "0"), rows, TERNARY, first_entry=40)
+    assert (str(e.value), e.value.entry) == ("1:12: integer division by zero" if passed else
+                                             "1:16: integer division by zero", 41)
+
+
+def test_a_ternary_over_no_rows_evaluates_to_no_rows():
+    got = compile_expr(parse("passed ? 7 / n : 0.5"), TERNARY)(no_rows(TERNARY))
+    assert got.dtype == np.float64 and got.shape == (0,)
+    vectors = compile_expr(parse("passed ? hits : Jet_pt"), SCHEMA)(no_rows(SCHEMA))
+    assert len(vectors) == 0 and vectors.values.dtype == np.float64 and vectors.values.shape == (0,)
+
+
+def test_a_ternary_with_a_mixed_condition_merges_rows_in_order():
+    rows = [{"n": n, "passed": n > 0} for n in (3, 0, -2, 5)]
+    assert ev_rows("passed ? 10 / n : n - 100", rows, TERNARY).tolist() == [3, -100, -102, 2]
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 4), st.booleans()), max_size=30),
+    st.sampled_from(["drawn", "sparse", "none", "all"]),
+    st.sampled_from([np.float64, np.int64, np.bool_]),
+    st.booleans(),
+)
+@example([(4, True), (0, True), (2, False), (3, True), (1, False)], "sparse", np.float64, True)
+@settings(max_examples=300, deadline=None)
+def test_a_row_mask_keeps_what_the_repeated_element_mask_keeps(rows, which, dtype, large):
+    """Dense and sparse masks: a mask over 4096 rows or more that keeps under a
+    quarter of them gathers by index, so a large batch repeats the drawn rows."""
+    copies = -(-4096 // len(rows)) if large and rows else 1
+    lengths = np.tile(np.array([n for n, _ in rows], np.int64), copies)
+    keep = np.tile(np.array([keep for _, keep in rows], bool), copies)
+    values = np.arange(int(lengths.sum())).astype(dtype)
+    mask = {"drawn": keep, "sparse": np.arange(len(keep)) % 7 == 0,
+            "none": np.zeros_like(keep), "all": np.ones_like(keep)}[which]
+    got = Jagged(lengths, values)[mask]
+    assert got.lengths.dtype == np.int64 and got.lengths.tolist() == lengths[mask].tolist()
+    want = values[np.repeat(mask, lengths)]  # the oracle: each row's flag repeated over its elements
+    assert got.values.dtype == want.dtype and got.values.tobytes() == want.tobytes()
 
 
 def test_first_failing_node_in_evaluation_order_is_named():

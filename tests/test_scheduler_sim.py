@@ -7,11 +7,18 @@ shell does. The core plans with a fake planner that opens no file. Each
 stand-in RESULT holds one SUM table whose value (1e16, 1.0, -1e16, ...)
 makes any merge out of task order change the bits. After every step the
 simulation checks the invariants in ``Simulation.step`` against the
-effects the core returned and the state it keeps.
+effects the core returned and the state it keeps. With a fault rate, a
+step raises now and then, before it starts or before one of its sends, and
+the simulation steps the core with a fault as the shell does; the
+invariants must hold on. A third test feeds
+every mutant of the decoder sweep's RESULT, GRAPH and RUN_DONE frames that
+decodes into a core mid-run, as a worker's and as a client's message: no
+step may raise, and every invariant must hold.
 """
 
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -19,9 +26,11 @@ from colflow.cluster.scheduler import Core
 from colflow.engine import EngineError, EntryRange, PartialResult
 from colflow.exprlang import ValueType
 from colflow.graph import build, load_spec
-from colflow.proto import Fail, Graph, Heartbeat, Register, Result, RunDone, RunFail, Submit, Task, decode
+from colflow.proto import Fail, Graph, Heartbeat, ProtoError, Register, Result, RunDone, RunFail, Submit, Task, decode
+from conftest import STANDARD_SCHEMA
+from test_decoder_sweep import SEED, mutants, sweep_inputs
 
-SCHEMA = {"x": ValueType.F64}
+SCHEMA = {"x": ValueType.F64, **STANDARD_SCHEMA}
 STAGES = [{"op": "sum", "name": "s", "column": "x"}]
 DOCUMENT = json.dumps({"dataset": ["sim.col"], "stages": STAGES})
 UNPLANNABLE = json.dumps({"dataset": ["missing.col"], "stages": STAGES})
@@ -36,9 +45,15 @@ def fake_plan(spec, tasks, n_workers, factor):
     return build(spec, SCHEMA), tasks, 0
 
 
+class Injected(Exception):
+    """A fault raised inside a step of the core."""
+
+
 class Simulation:
-    def __init__(self, seed: int):
+    def __init__(self, seed: int, document: str = DOCUMENT, fault_rate: float = 0.0):
         self.rng = random.Random(seed)
+        self.document = document
+        self.total = next(s["name"] for s in json.loads(document)["stages"] if s["op"] == "sum")  # the stand-ins' SUM
         self.core = Core(fake_plan)
         self.steps = 0
         self.now = 0.0
@@ -54,6 +69,23 @@ class Simulation:
         self.accepted = {}  # task_id -> (the core's accepted entry, the value sent) for the active run
         self.values = {}  # id(partial) -> (partial, value) for the stand-ins sent to the active run
         self.done = 0  # RUN_DONEs of runs that had tasks
+        self.faults = 0  # steps that raised
+        self.armed = fault_rate > 0
+        if self.armed:
+            rng = random.Random(f"{seed}-faults")
+            self.core.step = self.faulty(self.core.step, rng, fault_rate / 2)
+            self.core._send = self.faulty(self.core._send, rng, fault_rate)
+
+    def faulty(self, method, rng: random.Random, rate: float):
+        """The core's method, raising before it runs at the given rate, except
+        in a fault's own step: the shell has no second resort."""
+
+        def raising(*args):
+            if self.armed and rng.random() < rate:
+                raise Injected(f"before {method.__name__}")
+            return method(*args)
+
+        return raising
 
     def run(self, steps: int) -> "Simulation":
         while self.steps < steps:
@@ -112,7 +144,7 @@ class Simulation:
             return Result(task_id, 0.1, OTHER_SHAPE, number)
         value = rng.choice(VALUES)
         partial = PartialResult.empty(run.graph)
-        partial.tables["s"].sumw[0, 0] = value
+        partial.tables[self.total].sumw[0, 0] = value
         self.values[id(partial)] = (partial, value)
         return Result(task_id, 0.1, partial, number)
 
@@ -126,7 +158,24 @@ class Simulation:
         self.clients.add(conn)
         self.submits[run_id] = (conn, max_retries)
         self.outcomes[run_id] = []
-        return Submit(run_id, UNPLANNABLE if rng.random() < 0.03 else DOCUMENT, max_retries, tasks=tasks)
+        return Submit(run_id, UNPLANNABLE if rng.random() < 0.03 else self.document, max_retries, tasks=tasks)
+
+    def feed(self, msg) -> None:
+        """A decoded frame as a worker's message, then as a client's. To a busy
+        worker an answer is retargeted to the task it holds, so that it meets
+        the run's checks; an answer of the active run's shape is a stand-in."""
+        run, live = self.core.run, sorted(self.workers)
+        busy = [c for c in live if self.workers[c] is not None]
+        worker, as_worker = self.rng.choice(busy or live or [self.connect()]), msg
+        if busy and isinstance(msg, (Result, Fail)):
+            number, task_id = self.workers[worker]
+            as_worker, self.workers[worker] = replace(msg, run=number, task_id=task_id), None
+        if run is not None and isinstance(msg, Result) and msg.partial.shape() == run.shape:
+            self.values[id(msg.partial)] = (msg.partial, float(msg.partial.tables[self.total].sumw[0, 0]))
+        client = self.rng.choice(sorted(self.clients) or [self.connect()])
+        for conn, sent in ((worker, as_worker), (client, msg)):
+            self.step("msg", conn, sent)
+            self.step("tick", None, True)
 
     def step(self, kind: str, conn: int | None, payload) -> None:
         """One core step, then every invariant:
@@ -138,13 +187,25 @@ class Simulation:
         - every task of the active run is pending, accepted or held by a registered worker
         - each run ends in exactly one RUN_DONE or RUN_FAIL (none if its client hung up)
         - a RUN_DONE's result is the task-order merge of the accepted partials, bit for bit
+        - a hang-up closes its connection
+        - the core counts a worker busy exactly while it holds a task
+        - after a step that raised, no run is active
         """
         core = self.core
         before = core.run
         accepted_before = set(before.accepted) if before else set()
         touched = {before.run_id} if before else set()
         self.steps += 1
-        for target, frame in core.step(self.now, (kind, conn, payload)):
+        event, faulted = (kind, conn, payload), False
+        try:
+            effects = core.step(self.now, event)
+        except Injected as e:
+            self.faults, faulted, self.armed = self.faults + 1, True, False
+            effects = core.step(self.now, ("fault", None, (f"scheduler fault: {e}", event)))
+            self.armed = True
+            assert core.run is None
+        assert kind != "gone" or (conn, None) in effects, f"hang-up of {conn} not closed"
+        for target, frame in effects:
             if frame is None:
                 self.closed.add(target)
                 self.clients.discard(target)
@@ -156,7 +217,8 @@ class Simulation:
             msg = decode(frame)
             if isinstance(msg, Task):
                 key = (msg.run, msg.task_id)
-                assert before is core.run and msg.run == before.number
+                assert before is not None and msg.run == before.number
+                assert faulted or before is core.run
                 assert msg.task_id not in accepted_before, f"TASK {msg.task_id} sent after it was accepted"
                 assert self.graph_sent.get(target) == msg.run, "a TASK before its run's GRAPH"
                 assert self.workers[target] is None, f"a second task for worker {target}"
@@ -173,11 +235,13 @@ class Simulation:
                     self.check_merge(before, payload, msg)
         if isinstance(payload, Submit):
             touched.add(payload.run_id)
+        for c, worker in core.workers.items():
+            assert worker.task == self.workers.get(c), f"worker {c} holds {self.workers.get(c)}, not {worker.task}"
         self.check_runs(before, touched)
 
     def check_merge(self, run, answer, done: RunDone) -> None:
         if run is None or run.run_id != done.run_id:  # a run with no task is done when planned
-            assert done.records == () and done.partial.tables["s"].sumw[0, 0] == 0.0
+            assert done.records == () and done.partial.tables[self.total].sumw[0, 0] == 0.0
             return
         self.done += 1
         values = {t: value for t, (_, value) in self.accepted.items()}
@@ -187,7 +251,7 @@ class Simulation:
         total = values[order[0]]
         for t in order[1:]:
             total += values[t]
-        assert float(done.partial.tables["s"].sumw[0, 0]).hex() == total.hex()
+        assert float(done.partial.tables[self.total].sumw[0, 0]).hex() == total.hex()
 
     def check_runs(self, before, touched: set) -> None:
         run = self.core.run
@@ -216,3 +280,25 @@ class Simulation:
 def test_random_schedules_keep_every_invariant(seed):
     sim = Simulation(seed).run(10_000)
     assert sim.done >= 50  # the schedules finish runs, not only refuse and fail them
+
+
+def test_a_step_that_raises_before_any_send_keeps_every_invariant():
+    sim = Simulation(14, fault_rate=0.05).run(10_000)
+    assert sim.faults >= 100 and sim.done >= 20
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value encountered:RuntimeWarning")
+def test_no_decodable_mutant_of_a_frame_makes_a_step_raise(tmp_path):  # mutated sums may merge to inf or nan
+    frames, document = sweep_inputs(tmp_path)
+    sim = Simulation(13, document).run(300)
+    fed = {}
+    for name in ("RESULT", "GRAPH", "RUN_DONE"):
+        for _, mutant in mutants(frames[name], random.Random(f"{SEED}-{name}")):
+            try:
+                msg = decode(mutant)
+            except ProtoError:
+                continue
+            sim.feed(msg)
+            sim.run(sim.steps + 2)  # the schedule goes on between mutants
+            fed[name] = fed.get(name, 0) + 1
+    assert min(fed.values()) > 1000 and sim.done >= 50
